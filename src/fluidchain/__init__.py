@@ -2,9 +2,8 @@
 between walls, with admissibility checking, weak-form residual validation,
 and refinement studies."""
 
-from .dynamics import (DiscreteFunctionals, ParticleState, StateDerivative,
-                       energy_budget, equilibrium_state, functionals, rhs,
-                       spacing_bounds)
+from .dynamics import (DiscreteFunctionals, ParticleState, energy_budget,
+                       equilibrium_state, functionals, spacing_bounds)
 from .errors import (AdmissibilityError, ConfigError, DomainError,
                      FluidchainError, InitialDataError, ModelError,
                      QuadratureError, StiffnessError)
@@ -27,11 +26,11 @@ __all__ = [
     "FluidModel", "FluidchainError", "GrowthReport", "InitialData",
     "InitialDataError", "IntegratorConfig", "ModelError", "NumericsTable",
     "ParticleState", "QuadratureError", "ReconstructedField",
-    "SnapshotSeries", "StateDerivative", "StiffnessError", "admissibility",
+    "SnapshotSeries", "StiffnessError", "admissibility",
     "budget_constants", "build_particles", "constant_density",
     "continuous_energy", "continuous_energy_mod", "energy_budget",
     "equilibrium_state", "functionals", "initial_from_config", "make_initial",
-    "make_preset", "reconstruct", "rhs", "simulate", "sine_velocity",
+    "make_preset", "reconstruct", "simulate", "sine_velocity",
     "spacing_bounds", "step", "table_profile", "total_mass",
     "weak_time_derivatives",
 ]

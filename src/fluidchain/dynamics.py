@@ -43,12 +43,6 @@ class ParticleState:
 
 
 @dataclass(frozen=True)
-class StateDerivative:
-    dx: np.ndarray
-    dv: np.ndarray
-
-
-@dataclass(frozen=True)
 class DiscreteFunctionals:
     """Per-state values of the discrete energy, the transformed-momentum
     energy, the squared-velocity-slope sum, and the max adjacent
@@ -90,13 +84,15 @@ def rhs_arrays(model, n, x, v):
 
     dx_i = v_i and dv_i combines the pressure-force difference of the two
     adjacent cells with the viscous coupling to both neighbours.  Raises
-    DomainError when the ordering is violated, so integrators can reject
-    trial states.
+    DomainError when the ordering is violated or a velocity is not finite,
+    so integrators can reject trial states.
     """
     gaps = gaps_from_interior(model.length, x)
-    if not np.all(np.isfinite(gaps)) or np.any(gaps <= 0.0):
+    # one test for ordering and finiteness: a NaN or infinite position makes
+    # the smallest gap NaN or nonpositive
+    if not gaps.min() > 0.0:
         raise DomainError("trial state left the ordered domain")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise DomainError("trial state has non-finite velocities")
     s = n * gaps
     full_v = np.empty(n + 1)
@@ -104,18 +100,10 @@ def rhs_arrays(model, n, x, v):
     full_v[1:-1] = v
     full_v[-1] = 0.0
     dvel = full_v[:-1] - full_v[1:]          # v_{i-1} - v_i per cell
-    force = np.asarray(model.spacing_potential_prime(s), dtype=float)
-    gain = np.asarray(model.damping_gain(s), dtype=float)
-    dv = (n * (force[:-1] - force[1:])
-          + n * n * (gain[:-1] * dvel[:-1] - gain[1:] * dvel[1:]))
+    force, gain = model.force_and_gain(s)
+    flux = gain * dvel                       # viscous flux per cell
+    dv = n * (force[:-1] - force[1:]) + n * n * (flux[:-1] - flux[1:])
     return v.copy(), dv
-
-
-def rhs(model: FluidModel, state: ParticleState) -> StateDerivative:
-    """Time derivative of a particle state."""
-    check_domain(model, state)
-    dx, dv = rhs_arrays(model, state.n, state.x, state.v)
-    return StateDerivative(dx=dx, dv=dv)
 
 
 def functionals(model: FluidModel, state: ParticleState) -> DiscreteFunctionals:

@@ -20,8 +20,9 @@ from .dynamics import (ParticleState, check_domain, functionals,
                        gaps_from_interior, rhs_arrays, spacing_bounds)
 from .errors import AdmissibilityError, DomainError, ModelError, StiffnessError
 
-# Dormand-Prince 5(4) tableau; row 7 is the 5th-order solution weights.
-_A = (
+# Dormand-Prince 5(4) tableau as float arrays built once; row 7 is the
+# 5th-order solution weights.
+_A = tuple(np.array(row, dtype=float) for row in (
     (),
     (1 / 5,),
     (3 / 40, 9 / 40),
@@ -29,10 +30,10 @@ _A = (
     (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
+))
 # 5th-order minus embedded 4th-order weights, applied to k_1..k_7.
-_ERR = (71 / 57600, 0.0, -71 / 16695, 71 / 1920,
-        -17253 / 339200, 22 / 525, -1 / 40)
+_ERR = np.array((71 / 57600, 0.0, -71 / 16695, 71 / 1920,
+                 -17253 / 339200, 22 / 525, -1 / 40))
 
 _SAFETY = 0.9
 _SHRINK_MIN = 0.2
@@ -111,7 +112,7 @@ class SnapshotSeries:
 
 def _error_ratio(err, y_old, y_new, cfg):
     scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y_old), np.abs(y_new))
-    return float(np.max(np.abs(err) / scale))
+    return float((np.abs(err) / scale).max())
 
 
 def _attempt(model, n, y, dt, cfg, k1=None):
@@ -125,18 +126,15 @@ def _attempt(model, n, y, dt, cfg, k1=None):
     k = np.empty((7, dim))
     try:
         if k1 is None:
-            dx, dv = rhs_arrays(model, n, y[:half], y[half:])
-            k[0, :half], k[0, half:] = dx, dv
+            k[0, :half], k[0, half:] = rhs_arrays(model, n, y[:half], y[half:])
         else:
             k[0] = k1
         for stage in range(1, 7):
             yi = y + dt * np.dot(_A[stage], k[:stage])
-            dx, dv = rhs_arrays(model, n, yi[:half], yi[half:])
-            k[stage, :half], k[stage, half:] = dx, dv
-            if stage == 6:
-                y_new = yi          # row 7 of the tableau is the solution
+            k[stage, :half], k[stage, half:] = rhs_arrays(model, n, yi[:half], yi[half:])
     except DomainError:
         return False, None, None, 0.5
+    y_new = yi                      # row 7 of the tableau is the solution
     err = dt * np.dot(_ERR, k)
     ratio = _error_ratio(err, y, y_new, cfg)
     if not math.isfinite(ratio):

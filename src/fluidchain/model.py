@@ -87,9 +87,9 @@ class FluidModel:
     :func:`make_preset`; the bare ``__init__`` is shared plumbing.
     """
 
-    def __init__(self, kind, pressure, pressure_prime, pressure_second,
-                 viscosity, viscosity_prime, viscosity_second,
-                 m, length, params=None, closed=None, table=None):
+    def __init__(self, kind, pressure, pressure_prime, viscosity,
+                 viscosity_prime, m, length, params=None, closed=None,
+                 table=None):
         if not (m > 0.0 and math.isfinite(m)):
             raise ModelError(f"total mass must be positive and finite, got {m}")
         if not (length > 0.0 and math.isfinite(length)):
@@ -106,10 +106,8 @@ class FluidModel:
 
         self.pressure = _vectorized(pressure, self.rho_star)
         self.pressure_prime = _vectorized(pressure_prime, self.rho_star)
-        self.pressure_second = _vectorized(pressure_second, self.rho_star)
         self.viscosity = _vectorized(viscosity, self.rho_star)
         self.viscosity_prime = _vectorized(viscosity_prime, self.rho_star)
-        self.viscosity_second = _vectorized(viscosity_second, self.rho_star)
 
         self._check_laws()
 
@@ -154,10 +152,8 @@ class FluidModel:
             "saint_venant",
             pressure=lambda rho: half_g * np.asarray(rho, float) ** 2,
             pressure_prime=lambda rho: g * np.asarray(rho, float),
-            pressure_second=lambda rho: g + 0.0 * np.asarray(rho, float),
             viscosity=lambda rho: nu * np.asarray(rho, float),
             viscosity_prime=lambda rho: nu + 0.0 * np.asarray(rho, float),
-            viscosity_second=lambda rho: 0.0 * np.asarray(rho, float),
             m=m, length=length, params={"g": g, "nu": nu},
             closed=closed, table=table,
         )
@@ -178,10 +174,8 @@ class FluidModel:
             "isentropic_gas",
             pressure=lambda rho: c * np.asarray(rho, float) ** gamma,
             pressure_prime=lambda rho: c * gamma * np.asarray(rho, float) ** (gamma - 1.0),
-            pressure_second=lambda rho: c * gamma * (gamma - 1.0) * np.asarray(rho, float) ** (gamma - 2.0),
             viscosity=lambda rho: mu + 0.0 * np.asarray(rho, float),
             viscosity_prime=lambda rho: 0.0 * np.asarray(rho, float),
-            viscosity_second=lambda rho: 0.0 * np.asarray(rho, float),
             m=m, length=length, params={"c": c, "gamma": gamma, "mu": mu},
             closed=closed, table=table,
         )
@@ -206,27 +200,21 @@ class FluidModel:
             "ideal_gas_entropy",
             pressure=lambda rho: c * np.asarray(rho, float) ** gamma,
             pressure_prime=lambda rho: c * gamma * np.asarray(rho, float) ** (gamma - 1.0),
-            pressure_second=lambda rho: c * gamma * (gamma - 1.0) * np.asarray(rho, float) ** (gamma - 2.0),
             viscosity=lambda rho: a * np.asarray(rho, float) ** eta,
             viscosity_prime=lambda rho: a * eta * np.asarray(rho, float) ** (eta - 1.0),
-            viscosity_second=lambda rho: a * eta * (eta - 1.0) * np.asarray(rho, float) ** (eta - 2.0),
             m=m, length=length, params={"c": c, "gamma": gamma, "visc_amp": a},
             closed=closed, table=table,
         )
 
     @classmethod
     def custom(cls, pressure, viscosity, m, length,
-               pressure_prime=None, pressure_second=None,
-               viscosity_prime=None, viscosity_second=None, table=None):
+               pressure_prime=None, viscosity_prime=None, table=None):
         """User-supplied laws; derived functions go through adaptive
         quadrature.  Missing derivatives fall back to central differences."""
         pressure_prime = pressure_prime or _fd_prime(pressure)
-        pressure_second = pressure_second or _fd_second(pressure)
         viscosity_prime = viscosity_prime or _fd_prime(viscosity)
-        viscosity_second = viscosity_second or _fd_second(viscosity)
         return cls(
-            "custom", pressure, pressure_prime, pressure_second,
-            viscosity, viscosity_prime, viscosity_second,
+            "custom", pressure, pressure_prime, viscosity, viscosity_prime,
             m=m, length=length, params={}, closed={}, table=table,
         )
 
@@ -264,7 +252,11 @@ class FluidModel:
         out = quad(g, a, b, epsabs=self.table.quad_abs_tol,
                    epsrel=self.table.quad_rel_tol, limit=200, full_output=1)
         value, err = out[0], out[1]
-        if len(out) > 3 or not math.isfinite(value):
+        # scipy warns whenever it cannot certify its own tolerance, which
+        # includes near-empty intervals integrated to full precision; only
+        # an achieved error above the requested tolerance is a failure
+        tol = max(self.table.quad_abs_tol, self.table.quad_rel_tol * abs(value))
+        if not math.isfinite(value) or (len(out) > 3 and not err <= tol):
             raise QuadratureError(
                 f"quadrature did not converge on [{lo:g}, {hi:g}]"
                 f" (achieved error {err:.3g})", achieved_error=err)
@@ -330,8 +322,7 @@ class FluidModel:
     def spacing_potential_prime(self, s):
         """Slope of the spacing potential, -P(m/s)/m < 0."""
         _require_positive_density(s, what="cell width")
-        s = np.asarray(s, dtype=float) if np.ndim(s) else s
-        out = -self.pressure(self.m / np.asarray(s, float)) / self.m
+        out = self.force_and_gain(np.asarray(s, dtype=float))[0]
         return out if np.ndim(s) else float(out)
 
     def spacing_potential_second(self, s):
@@ -352,9 +343,19 @@ class FluidModel:
     def damping_gain(self, s):
         """Viscous coupling gain mu(m/s)/(m*s) > 0."""
         _require_positive_density(s, what="cell width")
-        arr = np.asarray(s, dtype=float)
-        out = self.viscosity(self.m / arr) / (self.m * arr)
+        out = self.force_and_gain(np.asarray(s, dtype=float))[1]
         return out if np.ndim(s) else float(out)
+
+    def force_and_gain(self, s):
+        """Pressure force -P(m/s)/m and viscous coupling gain mu(m/s)/(m*s)
+        of a float array of scaled cell widths, from one density m/s.
+
+        Performs no validation: every width must already be known positive
+        and finite.  :meth:`spacing_potential_prime` and
+        :meth:`damping_gain` are the checked entry points.
+        """
+        rho = self.m / s
+        return -self.pressure(rho) / self.m, self.viscosity(rho) / (self.m * s)
 
     # -- admissibility envelope ---------------------------------------------
 
@@ -508,9 +509,7 @@ def make_preset(kind, params, m, length, table=None):
             pressure=lambda rho: pc * np.asarray(rho, float) ** pe,
             viscosity=lambda rho: vc * np.asarray(rho, float) ** ve,
             pressure_prime=lambda rho: pc * pe * np.asarray(rho, float) ** (pe - 1.0),
-            pressure_second=lambda rho: pc * pe * (pe - 1.0) * np.asarray(rho, float) ** (pe - 2.0),
             viscosity_prime=lambda rho: vc * ve * np.asarray(rho, float) ** (ve - 1.0),
-            viscosity_second=lambda rho: vc * ve * (ve - 1.0) * np.asarray(rho, float) ** (ve - 2.0),
             m=m, length=length, table=table,
         )
     raise ModelError(f"unknown model kind {kind!r}")
@@ -554,12 +553,3 @@ def _fd_prime(f, rel_h=1e-6):
         h = rel_h * x
         return (np.asarray(f(x + h), float) - np.asarray(f(x - h), float)) / (2.0 * h)
     return prime
-
-
-def _fd_second(f, rel_h=1e-4):
-    def second(x):
-        x = np.asarray(x, dtype=float)
-        h = rel_h * x
-        return (np.asarray(f(x + h), float) - 2.0 * np.asarray(f(x), float)
-                + np.asarray(f(x - h), float)) / h ** 2
-    return second

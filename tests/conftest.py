@@ -20,6 +20,26 @@ def isentropic():
     return fc.FluidModel.isentropic_gas(c=1.0, gamma=1.4, m=1.0, length=1.0)
 
 
+@pytest.fixture(scope="session")
+def power_law():
+    """Quadrature-backed custom model: P = rho^2, mu = rho^(1/2)."""
+    return fc.make_preset("custom", {"pressure": {"coeff": 1.0, "exponent": 2.0},
+                                     "viscosity": {"coeff": 1.0, "exponent": 0.5}},
+                          m=1.0, length=1.0)
+
+
+MODEL_FIXTURES = {"saint_venant": "sv", "isentropic_gas": "isentropic",
+                  "ideal_gas_entropy": "ideal", "custom": "power_law"}
+
+
+@pytest.fixture(params=sorted(MODEL_FIXTURES))
+def any_model(request):
+    """Each of the four model kinds in turn."""
+    model = request.getfixturevalue(MODEL_FIXTURES[request.param])
+    assert model.kind == request.param
+    return model
+
+
 def equilibrium_initial(model):
     rho0, value = fc.constant_density(model)
 

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -157,6 +158,15 @@ def test_validate_writes_reports(tmp_path, capsys):
     assert (out / "validate.txt").is_file()
     header = (out / "residuals.csv").read_text().splitlines()[0]
     assert header == "n,metric,value,error_estimate"
+
+
+def test_shipped_configs_validate(tmp_path, capsys):
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    for name in ("ideal_gas", "saint_venant_perturbed"):
+        out = tmp_path / name
+        assert cli.main(["validate", "--config", str(configs / f"{name}.json"),
+                         "--out", str(out)]) == 0
+        assert (out / "validate.txt").is_file()
 
 
 def test_validate_inadmissible_exits_2(tmp_path, capsys):

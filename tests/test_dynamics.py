@@ -19,30 +19,64 @@ def test_state_validation():
 
 def test_rhs_zero_at_equilibrium(sv):
     state = fc.equilibrium_state(sv, 4)
-    out = fc.rhs(sv, state)
-    assert np.all(out.dx == 0.0)
-    assert np.all(out.dv == 0.0)
+    dx, dv = rhs_arrays(sv, state.n, state.x, state.v)
+    assert np.all(dx == 0.0)
+    assert np.all(dv == 0.0)
 
 
 def test_rhs_two_packet_pressure_imbalance(sv):
-    state = fc.ParticleState(n=2, t=0.0, x=np.array([0.4]), v=np.array([0.0]))
-    out = fc.rhs(sv, state)
+    dx, dv = rhs_arrays(sv, 2, np.array([0.4]), np.array([0.0]))
     # 2*(Phi'(1.2) - Phi'(0.8)) = g*(1/0.64 - 1/1.44)
-    assert out.dv[0] == pytest.approx(9.81 * (1 / 0.64 - 1 / 1.44), rel=1e-14)
-    assert out.dv[0] == pytest.approx(8.515625)
+    assert dv[0] == pytest.approx(9.81 * (1 / 0.64 - 1 / 1.44), rel=1e-14)
+    assert dv[0] == pytest.approx(8.515625)
 
 
 def test_rhs_two_packet_pure_damping(sv):
-    state = fc.ParticleState(n=2, t=0.0, x=np.array([0.5]), v=np.array([1.0]))
-    out = fc.rhs(sv, state)
-    assert out.dv[0] == pytest.approx(-8.0, rel=1e-14)
-    assert out.dx[0] == 1.0
+    dx, dv = rhs_arrays(sv, 2, np.array([0.5]), np.array([1.0]))
+    assert dv[0] == pytest.approx(-8.0, rel=1e-14)
+    assert dx[0] == 1.0
 
 
 def test_rhs_rejects_disordered_state(sv):
-    state = fc.ParticleState(n=3, t=0.0, x=np.array([0.2, 0.6]), v=np.zeros(2))
     with pytest.raises(DomainError):
-        fc.rhs(sv, state)
+        rhs_arrays(sv, 3, np.array([0.2, 0.6]), np.zeros(2))
+
+
+def test_rhs_kernel_matches_checked_public_laws(any_model):
+    # the unchecked force/gain kernel must reproduce, bit for bit, the
+    # difference formula built from the validated public methods
+    rng = np.random.default_rng(5)
+    for n in (2, 7, 32):
+        state = random_state(any_model, n, rng)
+        dx, dv = rhs_arrays(any_model, n, state.x, state.v)
+        s = n * fc.dynamics.gaps_from_interior(any_model.length, state.x)
+        force = any_model.spacing_potential_prime(s)
+        gain = any_model.damping_gain(s)
+        full_v = np.concatenate(([0.0], state.v, [0.0]))
+        dvel = full_v[:-1] - full_v[1:]
+        expected = (n * (force[:-1] - force[1:])
+                    + n * n * (gain[:-1] * dvel[:-1] - gain[1:] * dvel[1:]))
+        assert np.array_equal(dv, expected)
+        assert np.array_equal(dx, state.v)
+
+
+def test_rhs_rejects_every_domain_exit(any_model):
+    x = np.array([0.75, 0.5, 0.25])
+    v = np.array([0.1, -0.2, 0.3])
+    bad_positions = ([0.75, 0.5, 0.5],          # zero gap
+                     [0.75, 0.25, 0.5],         # swapped pair
+                     [0.75, np.nan, 0.25],
+                     [0.75, np.inf, 0.25],
+                     [0.75, 0.5, -np.inf],
+                     [np.inf, 0.5, 0.25],
+                     [0.75, 0.5, np.inf])
+    for bad in bad_positions:
+        with pytest.raises(DomainError):
+            rhs_arrays(any_model, 4, np.array(bad), v)
+    for bad in ([0.1, np.nan, 0.3], [np.inf, -0.2, 0.3], [0.1, -0.2, -np.inf]):
+        with pytest.raises(DomainError):
+            rhs_arrays(any_model, 4, x, np.array(bad))
+    rhs_arrays(any_model, 4, x, v)
 
 
 def test_functionals_zero_at_equilibrium(sv):

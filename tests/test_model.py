@@ -241,6 +241,19 @@ def test_spacing_potential_overflow_is_reported(sv, ideal):
             model.spacing_potential(1e-320)
 
 
+def test_envelope_finite_next_to_reference_density(ideal, power_law):
+    # scipy warns on these near-empty intervals although it integrates them
+    # to full precision; that warning alone is not a failure
+    for model in (ideal, power_law):
+        for rho in (1.0 + 1e-15, 1.0 - 1e-14):
+            assert math.isfinite(model.energy_envelope(rho))
+
+
+def test_quadrature_above_tolerance_still_raises(ideal):
+    with pytest.raises(fc.QuadratureError):
+        ideal._quad(lambda t: 1.0 / abs(t - 1.3), 1.0, 2.0)
+
+
 def test_rejects_nonpositive_density(sv):
     with pytest.raises(ModelError):
         sv.compression_energy(-1.0)
