@@ -16,12 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fields
-from .dynamics import spacing_bounds
+from .dynamics import ordered_sum, spacing_bounds, sqrt_budget
 from .errors import FluidchainError
 from .initial import build_particles
-from .integrate import IntegratorConfig, simulate
-
-_GAUSS3_X, _GAUSS3_W = np.polynomial.legendre.leggauss(3)
+from .integrate import (IntegratorConfig, _snapshot_targets, decay_slack,
+                        decay_violations, simulate)
 
 
 # -- test functions -------------------------------------------------------------
@@ -182,19 +181,15 @@ class ResidualReport:
     inconclusive: bool
 
 
-def _gauss3_cells(field):
-    left = field.asc_x[:-1][:, None]
-    right = field.asc_x[1:][:, None]
-    mid = 0.5 * (left + right)
-    half = 0.5 * (right - left)
-    return mid + half * _GAUSS3_X[None, :], half * _GAUSS3_W[None, :]
+def _equally_spaced(ts):
+    steps = np.diff(ts)
+    return not np.any(np.abs(steps - steps[0]) > 1e-9 * max(abs(steps[0]), 1e-300))
 
 
-def _sum_desc(cell_values):
-    total = 0.0
-    for value in cell_values[::-1]:
-        total += value
-    return total
+def uniform_cadence(T, snapshot_dt):
+    """Whether a run to ``T`` emits equally spaced snapshots, as the
+    residuals' Simpson rule needs."""
+    return _equally_spaced([0.0, *_snapshot_targets(T, snapshot_dt)])
 
 
 def _simpson(ts, gs):
@@ -202,24 +197,26 @@ def _simpson(ts, gs):
     count uses the 3/8 rule on the last three intervals."""
     ts = np.asarray(ts, float)
     gs = np.asarray(gs, float)
-    steps = np.diff(ts)
-    h = steps[0]
-    if np.any(np.abs(steps - h) > 1e-9 * max(abs(h), 1e-300)):
+    if not _equally_spaced(ts):
         raise ValueError("Simpson integration expects uniform snapshot cadence")
-    n_int = steps.size
+    h = ts[1] - ts[0]
+    n_int = ts.size - 1
     if n_int == 1:
         return 0.5 * h * (gs[0] + gs[1])
-    total = 0.0
     stop = n_int if n_int % 2 == 0 else n_int - 3
-    for j in range(0, stop, 2):
-        total += (h / 3.0) * (gs[j] + 4.0 * gs[j + 1] + gs[j + 2])
+    total = ordered_sum((h / 3.0) * (gs[0:stop:2] + 4.0 * gs[1:stop:2] + gs[2:stop + 1:2]))
     if stop != n_int:
         j = n_int - 3
         total += (3.0 * h / 8.0) * (gs[j] + 3.0 * gs[j + 1] + 3.0 * gs[j + 2] + gs[j + 3])
     return total
 
 
-def _check_series_tf(series, tf, kind):
+def _weak_residual(model, series, tf, kind, initial, integrand):
+    """Signed defect of a weak identity: the space integral of
+    ``initial(pts, phi0)`` at t = 0 plus the Simpson time integral of the
+    space integrals of ``integrand(t, field, pts, rho, v)`` over the series.
+    Space integrals are 3-point Gauss per reconstruction cell, summed
+    ghost-end first."""
     if tf.kind != kind:
         raise ValueError(f"expected a {kind}-kind test function, got {tf.kind}")
     horizon = series.times[-1]
@@ -227,9 +224,16 @@ def _check_series_tf(series, tf, kind):
         raise ValueError(
             f"test function horizon {tf.horizon:g} does not match the "
             f"series horizon {horizon:g}")
+    pts0, wts0, _, _ = fields.gauss_cells(fields.reconstruct(model, series.states[0]), 3)
+    term0 = initial(pts0, np.asarray(tf.phi(0.0, pts0)))
+    term0 = ordered_sum(np.sum(term0 * wts0, axis=1)[::-1])
+    g = np.empty(len(series))
+    for j, state in enumerate(series.states):
+        field = fields.reconstruct(model, state)
+        pts, wts, rho, vel = fields.gauss_cells(field, 3)
+        values = integrand(series.times[j], field, pts, rho, vel)
+        g[j] = ordered_sum(np.sum(values * wts, axis=1)[::-1])
 
-
-def _residual_from_samples(series, term0, g, tf):
     value = term0 + _simpson(series.times, g)
     n_int = len(series.times) - 1
     if n_int >= 4 and n_int % 2 == 0:
@@ -246,52 +250,33 @@ def _residual_from_samples(series, term0, g, tf):
 
 def continuity_residual(model, series, init, tf) -> ResidualReport:
     """Signed defect of the mass-transport weak identity for the series."""
-    _check_series_tf(series, tf, "continuity")
-    field0 = fields.reconstruct(model, series.states[0])
-    pts0, wts0 = _gauss3_cells(field0)
-    rho0_vals = np.asarray(init.rho0(pts0.ravel()), float).reshape(pts0.shape)
-    phi0 = np.asarray(tf.phi(0.0, pts0))
-    term0 = _sum_desc(np.sum(phi0 * rho0_vals * wts0, axis=1))
 
-    g = np.empty(len(series))
-    for j, state in enumerate(series.states):
-        field = fields.reconstruct(model, state)
-        pts, wts = _gauss3_cells(field)
-        rho = np.asarray(field.rho(pts.ravel())).reshape(pts.shape)
-        vel = np.asarray(field.v(pts.ravel())).reshape(pts.shape)
-        t = series.times[j]
-        integrand = rho * (np.asarray(tf.phi_t(t, pts))
-                           + vel * np.asarray(tf.phi_x(t, pts)))
-        g[j] = _sum_desc(np.sum(integrand * wts, axis=1))
-    return _residual_from_samples(series, term0, g, tf)
+    def initial(pts, phi0):
+        return phi0 * np.asarray(init.rho0(pts.ravel()), float).reshape(pts.shape)
+
+    def integrand(t, field, pts, rho, vel):
+        return rho * (np.asarray(tf.phi_t(t, pts)) + vel * np.asarray(tf.phi_x(t, pts)))
+
+    return _weak_residual(model, series, tf, "continuity", initial, integrand)
 
 
 def momentum_residual(model, series, init, tf) -> ResidualReport:
     """Signed defect of the momentum weak identity, with flux
     rho*v^2 + P(rho) - mu(rho)*v_x."""
-    _check_series_tf(series, tf, "momentum")
-    field0 = fields.reconstruct(model, series.states[0])
-    pts0, wts0 = _gauss3_cells(field0)
-    rho0_vals = np.asarray(init.rho0(pts0.ravel()), float).reshape(pts0.shape)
-    v0_vals = np.asarray(init.v0(pts0.ravel()), float).reshape(pts0.shape)
-    phi0 = np.asarray(tf.phi(0.0, pts0))
-    term0 = _sum_desc(np.sum(phi0 * rho0_vals * v0_vals * wts0, axis=1))
 
-    g = np.empty(len(series))
-    for j, state in enumerate(series.states):
-        field = fields.reconstruct(model, state)
-        pts, wts = _gauss3_cells(field)
-        rho = np.asarray(field.rho(pts.ravel())).reshape(pts.shape)
-        vel = np.asarray(field.v(pts.ravel())).reshape(pts.shape)
+    def initial(pts, phi0):
+        rho0 = np.asarray(init.rho0(pts.ravel()), float).reshape(pts.shape)
+        return phi0 * rho0 * np.asarray(init.v0(pts.ravel()), float).reshape(pts.shape)
+
+    def integrand(t, field, pts, rho, vel):
         slope_v = ((field.asc_v[1:] - field.asc_v[:-1])
                    / (field.asc_x[1:] - field.asc_x[:-1]))[:, None]
         flux = rho * vel ** 2 + np.asarray(model.pressure(rho)) \
             - np.asarray(model.viscosity(rho)) * slope_v
-        t = series.times[j]
-        integrand = (np.asarray(tf.phi_t(t, pts)) * rho * vel
-                     + np.asarray(tf.phi_x(t, pts)) * flux)
-        g[j] = _sum_desc(np.sum(integrand * wts, axis=1))
-    return _residual_from_samples(series, term0, g, tf)
+        return (np.asarray(tf.phi_t(t, pts)) * rho * vel
+                + np.asarray(tf.phi_x(t, pts)) * flux)
+
+    return _weak_residual(model, series, tf, "momentum", initial, integrand)
 
 
 # -- decay and containment reports ----------------------------------------------
@@ -330,26 +315,22 @@ def decay_report(series, w_budget=None, avg_slack=1e-6) -> DecayReport:
     """
     diag = series.diagnostics
     times = series.times
-    slack_e = 1e-8 * max(1.0, diag[0].e_n)
-    slack_w = 1e-8 * max(1.0, diag[0].w_n)
-    e_n_viol, w_n_viol, e_cont_viol, w_avg_viol = [], [], [], []
+    slack_e = decay_slack(diag[0].e_n)
+    slack_w = decay_slack(diag[0].w_n)
+    w_avg_viol = []
     w_avg_max = 0.0
     running = 0.0
     for j in range(1, len(diag)):
         dt = times[j] - times[j - 1]
-        if diag[j].e_n > diag[j - 1].e_n + slack_e:
-            e_n_viol.append((times[j], diag[j].e_n - diag[j - 1].e_n))
-        if diag[j].w_n > diag[j - 1].w_n + slack_w:
-            w_n_viol.append((times[j], diag[j].w_n - diag[j - 1].w_n))
-        if diag[j].e_cont > diag[j - 1].e_cont + slack_e:
-            e_cont_viol.append((times[j], diag[j].e_cont - diag[j - 1].e_cont))
         running += 0.5 * dt * (diag[j].w_cont + diag[j - 1].w_cont)
         avg = running / times[j]
         w_avg_max = max(w_avg_max, avg)
         if w_budget is not None and avg > w_budget + avg_slack:
             w_avg_viol.append((times[j], avg - w_budget))
-    return DecayReport(e_n_violations=e_n_viol, w_n_violations=w_n_viol,
-                       e_cont_violations=e_cont_viol, w_avg_violations=w_avg_viol,
+    return DecayReport(e_n_violations=decay_violations(series, "e_n", slack_e),
+                       w_n_violations=decay_violations(series, "w_n", slack_w),
+                       e_cont_violations=decay_violations(series, "e_cont", slack_e),
+                       w_avg_violations=w_avg_viol,
                        slack_e=slack_e, slack_w=slack_w, w_budget=w_budget,
                        w_avg_max=w_avg_max)
 
@@ -377,8 +358,9 @@ def envelope_check(model, series) -> EnvelopeReport:
     """Check every snapshot's cell densities against the initial energy
     budget and every accepted step's spacing extrema against [a, b]."""
     d0 = series.diagnostics[0]
-    budget = math.sqrt(max(d0.w_n, 0.0)) + math.sqrt(max(d0.e_n, 0.0))
-    a, b = spacing_bounds(model, max(d0.e_n, 0.0), max(d0.w_n, 0.0))
+    e0, w0 = max(d0.e_n, 0.0), max(d0.w_n, 0.0)
+    budget = sqrt_budget(e0, w0)
+    a, b = spacing_bounds(model, e0, w0)
     excess = -math.inf
     for state in series.states:
         field = fields.reconstruct(model, state)

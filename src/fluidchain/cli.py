@@ -23,14 +23,7 @@ from . import checks, fields
 from .errors import AdmissibilityError, ConfigError, FluidchainError
 from .initial import admissibility, budget_constants, build_particles, initial_from_config
 from .integrate import IntegratorConfig, simulate
-from .model import make_preset
-
-_MODEL_KEYS = {
-    "saint_venant": ({"g", "nu"}, set()),
-    "isentropic_gas": ({"c", "gamma"}, {"mu"}),
-    "ideal_gas_entropy": ({"c", "gamma", "visc_amp"}, set()),
-    "custom": ({"pressure", "viscosity"}, set()),
-}
+from .model import PRESET_PARAMS, NumericsTable, make_preset
 
 
 @dataclass(frozen=True)
@@ -42,7 +35,6 @@ class SimulationConfig:
     n: int | None
     n_list: list | None
     grid_size: int
-    seed: int
 
 
 def _field(path, key):
@@ -74,6 +66,17 @@ def _number(block, path, key, default=None, positive=False):
     return value
 
 
+def _env_number(name, default):
+    """Positive number from environment variable ``name``, else ``default``."""
+    text = os.environ.get(name)
+    if text is None:
+        return default
+    try:
+        return _number({name: float(text)}, "", name, positive=True)
+    except ValueError:
+        raise ConfigError(name, f"expected a number, got {text!r}") from None
+
+
 def _integer(block, path, key, default=None, minimum=None):
     if key not in block:
         return default
@@ -90,9 +93,9 @@ def _parse_model(raw):
     if not isinstance(block, dict) or "kind" not in block:
         raise ConfigError("model.kind", "missing model kind")
     kind = block["kind"]
-    if kind not in _MODEL_KEYS:
+    if not isinstance(kind, str) or kind not in PRESET_PARAMS:
         raise ConfigError("model.kind", f"unknown kind {kind!r}")
-    required, optional = _MODEL_KEYS[kind]
+    required, optional = PRESET_PARAMS[kind]
     _check_keys(block, "model", required | {"kind"}, optional)
     params = {k: v for k, v in block.items() if k != "kind"}
     if kind == "custom":
@@ -106,11 +109,8 @@ def _parse_model(raw):
                 raise ConfigError(f"model.{key}", f"expected a number, got {value!r}")
     m = _number(raw, "", "m", positive=True)
     length = _number(raw, "", "L", positive=True)
-    table = None
-    quad_env = os.environ.get("FLUIDCHAIN_QUAD_REL_TOL")
-    if quad_env is not None:
-        from .model import NumericsTable
-        table = NumericsTable(quad_rel_tol=float(quad_env))
+    quad_rel_tol = _env_number("FLUIDCHAIN_QUAD_REL_TOL", None)
+    table = None if quad_rel_tol is None else NumericsTable(quad_rel_tol=quad_rel_tol)
     try:
         return make_preset(kind, params, m=m, length=length, table=table)
     except FluidchainError as exc:
@@ -137,14 +137,10 @@ def _parse_integrator(raw):
     _check_keys(block, "integrator", set(),
                 {"rel_tol", "abs_tol", "dt_init", "dt_max", "max_steps",
                  "snapshot_dt", "T"})
-    rel_tol = _number(block, "integrator", "rel_tol", default=1e-8, positive=True)
-    abs_tol = _number(block, "integrator", "abs_tol", default=1e-10, positive=True)
-    rel_env = os.environ.get("FLUIDCHAIN_REL_TOL")
-    abs_env = os.environ.get("FLUIDCHAIN_ABS_TOL")
-    if rel_env is not None:
-        rel_tol = float(rel_env)
-    if abs_env is not None:
-        abs_tol = float(abs_env)
+    rel_tol = _env_number("FLUIDCHAIN_REL_TOL", _number(
+        block, "integrator", "rel_tol", default=1e-8, positive=True))
+    abs_tol = _env_number("FLUIDCHAIN_ABS_TOL", _number(
+        block, "integrator", "abs_tol", default=1e-10, positive=True))
     dt_init = block.get("dt_init")
     if dt_init is not None:
         dt_init = _number(block, "integrator", "dt_init", positive=True)
@@ -167,27 +163,29 @@ def parse_config(path) -> SimulationConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(str(path), f"malformed JSON: {exc}") from exc
     _check_keys(raw, "", {"model", "m", "L", "initial"},
-                {"integrator", "n", "n_list", "grid_size", "seed"})
+                {"integrator", "n", "n_list", "grid_size"})
     model = _parse_model(raw)
     init = _parse_initial(model, raw)
     integ, horizon = _parse_integrator(raw)
-    n = _integer(raw, "", "n", default=None)
-    if n is not None and n < 2:
-        raise ConfigError("n", f"must be >= 2, got {n}")
+    n = _integer(raw, "", "n", default=None, minimum=2)
     n_list = raw.get("n_list")
     if n_list is not None:
-        if (not isinstance(n_list, list) or not n_list
-                or any(isinstance(v, bool) or not isinstance(v, int) for v in n_list)):
-            raise ConfigError("n_list", "must be a non-empty list of integers")
-        if any(v < 2 for v in n_list):
-            raise ConfigError("n_list", "entries must be >= 2")
-        if any(b <= a for a, b in zip(n_list, n_list[1:])):
-            raise ConfigError("n_list", "entries must be strictly ascending")
+        _check_n_list(n_list, "n_list")
     grid_size = _integer(raw, "", "grid_size", default=512, minimum=2)
-    seed = _integer(raw, "", "seed", default=0)
     return SimulationConfig(model=model, initial=init, integrator=integ,
                             horizon=horizon, n=n, n_list=n_list,
-                            grid_size=grid_size, seed=seed)
+                            grid_size=grid_size)
+
+
+def _check_n_list(n_list, field):
+    """Particle counts for a refinement study: integers >= 2, ascending."""
+    if (not isinstance(n_list, list) or not n_list
+            or any(isinstance(v, bool) or not isinstance(v, int) for v in n_list)):
+        raise ConfigError(field, "must be a non-empty list of integers")
+    if any(v < 2 for v in n_list):
+        raise ConfigError(field, "entries must be >= 2")
+    if any(b <= a for a, b in zip(n_list, n_list[1:])):
+        raise ConfigError(field, "entries must be strictly ascending")
 
 
 # -- artifact writers --------------------------------------------------------------
@@ -264,7 +262,12 @@ def _cmd_check(cfg):
     return 0 if report.admissible else 2
 
 
-def _require_admissible(cfg):
+def _require_study_ready(cfg):
+    """What validate and converge need before simulating: equally spaced
+    snapshots (for the residuals' Simpson rule) and admissible initial data."""
+    if not checks.uniform_cadence(cfg.horizon, cfg.integrator.snapshot_dt):
+        raise ConfigError("integrator.T", f"T={cfg.horizon:g} is not a multiple of "
+                          f"snapshot_dt={cfg.integrator.snapshot_dt:g}")
     report = admissibility(cfg.model, cfg.initial)
     if not report.admissible:
         raise AdmissibilityError(
@@ -277,7 +280,7 @@ def _cmd_converge(cfg, out_dir, n_override):
     n_list = n_override or cfg.n_list
     if not n_list:
         raise ConfigError("n_list", "converge requires n_list (or --n)")
-    _require_admissible(cfg)
+    _require_study_ready(cfg)
     rows = checks.convergence_study(cfg.model, cfg.initial, n_list,
                                     cfg.horizon, cfg.integrator)
     out = Path(out_dir)
@@ -312,7 +315,7 @@ def _cmd_converge(cfg, out_dir, n_override):
 def _cmd_validate(cfg, out_dir):
     if cfg.n is None:
         raise ConfigError("n", "validate requires a particle count")
-    _require_admissible(cfg)
+    _require_study_ready(cfg)
     model, init = cfg.model, cfg.initial
     state0 = build_particles(model, init, cfg.n)
     series = simulate(model, state0, cfg.horizon, cfg.integrator)
@@ -384,8 +387,12 @@ def main(argv=None):
     try:
         cfg = parse_config(args.config)
         n_override = None
-        if getattr(args, "n", None):
-            n_override = [int(v) for v in args.n.split(",")]
+        if getattr(args, "n", None) is not None:
+            try:
+                n_override = [int(v) for v in args.n.split(",")]
+            except ValueError:
+                raise ConfigError("--n", f"expected integers, got {args.n!r}") from None
+            _check_n_list(n_override, "--n")
         return run(args.command, cfg, out_dir=getattr(args, "out", None),
                    n_override=n_override)
     except AdmissibilityError as exc:

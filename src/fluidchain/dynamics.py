@@ -10,6 +10,7 @@ never stored, so boundary conditions cannot be mutated by accident.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,14 +66,19 @@ def gaps_from_interior(length, x):
     return full[:-1] - full[1:]
 
 
-def spacings(model, state):
-    """Cell widths x_{i-1} - x_i for i = 1..n, walls included."""
-    return gaps_from_interior(model.length, state.x)
+def ordered_sum(values):
+    """Left-to-right sum, bit-identical to a ``total += value`` loop from
+    0.0 (``np.add.accumulate`` adds in order, unlike the pairwise ``np.sum``);
+    0.0 for empty input."""
+    values = np.asarray(values, dtype=float)
+    if values.size == 0:
+        return 0.0
+    return 0.0 + float(np.add.accumulate(values)[-1])
 
 
 def check_domain(model, state):
     """Raise DomainError unless the state lies in the open admissible set."""
-    gaps = spacings(model, state)
+    gaps = gaps_from_interior(model.length, state.x)
     if not np.all(np.isfinite(gaps)) or np.any(gaps <= 0.0):
         raise DomainError(
             f"state at t={state.t:g} violates the strict ordering "
@@ -114,7 +120,7 @@ def functionals(model: FluidModel, state: ParticleState) -> DiscreteFunctionals:
     check_domain(model, state)
     n = state.n
     m = model.m
-    gaps = spacings(model, state)
+    gaps = gaps_from_interior(model.length, state.x)
     s = n * gaps
     pot = np.asarray(model.spacing_potential(s), dtype=float)
     damp = np.asarray(model.damping_potential(s), dtype=float)
@@ -122,37 +128,26 @@ def functionals(model: FluidModel, state: ParticleState) -> DiscreteFunctionals:
     full_v = np.concatenate(([0.0], state.v, [0.0]))
     dvel = full_v[:-1] - full_v[1:]
 
-    pot_sum = 0.0
-    for value in pot:
-        pot_sum += value
-    kin_sum = 0.0
-    for value in state.v:
-        kin_sum += value * value
-    e_n = (m / (2.0 * n)) * kin_sum + (m / n) * pot_sum
+    pot_sum = ordered_sum(pot)
+    e_n = (m / (2.0 * n)) * ordered_sum(state.v * state.v) + (m / n) * pot_sum
 
     # transformed velocities v_i - n*K(s_i) + n*K(s_{i+1}), interior only
     v_tr = state.v - n * damp[:-1] + n * damp[1:]
-    w_sum = 0.0
-    for value in v_tr:
-        w_sum += value * value
-    w_n = (m / (2.0 * n)) * w_sum + (m / n) * pot_sum
+    w_n = (m / (2.0 * n)) * ordered_sum(v_tr * v_tr) + (m / n) * pot_sum
 
-    z_sum = 0.0
-    for i in range(n):
-        z_sum += dvel[i] * dvel[i] / gaps[i]
-    z_n = 0.5 * z_sum
-
-    h_n = 0.0
-    for i in range(n - 1):
-        jump = n * abs(damp[i] - damp[i + 1])
-        if jump > h_n:
-            h_n = jump
+    z_n = 0.5 * ordered_sum(dvel * dvel / gaps)
+    h_n = float(np.max(n * np.abs(damp[:-1] - damp[1:])))
     return DiscreteFunctionals(e_n=e_n, w_n=w_n, z_n=z_n, h_n=h_n, v_transformed=v_tr)
 
 
+def sqrt_budget(e, w):
+    """sqrt(w) + sqrt(e), the quantity the envelope bounds compare against."""
+    return math.sqrt(w) + math.sqrt(e)
+
+
 def energy_budget(func: DiscreteFunctionals) -> float:
-    """sqrt(W) + sqrt(E), the quantity the envelope bounds compare against."""
-    return float(np.sqrt(max(func.w_n, 0.0)) + np.sqrt(max(func.e_n, 0.0)))
+    """sqrt(W) + sqrt(E) of a state's functionals, negatives read as zero."""
+    return sqrt_budget(max(func.e_n, 0.0), max(func.w_n, 0.0))
 
 
 def spacing_bounds(model: FluidModel, e_bar, w_bar):
@@ -165,7 +160,7 @@ def spacing_bounds(model: FluidModel, e_bar, w_bar):
     """
     if e_bar < 0.0 or w_bar < 0.0:
         raise AdmissibilityError("energy budgets must be nonnegative")
-    budget = float(np.sqrt(w_bar) + np.sqrt(e_bar))
+    budget = sqrt_budget(e_bar, w_bar)
     limit_high, limit_low = model.energy_envelope_limits()
     if budget >= limit_high:
         raise AdmissibilityError(

@@ -13,10 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ParticleState, check_domain, gaps_from_interior, rhs_arrays
+from .dynamics import (ParticleState, check_domain, gaps_from_interior,
+                       ordered_sum, rhs_arrays)
 from .model import FluidModel
 
-_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(5)
+# Gauss-Legendre rules: order 5 for the energies, 3 for the weak residuals
+_GAUSS = {order: np.polynomial.legendre.leggauss(order) for order in (3, 5)}
 
 
 @dataclass(frozen=True)
@@ -97,32 +99,33 @@ def total_mass(field: ReconstructedField) -> float:
     """Exact integral of the piecewise-linear density (trapezoid per cell,
     summed ghost-end first for run-to-run determinism)."""
     widths = field.edges[:-1] - field.edges[1:]
-    total = 0.0
-    for i in range(field.n):
-        total += widths[i] * 0.5 * (field.rho_nodes[i] + field.rho_nodes[i + 1])
-    return total
+    rho = field.rho_nodes
+    return ordered_sum(widths * 0.5 * (rho[:-1] + rho[1:]))
 
 
-def _cell_gauss(field):
-    """Gauss nodes/weights per cell, ascending cells, shape (n, 5)."""
+def gauss_cells(field: ReconstructedField, order: int):
+    """Gauss-Legendre sampling of every cell, ascending cells.
+
+    Returns the points and weights, shape (n, order), and the density and
+    velocity fields at the points.
+    """
+    nodes, weights = _GAUSS[order]
     left = field.asc_x[:-1][:, None]
     right = field.asc_x[1:][:, None]
     mid = 0.5 * (left + right)
     half = 0.5 * (right - left)
-    return mid + half * _GAUSS_X[None, :], half * _GAUSS_W[None, :]
+    pts = mid + half * nodes[None, :]
+    rho = np.asarray(field.rho(pts.ravel())).reshape(pts.shape)
+    vel = np.asarray(field.v(pts.ravel())).reshape(pts.shape)
+    return pts, half * weights[None, :], rho, vel
 
 
 def continuous_energy(model: FluidModel, field: ReconstructedField) -> float:
     """Kinetic plus compression energy of the rebuilt fields."""
-    pts, wts = _cell_gauss(field)
-    rho = np.asarray(field.rho(pts.ravel())).reshape(pts.shape)
-    vel = np.asarray(field.v(pts.ravel())).reshape(pts.shape)
+    _, wts, rho, vel = gauss_cells(field, 5)
     q = np.asarray(model.compression_energy(rho))
     cells = np.sum((0.5 * rho * vel ** 2 + q) * wts, axis=1)
-    total = 0.0
-    for value in cells[::-1]:        # ghost-end first, as in total_mass
-        total += value
-    return max(total, 0.0)
+    return max(ordered_sum(cells[::-1]), 0.0)    # ghost-end first, as in total_mass
 
 
 def continuous_energy_mod(model: FluidModel, field: ReconstructedField) -> float:
@@ -131,18 +134,13 @@ def continuous_energy_mod(model: FluidModel, field: ReconstructedField) -> float
     The transformed velocity is v + mu(rho) * rho_x / rho^2 with the exact
     cell slope for rho_x.
     """
-    pts, wts = _cell_gauss(field)
-    rho = np.asarray(field.rho(pts.ravel())).reshape(pts.shape)
-    vel = np.asarray(field.v(pts.ravel())).reshape(pts.shape)
+    _, wts, rho, vel = gauss_cells(field, 5)
     slope = (field.asc_rho[1:] - field.asc_rho[:-1]) / (field.asc_x[1:] - field.asc_x[:-1])
     mu = np.asarray(model.viscosity(rho))
     shifted = vel + mu * slope[:, None] / rho ** 2
     q = np.asarray(model.compression_energy(rho))
     cells = np.sum((0.5 * rho * shifted ** 2 + q) * wts, axis=1)
-    total = 0.0
-    for value in cells[::-1]:
-        total += value
-    return max(total, 0.0)
+    return max(ordered_sum(cells[::-1]), 0.0)
 
 
 def weak_time_derivatives(model: FluidModel, state: ParticleState, x):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ParticleState, check_domain, spacing_bounds
+from .dynamics import ParticleState, check_domain, spacing_bounds, sqrt_budget
 from .errors import InitialDataError
 from .model import FluidModel
 
@@ -325,7 +325,7 @@ def admissibility(model: FluidModel, init: InitialData) -> AdmissibilityReport:
     """
     consts = budget_constants(model, init)
     limit_high, limit_low = model.energy_envelope_limits()
-    lhs = math.sqrt(consts.w_bar) + math.sqrt(consts.e_bar)
+    lhs = sqrt_budget(consts.e_bar, consts.w_bar)
     admissible = lhs < min(limit_high, limit_low)
     a = b = None
     if admissible:

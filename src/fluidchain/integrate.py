@@ -169,15 +169,13 @@ def step(model, state, dt, cfg=None):
     return new, min(cfg.dt_max, dt * factor), True
 
 
-def _default_dt(model, state0, cfg, T):
-    """Viscous-coupling-aware first step; falls back to 1e-6 when the
-    spacing bounds are unavailable."""
+def _default_dt(model, n, first, cfg, T):
+    """Viscous-coupling-aware first step from the first snapshot's record;
+    falls back to 1e-6 when the spacing bounds are unavailable."""
     if cfg.dt_init is not None:
         return min(cfg.dt_init, cfg.dt_max, T)
-    n = state0.n
     try:
-        f0 = functionals(model, state0)
-        a_est, b_est = spacing_bounds(model, max(f0.e_n, 0.0), max(f0.w_n, 0.0))
+        a_est, b_est = spacing_bounds(model, max(first.e_n, 0.0), max(first.w_n, 0.0))
         grid = np.linspace(a_est, b_est, 101)
         gain_max = float(np.max(model.damping_gain(grid)))
         dt0 = min(1e-3, 0.1 * (a_est / n) ** 2 / (n * n * gain_max))
@@ -196,7 +194,21 @@ def _snapshot_targets(T, snapshot_dt):
     return targets
 
 
-def _record(model, state, series, slack_e, slack_w):
+def decay_slack(initial):
+    """Allowed rise per snapshot of a functional whose first value is
+    ``initial``: 1e-8 * max(1, initial)."""
+    return 1e-8 * max(1.0, initial)
+
+
+def decay_violations(series, name, slack):
+    """Decay monitor: (t, increase) at every snapshot where the diagnostics
+    field ``name`` rose by more than ``slack`` over the previous snapshot."""
+    values = [getattr(rec, name) for rec in series.diagnostics]
+    return [(series.times[j], values[j] - values[j - 1])
+            for j in range(1, len(values)) if values[j] > values[j - 1] + slack]
+
+
+def _record(model, state, series):
     diag_f = functionals(model, state)
     field_now = fields.reconstruct(model, state)
     gaps = state.n * gaps_from_interior(model.length, state.x)
@@ -209,14 +221,6 @@ def _record(model, state, series, slack_e, slack_w):
         e_cont=fields.continuous_energy(model, field_now),
         w_cont=fields.continuous_energy_mod(model, field_now),
         flagged_negative=flagged or flag2)
-    if series.diagnostics:
-        prev = series.diagnostics[-1]
-        for name, now, before, slack in (("e_n", rec.e_n, prev.e_n, slack_e),
-                                         ("w_n", rec.w_n, prev.w_n, slack_w)):
-            if now > before + slack:
-                series.warnings.append(DecayWarning(
-                    t=state.t, functional=name,
-                    increase=now - before, slack=slack))
     series.times.append(state.t)
     series.states.append(state)
     series.diagnostics.append(rec)
@@ -251,22 +255,18 @@ def simulate(model, state0, T, cfg=None) -> SnapshotSeries:
             f"bounded towards vacuum: {growth.bounded_low})")
     check_domain(model, state0)
     series = SnapshotSeries()
-    f0 = functionals(model, state0)
-    slack_e = 1e-8 * max(1.0, f0.e_n)
-    slack_w = 1e-8 * max(1.0, f0.w_n)
     state0 = ParticleState(n=state0.n, t=0.0, x=state0.x, v=state0.v)
-    _record(model, state0, series, slack_e, slack_w)
+    first = _record(model, state0, series)
 
     n = state0.n
     y = np.concatenate((state0.x, state0.v))
     half = y.size // 2
     t = 0.0
-    dt_ctrl = _default_dt(model, state0, cfg, T)
+    dt_ctrl = _default_dt(model, n, first, cfg, T)
     k1 = None
     stats = series.stats
-    gaps0 = n * gaps_from_interior(model.length, state0.x)
-    stats.spacing_min_seen = float(gaps0.min())
-    stats.spacing_max_seen = float(gaps0.max())
+    stats.spacing_min_seen = first.spacing_min
+    stats.spacing_max_seen = first.spacing_max
     dt_floor = 1e-14 * T
 
     for target in _snapshot_targets(T, cfg.snapshot_dt):
@@ -296,5 +296,11 @@ def simulate(model, state0, T, cfg=None) -> SnapshotSeries:
                 stats.rejected += 1
                 dt_ctrl = dt * factor
         state = ParticleState(n=n, t=t, x=y[:half].copy(), v=y[half:].copy())
-        _record(model, state, series, slack_e, slack_w)
+        _record(model, state, series)
+
+    for name in ("e_n", "w_n"):
+        slack = decay_slack(getattr(first, name))
+        series.warnings += [DecayWarning(t=when, functional=name, increase=rise, slack=slack)
+                            for when, rise in decay_violations(series, name, slack)]
+    series.warnings.sort(key=lambda w: w.t)     # stable: e_n before w_n at one t
     return series

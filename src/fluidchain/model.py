@@ -30,7 +30,14 @@ from scipy.integrate import quad
 
 from .errors import AdmissibilityError, ModelError, QuadratureError
 
-PRESET_KINDS = ("isentropic_gas", "ideal_gas_entropy", "saint_venant", "custom")
+# (required, optional) parameters of each model kind, as make_preset reads them
+PRESET_PARAMS = {
+    "isentropic_gas": ({"c", "gamma"}, {"mu"}),
+    "ideal_gas_entropy": ({"c", "gamma", "visc_amp"}, set()),
+    "saint_venant": ({"g", "nu"}, set()),
+    "custom": ({"pressure", "viscosity"}, set()),
+}
+PRESET_KINDS = tuple(PRESET_PARAMS)
 
 
 @dataclass(frozen=True)

@@ -116,6 +116,21 @@ def test_simpson_helper():
         checks._simpson(np.array([0.0, 0.1, 0.5]), np.zeros(3))
 
 
+@pytest.mark.parametrize("T, snapshot_dt, uniform", [
+    (1.0, 0.01, True), (0.5, 0.01, True), (0.08, 0.01, True), (0.5, 0.0025, True),
+    (0.2, 0.01, True), (0.04, 0.01, True), (0.05, 0.1, True), (0.25, 0.1, False),
+])
+def test_uniform_cadence_follows_snapshot_times(sv, T, snapshot_dt, uniform):
+    assert checks.uniform_cadence(T, snapshot_dt) is uniform
+    series = fc.simulate(sv, fc.equilibrium_state(sv, 2), T,
+                         fc.IntegratorConfig(snapshot_dt=snapshot_dt))
+    if uniform:
+        checks._simpson(series.times, np.zeros(len(series)))
+    else:
+        with pytest.raises(ValueError):
+            checks._simpson(series.times, np.zeros(len(series)))
+
+
 def test_decay_report_equilibrium(sv, eq_series):
     init, series = eq_series
     consts = fc.budget_constants(sv, init)

@@ -206,3 +206,61 @@ def test_custom_model_config_roundtrip(tmp_path):
     cfg = cli.parse_config(write_config(tmp_path, payload))
     assert cfg.model.pressure(2.0) == pytest.approx(19.62)
     assert math.isinf(cfg.model.energy_envelope_limits()[0])
+
+
+def test_seed_is_an_unknown_key(tmp_path):
+    with pytest.raises(ConfigError) as err:
+        cli.parse_config(write_config(tmp_path, dict(MINIMAL, seed=0)))
+    assert err.value.field == "seed"
+
+
+def _study_config(T=0.1, snapshot_dt=0.05):
+    payload = _simulate_config(T=T)
+    payload["integrator"]["snapshot_dt"] = snapshot_dt
+    payload["n_list"] = [4, 8]
+    return payload
+
+
+@pytest.mark.parametrize("env, argv, payload, field", [
+    pytest.param({"FLUIDCHAIN_REL_TOL": "abc"}, ["check"], MINIMAL,
+                 "FLUIDCHAIN_REL_TOL", id="rel_tol_not_a_number"),
+    pytest.param({"FLUIDCHAIN_REL_TOL": "-1"}, ["check"], MINIMAL,
+                 "FLUIDCHAIN_REL_TOL", id="rel_tol_negative"),
+    pytest.param({"FLUIDCHAIN_ABS_TOL": "nan"}, ["check"], MINIMAL,
+                 "FLUIDCHAIN_ABS_TOL", id="abs_tol_nan"),
+    pytest.param({"FLUIDCHAIN_QUAD_REL_TOL": "abc"}, ["check"], MINIMAL,
+                 "FLUIDCHAIN_QUAD_REL_TOL", id="quad_rel_tol_not_a_number"),
+    pytest.param({"FLUIDCHAIN_QUAD_REL_TOL": "-1"}, ["check"], MINIMAL,
+                 "FLUIDCHAIN_QUAD_REL_TOL", id="quad_rel_tol_negative"),
+    pytest.param({}, ["converge", "--n", "8,x"], MINIMAL, "--n", id="n_not_integers"),
+    pytest.param({}, ["converge", "--n", "16,8"], MINIMAL, "--n", id="n_descending"),
+    pytest.param({}, ["converge", "--n", "1"], MINIMAL, "--n", id="n_too_small"),
+    pytest.param({}, ["check"], dict(MINIMAL, model={"kind": ["saint_venant"]}),
+                 "model.kind", id="model_kind_not_a_string"),
+    pytest.param({}, ["validate"], _study_config(T=0.25, snapshot_dt=0.1),
+                 "integrator.T", id="validate_uneven_cadence"),
+    pytest.param({}, ["converge"], _study_config(T=0.25, snapshot_dt=0.1),
+                 "integrator.T", id="converge_uneven_cadence"),
+])
+def test_bad_input_exits_1_with_one_json_line(tmp_path, capsys, monkeypatch,
+                                              env, argv, payload, field):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    argv = [argv[0], "--config", str(write_config(tmp_path, payload)), *argv[1:]]
+    if argv[0] != "check":
+        argv += ["--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    err_lines = captured.err.strip().splitlines()
+    assert len(err_lines) == 1
+    assert json.loads(err_lines[0])["field"] == field
+    assert not (tmp_path / "out").exists()
+
+
+def test_simulate_accepts_uneven_last_snapshot(tmp_path, capsys):
+    path = write_config(tmp_path, _study_config(T=0.25, snapshot_dt=0.1))
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+    times = [line.split(",")[0] for line in
+             (out / "diagnostics.csv").read_text().splitlines()[1:]]
+    assert times == ["0", "0.10000000000000001", "0.20000000000000001", "0.25"]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import fluidchain as fc
+from fluidchain import checks
 from fluidchain.errors import ModelError, StiffnessError
 
 from conftest import perturbed_initial
@@ -151,3 +152,25 @@ def test_simulate_requires_growth_condition():
     state0 = fc.equilibrium_state(weak, 4)
     with pytest.raises(ModelError):
         fc.simulate(weak, state0, 0.1, fc.IntegratorConfig())
+
+
+def test_decay_warnings_match_snapshot_scan(sv):
+    # loose tolerances make E_n and W_n rise between snapshots; the warnings
+    # must equal a scan of the records, by time with e_n before w_n
+    init = perturbed_initial(sv, amplitude=0.2, mode=1)
+    state0 = fc.build_particles(sv, init, 6)
+    cfg = fc.IntegratorConfig(rel_tol=0.3, abs_tol=0.3, snapshot_dt=0.05)
+    series = fc.simulate(sv, state0, 0.5, cfg)
+    diag = series.diagnostics
+    expected = []
+    for j in range(1, len(diag)):
+        for name in ("e_n", "w_n"):
+            slack = 1e-8 * max(1.0, getattr(diag[0], name))
+            now, before = getattr(diag[j], name), getattr(diag[j - 1], name)
+            if now > before + slack:
+                expected.append((series.times[j], name, now - before, slack))
+    assert [(w.t, w.functional, w.increase, w.slack) for w in series.warnings] == expected
+    assert {"e_n", "w_n"} == {name for _, name, _, _ in expected}
+    report = checks.decay_report(series)
+    assert report.e_n_violations == [(t, r) for t, name, r, _ in expected if name == "e_n"]
+    assert report.w_n_violations == [(t, r) for t, name, r, _ in expected if name == "w_n"]

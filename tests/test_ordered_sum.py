@@ -1,0 +1,110 @@
+"""The array sums equal the left-to-right loops they replaced, bit for bit."""
+
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import fluidchain as fc
+from fluidchain.dynamics import gaps_from_interior, ordered_sum
+
+from conftest import random_state
+
+
+def loop_sum(values):
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def bits(value):
+    return struct.pack("<d", value)
+
+
+magnitudes = st.builds(lambda mag, negative: -mag if negative else mag,
+                       st.floats(min_value=1e-12, max_value=1e12), st.booleans())
+entries = st.one_of(magnitudes, st.sampled_from([0.0, -0.0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(entries, min_size=0, max_size=600))
+def test_ordered_sum_is_the_loop(values):
+    assert bits(ordered_sum(np.array(values, dtype=float))) == bits(loop_sum(values))
+
+
+def test_ordered_sum_edge_cases():
+    assert bits(ordered_sum([])) == bits(0.0)
+    assert bits(ordered_sum([-0.0, -0.0])) == bits(loop_sum([-0.0, -0.0])) == bits(0.0)
+    # in order, 1e16 absorbs each 1.0; the reordering np.sum gives 8.0
+    values = [1e16] + [1.0] * 8 + [-1e16]
+    assert ordered_sum(values) == loop_sum(values) == 0.0
+
+
+# -- loop references: the per-cell loops the array code replaced ---------------
+
+def loop_functionals(model, state):
+    n, m = state.n, model.m
+    gaps = gaps_from_interior(model.length, state.x)
+    pot = np.asarray(model.spacing_potential(n * gaps), dtype=float)
+    damp = np.asarray(model.damping_potential(n * gaps), dtype=float)
+    full_v = np.concatenate(([0.0], state.v, [0.0]))
+    dvel = full_v[:-1] - full_v[1:]
+    pot_sum = loop_sum(pot)
+    kin_sum = 0.0
+    for value in state.v:
+        kin_sum += value * value
+    v_tr = state.v - n * damp[:-1] + n * damp[1:]
+    w_sum = 0.0
+    for value in v_tr:
+        w_sum += value * value
+    z_sum = 0.0
+    for i in range(n):
+        z_sum += dvel[i] * dvel[i] / gaps[i]
+    h_n = 0.0
+    for i in range(n - 1):
+        jump = n * abs(damp[i] - damp[i + 1])
+        if jump > h_n:
+            h_n = jump
+    return ((m / (2.0 * n)) * kin_sum + (m / n) * pot_sum,
+            (m / (2.0 * n)) * w_sum + (m / n) * pot_sum, 0.5 * z_sum, h_n)
+
+
+def loop_total_mass(field):
+    widths = field.edges[:-1] - field.edges[1:]
+    total = 0.0
+    for i in range(field.n):
+        total += widths[i] * 0.5 * (field.rho_nodes[i] + field.rho_nodes[i + 1])
+    return total
+
+
+def loop_energy(model, field, transformed):
+    nodes, weights = np.polynomial.legendre.leggauss(5)
+    left = field.asc_x[:-1][:, None]
+    right = field.asc_x[1:][:, None]
+    mid = 0.5 * (left + right)
+    half = 0.5 * (right - left)
+    pts, wts = mid + half * nodes[None, :], half * weights[None, :]
+    rho = np.asarray(field.rho(pts.ravel())).reshape(pts.shape)
+    vel = np.asarray(field.v(pts.ravel())).reshape(pts.shape)
+    if transformed:
+        slope = (field.asc_rho[1:] - field.asc_rho[:-1]) / (field.asc_x[1:] - field.asc_x[:-1])
+        vel = vel + np.asarray(model.viscosity(rho)) * slope[:, None] / rho ** 2
+    q = np.asarray(model.compression_energy(rho))
+    cells = np.sum((0.5 * rho * vel ** 2 + q) * wts, axis=1)
+    return max(loop_sum(cells[::-1]), 0.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 17])
+def test_array_sums_match_loop_references(any_model, n):
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        state = random_state(any_model, n, rng, v_scale=0.3)
+        f = fc.functionals(any_model, state)
+        assert (f.e_n, f.w_n, f.z_n, f.h_n) == loop_functionals(any_model, state)
+        field = fc.reconstruct(any_model, state)
+        assert fc.total_mass(field) == loop_total_mass(field)
+        assert fc.continuous_energy(any_model, field) == loop_energy(any_model, field, False)
+        assert fc.continuous_energy_mod(any_model, field) == loop_energy(any_model, field, True)
