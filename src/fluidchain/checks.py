@@ -211,7 +211,7 @@ def _simpson(ts, gs):
     return total
 
 
-def _weak_residual(model, series, tf, kind, initial, integrand):
+def _weak_residual(series, tf, kind, initial, integrand):
     """Signed defect of a weak identity: the space integral of
     ``initial(pts, phi0)`` at t = 0 plus the Simpson time integral of the
     space integrals of ``integrand(t, field, pts, rho, v)`` over the series.
@@ -224,12 +224,11 @@ def _weak_residual(model, series, tf, kind, initial, integrand):
         raise ValueError(
             f"test function horizon {tf.horizon:g} does not match the "
             f"series horizon {horizon:g}")
-    pts0, wts0, _, _ = fields.gauss_cells(fields.reconstruct(model, series.states[0]), 3)
+    pts0, wts0, _, _ = fields.gauss_cells(series.reconstructed[0], 3)
     term0 = initial(pts0, np.asarray(tf.phi(0.0, pts0)))
     term0 = ordered_sum(np.sum(term0 * wts0, axis=1)[::-1])
     g = np.empty(len(series))
-    for j, state in enumerate(series.states):
-        field = fields.reconstruct(model, state)
+    for j, field in enumerate(series.reconstructed):
         pts, wts, rho, vel = fields.gauss_cells(field, 3)
         values = integrand(series.times[j], field, pts, rho, vel)
         g[j] = ordered_sum(np.sum(values * wts, axis=1)[::-1])
@@ -257,7 +256,7 @@ def continuity_residual(model, series, init, tf) -> ResidualReport:
     def integrand(t, field, pts, rho, vel):
         return rho * (np.asarray(tf.phi_t(t, pts)) + vel * np.asarray(tf.phi_x(t, pts)))
 
-    return _weak_residual(model, series, tf, "continuity", initial, integrand)
+    return _weak_residual(series, tf, "continuity", initial, integrand)
 
 
 def momentum_residual(model, series, init, tf) -> ResidualReport:
@@ -276,7 +275,7 @@ def momentum_residual(model, series, init, tf) -> ResidualReport:
         return (np.asarray(tf.phi_t(t, pts)) * rho * vel
                 + np.asarray(tf.phi_x(t, pts)) * flux)
 
-    return _weak_residual(model, series, tf, "momentum", initial, integrand)
+    return _weak_residual(series, tf, "momentum", initial, integrand)
 
 
 # -- decay and containment reports ----------------------------------------------
@@ -362,8 +361,7 @@ def envelope_check(model, series) -> EnvelopeReport:
     budget = sqrt_budget(e0, w0)
     a, b = spacing_bounds(model, e0, w0)
     excess = -math.inf
-    for state in series.states:
-        field = fields.reconstruct(model, state)
+    for field in series.reconstructed:
         rho_cells = field.rho_nodes[1:]
         env = np.asarray(model.energy_envelope(rho_cells))
         excess = max(excess, float(np.max(env) - budget), float(-np.min(env) - budget))
@@ -392,11 +390,10 @@ def grid_l2(values, grid):
     return math.sqrt(np.trapezoid(np.asarray(values) ** 2, grid))
 
 
-def _sampled_series(model, series, grid):
+def _sampled_series(series, grid):
     rho = np.empty((len(series), grid.size))
     vel = np.empty((len(series), grid.size))
-    for j, state in enumerate(series.states):
-        field = fields.reconstruct(model, state)
+    for j, field in enumerate(series.reconstructed):
         rho[j] = np.asarray(field.rho(grid))
         vel[j] = np.asarray(field.v(grid))
     return rho, vel
@@ -426,6 +423,8 @@ def convergence_study(model, init, n_list, T, cfg=None, grid_size=1024):
     n_list = list(n_list)
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be strictly ascending")
+    if not uniform_cadence(T, cfg.snapshot_dt):
+        raise ValueError(f"T={T:g} is not a multiple of snapshot_dt={cfg.snapshot_dt:g}")
     grid = np.linspace(0.0, model.length, grid_size)
     library = test_function_library(model.length, T)
 
@@ -435,7 +434,7 @@ def convergence_study(model, init, n_list, T, cfg=None, grid_size=1024):
         try:
             state0 = build_particles(model, init, n)
             series = simulate(model, state0, T, cfg)
-            runs[n] = (series, *_sampled_series(model, series, grid))
+            runs[n] = (series, *_sampled_series(series, grid))
         except FluidchainError as exc:
             rows.append(ConvergenceRow(n=n, error=str(exc)))
             runs[n] = None

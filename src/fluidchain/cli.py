@@ -10,6 +10,7 @@ the same config byte-reproduces its artifacts.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import checks, fields
+from . import checks
 from .errors import AdmissibilityError, ConfigError, FluidchainError
 from .initial import admissibility, budget_constants, build_particles, initial_from_config
 from .integrate import IntegratorConfig, simulate
@@ -190,6 +191,10 @@ def _check_n_list(n_list, field):
 
 # -- artifact writers --------------------------------------------------------------
 
+# every finite float in a CSV; infinities are written as "infinite"
+_FLOAT = "%.17g"
+
+
 def _fmt(value):
     if value is None:
         return ""
@@ -199,7 +204,17 @@ def _fmt(value):
         return str(int(value))
     if isinstance(value, float) and math.isinf(value):
         return "infinite"
-    return format(float(value), ".17g")
+    return _FLOAT % float(value)
+
+
+def _fmt_floats(values):
+    """``_fmt`` of each value of a float array."""
+    return ["infinite" if math.isinf(v) else _FLOAT % v for v in values.tolist()]
+
+
+def _write_rows(fh, *columns):
+    """Write one CSV row per position of the formatted columns."""
+    fh.write("".join([",".join(row) + "\n" for row in zip(*columns)]))
 
 
 def _write_csv(path, header, rows):
@@ -213,24 +228,24 @@ def _write_simulation_artifacts(model, series, out_dir, grid_size):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    particle_rows = []
-    field_rows = []
-    diag_rows = []
-    for t, state, diag in zip(series.times, series.states, series.diagnostics):
-        rebuilt = fields.reconstruct(model, state)
-        for i in range(state.n + 1):
-            particle_rows.append((t, i, rebuilt.edges[i], rebuilt.v_nodes[i],
-                                  rebuilt.rho_nodes[i]))
-        grid, rho, vel = rebuilt.sample(grid_size)
-        for x, r, v in zip(grid, rho, vel):
-            field_rows.append((t, x, r, v))
-        diag_rows.append((t, diag.e_n, diag.w_n, diag.z_n, diag.h_n,
-                          diag.mass, diag.spacing_min, diag.spacing_max))
-    _write_csv(out / "particles.csv", ("t", "i", "x_i", "v_i", "rho_i"), particle_rows)
-    _write_csv(out / "fields.csv", ("t", "x", "rho", "v"), field_rows)
+    # the grid ReconstructedField.sample uses, the same for every snapshot
+    grid = np.linspace(0.0, model.length, grid_size)
+    x_col = _fmt_floats(grid)
+    i_col = [str(i) for i in range(series.states[0].n + 1)]
+    with (open(out / "particles.csv", "w", newline="\n") as particles,
+          open(out / "fields.csv", "w", newline="\n") as sampled):
+        particles.write("t,i,x_i,v_i,rho_i\n")
+        sampled.write("t,x,rho,v\n")
+        for t, field in zip(series.times, series.reconstructed):
+            t_col = itertools.repeat(_fmt(t))
+            _write_rows(particles, t_col, i_col, _fmt_floats(field.edges),
+                        _fmt_floats(field.v_nodes), _fmt_floats(field.rho_nodes))
+            _write_rows(sampled, t_col, x_col, _fmt_floats(field.rho(grid)),
+                        _fmt_floats(field.v(grid)))
     _write_csv(out / "diagnostics.csv",
                ("t", "E_n", "W_n", "Z_n", "H_n", "mass", "min_spacing", "max_spacing"),
-               diag_rows)
+               [(t, d.e_n, d.w_n, d.z_n, d.h_n, d.mass, d.spacing_min, d.spacing_max)
+                for t, d in zip(series.times, series.diagnostics)])
 
 
 def _error_record(exc):

@@ -100,8 +100,12 @@ class DecayWarning:
 
 @dataclass
 class SnapshotSeries:
+    """Snapshots in time order: each state, its reconstructed field (built
+    once, when the snapshot is recorded) and its diagnostics."""
+
     times: list = field(default_factory=list)
     states: list = field(default_factory=list)
+    reconstructed: list = field(default_factory=list)
     diagnostics: list = field(default_factory=list)
     stats: IntegrationStats = field(default_factory=IntegrationStats)
     warnings: list = field(default_factory=list)
@@ -223,6 +227,7 @@ def _record(model, state, series):
         flagged_negative=flagged or flag2)
     series.times.append(state.t)
     series.states.append(state)
+    series.reconstructed.append(field_now)
     series.diagnostics.append(rec)
     return rec
 

@@ -26,9 +26,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import AdmissibilityError, ModelError, QuadratureError
+
+
+def quad(*args, **kwargs):
+    """``scipy.integrate.quad``, imported at the first call: closed-form
+    presets never integrate numerically, so a run that uses only them never
+    loads scipy."""
+    from scipy.integrate import quad as scipy_quad
+    return scipy_quad(*args, **kwargs)
+
 
 # (required, optional) parameters of each model kind, as make_preset reads them
 PRESET_PARAMS = {
@@ -110,6 +118,9 @@ class FluidModel:
         self.params = dict(params or {})
         self.table = table or NumericsTable()
         self._closed = dict(closed or {})
+        # envelope limits (key ()) and inversions (key (target, rel_tol)),
+        # each computed once per model
+        self._envelope_memo = {}
 
         self.pressure = _vectorized(pressure, self.rho_star)
         self.pressure_prime = _vectorized(pressure_prime, self.rho_star)
@@ -414,6 +425,9 @@ class FluidModel:
         catches logarithmic divergence, e.g. viscosity growing like
         sqrt(density)).
         """
+        memo = self._envelope_memo
+        if () in memo:
+            return memo[()]
         grid = self.probe_grid()
         f_hi = [self.energy_envelope(grid[i]) for i in (-3, -2, -1)]
         f_lo = [self.energy_envelope(grid[i]) for i in (2, 1, 0)]
@@ -423,6 +437,7 @@ class FluidModel:
                         or f_lo[1] - f_lo[2] >= 0.9 * (f_lo[0] - f_lo[1]))
         limit_high = math.inf if hi_unbounded else abs(f_hi[2])
         limit_low = math.inf if lo_unbounded else abs(f_lo[2])
+        memo[()] = limit_high, limit_low
         return limit_high, limit_low
 
     def energy_envelope_inverse(self, target, rel_tol=1e-10):
@@ -435,6 +450,9 @@ class FluidModel:
         target = float(target)
         if target == 0.0:
             return self.rho_star
+        key = (target, rel_tol)
+        if key in self._envelope_memo:
+            return self._envelope_memo[key]
         decades = self.table.probe_decades
         lo = self.rho_star * 10.0 ** -decades
         hi = self.rho_star * 10.0 ** decades
@@ -461,7 +479,8 @@ class FluidModel:
                 a = mid
             else:
                 b = mid
-        return math.exp(0.5 * (a + b))
+        rho = self._envelope_memo[key] = math.exp(0.5 * (a + b))
+        return rho
 
     # -- growth condition ----------------------------------------------------
 

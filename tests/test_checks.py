@@ -182,6 +182,16 @@ def test_convergence_study_continues_past_failures(sv):
         checks.convergence_study(sv, init, [8, 4], 0.1, fc.IntegratorConfig())
 
 
+def test_convergence_study_rejects_uneven_cadence_before_simulating(sv, monkeypatch):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before checking the snapshot cadence")
+
+    monkeypatch.setattr(checks, "simulate", no_simulation)
+    with pytest.raises(ValueError, match="not a multiple of snapshot_dt"):
+        checks.convergence_study(sv, perturbed_initial(sv, 0.1), [8, 16], 0.25,
+                                 fc.IntegratorConfig(snapshot_dt=0.1))
+
+
 def test_grid_l2():
     grid = np.linspace(0.0, 1.0, 1001)
     assert checks.grid_l2(np.ones_like(grid), grid) == pytest.approx(1.0)

@@ -1,9 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fluidchain as fc
+from fluidchain import model as model_module
+from fluidchain.dynamics import spacing_bounds
 from fluidchain.errors import AdmissibilityError, ModelError
 
 
@@ -280,3 +286,49 @@ def test_custom_scalar_callables_are_wrapped():
     assert model.compression_energy_quad(2.0) == pytest.approx(
         fc.FluidModel.saint_venant(g=2.0, nu=1.0, m=1.0, length=1.0).compression_energy(2.0),
         rel=1e-9)
+
+
+def test_scipy_loads_at_the_first_quadrature():
+    package_root = Path(fc.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(package_root), os.environ.get("PYTHONPATH")])))
+    code = "\n".join([
+        "import sys",
+        "import fluidchain.cli",
+        "from fluidchain import make_preset",
+        "assert 'scipy' not in sys.modules, 'imported at load'",
+        "sv = make_preset('saint_venant', {'g': 9.81, 'nu': 1.0}, m=1.0, length=1.0)",
+        "sv.energy_envelope_limits()",
+        "assert 'scipy' not in sys.modules, 'imported by a closed-form preset'",
+        "law = {'coeff': 1.0, 'exponent': 2.0}",
+        "custom = make_preset('custom', {'pressure': law, 'viscosity': law}, m=1.0, length=1.0)",
+        "assert 'scipy' not in sys.modules, 'imported by constructing a custom model'",
+        "custom.energy_envelope(2.0)",
+        "assert 'scipy.integrate' in sys.modules, 'not imported by quadrature'",
+    ])
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+
+
+def test_envelope_limits_and_inversions_are_computed_once(sv, monkeypatch):
+    calls = []
+    scipy_backed = model_module.quad
+
+    def counting_quad(*args, **kwargs):
+        calls.append(args[1:3])
+        return scipy_backed(*args, **kwargs)
+
+    # the binding FluidModel._quad calls, which the benchmark tracer patches too
+    monkeypatch.setattr(model_module, "quad", counting_quad)
+    law = {"coeff": 1.0, "exponent": 2.0}
+    model = fc.make_preset("custom", {"pressure": law, "viscosity": law}, m=1.0, length=1.0)
+    bounds = spacing_bounds(model, 1e-3, 2e-3)
+    assert calls
+    calls.clear()
+    assert spacing_bounds(model, 1e-3, 2e-3) == bounds
+    assert calls == []
+    # an unreachable budget raises every time; nothing is stored for it
+    for _ in range(2):
+        with pytest.raises(AdmissibilityError):
+            sv.energy_envelope_inverse(-5.0)

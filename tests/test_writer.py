@@ -1,0 +1,107 @@
+"""The column-streaming simulation writer produces the bytes of the row
+writer it replaced."""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import fluidchain as fc
+from fluidchain import cli
+
+from conftest import perturbed_initial
+
+SPECIALS = [math.inf, -math.inf, math.nan, -0.0, 5e-324,
+            1.7976931348623157e308, 0.1, 1.0 / 3.0, -2.5]
+
+
+def reference_fmt(value):
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, float) and math.isinf(value):
+        return "infinite"
+    return format(float(value), ".17g")
+
+
+def reference_csv(header, rows):
+    return "".join(",".join(reference_fmt(v) for v in row) + "\n"
+                   for row in [header, *rows])
+
+
+def reference_artifacts(series, grid_size):
+    """The three simulation CSVs as the row-at-a-time writer built them."""
+    particle_rows, field_rows, diag_rows = [], [], []
+    for t, field, diag in zip(series.times, series.reconstructed, series.diagnostics):
+        for i in range(field.n + 1):
+            particle_rows.append((t, i, field.edges[i], field.v_nodes[i],
+                                  field.rho_nodes[i]))
+        grid, rho, vel = field.sample(grid_size)
+        for x, r, v in zip(grid, rho, vel):
+            field_rows.append((t, x, r, v))
+        diag_rows.append((t, diag.e_n, diag.w_n, diag.z_n, diag.h_n,
+                          diag.mass, diag.spacing_min, diag.spacing_max))
+    return {
+        "particles.csv": reference_csv(("t", "i", "x_i", "v_i", "rho_i"), particle_rows),
+        "fields.csv": reference_csv(("t", "x", "rho", "v"), field_rows),
+        "diagnostics.csv": reference_csv(
+            ("t", "E_n", "W_n", "Z_n", "H_n", "mass", "min_spacing", "max_spacing"),
+            diag_rows),
+    }
+
+
+@pytest.fixture(scope="module")
+def series(sv):
+    state0 = fc.build_particles(sv, perturbed_initial(sv, 0.1), 8)
+    return fc.simulate(sv, state0, 0.1, fc.IntegratorConfig(snapshot_dt=0.02))
+
+
+def assert_writes_reference(model, series, tmp_path, grid_size):
+    cli._write_simulation_artifacts(model, series, tmp_path, grid_size)
+    for name, text in reference_artifacts(series, grid_size).items():
+        assert (tmp_path / name).read_bytes() == text.encode(), name
+
+
+def test_stored_fields_are_the_reconstruction(sv, series):
+    assert len(series.reconstructed) == len(series.states) == len(series)
+    for state, field in zip(series.states, series.reconstructed):
+        fresh = fc.reconstruct(sv, state)
+        for name in ("edges", "rho_nodes", "v_nodes", "asc_x", "asc_rho", "asc_v"):
+            assert np.array_equal(getattr(field, name), getattr(fresh, name))
+
+
+@pytest.mark.parametrize("grid_size", [2, 37, 512])
+def test_streaming_writer_matches_row_writer(sv, series, tmp_path, grid_size):
+    assert_writes_reference(sv, series, tmp_path, grid_size)
+
+
+def test_streaming_writer_matches_row_writer_on_special_values(sv, series, tmp_path):
+    column = np.array(SPECIALS)
+    assert column.size == series.states[0].n + 1
+    odd = dataclasses.replace(series.reconstructed[0], edges=column,
+                              v_nodes=column[::-1].copy(), rho_nodes=-column)
+    special = dataclasses.replace(series, reconstructed=[odd, *series.reconstructed[1:]])
+    assert_writes_reference(sv, special, tmp_path, 16)
+    lines = (tmp_path / "particles.csv").read_text().splitlines()
+    assert lines[1] == "0,0,infinite,-2.5,infinite"
+    assert lines[4] == "0,3,-0,1.7976931348623157e+308,0"
+
+
+@given(st.floats(allow_nan=True, allow_infinity=True))
+def test_float_format_matches_format_builtin(value):
+    expected = reference_fmt(value)
+    assert cli._fmt(value) == expected
+    assert cli._fmt(np.float64(value)) == expected
+    assert cli._fmt_floats(np.array([value])) == [expected]
+
+
+def test_float_format_on_special_values():
+    expected = [reference_fmt(v) for v in SPECIALS]
+    assert [cli._fmt(v) for v in SPECIALS] == expected
+    assert cli._fmt_floats(np.array(SPECIALS)) == expected
