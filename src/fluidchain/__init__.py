@@ -16,7 +16,7 @@ from .initial import (AdmissibilityReport, BudgetConstants, InitialData,
                       sine_velocity, table_profile)
 from .integrate import (DiagnosticsRecord, IntegratorConfig, SnapshotSeries,
                         simulate, step)
-from .model import FluidModel, GrowthReport, NumericsTable, make_preset
+from .model import FluidModel, GrowthReport, make_preset
 
 __version__ = "0.1.0"
 
@@ -24,9 +24,9 @@ __all__ = [
     "AdmissibilityError", "AdmissibilityReport", "BudgetConstants",
     "ConfigError", "DiagnosticsRecord", "DiscreteFunctionals", "DomainError",
     "FluidModel", "FluidchainError", "GrowthReport", "InitialData",
-    "InitialDataError", "IntegratorConfig", "ModelError", "NumericsTable",
-    "ParticleState", "QuadratureError", "ReconstructedField",
-    "SnapshotSeries", "StiffnessError", "admissibility",
+    "InitialDataError", "IntegratorConfig", "ModelError", "ParticleState",
+    "QuadratureError", "ReconstructedField", "SnapshotSeries",
+    "StiffnessError", "admissibility",
     "budget_constants", "build_particles", "constant_density",
     "continuous_energy", "continuous_energy_mod", "energy_budget",
     "equilibrium_state", "functionals", "initial_from_config", "make_initial",

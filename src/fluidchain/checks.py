@@ -39,7 +39,6 @@ class TestFunction:
     phi: object
     phi_t: object
     phi_x: object
-    phi_xx: object = None
 
 
 def sine_test_function(length, horizon, mode):
@@ -91,12 +90,8 @@ def hump_test_function(length, horizon):
         u = np.asarray(x, float) / L
         return (1.0 - t / horizon) * (1.0 - u) * (1.0 - 3.0 * u) / L
 
-    def phi_xx(t, x):
-        u = np.asarray(x, float) / L
-        return (1.0 - t / horizon) * (6.0 * u - 4.0) / L ** 2
-
     return TestFunction(name="momentum_hump", kind="momentum", horizon=horizon,
-                        phi=phi, phi_t=phi_t, phi_x=phi_x, phi_xx=phi_xx)
+                        phi=phi, phi_t=phi_t, phi_x=phi_x)
 
 
 def sine_sq_test_function(length, horizon):
@@ -117,14 +112,8 @@ def sine_sq_test_function(length, horizon):
         s, c = np.sin(w * x), np.cos(w * x)
         return (1.0 - t / horizon) * (2.0 * s * c * w * (1.0 - x / L) - s ** 2 / L)
 
-    def phi_xx(t, x):
-        x = np.asarray(x, float)
-        s, c = np.sin(w * x), np.cos(w * x)
-        return (1.0 - t / horizon) * (
-            2.0 * w ** 2 * (c ** 2 - s ** 2) * (1.0 - x / L) - 4.0 * s * c * w / L)
-
     return TestFunction(name="momentum_sine_sq", kind="momentum", horizon=horizon,
-                        phi=phi, phi_t=phi_t, phi_x=phi_x, phi_xx=phi_xx)
+                        phi=phi, phi_t=phi_t, phi_x=phi_x)
 
 
 def test_function_library(length, horizon):
@@ -143,15 +132,13 @@ def combine_test_functions(alpha, tf_a, beta, tf_b, name=None):
         raise ValueError("can only combine test functions of one kind/horizon")
 
     def lin(fa, fb):
-        if fa is None or fb is None:
-            return None
         return lambda t, x: alpha * fa(t, x) + beta * fb(t, x)
 
     return TestFunction(
         name=name or f"{alpha:g}*{tf_a.name}+{beta:g}*{tf_b.name}",
         kind=tf_a.kind, horizon=tf_a.horizon,
         phi=lin(tf_a.phi, tf_b.phi), phi_t=lin(tf_a.phi_t, tf_b.phi_t),
-        phi_x=lin(tf_a.phi_x, tf_b.phi_x), phi_xx=lin(tf_a.phi_xx, tf_b.phi_xx))
+        phi_x=lin(tf_a.phi_x, tf_b.phi_x))
 
 
 def admissibility_defect(tf, length, probes=1000, seed=0):

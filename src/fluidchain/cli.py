@@ -22,9 +22,9 @@ import numpy as np
 
 from . import checks
 from .errors import AdmissibilityError, ConfigError, FluidchainError
-from .initial import admissibility, budget_constants, build_particles, initial_from_config
+from .initial import admissibility, build_particles, initial_from_config
 from .integrate import IntegratorConfig, simulate
-from .model import PRESET_PARAMS, NumericsTable, make_preset
+from .model import PRESET_PARAMS, QUAD_REL_TOL, make_preset
 
 
 @dataclass(frozen=True)
@@ -67,6 +67,16 @@ def _number(block, path, key, default=None, positive=False):
     return value
 
 
+def _number_list(block, path, key):
+    """Required list of numbers ``block[key]``."""
+    if key not in block:
+        raise ConfigError(_field(path, key), "missing required key")
+    values = block[key]
+    if not isinstance(values, list) or any(
+            isinstance(v, bool) or not isinstance(v, (int, float)) for v in values):
+        raise ConfigError(_field(path, key), f"expected a list of numbers, got {values!r}")
+
+
 def _env_number(name, default):
     """Positive number from environment variable ``name``, else ``default``."""
     text = os.environ.get(name)
@@ -103,17 +113,16 @@ def _parse_model(raw):
         for side in ("pressure", "viscosity"):
             _check_keys(params[side], f"model.{side}", {"coeff", "exponent"})
             _number(params[side], f"model.{side}", "coeff", positive=True)
-            _number(params[side], f"model.{side}", "exponent", default=1.0)
+            _number(params[side], f"model.{side}", "exponent")
     else:
         for key, value in params.items():
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ConfigError(f"model.{key}", f"expected a number, got {value!r}")
     m = _number(raw, "", "m", positive=True)
     length = _number(raw, "", "L", positive=True)
-    quad_rel_tol = _env_number("FLUIDCHAIN_QUAD_REL_TOL", None)
-    table = None if quad_rel_tol is None else NumericsTable(quad_rel_tol=quad_rel_tol)
+    quad_rel_tol = _env_number("FLUIDCHAIN_QUAD_REL_TOL", QUAD_REL_TOL)
     try:
-        return make_preset(kind, params, m=m, length=length, table=table)
+        return make_preset(kind, params, m=m, length=length, quad_rel_tol=quad_rel_tol)
     except FluidchainError as exc:
         raise ConfigError("model", str(exc)) from exc
 
@@ -124,9 +133,20 @@ def _parse_initial(model, raw):
     rho = block["rho0"]
     _check_keys(rho, "initial.rho0", {"kind"},
                 {"value", "x", "rho"})
+    if rho["kind"] == "constant" and "value" in rho:
+        _number(rho, "initial.rho0", "value")
+    elif rho["kind"] == "table":
+        _number_list(rho, "initial.rho0", "x")
+        _number_list(rho, "initial.rho0", "rho")
     vee = block["v0"]
     _check_keys(vee, "initial.v0", {"kind"},
                 {"amplitude", "mode", "x", "v"})
+    if vee["kind"] == "sine":
+        _number(vee, "initial.v0", "amplitude")
+        _number(vee, "initial.v0", "mode", default=1)
+    elif vee["kind"] == "table":
+        _number_list(vee, "initial.v0", "x")
+        _number_list(vee, "initial.v0", "v")
     try:
         return initial_from_config(model, block)
     except FluidchainError as exc:
@@ -264,8 +284,7 @@ def _cmd_simulate(cfg, out_dir):
     series = simulate(cfg.model, state0, cfg.horizon, cfg.integrator)
     _write_simulation_artifacts(cfg.model, series, out_dir, cfg.grid_size)
     for warning in series.warnings:
-        print(f"warning: {warning.functional} increased by {warning.increase:.3e} "
-              f"at t={warning.t:g} (slack {warning.slack:.3e})", file=sys.stderr)
+        print(f"warning: {warning}", file=sys.stderr)
     print(f"simulate: wrote {len(series)} snapshots to {out_dir} "
           f"(accepted {series.stats.accepted}, rejected {series.stats.rejected})")
     return 0
@@ -330,7 +349,7 @@ def _cmd_converge(cfg, out_dir, n_override):
 def _cmd_validate(cfg, out_dir):
     if cfg.n is None:
         raise ConfigError("n", "validate requires a particle count")
-    _require_study_ready(cfg)
+    w_bar = _require_study_ready(cfg).w_bar
     model, init = cfg.model, cfg.initial
     state0 = build_particles(model, init, cfg.n)
     series = simulate(model, state0, cfg.horizon, cfg.integrator)
@@ -340,8 +359,7 @@ def _cmd_validate(cfg, out_dir):
         fn = (checks.continuity_residual if tf.kind == "continuity"
               else checks.momentum_residual)
         reports.append(fn(model, series, init, tf))
-    budget = budget_constants(model, init)
-    decay = checks.decay_report(series, w_budget=budget.w_bar)
+    decay = checks.decay_report(series, w_budget=w_bar)
     envelope = checks.envelope_check(model, series)
 
     out = Path(out_dir)
@@ -361,7 +379,7 @@ def _cmd_validate(cfg, out_dir):
                  f"(E violations {len(decay.e_n_violations)}, "
                  f"W violations {len(decay.w_n_violations)})")
     lines.append(f"time-averaged transformed energy max {decay.w_avg_max:.6e} "
-                 f"vs budget {budget.w_bar:.6e}")
+                 f"vs budget {w_bar:.6e}")
     lines.append(f"spacing containment ok: {envelope.ok} "
                  f"(seen [{envelope.spacing_min_seen:.6f}, "
                  f"{envelope.spacing_max_seen:.6f}] within "

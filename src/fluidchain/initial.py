@@ -24,18 +24,17 @@ GAIN_SAMPLES = 10_000
 
 @dataclass(frozen=True)
 class InitialData:
-    """Validated initial profiles plus the norms the budget formulas need."""
+    """Validated initial profiles plus the norms the budget formulas need.
+    Both profiles map a float array of positions elementwise."""
 
-    rho0: object                 # callable rho0(x) > 0 on [0, L]
-    v0: object                   # callable with v0(0) = v0(L) = 0 exactly
+    rho0: object                 # rho0(x) > 0 on [0, L]
+    v0: object                   # v0(0) = v0(L) = 0 exactly
     m: float
     length: float
     rho0_sup: float
     rho0_deriv_sup: float
     rho_min: float
     v0_deriv_l2: float
-    rho0_kind: str = "callable"
-    v0_kind: str = "callable"
     _constant_rho: float | None = None
     _nodes_x: np.ndarray | None = None
     _nodes_rho: np.ndarray | None = None
@@ -71,25 +70,38 @@ class InitialData:
         return 0.5 * (lo + hi)
 
 
-def _as_float(f, x):
-    return float(np.asarray(f(x), dtype=float))
+def _sample(profile, name, xs):
+    """``profile`` evaluated on the positions ``xs``, which it must map
+    elementwise."""
+    try:
+        out = np.asarray(profile(xs), dtype=float)
+    except Exception as exc:
+        raise InitialDataError(f"{name} must map a float array of positions elementwise; "
+                               f"it raised {type(exc).__name__}: {exc}") from exc
+    if out.shape != xs.shape:
+        raise InitialDataError(f"{name} must map a float array of positions elementwise; "
+                               f"{xs.shape} positions gave shape {out.shape}")
+    return out
 
 
-def make_initial(model: FluidModel, rho0, v0, samples=DENSE_SAMPLES,
-                 rho0_kind="callable", v0_kind="callable",
-                 rho0_sup=None, rho0_deriv_sup=None, rho_min=None,
-                 v0_deriv_l2=None, constant_rho=None, nodes=None) -> InitialData:
+def make_initial(model: FluidModel, rho0, v0, v0_deriv_l2=None,
+                 constant_rho=None, nodes=None) -> InitialData:
     """Validate profiles and compute (or accept) the norms.
 
-    Norms left as None are computed by dense uniform sampling (upper-biased
-    finite differences); analytic values may be supplied by the presets.
-    Passing ``nodes=(xs, rho_values)`` uses those exact table nodes for the
-    cumulative mass instead of dense resampling.
+    Both profiles are evaluated on the walls ``[0, L]`` first, which checks
+    that they map arrays elementwise and that ``v0`` vanishes at the walls.
+    Density norms come from ``constant_rho`` when given, else from the
+    exact table ``nodes=(xs, rho_values)`` when given, else from dense
+    uniform sampling of ``rho0``; the cumulative mass uses the same nodes.
+    ``v0_deriv_l2`` left as None is computed by dense sampling (upper-biased
+    finite differences); the presets supply analytic values.
     """
     L = model.length
     m = model.m
 
-    if _as_float(v0, 0.0) != 0.0 or _as_float(v0, L) != 0.0:
+    walls = np.array([0.0, L])
+    _sample(rho0, "rho0", walls)
+    if np.any(_sample(v0, "v0", walls) != 0.0):
         raise InitialDataError(
             "velocity profile must vanish exactly at both walls; "
             "it is rejected rather than projected")
@@ -100,18 +112,15 @@ def make_initial(model: FluidModel, rho0, v0, samples=DENSE_SAMPLES,
         if value <= 0.0:
             raise InitialDataError("density must be positive")
         mass = value * L
-        rho0_sup = value if rho0_sup is None else rho0_sup
-        rho_min = value if rho_min is None else rho_min
-        rho0_deriv_sup = 0.0 if rho0_deriv_sup is None else rho0_deriv_sup
+        rho0_sup = rho_min = value
+        rho0_deriv_sup = 0.0
     else:
         if nodes is not None:
             nodes_x = np.asarray(nodes[0], dtype=float)
             nodes_rho = np.asarray(nodes[1], dtype=float)
         else:
-            nodes_x = np.linspace(0.0, L, samples)
-            nodes_rho = np.asarray(rho0(nodes_x), dtype=float)
-            if nodes_rho.shape != nodes_x.shape:
-                nodes_rho = np.array([_as_float(rho0, x) for x in nodes_x])
+            nodes_x = np.linspace(0.0, L, DENSE_SAMPLES)
+            nodes_rho = _sample(rho0, "rho0", nodes_x)
         if not np.all(np.isfinite(nodes_rho)) or np.any(nodes_rho <= 0.0):
             raise InitialDataError(
                 "density samples must be positive and finite "
@@ -121,12 +130,9 @@ def make_initial(model: FluidModel, rho0, v0, samples=DENSE_SAMPLES,
         nodes_cum = np.concatenate(([0.0], np.cumsum(cell_mass)))
         mass = float(nodes_cum[-1])
         slopes = np.diff(nodes_rho) / widths
-        if rho0_sup is None:
-            rho0_sup = float(nodes_rho.max())
-        if rho_min is None:
-            rho_min = float(nodes_rho.min())
-        if rho0_deriv_sup is None:
-            rho0_deriv_sup = float(np.max(np.abs(slopes))) if slopes.size else 0.0
+        rho0_sup = float(nodes_rho.max())
+        rho_min = float(nodes_rho.min())
+        rho0_deriv_sup = float(np.max(np.abs(slopes))) if slopes.size else 0.0
 
     if abs(mass - m) > 1e-8 * m:
         raise InitialDataError(
@@ -134,18 +140,14 @@ def make_initial(model: FluidModel, rho0, v0, samples=DENSE_SAMPLES,
             f"{m:.12g} (relative error {abs(mass - m) / m:.3e} > 1e-8)")
 
     if v0_deriv_l2 is None:
-        grid = np.linspace(0.0, L, samples)
-        vals = np.asarray(v0(grid), dtype=float)
-        if vals.shape != grid.shape:
-            vals = np.array([_as_float(v0, x) for x in grid])
-        deriv = np.gradient(vals, grid)
+        grid = np.linspace(0.0, L, DENSE_SAMPLES)
+        deriv = np.gradient(_sample(v0, "v0", grid), grid)
         v0_deriv_l2 = float(math.sqrt(np.trapezoid(deriv ** 2, grid)))
 
     return InitialData(
         rho0=rho0, v0=v0, m=m, length=L,
         rho0_sup=float(rho0_sup), rho0_deriv_sup=float(rho0_deriv_sup),
         rho_min=float(rho_min), v0_deriv_l2=float(v0_deriv_l2),
-        rho0_kind=rho0_kind, v0_kind=v0_kind,
         _constant_rho=(None if constant_rho is None else float(constant_rho)),
         _nodes_x=nodes_x, _nodes_rho=nodes_rho, _nodes_cum=nodes_cum)
 
@@ -203,26 +205,23 @@ def initial_from_config(model, block):
 
     kw = {}
     if rho_block["kind"] == "constant":
-        rho0, value = constant_density(model, rho_block.get("value"))
-        kw.update(constant_rho=value, rho0_kind="constant")
+        rho0, kw["constant_rho"] = constant_density(model, rho_block.get("value"))
     elif rho_block["kind"] == "table":
         rho0 = table_profile(rho_block["x"], rho_block["rho"], L, "rho0")
-        kw.update(rho0_kind="table",
-                  nodes=(np.asarray(rho_block["x"], dtype=float),
-                         np.asarray(rho_block["rho"], dtype=float)))
+        kw["nodes"] = (np.asarray(rho_block["x"], dtype=float),
+                       np.asarray(rho_block["rho"], dtype=float))
     else:
         raise InitialDataError(f"unknown rho0 kind {rho_block['kind']!r}")
 
     if v_block["kind"] == "zero":
         def v0(x):
             return 0.0 * np.asarray(x, dtype=float)
-        kw.update(v0_deriv_l2=0.0, v0_kind="zero")
+        kw["v0_deriv_l2"] = 0.0
     elif v_block["kind"] == "sine":
-        v0, deriv_l2 = sine_velocity(model, v_block["amplitude"], v_block.get("mode", 1))
-        kw.update(v0_deriv_l2=deriv_l2, v0_kind="sine")
+        v0, kw["v0_deriv_l2"] = sine_velocity(model, v_block["amplitude"],
+                                              v_block.get("mode", 1))
     elif v_block["kind"] == "table":
         v0 = table_profile(v_block["x"], v_block["v"], L, "v0")
-        kw.update(v0_kind="table")
     else:
         raise InitialDataError(f"unknown v0 kind {v_block['kind']!r}")
 
@@ -243,8 +242,6 @@ def build_particles(model: FluidModel, init: InitialData, n: int) -> ParticleSta
     for i in range(1, n):
         x[i - 1] = init.invert_mass(init.m * (n - i) / n)
     v = np.asarray(init.v0(x), dtype=float)
-    if v.shape != x.shape:
-        v = np.array([_as_float(init.v0, xi) for xi in x])
     state = ParticleState(n=n, t=0.0, x=x, v=v)
     check_domain(model, state)
     return state

@@ -38,6 +38,9 @@ _ERR = np.array((71 / 57600, 0.0, -71 / 16695, 71 / 1920,
 _SAFETY = 0.9
 _SHRINK_MIN = 0.2
 _GROW_MAX = 5.0
+# E_n and W_n are nonnegative; a value in [-_NEGATIVE_SLACK, 0) is rounding
+# and recorded as 0.0, anything lower is kept and reported
+_NEGATIVE_SLACK = 1e-14
 
 
 @dataclass(frozen=True)
@@ -76,7 +79,6 @@ class DiagnosticsRecord:
     spacing_max: float
     e_cont: float
     w_cont: float
-    flagged_negative: bool = False
 
 
 @dataclass
@@ -89,13 +91,24 @@ class IntegrationStats:
 
 
 @dataclass(frozen=True)
-class DecayWarning:
-    """First-class record of a monotonicity monitor firing (not fatal)."""
+class MonitorWarning:
+    """A structure monitor firing at snapshot time ``t`` (not fatal).
+
+    ``monitor`` is ``"decay"`` when the diagnostics field ``functional``
+    rose by ``amount`` over the previous snapshot, more than ``slack``, and
+    ``"negative"`` when its value ``amount`` is below ``-slack``.
+    """
 
     t: float
     functional: str
-    increase: float
+    monitor: str
+    amount: float
     slack: float
+
+    def __str__(self):
+        what = (f"increased by {self.amount:.3e}" if self.monitor == "decay"
+                else f"is negative ({self.amount:.3e})")
+        return f"{self.functional} {what} at t={self.t:g} (slack {self.slack:.3e})"
 
 
 @dataclass
@@ -216,15 +229,13 @@ def _record(model, state, series):
     diag_f = functionals(model, state)
     field_now = fields.reconstruct(model, state)
     gaps = state.n * gaps_from_interior(model.length, state.x)
-    e_n, flagged = _clamp_tiny(diag_f.e_n)
-    w_n, flag2 = _clamp_tiny(diag_f.w_n)
     rec = DiagnosticsRecord(
-        e_n=e_n, w_n=w_n, z_n=diag_f.z_n, h_n=diag_f.h_n,
+        e_n=_clamp_tiny(diag_f.e_n), w_n=_clamp_tiny(diag_f.w_n),
+        z_n=diag_f.z_n, h_n=diag_f.h_n,
         mass=fields.total_mass(field_now),
         spacing_min=float(gaps.min()), spacing_max=float(gaps.max()),
         e_cont=fields.continuous_energy(model, field_now),
-        w_cont=fields.continuous_energy_mod(model, field_now),
-        flagged_negative=flagged or flag2)
+        w_cont=fields.continuous_energy_mod(model, field_now))
     series.times.append(state.t)
     series.states.append(state)
     series.reconstructed.append(field_now)
@@ -233,21 +244,17 @@ def _record(model, state, series):
 
 
 def _clamp_tiny(value):
-    """Functional values are nonnegative up to rounding; report tiny
-    negatives as zero and flag anything beyond -1e-14."""
-    if value >= 0.0:
-        return value, False
-    if value >= -1e-14:
-        return 0.0, False
-    return value, True
+    """A functional value with a rounding-sized negative part read as 0.0."""
+    return 0.0 if -_NEGATIVE_SLACK <= value < 0.0 else value
 
 
 def simulate(model, state0, T, cfg=None) -> SnapshotSeries:
     """Integrate a chain to time T, emitting snapshots every snapshot_dt.
 
     Snapshots carry the discrete functionals, the reconstructed mass, the
-    spacing extrema, and the continuous functional values; decay-monitor
-    violations are collected as warnings on the series.
+    spacing extrema, and the continuous functional values; the decay and
+    negative-value monitors of E_n and W_n are collected as warnings on the
+    series.
     """
     cfg = cfg or IntegratorConfig()
     if T <= 0.0:
@@ -305,7 +312,11 @@ def simulate(model, state0, T, cfg=None) -> SnapshotSeries:
 
     for name in ("e_n", "w_n"):
         slack = decay_slack(getattr(first, name))
-        series.warnings += [DecayWarning(t=when, functional=name, increase=rise, slack=slack)
+        series.warnings += [MonitorWarning(when, name, "decay", rise, slack)
                             for when, rise in decay_violations(series, name, slack)]
+        series.warnings += [
+            MonitorWarning(when, name, "negative", getattr(rec, name), _NEGATIVE_SLACK)
+            for when, rec in zip(series.times, series.diagnostics)
+            if getattr(rec, name) < -_NEGATIVE_SLACK]
     series.warnings.sort(key=lambda w: w.t)     # stable: e_n before w_n at one t
     return series

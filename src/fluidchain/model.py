@@ -47,23 +47,11 @@ PRESET_PARAMS = {
 }
 PRESET_KINDS = tuple(PRESET_PARAMS)
 
-
-@dataclass(frozen=True)
-class NumericsTable:
-    """Evaluation strategy knobs for the derived functions.
-
-    ``probe_decades`` controls the geometric density grid rho* * 10^k,
-    k in {-probe_decades, ..., probe_decades}, used for limit estimation,
-    envelope inversion brackets, and construction-time sanity checks.
-    """
-
-    quad_rel_tol: float = 1e-10
-    quad_abs_tol: float = 1e-14
-    probe_decades: int = 6
-
-    def probe_grid(self, rho_star):
-        k = np.arange(-self.probe_decades, self.probe_decades + 1)
-        return rho_star * 10.0 ** k
+QUAD_REL_TOL = 1e-10     # default relative tolerance of every quadrature
+QUAD_ABS_TOL = 1e-14
+# the probe grid is rho* * 10^k for |k| <= PROBE_DECADES: it estimates the
+# envelope limits, brackets envelope inversions and checks the laws
+PROBE_DECADES = 6
 
 
 @dataclass(frozen=True)
@@ -77,20 +65,6 @@ class GrowthReport:
     holds: bool
     grows_high: bool
     bounded_low: bool
-    probe_rho: np.ndarray
-    probe_values: np.ndarray
-
-
-def _vectorized(f, x_probe):
-    """Return ``f`` if it maps arrays elementwise, else an np.vectorize wrap."""
-    probe = np.asarray([x_probe, 2.0 * x_probe], dtype=float)
-    try:
-        out = np.asarray(f(probe), dtype=float)
-        if out.shape == probe.shape:
-            return f
-    except Exception:
-        pass
-    return np.vectorize(f, otypes=[float])
 
 
 class FluidModel:
@@ -99,12 +73,15 @@ class FluidModel:
 
     Use the classmethod constructors (:meth:`saint_venant`,
     :meth:`isentropic_gas`, :meth:`ideal_gas_entropy`, :meth:`custom`) or
-    :func:`make_preset`; the bare ``__init__`` is shared plumbing.
+    :func:`make_preset`; the bare ``__init__`` is shared plumbing.  Every
+    law maps a float array elementwise (and so a single float too); the
+    construction evaluates each on the probe grid and rejects any that
+    raises there or returns another shape.  ``quad_rel_tol`` is the
+    relative tolerance of every quadrature.
     """
 
-    def __init__(self, kind, pressure, pressure_prime, viscosity,
-                 viscosity_prime, m, length, params=None, closed=None,
-                 table=None):
+    def __init__(self, kind, pressure, pressure_prime, viscosity, m, length,
+                 params=None, closed=None, quad_rel_tol=QUAD_REL_TOL):
         if not (m > 0.0 and math.isfinite(m)):
             raise ModelError(f"total mass must be positive and finite, got {m}")
         if not (length > 0.0 and math.isfinite(length)):
@@ -116,16 +93,15 @@ class FluidModel:
         self.length = float(length)
         self.rho_star = self.m / self.length
         self.params = dict(params or {})
-        self.table = table or NumericsTable()
+        self.quad_rel_tol = quad_rel_tol
         self._closed = dict(closed or {})
         # envelope limits (key ()) and inversions (key (target, rel_tol)),
         # each computed once per model
         self._envelope_memo = {}
 
-        self.pressure = _vectorized(pressure, self.rho_star)
-        self.pressure_prime = _vectorized(pressure_prime, self.rho_star)
-        self.viscosity = _vectorized(viscosity, self.rho_star)
-        self.viscosity_prime = _vectorized(viscosity_prime, self.rho_star)
+        self.pressure = pressure
+        self.pressure_prime = pressure_prime
+        self.viscosity = viscosity
 
         self._check_laws()
 
@@ -133,9 +109,9 @@ class FluidModel:
 
     def _check_laws(self):
         grid = self.probe_grid()
-        p = np.asarray(self.pressure(grid), dtype=float)
-        dp = np.asarray(self.pressure_prime(grid), dtype=float)
-        mu = np.asarray(self.viscosity(grid), dtype=float)
+        p = _on_probe_grid(self.pressure, "pressure", grid)
+        dp = _on_probe_grid(self.pressure_prime, "pressure_prime", grid)
+        mu = _on_probe_grid(self.viscosity, "viscosity", grid)
         if not np.all(np.isfinite(p)) or np.any(p <= 0.0):
             raise ModelError("pressure law must be positive and finite on the probe grid")
         if not np.all(np.isfinite(dp)) or np.any(dp <= 0.0):
@@ -144,7 +120,7 @@ class FluidModel:
             raise ModelError("viscosity law must be positive and finite on the probe grid")
 
     @classmethod
-    def saint_venant(cls, g, nu, m, length, table=None):
+    def saint_venant(cls, g, nu, m, length, quad_rel_tol=QUAD_REL_TOL):
         """Shallow-water closure: P(rho) = g*rho^2/2, mu(rho) = nu*rho."""
         _require_positive(g=g, nu=nu, m=m, L=length)
         rho_star = m / length
@@ -171,13 +147,12 @@ class FluidModel:
             pressure=lambda rho: half_g * np.asarray(rho, float) ** 2,
             pressure_prime=lambda rho: g * np.asarray(rho, float),
             viscosity=lambda rho: nu * np.asarray(rho, float),
-            viscosity_prime=lambda rho: nu + 0.0 * np.asarray(rho, float),
             m=m, length=length, params={"g": g, "nu": nu},
-            closed=closed, table=table,
+            closed=closed, quad_rel_tol=quad_rel_tol,
         )
 
     @classmethod
-    def isentropic_gas(cls, c, gamma, m, length, mu=1.0, table=None):
+    def isentropic_gas(cls, c, gamma, m, length, mu=1.0, quad_rel_tol=QUAD_REL_TOL):
         """Power-law pressure P(rho) = c*rho^gamma (gamma > 1) with constant
         dynamic viscosity ``mu``."""
         _require_positive(c=c, m=m, L=length, mu=mu)
@@ -193,13 +168,13 @@ class FluidModel:
             pressure=lambda rho: c * np.asarray(rho, float) ** gamma,
             pressure_prime=lambda rho: c * gamma * np.asarray(rho, float) ** (gamma - 1.0),
             viscosity=lambda rho: mu + 0.0 * np.asarray(rho, float),
-            viscosity_prime=lambda rho: 0.0 * np.asarray(rho, float),
             m=m, length=length, params={"c": c, "gamma": gamma, "mu": mu},
-            closed=closed, table=table,
+            closed=closed, quad_rel_tol=quad_rel_tol,
         )
 
     @classmethod
-    def ideal_gas_entropy(cls, c, gamma, visc_amp, m, length, table=None):
+    def ideal_gas_entropy(cls, c, gamma, visc_amp, m, length,
+                          quad_rel_tol=QUAD_REL_TOL):
         """Constant-entropy ideal gas: P = c*rho^gamma with gamma in (1, 2)
         and mu(rho) = visc_amp * rho^((gamma-1)/2)."""
         _require_positive(c=c, A=visc_amp, m=m, L=length)
@@ -219,27 +194,26 @@ class FluidModel:
             pressure=lambda rho: c * np.asarray(rho, float) ** gamma,
             pressure_prime=lambda rho: c * gamma * np.asarray(rho, float) ** (gamma - 1.0),
             viscosity=lambda rho: a * np.asarray(rho, float) ** eta,
-            viscosity_prime=lambda rho: a * eta * np.asarray(rho, float) ** (eta - 1.0),
             m=m, length=length, params={"c": c, "gamma": gamma, "visc_amp": a},
-            closed=closed, table=table,
+            closed=closed, quad_rel_tol=quad_rel_tol,
         )
 
     @classmethod
-    def custom(cls, pressure, viscosity, m, length,
-               pressure_prime=None, viscosity_prime=None, table=None):
+    def custom(cls, pressure, viscosity, m, length, pressure_prime=None,
+               quad_rel_tol=QUAD_REL_TOL):
         """User-supplied laws; derived functions go through adaptive
-        quadrature.  Missing derivatives fall back to central differences."""
-        pressure_prime = pressure_prime or _fd_prime(pressure)
-        viscosity_prime = viscosity_prime or _fd_prime(viscosity)
+        quadrature.  A missing ``pressure_prime`` is taken by central
+        differences of ``pressure``."""
         return cls(
-            "custom", pressure, pressure_prime, viscosity, viscosity_prime,
-            m=m, length=length, params={}, closed={}, table=table,
+            "custom", pressure, pressure_prime or _fd_prime(pressure), viscosity,
+            m=m, length=length, params={}, closed={}, quad_rel_tol=quad_rel_tol,
         )
 
     # -- quadrature plumbing ----------------------------------------------
 
     def probe_grid(self):
-        return self.table.probe_grid(self.rho_star)
+        k = np.arange(-PROBE_DECADES, PROBE_DECADES + 1)
+        return self.rho_star * 10.0 ** k
 
     def _quad(self, f, lo, hi):
         """Adaptive quadrature of ``f`` from ``lo`` to ``hi`` (either order).
@@ -267,13 +241,13 @@ class FluidModel:
             a, b = math.log(lo), math.log(hi)
         else:
             g, a, b = f, lo, hi
-        out = quad(g, a, b, epsabs=self.table.quad_abs_tol,
-                   epsrel=self.table.quad_rel_tol, limit=200, full_output=1)
+        out = quad(g, a, b, epsabs=QUAD_ABS_TOL, epsrel=self.quad_rel_tol,
+                   limit=200, full_output=1)
         value, err = out[0], out[1]
         # scipy warns whenever it cannot certify its own tolerance, which
         # includes near-empty intervals integrated to full precision; only
         # an achieved error above the requested tolerance is a failure
-        tol = max(self.table.quad_abs_tol, self.table.quad_rel_tol * abs(value))
+        tol = max(QUAD_ABS_TOL, self.quad_rel_tol * abs(value))
         if not math.isfinite(value) or (len(out) > 3 and not err <= tol):
             raise QuadratureError(
                 f"quadrature did not converge on [{lo:g}, {hi:g}]"
@@ -341,13 +315,6 @@ class FluidModel:
         """Slope of the spacing potential, -P(m/s)/m < 0."""
         _require_positive_density(s, what="cell width")
         out = self.force_and_gain(np.asarray(s, dtype=float))[0]
-        return out if np.ndim(s) else float(out)
-
-    def spacing_potential_second(self, s):
-        """Curvature s^(-2) * P'(m/s) > 0."""
-        _require_positive_density(s, what="cell width")
-        arr = np.asarray(s, dtype=float)
-        out = self.pressure_prime(self.m / arr) / arr ** 2
         return out if np.ndim(s) else float(out)
 
     def damping_potential(self, s):
@@ -453,9 +420,8 @@ class FluidModel:
         key = (target, rel_tol)
         if key in self._envelope_memo:
             return self._envelope_memo[key]
-        decades = self.table.probe_decades
-        lo = self.rho_star * 10.0 ** -decades
-        hi = self.rho_star * 10.0 ** decades
+        lo = self.rho_star * 10.0 ** -PROBE_DECADES
+        hi = self.rho_star * 10.0 ** PROBE_DECADES
         if target > 0.0:
             while self.energy_envelope(hi) < target:
                 hi *= 10.0
@@ -499,15 +465,14 @@ class FluidModel:
         grows_high = d_hi >= 0.9 * d_hi_prev and d_hi > 0.0
         bounded_low = d_lo < 0.9 * d_lo_prev
         return GrowthReport(holds=bool(grows_high and bounded_low),
-                            grows_high=bool(grows_high), bounded_low=bool(bounded_low),
-                            probe_rho=grid, probe_values=values)
+                            grows_high=bool(grows_high), bounded_low=bool(bounded_low))
 
     def __repr__(self):
         ps = ", ".join(f"{k}={v:g}" for k, v in self.params.items())
         return f"FluidModel({self.kind}, {ps}, m={self.m:g}, L={self.length:g})"
 
 
-def make_preset(kind, params, m, length, table=None):
+def make_preset(kind, params, m, length, quad_rel_tol=QUAD_REL_TOL):
     """Build a preset model from a plain parameter record (CLI entry point).
 
     Custom models are specified through power laws ``pressure`` and
@@ -516,15 +481,15 @@ def make_preset(kind, params, m, length, table=None):
     params = dict(params)
     if kind == "saint_venant":
         return FluidModel.saint_venant(g=params.pop("g"), nu=params.pop("nu"),
-                                       m=m, length=length, table=table)
+                                       m=m, length=length, quad_rel_tol=quad_rel_tol)
     if kind == "isentropic_gas":
         return FluidModel.isentropic_gas(c=params.pop("c"), gamma=params.pop("gamma"),
                                          mu=params.pop("mu", 1.0),
-                                         m=m, length=length, table=table)
+                                         m=m, length=length, quad_rel_tol=quad_rel_tol)
     if kind == "ideal_gas_entropy":
         return FluidModel.ideal_gas_entropy(c=params.pop("c"), gamma=params.pop("gamma"),
                                             visc_amp=params.pop("visc_amp"),
-                                            m=m, length=length, table=table)
+                                            m=m, length=length, quad_rel_tol=quad_rel_tol)
     if kind == "custom":
         p = params.pop("pressure")
         v = params.pop("viscosity")
@@ -535,8 +500,7 @@ def make_preset(kind, params, m, length, table=None):
             pressure=lambda rho: pc * np.asarray(rho, float) ** pe,
             viscosity=lambda rho: vc * np.asarray(rho, float) ** ve,
             pressure_prime=lambda rho: pc * pe * np.asarray(rho, float) ** (pe - 1.0),
-            viscosity_prime=lambda rho: vc * ve * np.asarray(rho, float) ** (ve - 1.0),
-            m=m, length=length, table=table,
+            m=m, length=length, quad_rel_tol=quad_rel_tol,
         )
     raise ModelError(f"unknown model kind {kind!r}")
 
@@ -559,6 +523,19 @@ def _power_pressure_closed(c, gamma, m, length):
 
     return {"compression_energy": compression_energy,
             "spacing_potential": spacing_potential}
+
+
+def _on_probe_grid(law, name, grid):
+    """``law`` evaluated on the probe grid, which it must map elementwise."""
+    try:
+        out = np.asarray(law(grid), dtype=float)
+    except Exception as exc:
+        raise ModelError(f"{name} law must map a float array elementwise; on the "
+                         f"probe grid it raised {type(exc).__name__}: {exc}") from exc
+    if out.shape != grid.shape:
+        raise ModelError(f"{name} law must map a float array elementwise; on the "
+                         f"probe grid of shape {grid.shape} it returned shape {out.shape}")
+    return out
 
 
 def _require_positive(**named):

@@ -46,8 +46,7 @@ def equilibrium_initial(model):
     def v0(x):
         return 0.0 * np.asarray(x, dtype=float)
 
-    return fc.make_initial(model, rho0, v0, constant_rho=value, v0_deriv_l2=0.0,
-                           rho0_kind="constant", v0_kind="zero")
+    return fc.make_initial(model, rho0, v0, constant_rho=value, v0_deriv_l2=0.0)
 
 
 def perturbed_initial(model, amplitude=0.1, mode=1):
@@ -55,8 +54,7 @@ def perturbed_initial(model, amplitude=0.1, mode=1):
     rho0, value = fc.constant_density(model)
     v0, deriv_l2 = fc.sine_velocity(model, amplitude, mode)
     return fc.make_initial(model, rho0, v0, constant_rho=value,
-                           v0_deriv_l2=deriv_l2,
-                           rho0_kind="constant", v0_kind="sine")
+                           v0_deriv_l2=deriv_l2)
 
 
 def multiharmonic_initial(model):
@@ -80,8 +78,7 @@ def multiharmonic_initial(model):
 
     deriv_l2 = float(np.sqrt(sum((a * (k + 1) * np.pi / length) ** 2 * length / 2.0
                                  for k, a in enumerate(amps))))
-    return fc.make_initial(model, rho0, v0, v0_deriv_l2=deriv_l2,
-                           rho0_kind="table", nodes=(xt, rt))
+    return fc.make_initial(model, rho0, v0, v0_deriv_l2=deriv_l2, nodes=(xt, rt))
 
 
 def random_state(model, n, rng, v_scale=1.0):

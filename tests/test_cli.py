@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -5,6 +6,8 @@ from pathlib import Path
 import pytest
 
 from fluidchain import cli
+from fluidchain import initial as initial_module
+from fluidchain import integrate as integrate_module
 from fluidchain.errors import ConfigError
 
 MINIMAL = {
@@ -214,6 +217,11 @@ def test_seed_is_an_unknown_key(tmp_path):
     assert err.value.field == "seed"
 
 
+def _initial(**profiles):
+    """MINIMAL with the named initial profiles replaced."""
+    return dict(MINIMAL, initial=dict(MINIMAL["initial"], **profiles))
+
+
 def _study_config(T=0.1, snapshot_dt=0.05):
     payload = _simulate_config(T=T)
     payload["integrator"]["snapshot_dt"] = snapshot_dt
@@ -241,6 +249,20 @@ def _study_config(T=0.1, snapshot_dt=0.05):
                  "integrator.T", id="validate_uneven_cadence"),
     pytest.param({}, ["converge"], _study_config(T=0.25, snapshot_dt=0.1),
                  "integrator.T", id="converge_uneven_cadence"),
+    pytest.param({}, ["check"], _initial(rho0={"kind": "table"}),
+                 "initial.rho0.x", id="rho0_table_without_x"),
+    pytest.param({}, ["check"], _initial(v0={"kind": "sine"}),
+                 "initial.v0.amplitude", id="v0_sine_without_amplitude"),
+    pytest.param({}, ["check"], _initial(rho0={"kind": "constant", "value": "abc"}),
+                 "initial.rho0.value", id="rho0_value_not_a_number"),
+    pytest.param({}, ["check"], _initial(rho0={"kind": "table", "x": [0.0, 1.0], "rho": "ab"}),
+                 "initial.rho0.rho", id="rho0_rho_not_a_list"),
+    pytest.param({}, ["check"], _initial(v0={"kind": "sine", "amplitude": "x"}),
+                 "initial.v0.amplitude", id="v0_amplitude_not_a_number"),
+    pytest.param({}, ["check"], _initial(rho0={"kind": "constant", "value": True}),
+                 "initial.rho0.value", id="rho0_value_boolean"),
+    pytest.param({}, ["check"], _initial(v0={"kind": "sine", "amplitude": 0.1, "mode": True}),
+                 "initial.v0.mode", id="v0_mode_boolean"),
 ])
 def test_bad_input_exits_1_with_one_json_line(tmp_path, capsys, monkeypatch,
                                               env, argv, payload, field):
@@ -255,6 +277,37 @@ def test_bad_input_exits_1_with_one_json_line(tmp_path, capsys, monkeypatch,
     assert len(err_lines) == 1
     assert json.loads(err_lines[0])["field"] == field
     assert not (tmp_path / "out").exists()
+
+
+def test_validate_computes_the_budget_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    budget_constants = initial_module.budget_constants
+
+    def counting(*args):
+        calls.append(args)
+        return budget_constants(*args)
+
+    # admissibility's binding, and a direct one the CLI might hold
+    monkeypatch.setattr(initial_module, "budget_constants", counting)
+    monkeypatch.setattr(cli, "budget_constants", counting, raising=False)
+    path = write_config(tmp_path, _simulate_config(T=0.1))
+    assert cli.main(["validate", "--config", str(path), "--out", str(tmp_path / "v")]) == 0
+    assert len(calls) == 1
+
+
+def test_simulate_prints_negative_functional_warnings(tmp_path, capsys, monkeypatch):
+    functionals = integrate_module.functionals
+
+    def negative_e_n(model, state):
+        values = functionals(model, state)
+        return dataclasses.replace(values, e_n=-1e-6) if state.t > 0.0 else values
+
+    monkeypatch.setattr(integrate_module, "functionals", negative_e_n)
+    path = write_config(tmp_path, _simulate_config(T=0.1))
+    assert cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "s")]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        f"warning: e_n is negative (-1.000e-06) at t={t} (slack 1.000e-14)"
+        for t in ("0.05", "0.1")]
 
 
 def test_simulate_accepts_uneven_last_snapshot(tmp_path, capsys):

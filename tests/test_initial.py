@@ -179,6 +179,25 @@ def test_velocity_endpoints_must_vanish(sv):
         fc.make_initial(sv, rho0, bad_v0, constant_rho=value)
 
 
+def test_scalar_profiles_are_rejected(sv):
+    # profiles must map float arrays of positions elementwise; a scalar-only
+    # profile, or one that ignores the shape of its argument, is rejected by
+    # make_initial whichever route the density norms take
+    rho0, value = fc.constant_density(sv)
+    v0, deriv_l2 = fc.sine_velocity(sv, 0.1)
+    scalar_v0 = lambda x: 0.1 * math.sin(math.pi * x)
+    cases = [
+        dict(rho0=rho0, v0=scalar_v0, constant_rho=value, v0_deriv_l2=deriv_l2),
+        dict(rho0=lambda x: float(x), v0=v0, constant_rho=value, v0_deriv_l2=deriv_l2),
+        dict(rho0=lambda x: 1.0, v0=v0, v0_deriv_l2=deriv_l2),
+        dict(rho0=lambda x: 1.0 + 0.0 * float(x), v0=v0, v0_deriv_l2=deriv_l2,
+             nodes=([0.0, 1.0], [1.0, 1.0])),
+    ]
+    for case in cases:
+        with pytest.raises(InitialDataError, match="elementwise"):
+            fc.make_initial(sv, **case)
+
+
 def test_negative_density_samples_rejected(sv):
     xt = np.array([0.0, 0.5, 1.0])
     rt = np.array([2.0, -0.5, 2.5])

@@ -169,7 +169,7 @@ def test_decay_warnings_match_snapshot_scan(sv):
             now, before = getattr(diag[j], name), getattr(diag[j - 1], name)
             if now > before + slack:
                 expected.append((series.times[j], name, now - before, slack))
-    assert [(w.t, w.functional, w.increase, w.slack) for w in series.warnings] == expected
+    assert [(w.t, w.functional, w.amount, w.slack) for w in series.warnings] == expected
     assert {"e_n", "w_n"} == {name for _, name, _, _ in expected}
     report = checks.decay_report(series)
     assert report.e_n_violations == [(t, r) for t, name, r, _ in expected if name == "e_n"]
