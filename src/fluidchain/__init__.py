@@ -2,20 +2,19 @@
 between walls, with admissibility checking, weak-form residual validation,
 and refinement studies."""
 
-from .dynamics import (DiscreteFunctionals, ParticleState, energy_budget,
-                       equilibrium_state, functionals, spacing_bounds)
+from .dynamics import (DiscreteFunctionals, ParticleState, equilibrium_state,
+                       functionals, spacing_bounds)
 from .errors import (AdmissibilityError, ConfigError, DomainError,
                      FluidchainError, InitialDataError, ModelError,
                      QuadratureError, StiffnessError)
 from .fields import (ReconstructedField, continuous_energy,
-                     continuous_energy_mod, reconstruct, total_mass,
-                     weak_time_derivatives)
+                     continuous_energy_mod, reconstruct, total_mass)
 from .initial import (AdmissibilityReport, BudgetConstants, InitialData,
                       admissibility, budget_constants, build_particles,
                       constant_density, initial_from_config, make_initial,
                       sine_velocity, table_profile)
 from .integrate import (DiagnosticsRecord, IntegratorConfig, SnapshotSeries,
-                        simulate, step)
+                        simulate)
 from .model import FluidModel, GrowthReport, make_preset
 
 __version__ = "0.1.0"
@@ -28,9 +27,8 @@ __all__ = [
     "QuadratureError", "ReconstructedField", "SnapshotSeries",
     "StiffnessError", "admissibility",
     "budget_constants", "build_particles", "constant_density",
-    "continuous_energy", "continuous_energy_mod", "energy_budget",
+    "continuous_energy", "continuous_energy_mod",
     "equilibrium_state", "functionals", "initial_from_config", "make_initial",
     "make_preset", "reconstruct", "simulate", "sine_velocity",
-    "spacing_bounds", "step", "table_profile", "total_mass",
-    "weak_time_derivatives",
+    "spacing_bounds", "table_profile", "total_mass",
 ]

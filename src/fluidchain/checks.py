@@ -125,38 +125,6 @@ def test_function_library(length, horizon):
     return lib
 
 
-def combine_test_functions(alpha, tf_a, beta, tf_b, name=None):
-    """alpha*tf_a + beta*tf_b (same kind and horizon); admissibility is
-    preserved by linearity."""
-    if tf_a.kind != tf_b.kind or tf_a.horizon != tf_b.horizon:
-        raise ValueError("can only combine test functions of one kind/horizon")
-
-    def lin(fa, fb):
-        return lambda t, x: alpha * fa(t, x) + beta * fb(t, x)
-
-    return TestFunction(
-        name=name or f"{alpha:g}*{tf_a.name}+{beta:g}*{tf_b.name}",
-        kind=tf_a.kind, horizon=tf_a.horizon,
-        phi=lin(tf_a.phi, tf_b.phi), phi_t=lin(tf_a.phi_t, tf_b.phi_t),
-        phi_x=lin(tf_a.phi_x, tf_b.phi_x))
-
-
-def admissibility_defect(tf, length, probes=1000, seed=0):
-    """Largest violation of the test function's boundary constraints over
-    random space-time probes (should be at machine precision)."""
-    rng = np.random.default_rng(seed)
-    ts = rng.uniform(0.0, tf.horizon, probes)
-    xs = rng.uniform(0.0, length, probes)
-    worst = float(np.max(np.abs(np.asarray(tf.phi(tf.horizon, xs)))))
-    if tf.kind == "momentum":
-        for t in ts:
-            worst = max(worst,
-                        abs(float(np.asarray(tf.phi(t, 0.0)))),
-                        abs(float(np.asarray(tf.phi(t, length)))),
-                        abs(float(np.asarray(tf.phi_x(t, length)))))
-    return worst
-
-
 # -- residual evaluation ---------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -370,11 +338,6 @@ class ConvergenceRow:
     holder_rho: float | None = None
     holder_v: float | None = None
     error: str | None = None
-
-
-def grid_l2(values, grid):
-    """Trapezoid L2 norm of sampled values on a uniform grid."""
-    return math.sqrt(np.trapezoid(np.asarray(values) ** 2, grid))
 
 
 def _sampled_series(series, grid):

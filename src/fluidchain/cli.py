@@ -22,7 +22,8 @@ import numpy as np
 
 from . import checks
 from .errors import AdmissibilityError, ConfigError, FluidchainError
-from .initial import admissibility, build_particles, initial_from_config
+from .initial import (PROFILE_KEYS, admissibility, build_particles,
+                      initial_from_config)
 from .integrate import IntegratorConfig, simulate
 from .model import PRESET_PARAMS, QUAD_REL_TOL, make_preset
 
@@ -62,19 +63,22 @@ def _number(block, path, key, default=None, positive=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(_field(path, key), f"expected a number, got {value!r}")
     value = float(value)
+    if not math.isfinite(value):
+        raise ConfigError(_field(path, key), f"must be finite, got {value!r}")
     if positive and not value > 0.0:
         raise ConfigError(_field(path, key), f"must be positive, got {value!r}")
     return value
 
 
 def _number_list(block, path, key):
-    """Required list of numbers ``block[key]``."""
+    """Required list of finite numbers ``block[key]``."""
     if key not in block:
         raise ConfigError(_field(path, key), "missing required key")
     values = block[key]
     if not isinstance(values, list) or any(
-            isinstance(v, bool) or not isinstance(v, (int, float)) for v in values):
-        raise ConfigError(_field(path, key), f"expected a list of numbers, got {values!r}")
+            isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v)
+            for v in values):
+        raise ConfigError(_field(path, key), f"expected a list of finite numbers, got {values!r}")
 
 
 def _env_number(name, default):
@@ -115,9 +119,8 @@ def _parse_model(raw):
             _number(params[side], f"model.{side}", "coeff", positive=True)
             _number(params[side], f"model.{side}", "exponent")
     else:
-        for key, value in params.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"model.{key}", f"expected a number, got {value!r}")
+        for key in params:
+            _number(params, "model", key)
     m = _number(raw, "", "m", positive=True)
     length = _number(raw, "", "L", positive=True)
     quad_rel_tol = _env_number("FLUIDCHAIN_QUAD_REL_TOL", QUAD_REL_TOL)
@@ -127,26 +130,31 @@ def _parse_model(raw):
         raise ConfigError("model", str(exc)) from exc
 
 
+def _parse_profile(block, name):
+    """Check the profile ``block[name]`` against the keys of its own kind:
+    the keys of a ``table`` are lists of numbers, all others numbers."""
+    path = f"initial.{name}"
+    profile = block[name]
+    if not isinstance(profile, dict):
+        raise ConfigError(path, "must be a JSON object")
+    if "kind" not in profile:
+        raise ConfigError(_field(path, "kind"), "missing required key")
+    kind = profile["kind"]
+    if not isinstance(kind, str) or kind not in PROFILE_KEYS[name]:
+        raise ConfigError(_field(path, "kind"), f"unknown kind {kind!r}")
+    required, optional = PROFILE_KEYS[name][kind]
+    _check_keys(profile, path, ("kind", *required), optional)
+    check = _number_list if kind == "table" else _number
+    for key in (*required, *optional):
+        if key in profile:
+            check(profile, path, key)
+
+
 def _parse_initial(model, raw):
     block = raw["initial"]
     _check_keys(block, "initial", {"rho0", "v0"})
-    rho = block["rho0"]
-    _check_keys(rho, "initial.rho0", {"kind"},
-                {"value", "x", "rho"})
-    if rho["kind"] == "constant" and "value" in rho:
-        _number(rho, "initial.rho0", "value")
-    elif rho["kind"] == "table":
-        _number_list(rho, "initial.rho0", "x")
-        _number_list(rho, "initial.rho0", "rho")
-    vee = block["v0"]
-    _check_keys(vee, "initial.v0", {"kind"},
-                {"amplitude", "mode", "x", "v"})
-    if vee["kind"] == "sine":
-        _number(vee, "initial.v0", "amplitude")
-        _number(vee, "initial.v0", "mode", default=1)
-    elif vee["kind"] == "table":
-        _number_list(vee, "initial.v0", "x")
-        _number_list(vee, "initial.v0", "v")
+    _parse_profile(block, "rho0")
+    _parse_profile(block, "v0")
     try:
         return initial_from_config(model, block)
     except FluidchainError as exc:

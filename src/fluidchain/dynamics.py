@@ -21,7 +21,11 @@ from .model import FluidModel
 
 @dataclass(frozen=True)
 class ParticleState:
-    """Interior positions/velocities of the chain at a time stamp."""
+    """Interior positions/velocities of the chain at a time stamp.
+
+    Construction checks the shapes and finiteness; the ordering is checked
+    by ``gaps_from_interior`` wherever a state is read.
+    """
 
     n: int
     t: float
@@ -53,17 +57,27 @@ class DiscreteFunctionals:
     w_n: float
     z_n: float
     h_n: float
-    v_transformed: np.ndarray
 
 
 def gaps_from_interior(length, x):
     """Cell widths x_{i-1} - x_i for i = 1..n from interior positions,
-    walls at ``length`` and 0 included."""
+    walls at ``length`` and 0 included.
+
+    The one definition of the ordered domain: raises DomainError unless
+    0 < x_{n-1} < ... < x_1 < L, i.e. every width is positive.  The single
+    test also rejects non-finite positions, which make the smallest width
+    NaN or nonpositive.
+    """
     full = np.empty(x.size + 2)
     full[0] = length
     full[1:-1] = x
     full[-1] = 0.0
-    return full[:-1] - full[1:]
+    gaps = full[:-1] - full[1:]
+    if not gaps.min() > 0.0:
+        raise DomainError(
+            "state violates the strict ordering 0 < x_{n-1} < ... < x_1 < L "
+            f"(min gap {gaps.min():.3e})")
+    return gaps
 
 
 def ordered_sum(values):
@@ -76,15 +90,6 @@ def ordered_sum(values):
     return 0.0 + float(np.add.accumulate(values)[-1])
 
 
-def check_domain(model, state):
-    """Raise DomainError unless the state lies in the open admissible set."""
-    gaps = gaps_from_interior(model.length, state.x)
-    if not np.all(np.isfinite(gaps)) or np.any(gaps <= 0.0):
-        raise DomainError(
-            f"state at t={state.t:g} violates the strict ordering "
-            f"0 < x_{{n-1}} < ... < x_1 < L (min gap {gaps.min():.3e})")
-
-
 def rhs_arrays(model, n, x, v):
     """Equations of motion on raw arrays; hot path for the integrator.
 
@@ -94,10 +99,6 @@ def rhs_arrays(model, n, x, v):
     so integrators can reject trial states.
     """
     gaps = gaps_from_interior(model.length, x)
-    # one test for ordering and finiteness: a NaN or infinite position makes
-    # the smallest gap NaN or nonpositive
-    if not gaps.min() > 0.0:
-        raise DomainError("trial state left the ordered domain")
     if not np.isfinite(v).all():
         raise DomainError("trial state has non-finite velocities")
     s = n * gaps
@@ -113,11 +114,10 @@ def rhs_arrays(model, n, x, v):
 
 
 def functionals(model: FluidModel, state: ParticleState) -> DiscreteFunctionals:
-    """Discrete functionals of a state.
+    """Discrete functionals of a state; DomainError unless it is ordered.
 
     Sums run left to right in the cell index so reruns are bit-identical.
     """
-    check_domain(model, state)
     n = state.n
     m = model.m
     gaps = gaps_from_interior(model.length, state.x)
@@ -137,17 +137,12 @@ def functionals(model: FluidModel, state: ParticleState) -> DiscreteFunctionals:
 
     z_n = 0.5 * ordered_sum(dvel * dvel / gaps)
     h_n = float(np.max(n * np.abs(damp[:-1] - damp[1:])))
-    return DiscreteFunctionals(e_n=e_n, w_n=w_n, z_n=z_n, h_n=h_n, v_transformed=v_tr)
+    return DiscreteFunctionals(e_n=e_n, w_n=w_n, z_n=z_n, h_n=h_n)
 
 
 def sqrt_budget(e, w):
     """sqrt(w) + sqrt(e), the quantity the envelope bounds compare against."""
     return math.sqrt(w) + math.sqrt(e)
-
-
-def energy_budget(func: DiscreteFunctionals) -> float:
-    """sqrt(W) + sqrt(E) of a state's functionals, negatives read as zero."""
-    return sqrt_budget(max(func.e_n, 0.0), max(func.w_n, 0.0))
 
 
 def spacing_bounds(model: FluidModel, e_bar, w_bar):

@@ -3,8 +3,8 @@
 Each cell between adjacent packets carries the density m/(n * width) at its
 lower node; both fields are piecewise linear between node values, with the
 ghost cell taking the same density at both ends and the velocity pinned to
-zero at the walls.  Spatial derivatives are the exact piecewise-constant cell
-slopes.  Edge queries use the cell to the left of the point.
+zero at the walls.  The energies and residuals that need a spatial
+derivative take the exact piecewise-constant cell slope.
 """
 
 from __future__ import annotations
@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (ParticleState, check_domain, gaps_from_interior,
-                       ordered_sum, rhs_arrays)
+from .dynamics import ParticleState, gaps_from_interior, ordered_sum
 from .model import FluidModel
 
 # Gauss-Legendre rules: order 5 for the energies, 3 for the weak residuals
@@ -30,7 +29,6 @@ class ReconstructedField:
     """
 
     n: int
-    m: float
     length: float
     edges: np.ndarray        # length n+1, edges[0] = L, edges[n] = 0
     rho_nodes: np.ndarray    # length n+1, rho_nodes[0] == rho_nodes[1]
@@ -39,15 +37,11 @@ class ReconstructedField:
     asc_rho: np.ndarray
     asc_v: np.ndarray
 
-    def _cells(self, x):
-        x = np.asarray(x, dtype=float)
-        if np.any(x < -1e-12) or np.any(x > self.length * (1.0 + 1e-12)):
-            raise ValueError("query point outside [0, L]")
-        idx = np.searchsorted(self.asc_x, x, side="left") - 1
-        return x, np.clip(idx, 0, self.n - 1)
-
     def _interp(self, values, x):
-        xq, k = self._cells(x)
+        xq = np.asarray(x, dtype=float)
+        if np.any(xq < -1e-12) or np.any(xq > self.length * (1.0 + 1e-12)):
+            raise ValueError("query point outside [0, L]")
+        k = np.clip(np.searchsorted(self.asc_x, xq, side="left") - 1, 0, self.n - 1)
         x0 = self.asc_x[k]
         width = self.asc_x[k + 1] - x0
         out = values[k] + (values[k + 1] - values[k]) * (xq - x0) / width
@@ -59,16 +53,6 @@ class ReconstructedField:
     def v(self, x):
         return self._interp(self.asc_v, x)
 
-    def rho_x(self, x):
-        _, k = self._cells(x)
-        out = (self.asc_rho[k + 1] - self.asc_rho[k]) / (self.asc_x[k + 1] - self.asc_x[k])
-        return out if np.ndim(x) else float(out)
-
-    def v_x(self, x):
-        _, k = self._cells(x)
-        out = (self.asc_v[k + 1] - self.asc_v[k]) / (self.asc_x[k + 1] - self.asc_x[k])
-        return out if np.ndim(x) else float(out)
-
     def sample(self, size=512):
         """Uniform-grid samples (x, rho, v) for export."""
         grid = np.linspace(0.0, self.length, size)
@@ -76,8 +60,8 @@ class ReconstructedField:
 
 
 def reconstruct(model: FluidModel, state: ParticleState) -> ReconstructedField:
-    """Build the piecewise-linear fields for a state."""
-    check_domain(model, state)
+    """Build the piecewise-linear fields for a state; DomainError unless it
+    is ordered."""
     n = state.n
     gaps = gaps_from_interior(model.length, state.x)
     edges = np.empty(n + 1)
@@ -89,7 +73,7 @@ def reconstruct(model: FluidModel, state: ParticleState) -> ReconstructedField:
     rho_nodes[0] = rho_nodes[1]
     v_nodes = np.concatenate(([0.0], state.v, [0.0]))
     return ReconstructedField(
-        n=n, m=model.m, length=model.length,
+        n=n, length=model.length,
         edges=edges, rho_nodes=rho_nodes, v_nodes=v_nodes,
         asc_x=edges[::-1].copy(), asc_rho=rho_nodes[::-1].copy(),
         asc_v=v_nodes[::-1].copy())
@@ -141,40 +125,3 @@ def continuous_energy_mod(model: FluidModel, field: ReconstructedField) -> float
     q = np.asarray(model.compression_energy(rho))
     cells = np.sum((0.5 * rho * shifted ** 2 + q) * wts, axis=1)
     return max(ordered_sum(cells[::-1]), 0.0)
-
-
-def weak_time_derivatives(model: FluidModel, state: ParticleState, x):
-    """Weak time derivatives (rho_dot, v_dot) of the rebuilt fields at x.
-
-    Node density rates follow the per-cell mass identity
-    rho_dot_i = -rho_i * (v_{i-1} - v_i) / width_i; node velocity rates come
-    from the equations of motion.  Edge points use the left cell.
-    """
-    field = reconstruct(model, state)
-    n = state.n
-    gaps = gaps_from_interior(model.length, state.x)
-    full_v = np.concatenate(([0.0], state.v, [0.0]))
-    dvel = full_v[:-1] - full_v[1:]
-
-    rho_rate = np.empty(n + 1)
-    rho_rate[1:] = -field.rho_nodes[1:] * dvel / gaps
-    rho_rate[0] = rho_rate[1]
-    _, dv = rhs_arrays(model, n, state.x, state.v)
-    v_rate = np.concatenate(([0.0], dv, [0.0]))
-
-    asc_rr = rho_rate[::-1].copy()
-    asc_vr = v_rate[::-1].copy()
-    xq, k = field._cells(x)
-    x0 = field.asc_x[k]
-    width = field.asc_x[k + 1] - x0
-    frac = (xq - x0) / width
-    slope_rho = (field.asc_rho[k + 1] - field.asc_rho[k]) / width
-    slope_v = (field.asc_v[k + 1] - field.asc_v[k]) / width
-    v_here = field.asc_v[k] + (field.asc_v[k + 1] - field.asc_v[k]) * frac
-
-    rho_dot = asc_rr[k] + (asc_rr[k + 1] - asc_rr[k]) * frac - slope_rho * v_here
-    v_dot = (asc_vr[k] + (asc_vr[k + 1] - asc_vr[k]) * frac
-             - slope_v ** 2 * (xq - x0) - slope_v * field.asc_v[k])
-    if np.ndim(x):
-        return rho_dot, v_dot
-    return float(rho_dot), float(v_dot)

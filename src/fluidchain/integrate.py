@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fields
-from .dynamics import (ParticleState, check_domain, functionals,
-                       gaps_from_interior, rhs_arrays, spacing_bounds)
+from .dynamics import (ParticleState, functionals, gaps_from_interior,
+                       rhs_arrays, spacing_bounds)
 from .errors import AdmissibilityError, DomainError, ModelError, StiffnessError
 
 # Dormand-Prince 5(4) tableau as float arrays built once; row 7 is the
@@ -164,28 +164,6 @@ def _attempt(model, n, y, dt, cfg, k1=None):
     return True, y_new, k[6].copy(), factor
 
 
-def step(model, state, dt, cfg=None):
-    """Single embedded-pair attempt from a state.
-
-    Returns (state', dt_next, accepted); on rejection state' is the input
-    state and dt_next is the shrunken retry size.
-    """
-    cfg = cfg or IntegratorConfig()
-    check_domain(model, state)
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    if dt > cfg.dt_max:
-        raise ValueError(f"dt={dt:g} exceeds dt_max={cfg.dt_max:g}")
-    y = np.concatenate((state.x, state.v))
-    accepted, y_new, _, factor = _attempt(model, state.n, y, dt, cfg)
-    if not accepted:
-        return state, dt * factor, False
-    half = y.size // 2
-    new = ParticleState(n=state.n, t=state.t + dt,
-                        x=y_new[:half], v=y_new[half:])
-    return new, min(cfg.dt_max, dt * factor), True
-
-
 def _default_dt(model, n, first, cfg, T):
     """Viscous-coupling-aware first step from the first snapshot's record;
     falls back to 1e-6 when the spacing bounds are unavailable."""
@@ -254,7 +232,8 @@ def simulate(model, state0, T, cfg=None) -> SnapshotSeries:
     Snapshots carry the discrete functionals, the reconstructed mass, the
     spacing extrema, and the continuous functional values; the decay and
     negative-value monitors of E_n and W_n are collected as warnings on the
-    series.
+    series.  Recording the first snapshot raises DomainError unless
+    ``state0`` is ordered.
     """
     cfg = cfg or IntegratorConfig()
     if T <= 0.0:
@@ -265,7 +244,6 @@ def simulate(model, state0, T, cfg=None) -> SnapshotSeries:
             "pressure law fails the growth condition "
             f"(high side diverges: {growth.grows_high}, "
             f"bounded towards vacuum: {growth.bounded_low})")
-    check_domain(model, state0)
     series = SnapshotSeries()
     state0 = ParticleState(n=state0.n, t=0.0, x=state0.x, v=state0.v)
     first = _record(model, state0, series)

@@ -222,6 +222,13 @@ def _initial(**profiles):
     return dict(MINIMAL, initial=dict(MINIMAL["initial"], **profiles))
 
 
+def _integrator(**settings):
+    """The simulate config with the named integrator settings replaced."""
+    payload = _simulate_config()
+    payload["integrator"].update(settings)
+    return payload
+
+
 def _study_config(T=0.1, snapshot_dt=0.05):
     payload = _simulate_config(T=T)
     payload["integrator"]["snapshot_dt"] = snapshot_dt
@@ -263,6 +270,33 @@ def _study_config(T=0.1, snapshot_dt=0.05):
                  "initial.rho0.value", id="rho0_value_boolean"),
     pytest.param({}, ["check"], _initial(v0={"kind": "sine", "amplitude": 0.1, "mode": True}),
                  "initial.v0.mode", id="v0_mode_boolean"),
+    pytest.param({}, ["simulate"], _integrator(T=math.inf),
+                 "integrator.T", id="simulate_infinite_T"),
+    pytest.param({}, ["validate"], _integrator(T=math.inf),
+                 "integrator.T", id="validate_infinite_T"),
+    pytest.param({}, ["simulate"], _integrator(snapshot_dt=math.inf),
+                 "integrator.snapshot_dt", id="infinite_snapshot_dt"),
+    pytest.param({}, ["check"], _initial(v0={"kind": "sine", "amplitude": math.nan}),
+                 "initial.v0.amplitude", id="v0_amplitude_nan"),
+    pytest.param({"FLUIDCHAIN_REL_TOL": "inf"}, ["check"], MINIMAL,
+                 "FLUIDCHAIN_REL_TOL", id="rel_tol_infinite"),
+    pytest.param({}, ["check"], _initial(rho0={"kind": "table", "x": [0.0, 1.0],
+                                               "rho": [1.0, math.nan]}),
+                 "initial.rho0.rho", id="rho0_table_nan"),
+    pytest.param({}, ["check"], dict(MINIMAL, model={"kind": "saint_venant",
+                                                     "g": math.inf, "nu": 1.0}),
+                 "model.g", id="model_parameter_infinite"),
+    pytest.param({}, ["check"], _initial(v0={"kind": "zero", "amplitude": 0.1}),
+                 "initial.v0.amplitude", id="v0_zero_with_amplitude"),
+    pytest.param({}, ["check"], _initial(rho0={"kind": "table", "x": [0.0, 1.0],
+                                               "rho": [1.0, 1.0], "value": 1.0}),
+                 "initial.rho0.value", id="rho0_table_with_value"),
+    pytest.param({}, ["check"], _initial(rho0={"kind": "constant", "x": [0.0, 1.0]}),
+                 "initial.rho0.x", id="rho0_constant_with_x"),
+    pytest.param({}, ["check"], _initial(rho0={"kind": "mystery"}),
+                 "initial.rho0.kind", id="rho0_unknown_kind"),
+    pytest.param({}, ["check"], _initial(v0={"kind": ["sine"], "amplitude": 0.1}),
+                 "initial.v0.kind", id="v0_kind_not_a_string"),
 ])
 def test_bad_input_exits_1_with_one_json_line(tmp_path, capsys, monkeypatch,
                                               env, argv, payload, field):

@@ -61,22 +61,37 @@ def test_rhs_kernel_matches_checked_public_laws(any_model):
 
 
 def test_rhs_rejects_every_domain_exit(any_model):
-    x = np.array([0.75, 0.5, 0.25])
+    # every consumer of a state rejects each way out of the ordered domain:
+    # rhs_arrays on raw arrays, the others on a ParticleState (whose own
+    # construction rejects the non-finite positions)
+    L = any_model.length
+    x = L * np.array([0.75, 0.5, 0.25])
     v = np.array([0.1, -0.2, 0.3])
     bad_positions = ([0.75, 0.5, 0.5],          # zero gap
                      [0.75, 0.25, 0.5],         # swapped pair
+                     [1.0, 0.5, 0.25],          # x_1 = L
+                     [0.75, 0.5, 0.0],          # x_{n-1} = 0
+                     [1.25, 0.5, 0.25],         # x_1 > L
                      [0.75, np.nan, 0.25],
                      [0.75, np.inf, 0.25],
                      [0.75, 0.5, -np.inf],
                      [np.inf, 0.5, 0.25],
                      [0.75, 0.5, np.inf])
+    consumers = (fc.functionals, fc.reconstruct,
+                 lambda model, state: fc.simulate(model, state, 0.01))
     for bad in bad_positions:
+        bad = L * np.array(bad)
         with pytest.raises(DomainError):
-            rhs_arrays(any_model, 4, np.array(bad), v)
+            rhs_arrays(any_model, 4, bad, v)
+        for consume in consumers:
+            with pytest.raises(DomainError):
+                consume(any_model, fc.ParticleState(n=4, t=0.0, x=bad, v=v))
     for bad in ([0.1, np.nan, 0.3], [np.inf, -0.2, 0.3], [0.1, -0.2, -np.inf]):
         with pytest.raises(DomainError):
             rhs_arrays(any_model, 4, x, np.array(bad))
     rhs_arrays(any_model, 4, x, v)
+    for consume in consumers:
+        consume(any_model, fc.ParticleState(n=4, t=0.0, x=x, v=v))
 
 
 def test_functionals_zero_at_equilibrium(sv):
@@ -150,7 +165,7 @@ def test_transformed_velocity_jump_bound(sv):
             gaps = fc.dynamics.gaps_from_interior(sv.length, state.x)
             damp = np.asarray(sv.damping_potential(n * gaps))
             jumps_sq = n * float(np.sum((damp[:-1] - damp[1:]) ** 2))
-            budget = fc.energy_budget(f)
+            budget = fc.dynamics.sqrt_budget(max(f.e_n, 0.0), max(f.w_n, 0.0))
             assert jumps_sq <= (2.0 / sv.m) * budget ** 2 * (1 + 1e-12)
 
 

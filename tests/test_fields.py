@@ -31,10 +31,11 @@ def test_two_packet_reconstruction(sv):
 def test_left_cell_edge_convention(sv):
     state = fc.ParticleState(n=2, t=0.0, x=np.array([0.4]), v=np.array([0.3]))
     field = fc.reconstruct(sv, state)
-    # at the interior node the slope comes from the cell below it,
-    # which interpolates the wall value up to the node value
-    assert field.rho_x(0.4) == pytest.approx((1 / 1.2 - 1.25) / 0.4)
-    assert field.v_x(0.4) == pytest.approx((0.3 - 0.0) / 0.4)
+    # the cell below the interior node interpolates the wall value up to
+    # the node value, which a query at the node returns
+    assert field.rho(0.4) == pytest.approx(1 / 1.2)
+    assert field.v(0.4) == pytest.approx(0.3)
+    assert field.v(np.array([0.0, 0.1, 0.4])) == pytest.approx([0.0, 0.075, 0.3])
 
 
 def test_field_rejects_outside_queries(sv):
@@ -101,37 +102,6 @@ def test_continuous_energy_against_fine_sampling(sv):
     q = np.asarray(sv.compression_energy(rho))
     oracle = np.trapezoid(0.5 * rho * vel ** 2 + q, grid)
     assert fc.continuous_energy(sv, field) == pytest.approx(oracle, rel=1e-8)
-
-
-def test_weak_time_derivatives_zero_at_equilibrium(sv):
-    assert fc.weak_time_derivatives(sv, fc.equilibrium_state(sv, 4), 0.37) == (0.0, 0.0)
-
-
-def test_weak_time_derivatives_match_forward_difference(sv):
-    rng = np.random.default_rng(7)
-    n = 8
-    gaps = rng.uniform(0.8, 1.2, n)
-    gaps /= gaps.sum()
-    x = (1.0 - np.cumsum(gaps))[:-1]
-    v = 0.1 * rng.standard_normal(n - 1)
-    state = fc.ParticleState(n=n, t=0.0, x=x, v=v)
-    h = 1e-6
-    cfg = fc.IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14, snapshot_dt=h)
-    stepped = fc.simulate(sv, state, h, cfg).states[-1]
-    f0 = fc.reconstruct(sv, state)
-    f1 = fc.reconstruct(sv, stepped)
-    for xq in (0.13, 0.3, 0.62):       # probes away from rate zero-crossings
-        rho_dot, v_dot = fc.weak_time_derivatives(sv, state, xq)
-        fd_rho = (f1.rho(xq) - f0.rho(xq)) / h
-        fd_v = (f1.v(xq) - f0.v(xq)) / h
-        assert rho_dot == pytest.approx(fd_rho, rel=1e-3)
-        assert v_dot == pytest.approx(fd_v, rel=1e-3)
-
-
-def test_weak_time_derivatives_reject_outside(sv):
-    state = fc.equilibrium_state(sv, 4)
-    with pytest.raises(ValueError):
-        fc.weak_time_derivatives(sv, state, 1.2)
 
 
 def test_grid_export(sv):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import fluidchain as fc
-from fluidchain import checks
+from fluidchain import checks, integrate
 from fluidchain.errors import ModelError, StiffnessError
 
 from conftest import perturbed_initial
@@ -36,19 +36,20 @@ def test_equilibrium_is_a_fixed_point(sv):
 
 def test_step_accepts_at_equilibrium(sv):
     state0 = fc.equilibrium_state(sv, 4)
-    new, dt_next, accepted = fc.step(sv, state0, 1e-3)
+    y = np.concatenate((state0.x, state0.v))
+    accepted, y_new, _, factor = integrate._attempt(sv, 4, y, 1e-3, fc.IntegratorConfig())
     assert accepted
-    assert np.allclose(new.x, state0.x, atol=1e-10)
-    assert dt_next > 1e-3
+    assert np.allclose(y_new[:3], state0.x, atol=1e-10)
+    assert factor > 1.0
 
 
 def test_step_rejects_ordering_exit(sv):
     # packet racing towards the wall; a large trial step exits the domain
-    state0 = fc.ParticleState(n=2, t=0.0, x=np.array([0.05]), v=np.array([-5.0]))
-    new, dt_next, accepted = fc.step(sv, state0, 0.05)
+    y = np.array([0.05, -5.0])
+    accepted, y_new, k_new, factor = integrate._attempt(sv, 2, y, 0.05, fc.IntegratorConfig())
     assert not accepted
-    assert new is state0
-    assert dt_next <= 0.025
+    assert y_new is None and k_new is None
+    assert factor == 0.5
 
 
 def test_snapshot_times_exact(sv):
