@@ -2,9 +2,11 @@
 velocity sampling, the derived energy budget constants, and the admissibility
 verdict.
 
-Density profiles are reduced to a node table with an exact piecewise-quadratic
-cumulative mass, so the equal-mass cells are found by bisection on a monotone
-function; a constant profile short-circuits to the exact uniform partition.
+Every density profile is reduced to one node table, the exact nodes of its
+piecewise-linear interpolant: a constant profile is the two-node table
+``([0, L], [v, v])``, a table profile is its own table, and a bare callable
+is sampled densely.  The cumulative mass is piecewise quadratic in the
+position, so each equal-mass cell edge is the exact root of one quadratic.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ParticleState, spacing_bounds, sqrt_budget
+from .dynamics import ParticleState, ordered_sum, spacing_bounds, sqrt_budget
 from .errors import InitialDataError
 from .model import FluidModel
 
@@ -33,7 +35,9 @@ PROFILE_KEYS = {
 @dataclass(frozen=True)
 class InitialData:
     """Validated initial profiles plus the norms the budget formulas need.
-    Both profiles map a float array of positions elementwise."""
+    Both profiles map a float array of positions elementwise.  The density
+    is also held as its node table ``(_nodes_x, _nodes_rho)`` with the exact
+    cumulative mass ``_nodes_cum`` at each node."""
 
     rho0: object                 # rho0(x) > 0 on [0, L]
     v0: object                   # v0(0) = v0(L) = 0 exactly
@@ -43,39 +47,24 @@ class InitialData:
     rho0_deriv_sup: float
     rho_min: float
     v0_deriv_l2: float
-    _constant_rho: float | None = None
-    _nodes_x: np.ndarray | None = None
-    _nodes_rho: np.ndarray | None = None
-    _nodes_cum: np.ndarray | None = None
+    _nodes_x: np.ndarray
+    _nodes_rho: np.ndarray
+    _nodes_cum: np.ndarray
 
-    def cumulative_mass(self, x):
-        """Mass between the wall at 0 and position x."""
-        if self._constant_rho is not None:
-            return self._constant_rho * x
-        j = int(np.clip(np.searchsorted(self._nodes_x, x, side="right") - 1,
-                        0, self._nodes_x.size - 2))
-        x0 = self._nodes_x[j]
-        width = self._nodes_x[j + 1] - x0
-        slope = (self._nodes_rho[j + 1] - self._nodes_rho[j]) / width
-        d = x - x0
-        return self._nodes_cum[j] + self._nodes_rho[j] * d + 0.5 * slope * d * d
 
-    def invert_mass(self, target):
-        """Position x with cumulative mass equal to target (bisection on the
-        monotone cumulative, polished to ~1e-14 * L)."""
-        if self._constant_rho is not None:
-            return target / self._constant_rho
-        lo_j = int(np.clip(np.searchsorted(self._nodes_cum, target, side="right") - 1,
-                           0, self._nodes_x.size - 2))
-        lo, hi = self._nodes_x[lo_j], self._nodes_x[lo_j + 1]
-        tol = 1e-14 * self.length
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if self.cumulative_mass(mid) < target:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+def _check_table(xs, values, length, name):
+    """The node table ``(xs, values)`` as float arrays, after checking that
+    they are matching 1-D arrays of at least two nodes and that ``xs``
+    starts at 0, ends at L and is strictly increasing."""
+    xs = np.asarray(xs, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if xs.ndim != 1 or xs.shape != values.shape or xs.size < 2:
+        raise InitialDataError(f"{name} table needs matching 1-D x/value arrays")
+    if xs[0] != 0.0 or not abs(xs[-1] - length) <= 1e-12 * length:
+        raise InitialDataError(f"{name} table must span [0, L]")
+    if not np.all(np.diff(xs) > 0.0):
+        raise InitialDataError(f"{name} table x values must be strictly increasing")
+    return xs, values
 
 
 def _sample(profile, name, xs):
@@ -93,16 +82,19 @@ def _sample(profile, name, xs):
 
 
 def make_initial(model: FluidModel, rho0, v0, v0_deriv_l2=None,
-                 constant_rho=None, nodes=None) -> InitialData:
+                 nodes=None) -> InitialData:
     """Validate profiles and compute (or accept) the norms.
 
     Both profiles are evaluated on the walls ``[0, L]`` first, which checks
     that they map arrays elementwise and that ``v0`` vanishes at the walls.
-    Density norms come from ``constant_rho`` when given, else from the
-    exact table ``nodes=(xs, rho_values)`` when given, else from dense
-    uniform sampling of ``rho0``; the cumulative mass uses the same nodes.
-    ``v0_deriv_l2`` left as None is computed by dense sampling (upper-biased
-    finite differences); the presets supply analytic values.
+    The density table is ``nodes=(xs, rho_values)``, the exact nodes of
+    ``rho0``, when given (``constant_density`` and ``table_profile`` build
+    them); otherwise ``rho0`` is sampled on a dense uniform grid.  The
+    density norms and the cumulative mass come from that table.
+    ``v0_deriv_l2`` left as None is estimated by finite differences on a
+    dense uniform grid, which smooths the kinks of a piecewise-linear
+    profile and so reads slightly low there; pass the exact value when it
+    is known, as the presets and ``initial_from_config`` do.
     """
     L = model.length
     m = model.m
@@ -114,33 +106,19 @@ def make_initial(model: FluidModel, rho0, v0, v0_deriv_l2=None,
             "velocity profile must vanish exactly at both walls; "
             "it is rejected rather than projected")
 
-    if constant_rho is not None:
-        nodes_x = nodes_rho = nodes_cum = None
-        value = float(constant_rho)
-        if value <= 0.0:
-            raise InitialDataError("density must be positive")
-        mass = value * L
-        rho0_sup = rho_min = value
-        rho0_deriv_sup = 0.0
+    if nodes is not None:
+        nodes_x, nodes_rho = _check_table(*nodes, L, "rho0")
     else:
-        if nodes is not None:
-            nodes_x = np.asarray(nodes[0], dtype=float)
-            nodes_rho = np.asarray(nodes[1], dtype=float)
-        else:
-            nodes_x = np.linspace(0.0, L, DENSE_SAMPLES)
-            nodes_rho = _sample(rho0, "rho0", nodes_x)
-        if not np.all(np.isfinite(nodes_rho)) or np.any(nodes_rho <= 0.0):
-            raise InitialDataError(
-                "density samples must be positive and finite "
-                "(the cumulative mass must be strictly increasing)")
-        widths = np.diff(nodes_x)
-        cell_mass = widths * 0.5 * (nodes_rho[:-1] + nodes_rho[1:])
-        nodes_cum = np.concatenate(([0.0], np.cumsum(cell_mass)))
-        mass = float(nodes_cum[-1])
-        slopes = np.diff(nodes_rho) / widths
-        rho0_sup = float(nodes_rho.max())
-        rho_min = float(nodes_rho.min())
-        rho0_deriv_sup = float(np.max(np.abs(slopes))) if slopes.size else 0.0
+        nodes_x = np.linspace(0.0, L, DENSE_SAMPLES)
+        nodes_rho = _sample(rho0, "rho0", nodes_x)
+    if not np.all(np.isfinite(nodes_rho)) or np.any(nodes_rho <= 0.0):
+        raise InitialDataError(
+            "density samples must be positive and finite "
+            "(the cumulative mass must be strictly increasing)")
+    widths = np.diff(nodes_x)
+    cell_mass = widths * 0.5 * (nodes_rho[:-1] + nodes_rho[1:])
+    nodes_cum = np.concatenate(([0.0], np.cumsum(cell_mass)))
+    mass = float(nodes_cum[-1])
 
     if abs(mass - m) > 1e-8 * m:
         raise InitialDataError(
@@ -154,20 +132,21 @@ def make_initial(model: FluidModel, rho0, v0, v0_deriv_l2=None,
 
     return InitialData(
         rho0=rho0, v0=v0, m=m, length=L,
-        rho0_sup=float(rho0_sup), rho0_deriv_sup=float(rho0_deriv_sup),
-        rho_min=float(rho_min), v0_deriv_l2=float(v0_deriv_l2),
-        _constant_rho=(None if constant_rho is None else float(constant_rho)),
+        rho0_sup=float(nodes_rho.max()),
+        rho0_deriv_sup=float(np.max(np.abs(np.diff(nodes_rho) / widths))),
+        rho_min=float(nodes_rho.min()), v0_deriv_l2=float(v0_deriv_l2),
         _nodes_x=nodes_x, _nodes_rho=nodes_rho, _nodes_cum=nodes_cum)
 
 
 # -- profile presets -----------------------------------------------------------
 
 def constant_density(model, value=None):
-    """rho0 identically value (default: the reference density m/L)."""
+    """rho0 identically value (default: the reference density m/L), and its
+    two-node table ``([0, L], [value, value])``."""
     value = model.rho_star if value is None else float(value)
     def rho0(x):
         return value + 0.0 * np.asarray(x, dtype=float)
-    return rho0, value
+    return rho0, (np.array([0.0, model.length]), np.array([value, value]))
 
 
 def sine_velocity(model, amplitude, mode=1):
@@ -190,14 +169,7 @@ def sine_velocity(model, amplitude, mode=1):
 def table_profile(xs, values, length, name):
     """Linear interpolant through (xs, values); xs must start at 0, end at L,
     and be strictly increasing."""
-    xs = np.asarray(xs, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if xs.ndim != 1 or xs.shape != values.shape or xs.size < 2:
-        raise InitialDataError(f"{name} table needs matching 1-D x/value arrays")
-    if xs[0] != 0.0 or abs(xs[-1] - length) > 1e-12 * length:
-        raise InitialDataError(f"{name} table must span [0, L]")
-    if np.any(np.diff(xs) <= 0.0):
-        raise InitialDataError(f"{name} table x values must be strictly increasing")
+    xs, values = _check_table(xs, values, length, name)
 
     def f(x):
         return np.interp(np.asarray(x, dtype=float), xs, values)
@@ -206,34 +178,38 @@ def table_profile(xs, values, length, name):
 
 
 def initial_from_config(model, block):
-    """Build InitialData from the JSON 'initial' block (see cli module)."""
+    """Build InitialData from the JSON 'initial' block (see cli module).
+
+    A table ``v0`` gets the exact slope norm of its interpolant,
+    ``sqrt(sum(dv**2 / dx))`` over the table's segments.
+    """
     rho_block = block["rho0"]
     v_block = block["v0"]
     L = model.length
 
-    kw = {}
     if rho_block["kind"] == "constant":
-        rho0, kw["constant_rho"] = constant_density(model, rho_block.get("value"))
+        rho0, nodes = constant_density(model, rho_block.get("value"))
     elif rho_block["kind"] == "table":
-        rho0 = table_profile(rho_block["x"], rho_block["rho"], L, "rho0")
-        kw["nodes"] = (np.asarray(rho_block["x"], dtype=float),
-                       np.asarray(rho_block["rho"], dtype=float))
+        nodes = (rho_block["x"], rho_block["rho"])
+        rho0 = table_profile(*nodes, L, "rho0")
     else:
         raise InitialDataError(f"unknown rho0 kind {rho_block['kind']!r}")
 
     if v_block["kind"] == "zero":
         def v0(x):
             return 0.0 * np.asarray(x, dtype=float)
-        kw["v0_deriv_l2"] = 0.0
+        deriv_l2 = 0.0
     elif v_block["kind"] == "sine":
-        v0, kw["v0_deriv_l2"] = sine_velocity(model, v_block["amplitude"],
-                                              v_block.get("mode", 1))
+        v0, deriv_l2 = sine_velocity(model, v_block["amplitude"],
+                                     v_block.get("mode", 1))
     elif v_block["kind"] == "table":
         v0 = table_profile(v_block["x"], v_block["v"], L, "v0")
+        deriv_l2 = math.sqrt(ordered_sum(np.diff(v_block["v"]) ** 2
+                                         / np.diff(v_block["x"])))
     else:
         raise InitialDataError(f"unknown v0 kind {v_block['kind']!r}")
 
-    return make_initial(model, rho0, v0, **kw)
+    return make_initial(model, rho0, v0, v0_deriv_l2=deriv_l2, nodes=nodes)
 
 
 # -- particle construction and budgets ------------------------------------------
@@ -242,13 +218,20 @@ def build_particles(model: FluidModel, init: InitialData, n: int) -> ParticleSta
     """Equal-mass partition of the density profile plus velocity sampling.
 
     Interior position i carries cumulative mass m*(n-i)/n from the wall; the
-    cells between neighbours then hold m/n each.
+    cells between neighbours then hold m/n each.  On its table segment
+    ``[x_j, x_{j+1}]`` the position is the exact root of the quadratic
+    cumulative mass, ``x_j + 2r / (rho_j + sqrt(rho_j**2 + 2*slope*r))``
+    with ``r`` the mass past ``x_j``: the square root is the density at the
+    root, so no digits cancel, and a zero slope gives exactly ``r/rho_j``.
     """
     if n < 2:
         raise InitialDataError(f"need n >= 2 packets, got {n}")
-    x = np.empty(n - 1)
-    for i in range(1, n):
-        x[i - 1] = init.invert_mass(init.m * (n - i) / n)
+    xs, rho, cum = init._nodes_x, init._nodes_rho, init._nodes_cum
+    target = init.m * np.arange(n - 1, 0, -1) / n
+    j = np.clip(np.searchsorted(cum, target, side="right") - 1, 0, xs.size - 2)
+    slope = (rho[j + 1] - rho[j]) / (xs[j + 1] - xs[j])
+    r = target - cum[j]
+    x = xs[j] + 2.0 * r / (rho[j] + np.sqrt(rho[j] * rho[j] + 2.0 * slope * r))
     v = np.asarray(init.v0(x), dtype=float)
     return ParticleState(n=n, t=0.0, x=x, v=v)
 

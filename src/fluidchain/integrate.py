@@ -53,15 +53,16 @@ class IntegratorConfig:
     snapshot_dt: float = 0.01
 
     def __post_init__(self):
-        if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
+        # written as not (x > 0) so that NaN fails every test
+        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
             raise ValueError("tolerances must be positive")
-        if self.snapshot_dt <= 0.0:
-            raise ValueError("snapshot_dt must be positive")
-        if self.dt_init is not None and self.dt_init <= 0.0:
-            raise ValueError("dt_init must be positive")
+        if not 0.0 < self.snapshot_dt < math.inf:
+            raise ValueError("snapshot_dt must be positive and finite")
+        if self.dt_init is not None and not 0.0 < self.dt_init < math.inf:
+            raise ValueError("dt_init must be positive and finite")
         if not self.dt_max > 0.0:
             raise ValueError("dt_max must be positive")
-        if self.max_steps < 1:
+        if not self.max_steps >= 1:
             raise ValueError("max_steps must be at least 1")
 
 

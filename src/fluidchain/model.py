@@ -311,12 +311,6 @@ class FluidModel:
         return self._quad(lambda t: float(self.pressure(t)) / t ** 2,
                           self.rho_star, self.m / float(s))
 
-    def spacing_potential_prime(self, s):
-        """Slope of the spacing potential, -P(m/s)/m < 0."""
-        _require_positive_density(s, what="cell width")
-        out = self.force_and_gain(np.asarray(s, dtype=float))[0]
-        return out if np.ndim(s) else float(out)
-
     def damping_potential(self, s):
         """Antiderivative of the viscous coupling gain, -k(m/s)/m; strictly
         increasing and zero at s = L."""
@@ -332,12 +326,13 @@ class FluidModel:
         return out if np.ndim(s) else float(out)
 
     def force_and_gain(self, s):
-        """Pressure force -P(m/s)/m and viscous coupling gain mu(m/s)/(m*s)
-        of a float array of scaled cell widths, from one density m/s.
+        """Pressure force -P(m/s)/m, the slope of :meth:`spacing_potential`,
+        and viscous coupling gain mu(m/s)/(m*s) of a float array of scaled
+        cell widths, from one density m/s.
 
         Performs no validation: every width must already be known positive
-        and finite.  :meth:`spacing_potential_prime` and
-        :meth:`damping_gain` are the checked entry points.
+        and finite.  :meth:`damping_gain` is the checked entry point of the
+        gain; the equations of motion check the widths they pass here.
         """
         rho = self.m / s
         return -self.pressure(rho) / self.m, self.viscosity(rho) / (self.m * s)

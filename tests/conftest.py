@@ -41,20 +41,19 @@ def any_model(request):
 
 
 def equilibrium_initial(model):
-    rho0, value = fc.constant_density(model)
+    rho0, nodes = fc.constant_density(model)
 
     def v0(x):
         return 0.0 * np.asarray(x, dtype=float)
 
-    return fc.make_initial(model, rho0, v0, constant_rho=value, v0_deriv_l2=0.0)
+    return fc.make_initial(model, rho0, v0, v0_deriv_l2=0.0, nodes=nodes)
 
 
 def perturbed_initial(model, amplitude=0.1, mode=1):
     """Constant density plus a sine velocity kick."""
-    rho0, value = fc.constant_density(model)
+    rho0, nodes = fc.constant_density(model)
     v0, deriv_l2 = fc.sine_velocity(model, amplitude, mode)
-    return fc.make_initial(model, rho0, v0, constant_rho=value,
-                           v0_deriv_l2=deriv_l2)
+    return fc.make_initial(model, rho0, v0, v0_deriv_l2=deriv_l2, nodes=nodes)
 
 
 def multiharmonic_initial(model):

@@ -43,14 +43,14 @@ def test_rhs_rejects_disordered_state(sv):
 
 
 def test_rhs_kernel_matches_checked_public_laws(any_model):
-    # the unchecked force/gain kernel must reproduce, bit for bit, the
-    # difference formula built from the validated public methods
+    # the equations of motion must reproduce, bit for bit, the difference
+    # formula built from the force law and the checked public gain
     rng = np.random.default_rng(5)
     for n in (2, 7, 32):
         state = random_state(any_model, n, rng)
         dx, dv = rhs_arrays(any_model, n, state.x, state.v)
         s = n * fc.dynamics.gaps_from_interior(any_model.length, state.x)
-        force = any_model.spacing_potential_prime(s)
+        force = any_model.force_and_gain(s)[0]
         gain = any_model.damping_gain(s)
         full_v = np.concatenate(([0.0], state.v, [0.0]))
         dvel = full_v[:-1] - full_v[1:]

@@ -49,9 +49,9 @@ def test_linear_profile_partition_against_bisection_oracle(sv):
 
 
 def test_velocity_sampling_at_uniform_nodes(sv):
-    rho0, value = fc.constant_density(sv)
+    rho0, nodes = fc.constant_density(sv)
     v0, deriv = fc.sine_velocity(sv, 1.0, 1)
-    init = fc.make_initial(sv, rho0, v0, constant_rho=value, v0_deriv_l2=deriv)
+    init = fc.make_initial(sv, rho0, v0, v0_deriv_l2=deriv, nodes=nodes)
     state = fc.build_particles(sv, init, 4)
     assert state.v == pytest.approx([math.sin(3 * math.pi / 4),
                                      math.sin(math.pi / 2),
@@ -105,9 +105,9 @@ def test_budget_constants_perturbed(sv):
 
 def test_sampled_norms_match_analytic(sv):
     # same data without the analytic norm overrides: dense sampling
-    rho0, value = fc.constant_density(sv)
+    rho0, nodes = fc.constant_density(sv)
     v0, deriv = fc.sine_velocity(sv, 0.1, 1)
-    init = fc.make_initial(sv, rho0, v0, constant_rho=value)
+    init = fc.make_initial(sv, rho0, v0, nodes=nodes)
     assert init.v0_deriv_l2 == pytest.approx(deriv, rel=1e-6)
     init_mh = multiharmonic_initial(sv)
     assert init_mh.rho0_sup == pytest.approx(float(np.max(init_mh._nodes_rho)))
@@ -166,29 +166,30 @@ def test_mass_normalisation_rejected(sv):
         return 0.0 * np.asarray(x, dtype=float)
 
     with pytest.raises(InitialDataError):
-        fc.make_initial(sv, rho0, v0, constant_rho=1.1, v0_deriv_l2=0.0)
+        fc.make_initial(sv, rho0, v0, v0_deriv_l2=0.0,
+                        nodes=([0.0, 1.0], [1.1, 1.1]))
 
 
 def test_velocity_endpoints_must_vanish(sv):
-    rho0, value = fc.constant_density(sv)
+    rho0, nodes = fc.constant_density(sv)
 
     def bad_v0(x):
         return 0.1 + 0.0 * np.asarray(x, dtype=float)
 
     with pytest.raises(InitialDataError):
-        fc.make_initial(sv, rho0, bad_v0, constant_rho=value)
+        fc.make_initial(sv, rho0, bad_v0, nodes=nodes)
 
 
 def test_scalar_profiles_are_rejected(sv):
     # profiles must map float arrays of positions elementwise; a scalar-only
     # profile, or one that ignores the shape of its argument, is rejected by
-    # make_initial whichever route the density norms take
-    rho0, value = fc.constant_density(sv)
+    # make_initial whether or not the density table is given
+    rho0, nodes = fc.constant_density(sv)
     v0, deriv_l2 = fc.sine_velocity(sv, 0.1)
     scalar_v0 = lambda x: 0.1 * math.sin(math.pi * x)
     cases = [
-        dict(rho0=rho0, v0=scalar_v0, constant_rho=value, v0_deriv_l2=deriv_l2),
-        dict(rho0=lambda x: float(x), v0=v0, constant_rho=value, v0_deriv_l2=deriv_l2),
+        dict(rho0=rho0, v0=scalar_v0, v0_deriv_l2=deriv_l2, nodes=nodes),
+        dict(rho0=lambda x: float(x), v0=v0, v0_deriv_l2=deriv_l2, nodes=nodes),
         dict(rho0=lambda x: 1.0, v0=v0, v0_deriv_l2=deriv_l2),
         dict(rho0=lambda x: 1.0 + 0.0 * float(x), v0=v0, v0_deriv_l2=deriv_l2,
              nodes=([0.0, 1.0], [1.0, 1.0])),
@@ -205,6 +206,36 @@ def test_negative_density_samples_rejected(sv):
         fc.make_initial(sv, fc.table_profile(xt, rt, 1.0, "rho0"),
                         lambda x: 0.0 * np.asarray(x, dtype=float),
                         v0_deriv_l2=0.0, nodes=(xt, rt))
+
+
+@pytest.mark.parametrize("xt, rt, match", [
+    ([0.0, 0.5], [2.0, 2.0], "span"),                       # stops short of L
+    ([0.0, 0.5, 0.5, 1.0], [1.0, 1.0, 1.0, 1.0], "increasing"),
+    ([0.0, 0.25, 0.75, 0.5, 1.0], [1.0] * 5, "increasing"),
+    ([0.0, float("nan"), 1.0], [1.0, 1.0, 1.0], "increasing"),
+    ([0.1, 1.0], [1.0, 1.0], "span"),
+    ([0.0, 1.0 + 1e-9], [1.0, 1.0], "span"),
+    ([0.0], [1.0], "matching"),
+    ([0.0, 1.0], [1.0, 1.0, 1.0], "matching"),
+    ([[0.0, 1.0]], [[1.0, 1.0]], "matching"),
+])
+def test_node_tables_are_checked(sv, xt, rt, match):
+    # table_profile and the nodes of make_initial share one table check
+    with pytest.raises(InitialDataError, match=match):
+        fc.table_profile(xt, rt, sv.length, "rho0")
+    rho0, _ = fc.constant_density(sv)
+    with pytest.raises(InitialDataError, match=match):
+        fc.make_initial(sv, rho0, lambda x: 0.0 * np.asarray(x, dtype=float),
+                        v0_deriv_l2=0.0, nodes=(xt, rt))
+
+
+def test_table_velocity_gets_exact_slope_norm(sv):
+    xt = [0.0, 0.2, 0.7, 1.0]
+    vt = [0.0, 0.05, -0.03, 0.0]
+    block = {"rho0": {"kind": "constant"}, "v0": {"kind": "table", "x": xt, "v": vt}}
+    exact = math.sqrt(sum((vt[k + 1] - vt[k]) ** 2 / (xt[k + 1] - xt[k])
+                          for k in range(3)))
+    assert fc.initial_from_config(sv, block).v0_deriv_l2 == pytest.approx(exact, rel=1e-15)
 
 
 def test_initial_from_config_matches_factories(sv):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,16 @@ def test_config_validation():
         fc.IntegratorConfig(snapshot_dt=-0.1)
     with pytest.raises(ValueError):
         fc.IntegratorConfig(dt_init=0.0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("rel_tol", math.nan), ("abs_tol", math.nan), ("snapshot_dt", math.nan),
+    ("dt_init", math.nan), ("dt_max", math.nan), ("max_steps", math.nan),
+    ("snapshot_dt", math.inf), ("dt_init", math.inf),
+])
+def test_config_rejects_nan_and_infinite(field, value):
+    with pytest.raises(ValueError):
+        fc.IntegratorConfig(**{field: value})
 
 
 def test_equilibrium_is_a_fixed_point(sv):

@@ -55,3 +55,33 @@ def test_structure_holds_for_admissible_draws(sv, isentropic, ideal,
     assert again.diagnostics == series.diagnostics
     for a, b in zip(again.states, series.states):
         assert np.array_equal(a.x, b.x) and np.array_equal(a.v, b.v)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(log_rho=st.lists(st.floats(0.0, 2.0), min_size=2, max_size=40),
+       widths=st.lists(st.floats(0.1, 1.0), min_size=39, max_size=39),
+       log_m=st.floats(-1.0, 1.0), log_length=st.floats(-1.0, 1.0),
+       n=st.integers(2, 400))
+def test_partition_is_equal_mass_over_drawn_tables(log_rho, widths, log_m,
+                                                   log_length, n):
+    # densities over two decades on 2-40 uneven nodes, scaled to mass m
+    m, length = 10.0 ** log_m, 10.0 ** log_length
+    model = fc.FluidModel.saint_venant(g=9.81, nu=1.0, m=m, length=length)
+    steps = np.asarray(widths[:len(log_rho) - 1])
+    xt = np.concatenate(([0.0], length * np.cumsum(steps)[:-1] / steps.sum(), [length]))
+    rt = 10.0 ** np.asarray(log_rho)
+    rt *= m / np.sum(np.diff(xt) * 0.5 * (rt[:-1] + rt[1:]))
+    init = fc.make_initial(model, fc.table_profile(xt, rt, length, "rho0"),
+                           lambda x: 0.0 * np.asarray(x, dtype=float),
+                           v0_deriv_l2=0.0, nodes=(xt, rt))
+    x = fc.build_particles(model, init, n).x
+    assert np.all(gaps_from_interior(length, x) > 0.0)
+
+    # exact cell masses of the piecewise-linear density: trapezoids on the
+    # merged grid of nodes and particles, binned by the cell they lie in
+    grid = np.union1d(xt, x)
+    rho = np.interp(grid, xt, rt)
+    pieces = np.diff(grid) * 0.5 * (rho[:-1] + rho[1:])
+    cell = np.searchsorted(x[::-1], grid[:-1], side="right")
+    cell_mass = np.bincount(cell, weights=pieces, minlength=n)
+    assert np.max(np.abs(cell_mass - m / n)) <= 1e-13 * m
