@@ -256,7 +256,7 @@ def _write_simulation_artifacts(model, series, out_dir, grid_size):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    # the grid ReconstructedField.sample uses, the same for every snapshot
+    # one uniform grid of grid_size points, the same for every snapshot
     grid = np.linspace(0.0, model.length, grid_size)
     x_col = _fmt_floats(grid)
     i_col = [str(i) for i in range(series.states[0].n + 1)]
@@ -362,11 +362,7 @@ def _cmd_validate(cfg, out_dir):
     state0 = build_particles(model, init, cfg.n)
     series = simulate(model, state0, cfg.horizon, cfg.integrator)
 
-    reports = []
-    for tf in checks.test_function_library(model.length, cfg.horizon):
-        fn = (checks.continuity_residual if tf.kind == "continuity"
-              else checks.momentum_residual)
-        reports.append(fn(model, series, init, tf))
+    reports = checks.residuals(model, series, init)
     decay = checks.decay_report(series, w_budget=w_bar)
     envelope = checks.envelope_check(model, series)
 

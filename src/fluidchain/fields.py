@@ -53,11 +53,6 @@ class ReconstructedField:
     def v(self, x):
         return self._interp(self.asc_v, x)
 
-    def sample(self, size=512):
-        """Uniform-grid samples (x, rho, v) for export."""
-        grid = np.linspace(0.0, self.length, size)
-        return grid, np.asarray(self.rho(grid)), np.asarray(self.v(grid))
-
 
 def reconstruct(model: FluidModel, state: ParticleState) -> ReconstructedField:
     """Build the piecewise-linear fields for a state; DomainError unless it

@@ -143,21 +143,16 @@ def test_criterion_05_weak_form_residuals(sv, rate_runs, equilibrium_run):
     init, runs = rate_runs
     bad = []
     ratio_report = []
-    for tf in checks.test_function_library(sv.length, RATE_T):
-        fn = (checks.continuity_residual if tf.kind == "continuity"
-              else checks.momentum_residual)
-        values = {n: fn(sv, runs[n], init, tf).value for n in (8, 16, 32, 64)}
-        ratios = [abs(values[n]) / abs(values[2 * n]) for n in (8, 16, 32)]
-        ratio_report.append(f"{tf.name} " + "/".join(f"{r:.2f}" for r in ratios))
+    reports = {n: checks.residuals(sv, runs[n], init) for n in (8, 16, 32, 64)}
+    for k, name in enumerate(r.test_function for r in reports[8]):
+        ratios = [abs(reports[n][k].value) / abs(reports[2 * n][k].value)
+                  for n in (8, 16, 32)]
+        ratio_report.append(f"{name} " + "/".join(f"{r:.2f}" for r in ratios))
         if not all(RATIO_LO <= r <= RATIO_HI for r in ratios):
-            bad.append(tf.name)
+            bad.append(name)
 
     eq_init, _, eq_series, _ = equilibrium_run
-    worst_eq = 0.0
-    for tf in checks.test_function_library(sv.length, 1.0):
-        fn = (checks.continuity_residual if tf.kind == "continuity"
-              else checks.momentum_residual)
-        worst_eq = max(worst_eq, abs(fn(sv, eq_series, eq_init, tf).value))
+    worst_eq = max(abs(r.value) for r in checks.residuals(sv, eq_series, eq_init))
     ok = not bad and worst_eq <= 1e-8
     _verdict(5, "weak-form-residuals", ok,
              f"ratios [{'; '.join(ratio_report)}], "

@@ -23,47 +23,90 @@ def perturbed_series(sv):
     return init, fc.simulate(sv, state0, 0.5, fc.IntegratorConfig(snapshot_dt=0.025))
 
 
+# the library as each member once spelled out phi, phi_t and phi_x for a
+# given horizon T; the separable members must reproduce these formulas
+def _reference_library(L, T):
+    def sine(mode):
+        w = mode * math.pi / L
+        return (lambda t, x: (1.0 - t / T) * np.sin(w * x),
+                lambda t, x: -np.sin(w * x) / T,
+                lambda t, x: (1.0 - t / T) * w * np.cos(w * x))
+
+    def hump_u(x):
+        return x / L
+
+    w = math.pi / L
+    return {
+        **{f"continuity_sine{k}": sine(k) for k in (1, 2, 3)},
+        "continuity_parabola": (lambda t, x: (1.0 - t / T) * x ** 2,
+                                lambda t, x: -x ** 2 / T,
+                                lambda t, x: (1.0 - t / T) * 2.0 * x),
+        "momentum_hump": (
+            lambda t, x: (1.0 - t / T) * hump_u(x) * (1.0 - hump_u(x)) ** 2,
+            lambda t, x: -hump_u(x) * (1.0 - hump_u(x)) ** 2 / T,
+            lambda t, x: (1.0 - t / T) * (1.0 - hump_u(x)) * (1.0 - 3.0 * hump_u(x)) / L),
+        "momentum_sine_sq": (
+            lambda t, x: (1.0 - t / T) * np.sin(w * x) ** 2 * (1.0 - x / L),
+            lambda t, x: -np.sin(w * x) ** 2 * (1.0 - x / L) / T,
+            lambda t, x: (1.0 - t / T) * (2.0 * np.sin(w * x) * np.cos(w * x) * w
+                                          * (1.0 - x / L) - np.sin(w * x) ** 2 / L)),
+    }
+
+
+def test_library_matches_reference_formulas():
+    L, T = 1.3, 0.7
+    rng = np.random.default_rng(2)
+    ts = rng.uniform(0.0, T, 1000)
+    xs = rng.uniform(0.0, L, 1000)
+    library = checks.test_function_library(L)
+    reference = _reference_library(L, T)
+    assert [tf.name for tf in library] == list(reference)
+    for tf in library:
+        phi, phi_t, phi_x = reference[tf.name]
+        got_t, got_x = tf.derivatives(ts, T, xs)
+        assert np.array_equal(got_t, phi_t(ts, xs))
+        assert np.allclose((1.0 - ts / T) * tf.shape(xs), phi(ts, xs), rtol=1e-15, atol=1e-15)
+        assert np.allclose(got_x, phi_x(ts, xs), rtol=1e-15, atol=1e-15)
+
+
 def test_library_members_satisfy_constraints():
-    # every member vanishes at the final time; momentum members also vanish
-    # at both walls, with zero slope at the ghost wall, at all times
-    rng = np.random.default_rng(0)
-    ts = rng.uniform(0.0, 0.7, 1000)
-    xs = rng.uniform(0.0, 1.0, 1000)
-    for tf in checks.test_function_library(1.0, 0.7):
-        assert np.max(np.abs(tf.phi(0.7, xs))) <= 1e-13
+    # every member's phi_x vanishes at the final time; momentum members also
+    # vanish at both walls, with zero slope at the ghost wall
+    xs = np.random.default_rng(0).uniform(0.0, 1.0, 1000)
+    walls = np.array([0.0, 1.0])
+    for tf in checks.test_function_library(1.0):
+        assert np.max(np.abs(tf.derivatives(0.7, 0.7, xs)[1])) == 0.0
         if tf.kind == "momentum":
-            for probe in (tf.phi(ts, 0.0), tf.phi(ts, 1.0), tf.phi_x(ts, 1.0)):
+            for probe in (tf.shape(walls), tf.slope(walls[1:])):
                 assert np.max(np.abs(probe)) <= 1e-13
 
 
 def test_library_derivatives_match_finite_differences():
     h = 1e-7
-    rng = np.random.default_rng(1)
-    for tf in checks.test_function_library(1.0, 0.7):
-        for _ in range(20):
-            t = rng.uniform(0.0, 0.7)
-            x = rng.uniform(0.05, 0.95)
-            fd_t = (tf.phi(t + h, x) - tf.phi(t - h, x)) / (2 * h)
-            fd_x = (tf.phi(t, x + h) - tf.phi(t, x - h)) / (2 * h)
-            assert float(tf.phi_t(t, x)) == pytest.approx(float(fd_t), rel=1e-5, abs=1e-9)
-            assert float(tf.phi_x(t, x)) == pytest.approx(float(fd_x), rel=1e-5, abs=1e-9)
+    xs = np.random.default_rng(1).uniform(0.05, 0.95, 20)
+    for tf in checks.test_function_library(1.0):
+        fd = (tf.shape(xs + h) - tf.shape(xs - h)) / (2 * h)
+        assert np.allclose(tf.slope(xs), fd, rtol=1e-5, atol=1e-9)
 
 
 def _combine(alpha, tf_a, beta, tf_b):
     """alpha*tf_a + beta*tf_b; admissible by linearity."""
 
     def lin(fa, fb):
-        return lambda t, x: alpha * fa(t, x) + beta * fb(t, x)
+        return lambda x: alpha * fa(x) + beta * fb(x)
 
-    return checks.TestFunction(
-        name="combination", kind=tf_a.kind, horizon=tf_a.horizon,
-        phi=lin(tf_a.phi, tf_b.phi), phi_t=lin(tf_a.phi_t, tf_b.phi_t),
-        phi_x=lin(tf_a.phi_x, tf_b.phi_x))
+    return checks.TestFunction(name="combination", kind=tf_a.kind,
+                               shape=lin(tf_a.shape, tf_b.shape),
+                               slope=lin(tf_a.slope, tf_b.slope))
+
+
+def _library(length=1.0):
+    return {tf.name: tf for tf in checks.test_function_library(length)}
 
 
 def test_zero_test_function_gives_zero_residual(sv, perturbed_series):
     init, series = perturbed_series
-    base = checks.sine_test_function(1.0, series.times[-1], 1)
+    base = _library()["continuity_sine1"]
     zero = _combine(0.0, base, 0.0, base)
     report = checks.continuity_residual(sv, series, init, zero)
     assert report.value == 0.0
@@ -71,19 +114,19 @@ def test_zero_test_function_gives_zero_residual(sv, perturbed_series):
 
 def test_residual_linearity(sv, perturbed_series):
     init, series = perturbed_series
-    horizon = series.times[-1]
+    library = _library()
     alpha, beta = 1.7, -0.4
 
-    tf_a = checks.sine_test_function(1.0, horizon, 1)
-    tf_b = checks.parabola_test_function(1.0, horizon)
+    tf_a = library["continuity_sine1"]
+    tf_b = library["continuity_parabola"]
     combo = _combine(alpha, tf_a, beta, tf_b)
     r_a = checks.continuity_residual(sv, series, init, tf_a).value
     r_b = checks.continuity_residual(sv, series, init, tf_b).value
     r_c = checks.continuity_residual(sv, series, init, combo).value
     assert r_c == pytest.approx(alpha * r_a + beta * r_b, rel=1e-10, abs=1e-14)
 
-    tf_a = checks.hump_test_function(1.0, horizon)
-    tf_b = checks.sine_sq_test_function(1.0, horizon)
+    tf_a = library["momentum_hump"]
+    tf_b = library["momentum_sine_sq"]
     combo = _combine(alpha, tf_a, beta, tf_b)
     r_a = checks.momentum_residual(sv, series, init, tf_a).value
     r_b = checks.momentum_residual(sv, series, init, tf_b).value
@@ -96,28 +139,44 @@ def test_equilibrium_residuals_vanish(sv, eq_series):
     # scales like n^-6; at this n=8 smoke scale that allows ~1e-7 (the
     # acceptance suite enforces 1e-8 at n=32)
     init, series = eq_series
-    for tf in checks.test_function_library(1.0, series.times[-1]):
-        fn = (checks.continuity_residual if tf.kind == "continuity"
-              else checks.momentum_residual)
-        assert abs(fn(sv, series, init, tf).value) <= 1e-7
+    for report in checks.residuals(sv, series, init):
+        assert abs(report.value) <= 1e-7
 
 
-def test_residual_kind_and_horizon_checked(sv, perturbed_series):
+def test_residuals_equal_direct_calls(sv, perturbed_series):
     init, series = perturbed_series
-    wrong_kind = checks.hump_test_function(1.0, series.times[-1])
+    direct = [checks.continuity_residual(sv, series, init, tf) if tf.kind == "continuity"
+              else checks.momentum_residual(sv, series, init, tf)
+              for tf in checks.test_function_library(sv.length)]
+    assert checks.residuals(sv, series, init) == direct
+
+
+def test_residuals_call_the_module_bindings(sv, perturbed_series, monkeypatch):
+    # a tracer counts residual evaluations by rebinding these module names
+    init, series = perturbed_series
+    calls = []
+    original = checks.continuity_residual
+
+    def counted(*args):
+        calls.append(args[3].name)
+        return original(*args)
+
+    monkeypatch.setattr(checks, "continuity_residual", counted)
+    checks.residuals(sv, series, init)
+    assert calls == [f"continuity_sine{k}" for k in (1, 2, 3)] + ["continuity_parabola"]
+
+
+def test_residual_kind_checked(sv, perturbed_series):
+    init, series = perturbed_series
     with pytest.raises(ValueError):
-        checks.continuity_residual(sv, series, init, wrong_kind)
-    wrong_horizon = checks.sine_test_function(1.0, 2.0, 1)
-    with pytest.raises(ValueError):
-        checks.continuity_residual(sv, series, init, wrong_horizon)
+        checks.continuity_residual(sv, series, init, _library()["momentum_hump"])
 
 
 def test_coarse_cadence_flags_inconclusive(sv):
     init = perturbed_initial(sv, 0.1)
     state0 = fc.build_particles(sv, init, 8)
     series = fc.simulate(sv, state0, 0.2, fc.IntegratorConfig(snapshot_dt=0.1))
-    tf = checks.sine_test_function(1.0, 0.2, 1)
-    report = checks.continuity_residual(sv, series, init, tf)
+    report = checks.continuity_residual(sv, series, init, _library()["continuity_sine1"])
     assert report.inconclusive
     assert math.isnan(report.quad_error)
 

@@ -106,6 +106,9 @@ def test_continuous_energy_against_fine_sampling(sv):
 
 def test_grid_export(sv):
     field = fc.reconstruct(sv, fc.equilibrium_state(sv, 4))
-    grid, rho, vel = field.sample(64)
-    assert grid.shape == rho.shape == vel.shape == (64,)
-    assert grid[0] == 0.0 and grid[-1] == sv.length
+    grid = np.linspace(0.0, sv.length, 64)
+    rho, vel = field.rho(grid), field.v(grid)
+    # both walls are queried: the grid includes x = 0 and x = L
+    assert rho.shape == vel.shape == (64,)
+    assert np.allclose(rho, sv.m / sv.length, rtol=1e-13, atol=0.0)
+    assert np.all(vel == 0.0)

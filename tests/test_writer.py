@@ -42,7 +42,8 @@ def reference_artifacts(series, grid_size):
         for i in range(field.n + 1):
             particle_rows.append((t, i, field.edges[i], field.v_nodes[i],
                                   field.rho_nodes[i]))
-        grid, rho, vel = field.sample(grid_size)
+        grid = np.linspace(0.0, field.length, grid_size)
+        rho, vel = field.rho(grid), field.v(grid)
         for x, r, v in zip(grid, rho, vel):
             field_rows.append((t, x, r, v))
         diag_rows.append((t, diag.e_n, diag.w_n, diag.z_n, diag.h_n,
