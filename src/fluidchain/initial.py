@@ -217,8 +217,9 @@ def initial_from_config(model, block):
 def build_particles(model: FluidModel, init: InitialData, n: int) -> ParticleState:
     """Equal-mass partition of the density profile plus velocity sampling.
 
-    Interior position i carries cumulative mass m*(n-i)/n from the wall; the
-    cells between neighbours then hold m/n each.  On its table segment
+    Interior position i carries cumulative mass M*(n-i)/n from the wall,
+    with M the table's own mass (within 1e-8 of m); the cells between
+    neighbours then hold M/n each, so no cell absorbs the table's defect.  On its table segment
     ``[x_j, x_{j+1}]`` the position is the exact root of the quadratic
     cumulative mass, ``x_j + 2r / (rho_j + sqrt(rho_j**2 + 2*slope*r))``
     with ``r`` the mass past ``x_j``: the square root is the density at the
@@ -227,7 +228,7 @@ def build_particles(model: FluidModel, init: InitialData, n: int) -> ParticleSta
     if n < 2:
         raise InitialDataError(f"need n >= 2 packets, got {n}")
     xs, rho, cum = init._nodes_x, init._nodes_rho, init._nodes_cum
-    target = init.m * np.arange(n - 1, 0, -1) / n
+    target = cum[-1] * np.arange(n - 1, 0, -1) / n
     j = np.clip(np.searchsorted(cum, target, side="right") - 1, 0, xs.size - 2)
     slope = (rho[j + 1] - rho[j]) / (xs[j + 1] - xs[j])
     r = target - cum[j]
