@@ -218,12 +218,12 @@ def build_particles(model: FluidModel, init: InitialData, n: int) -> ParticleSta
     """Equal-mass partition of the density profile plus velocity sampling.
 
     Interior position i carries cumulative mass M*(n-i)/n from the wall,
-    with M the table's own mass (within 1e-8 of m); the cells between
-    neighbours then hold M/n each, so no cell absorbs the table's defect.  On its table segment
-    ``[x_j, x_{j+1}]`` the position is the exact root of the quadratic
-    cumulative mass, ``x_j + 2r / (rho_j + sqrt(rho_j**2 + 2*slope*r))``
-    with ``r`` the mass past ``x_j``: the square root is the density at the
-    root, so no digits cancel, and a zero slope gives exactly ``r/rho_j``.
+    with M the table's own mass (within 1e-8 of m), so every cell holds M/n.
+    On its table segment ``[x_j, x_{j+1}]`` the position is the exact root
+    of the quadratic cumulative mass,
+    ``x_j + 2r / (rho_j + sqrt(rho_j**2 + 2*slope*r))`` with ``r`` the mass
+    past ``x_j``: the square root is the density at the root, so no digits
+    cancel, and a zero slope gives exactly ``r/rho_j``.
     """
     if n < 2:
         raise InitialDataError(f"need n >= 2 packets, got {n}")

@@ -23,8 +23,8 @@ def perturbed_series(sv):
     return init, fc.simulate(sv, state0, 0.5, fc.IntegratorConfig(snapshot_dt=0.025))
 
 
-# the library as each member once spelled out phi, phi_t and phi_x for a
-# given horizon T; the separable members must reproduce these formulas
+# reference: each member's phi, phi_t and phi_x written out in full for a
+# horizon T, which the separable (1 - t/T) * shape(x) form must reproduce
 def _reference_library(L, T):
     def sine(mode):
         w = mode * math.pi / L
@@ -145,9 +145,10 @@ def test_equilibrium_residuals_vanish(sv, eq_series):
 
 def test_residuals_equal_direct_calls(sv, perturbed_series):
     init, series = perturbed_series
-    direct = [checks.continuity_residual(sv, series, init, tf) if tf.kind == "continuity"
-              else checks.momentum_residual(sv, series, init, tf)
-              for tf in checks.test_function_library(sv.length)]
+    library = checks.test_function_library(sv.length)
+    assert [tf.kind for tf in library] == ["continuity"] * 4 + ["momentum"] * 2
+    direct = [checks.continuity_residual(sv, series, init, tf) for tf in library[:4]]
+    direct += [checks.momentum_residual(sv, series, init, tf) for tf in library[4:]]
     assert checks.residuals(sv, series, init) == direct
 
 
