@@ -2,11 +2,11 @@
 velocity sampling, the derived energy budget constants, and the admissibility
 verdict.
 
-Every density profile is reduced to one node table, the exact nodes of its
-piecewise-linear interpolant: a constant profile is the two-node table
-``([0, L], [v, v])``, a table profile is its own table, and a bare callable
-is sampled densely.  The cumulative mass is piecewise quadratic in the
-position, so each equal-mass cell edge is the exact root of one quadratic.
+The density is given once, as a node table: the initial density is the
+piecewise-linear interpolant of its nodes, and a constant profile is the
+two-node table ``([0, L], [v, v])``.  The cumulative mass is piecewise
+quadratic in the position, so each equal-mass cell edge is the exact root of
+one quadratic.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .dynamics import ParticleState, ordered_sum, spacing_bounds, sqrt_budget
 from .errors import InitialDataError
 from .model import FluidModel
 
-DENSE_SAMPLES = 100_001
 GAIN_SAMPLES = 10_000
 
 # profile -> kind -> (required keys, optional keys) of its config block,
@@ -35,14 +34,11 @@ PROFILE_KEYS = {
 @dataclass(frozen=True)
 class InitialData:
     """Validated initial profiles plus the norms the budget formulas need.
-    Both profiles map a float array of positions elementwise.  The density
-    is also held as its node table ``(_nodes_x, _nodes_rho)`` with the exact
-    cumulative mass ``_nodes_cum`` at each node."""
+    The density is held as its node table ``(_nodes_x, _nodes_rho)`` with
+    the exact cumulative mass ``_nodes_cum`` at each node; ``v0`` maps a
+    float array of positions elementwise."""
 
-    rho0: object                 # rho0(x) > 0 on [0, L]
     v0: object                   # v0(0) = v0(L) = 0 exactly
-    m: float
-    length: float
     rho0_sup: float
     rho0_deriv_sup: float
     rho_min: float
@@ -50,6 +46,11 @@ class InitialData:
     _nodes_x: np.ndarray
     _nodes_rho: np.ndarray
     _nodes_cum: np.ndarray
+
+    def rho0(self, x):
+        """The initial density at the positions ``x``: the linear interpolant
+        of the node table, positive on [0, L]."""
+        return np.interp(x, self._nodes_x, self._nodes_rho)
 
 
 def _check_table(xs, values, length, name):
@@ -81,36 +82,25 @@ def _sample(profile, name, xs):
     return out
 
 
-def make_initial(model: FluidModel, rho0, v0, v0_deriv_l2=None,
-                 nodes=None) -> InitialData:
-    """Validate profiles and compute (or accept) the norms.
+def make_initial(model: FluidModel, nodes, v0, v0_deriv_l2) -> InitialData:
+    """Validate the initial data and derive the density norms.
 
-    Both profiles are evaluated on the walls ``[0, L]`` first, which checks
-    that they map arrays elementwise and that ``v0`` vanishes at the walls.
-    The density table is ``nodes=(xs, rho_values)``, the exact nodes of
-    ``rho0``, when given (``constant_density`` and ``table_profile`` build
-    them); otherwise ``rho0`` is sampled on a dense uniform grid.  The
-    density norms and the cumulative mass come from that table.
-    ``v0_deriv_l2`` left as None is estimated by finite differences on a
-    dense uniform grid, which smooths the kinks of a piecewise-linear
-    profile and so reads slightly low there; pass the exact value when it
-    is known, as the presets and ``initial_from_config`` do.
+    ``nodes=(xs, rho_values)`` is the density's node table (its linear
+    interpolant is the density; ``constant_density`` builds the two-node
+    table of a constant): 1-D, from 0 to L, strictly increasing in ``xs``,
+    with positive finite values integrating to the model's mass.  ``v0`` is
+    evaluated on the walls ``[0, L]``, which checks that it maps arrays
+    elementwise and vanishes there.  ``v0_deriv_l2`` is the exact L2 norm
+    of ``v0'`` (``sine_velocity`` returns it with its profile).
     """
     L = model.length
     m = model.m
 
-    walls = np.array([0.0, L])
-    _sample(rho0, "rho0", walls)
-    if np.any(_sample(v0, "v0", walls) != 0.0):
+    nodes_x, nodes_rho = _check_table(*nodes, L, "rho0")
+    if np.any(_sample(v0, "v0", np.array([0.0, L])) != 0.0):
         raise InitialDataError(
             "velocity profile must vanish exactly at both walls; "
             "it is rejected rather than projected")
-
-    if nodes is not None:
-        nodes_x, nodes_rho = _check_table(*nodes, L, "rho0")
-    else:
-        nodes_x = np.linspace(0.0, L, DENSE_SAMPLES)
-        nodes_rho = _sample(rho0, "rho0", nodes_x)
     if not np.all(np.isfinite(nodes_rho)) or np.any(nodes_rho <= 0.0):
         raise InitialDataError(
             "density samples must be positive and finite "
@@ -125,14 +115,8 @@ def make_initial(model: FluidModel, rho0, v0, v0_deriv_l2=None,
             f"density profile integrates to {mass:.12g}, expected total mass "
             f"{m:.12g} (relative error {abs(mass - m) / m:.3e} > 1e-8)")
 
-    if v0_deriv_l2 is None:
-        grid = np.linspace(0.0, L, DENSE_SAMPLES)
-        deriv = np.gradient(_sample(v0, "v0", grid), grid)
-        v0_deriv_l2 = float(math.sqrt(np.trapezoid(deriv ** 2, grid)))
-
     return InitialData(
-        rho0=rho0, v0=v0, m=m, length=L,
-        rho0_sup=float(nodes_rho.max()),
+        v0=v0, rho0_sup=float(nodes_rho.max()),
         rho0_deriv_sup=float(np.max(np.abs(np.diff(nodes_rho) / widths))),
         rho_min=float(nodes_rho.min()), v0_deriv_l2=float(v0_deriv_l2),
         _nodes_x=nodes_x, _nodes_rho=nodes_rho, _nodes_cum=nodes_cum)
@@ -141,12 +125,10 @@ def make_initial(model: FluidModel, rho0, v0, v0_deriv_l2=None,
 # -- profile presets -----------------------------------------------------------
 
 def constant_density(model, value=None):
-    """rho0 identically value (default: the reference density m/L), and its
-    two-node table ``([0, L], [value, value])``."""
+    """The two-node table ``([0, L], [value, value])`` of a constant density
+    (default: the reference density m/L)."""
     value = model.rho_star if value is None else float(value)
-    def rho0(x):
-        return value + 0.0 * np.asarray(x, dtype=float)
-    return rho0, (np.array([0.0, model.length]), np.array([value, value]))
+    return np.array([0.0, model.length]), np.array([value, value])
 
 
 def sine_velocity(model, amplitude, mode=1):
@@ -188,10 +170,9 @@ def initial_from_config(model, block):
     L = model.length
 
     if rho_block["kind"] == "constant":
-        rho0, nodes = constant_density(model, rho_block.get("value"))
+        nodes = constant_density(model, rho_block.get("value"))
     elif rho_block["kind"] == "table":
         nodes = (rho_block["x"], rho_block["rho"])
-        rho0 = table_profile(*nodes, L, "rho0")
     else:
         raise InitialDataError(f"unknown rho0 kind {rho_block['kind']!r}")
 
@@ -209,7 +190,7 @@ def initial_from_config(model, block):
     else:
         raise InitialDataError(f"unknown v0 kind {v_block['kind']!r}")
 
-    return make_initial(model, rho0, v0, v0_deriv_l2=deriv_l2, nodes=nodes)
+    return make_initial(model, nodes, v0, deriv_l2)
 
 
 # -- particle construction and budgets ------------------------------------------

@@ -52,6 +52,7 @@ QUAD_ABS_TOL = 1e-14
 # the probe grid is rho* * 10^k for |k| <= PROBE_DECADES: it estimates the
 # envelope limits, brackets envelope inversions and checks the laws
 PROBE_DECADES = 6
+ENVELOPE_INVERSE_REL_TOL = 1e-10   # relative width of an inversion's last bracket
 
 
 @dataclass(frozen=True)
@@ -76,11 +77,12 @@ class FluidModel:
     :func:`make_preset`; the bare ``__init__`` is shared plumbing.  Every
     law maps a float array elementwise (and so a single float too); the
     construction evaluates each on the probe grid and rejects any that
-    raises there or returns another shape.  ``quad_rel_tol`` is the
-    relative tolerance of every quadrature.
+    raises there or returns another shape, and requires ``pressure`` to be
+    positive and strictly increasing and ``viscosity`` positive on it.
+    ``quad_rel_tol`` is the relative tolerance of every quadrature.
     """
 
-    def __init__(self, kind, pressure, pressure_prime, viscosity, m, length,
+    def __init__(self, kind, pressure, viscosity, m, length,
                  params=None, closed=None, quad_rel_tol=QUAD_REL_TOL):
         if not (m > 0.0 and math.isfinite(m)):
             raise ModelError(f"total mass must be positive and finite, got {m}")
@@ -95,12 +97,11 @@ class FluidModel:
         self.params = dict(params or {})
         self.quad_rel_tol = quad_rel_tol
         self._closed = dict(closed or {})
-        # envelope limits (key ()) and inversions (key (target, rel_tol)),
-        # each computed once per model
+        # envelope limits (key ()) and inversions (key target), each
+        # computed once per model
         self._envelope_memo = {}
 
         self.pressure = pressure
-        self.pressure_prime = pressure_prime
         self.viscosity = viscosity
 
         self._check_laws()
@@ -110,11 +111,10 @@ class FluidModel:
     def _check_laws(self):
         grid = self.probe_grid()
         p = _on_probe_grid(self.pressure, "pressure", grid)
-        dp = _on_probe_grid(self.pressure_prime, "pressure_prime", grid)
         mu = _on_probe_grid(self.viscosity, "viscosity", grid)
         if not np.all(np.isfinite(p)) or np.any(p <= 0.0):
             raise ModelError("pressure law must be positive and finite on the probe grid")
-        if not np.all(np.isfinite(dp)) or np.any(dp <= 0.0):
+        if not np.all(np.diff(p) > 0.0):
             raise ModelError("pressure law must be strictly increasing (P' > 0) on the probe grid")
         if not np.all(np.isfinite(mu)) or np.any(mu <= 0.0):
             raise ModelError("viscosity law must be positive and finite on the probe grid")
@@ -145,7 +145,6 @@ class FluidModel:
         return cls(
             "saint_venant",
             pressure=lambda rho: half_g * np.asarray(rho, float) ** 2,
-            pressure_prime=lambda rho: g * np.asarray(rho, float),
             viscosity=lambda rho: nu * np.asarray(rho, float),
             m=m, length=length, params={"g": g, "nu": nu},
             closed=closed, quad_rel_tol=quad_rel_tol,
@@ -166,7 +165,6 @@ class FluidModel:
         return cls(
             "isentropic_gas",
             pressure=lambda rho: c * np.asarray(rho, float) ** gamma,
-            pressure_prime=lambda rho: c * gamma * np.asarray(rho, float) ** (gamma - 1.0),
             viscosity=lambda rho: mu + 0.0 * np.asarray(rho, float),
             m=m, length=length, params={"c": c, "gamma": gamma, "mu": mu},
             closed=closed, quad_rel_tol=quad_rel_tol,
@@ -192,22 +190,17 @@ class FluidModel:
         return cls(
             "ideal_gas_entropy",
             pressure=lambda rho: c * np.asarray(rho, float) ** gamma,
-            pressure_prime=lambda rho: c * gamma * np.asarray(rho, float) ** (gamma - 1.0),
             viscosity=lambda rho: a * np.asarray(rho, float) ** eta,
             m=m, length=length, params={"c": c, "gamma": gamma, "visc_amp": a},
             closed=closed, quad_rel_tol=quad_rel_tol,
         )
 
     @classmethod
-    def custom(cls, pressure, viscosity, m, length, pressure_prime=None,
-               quad_rel_tol=QUAD_REL_TOL):
+    def custom(cls, pressure, viscosity, m, length, quad_rel_tol=QUAD_REL_TOL):
         """User-supplied laws; derived functions go through adaptive
-        quadrature.  A missing ``pressure_prime`` is taken by central
-        differences of ``pressure``."""
-        return cls(
-            "custom", pressure, pressure_prime or _fd_prime(pressure), viscosity,
-            m=m, length=length, params={}, closed={}, quad_rel_tol=quad_rel_tol,
-        )
+        quadrature."""
+        return cls("custom", pressure, viscosity, m=m, length=length,
+                   quad_rel_tol=quad_rel_tol)
 
     # -- quadrature plumbing ----------------------------------------------
 
@@ -402,8 +395,9 @@ class FluidModel:
         memo[()] = limit_high, limit_low
         return limit_high, limit_low
 
-    def energy_envelope_inverse(self, target, rel_tol=1e-10):
-        """Invert the energy envelope by bisection in log-density.
+    def energy_envelope_inverse(self, target):
+        """Invert the energy envelope by bisection in log-density, to a
+        relative density bracket of ``ENVELOPE_INVERSE_REL_TOL``.
 
         The default bracket spans rho* * 10^(+-6) and is widened (up to
         10^(+-12)) when the target lies beyond it; an inadmissible target
@@ -412,9 +406,8 @@ class FluidModel:
         target = float(target)
         if target == 0.0:
             return self.rho_star
-        key = (target, rel_tol)
-        if key in self._envelope_memo:
-            return self._envelope_memo[key]
+        if target in self._envelope_memo:
+            return self._envelope_memo[target]
         lo = self.rho_star * 10.0 ** -PROBE_DECADES
         hi = self.rho_star * 10.0 ** PROBE_DECADES
         if target > 0.0:
@@ -434,13 +427,13 @@ class FluidModel:
                         " towards vacuum", side="low")
             hi = self.rho_star
         a, b = math.log(lo), math.log(hi)
-        while b - a > math.log1p(rel_tol):
+        while b - a > math.log1p(ENVELOPE_INVERSE_REL_TOL):
             mid = 0.5 * (a + b)
             if self.energy_envelope(math.exp(mid)) < target:
                 a = mid
             else:
                 b = mid
-        rho = self._envelope_memo[key] = math.exp(0.5 * (a + b))
+        rho = self._envelope_memo[target] = math.exp(0.5 * (a + b))
         return rho
 
     # -- growth condition ----------------------------------------------------
@@ -468,36 +461,18 @@ class FluidModel:
 
 
 def make_preset(kind, params, m, length, quad_rel_tol=QUAD_REL_TOL):
-    """Build a preset model from a plain parameter record (CLI entry point).
+    """Build a model from a plain parameter record (CLI entry point): the
+    constructor named ``kind`` called with ``params`` (the keys of
+    ``PRESET_PARAMS[kind]``).
 
     Custom models are specified through power laws ``pressure`` and
     ``viscosity``, each ``{"coeff": c, "exponent": e}``.
     """
-    params = dict(params)
-    if kind == "saint_venant":
-        return FluidModel.saint_venant(g=params.pop("g"), nu=params.pop("nu"),
-                                       m=m, length=length, quad_rel_tol=quad_rel_tol)
-    if kind == "isentropic_gas":
-        return FluidModel.isentropic_gas(c=params.pop("c"), gamma=params.pop("gamma"),
-                                         mu=params.pop("mu", 1.0),
-                                         m=m, length=length, quad_rel_tol=quad_rel_tol)
-    if kind == "ideal_gas_entropy":
-        return FluidModel.ideal_gas_entropy(c=params.pop("c"), gamma=params.pop("gamma"),
-                                            visc_amp=params.pop("visc_amp"),
-                                            m=m, length=length, quad_rel_tol=quad_rel_tol)
+    if kind not in PRESET_KINDS:
+        raise ModelError(f"unknown model kind {kind!r}")
     if kind == "custom":
-        p = params.pop("pressure")
-        v = params.pop("viscosity")
-        pc, pe = float(p["coeff"]), float(p["exponent"])
-        vc, ve = float(v["coeff"]), float(v["exponent"])
-        _require_positive(pressure_coeff=pc, viscosity_coeff=vc)
-        return FluidModel.custom(
-            pressure=lambda rho: pc * np.asarray(rho, float) ** pe,
-            viscosity=lambda rho: vc * np.asarray(rho, float) ** ve,
-            pressure_prime=lambda rho: pc * pe * np.asarray(rho, float) ** (pe - 1.0),
-            m=m, length=length, quad_rel_tol=quad_rel_tol,
-        )
-    raise ModelError(f"unknown model kind {kind!r}")
+        params = {side: _power_law(side, **params[side]) for side in ("pressure", "viscosity")}
+    return getattr(FluidModel, kind)(**params, m=m, length=length, quad_rel_tol=quad_rel_tol)
 
 
 # -- helpers -----------------------------------------------------------------
@@ -518,6 +493,13 @@ def _power_pressure_closed(c, gamma, m, length):
 
     return {"compression_energy": compression_energy,
             "spacing_potential": spacing_potential}
+
+
+def _power_law(side, coeff, exponent):
+    """The law ``coeff * rho**exponent`` of a custom model's ``side``."""
+    coeff, exponent = float(coeff), float(exponent)
+    _require_positive(**{f"{side}_coeff": coeff})
+    return lambda rho: coeff * np.asarray(rho, float) ** exponent
 
 
 def _on_probe_grid(law, name, grid):
@@ -543,11 +525,3 @@ def _require_positive_density(rho, what="density"):
     arr = np.asarray(rho, dtype=float)
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
         raise ModelError(f"{what} must be positive and finite")
-
-
-def _fd_prime(f, rel_h=1e-6):
-    def prime(x):
-        x = np.asarray(x, dtype=float)
-        h = rel_h * x
-        return (np.asarray(f(x + h), float) - np.asarray(f(x - h), float)) / (2.0 * h)
-    return prime

@@ -41,19 +41,16 @@ def any_model(request):
 
 
 def equilibrium_initial(model):
-    rho0, nodes = fc.constant_density(model)
-
     def v0(x):
         return 0.0 * np.asarray(x, dtype=float)
 
-    return fc.make_initial(model, rho0, v0, v0_deriv_l2=0.0, nodes=nodes)
+    return fc.make_initial(model, fc.constant_density(model), v0, 0.0)
 
 
 def perturbed_initial(model, amplitude=0.1, mode=1):
     """Constant density plus a sine velocity kick."""
-    rho0, nodes = fc.constant_density(model)
     v0, deriv_l2 = fc.sine_velocity(model, amplitude, mode)
-    return fc.make_initial(model, rho0, v0, v0_deriv_l2=deriv_l2, nodes=nodes)
+    return fc.make_initial(model, fc.constant_density(model), v0, deriv_l2)
 
 
 def multiharmonic_initial(model):
@@ -66,7 +63,6 @@ def multiharmonic_initial(model):
           - (0.06 / np.pi) * np.cos(np.pi * xt / length)
           - (0.05 / (2 * np.pi)) * np.cos(2 * np.pi * xt / length)
           - (0.04 / (3 * np.pi)) * np.cos(3 * np.pi * xt / length))
-    rho0 = fc.table_profile(xt, rt, length, "rho0")
     amps = (0.06, 0.04, 0.025)
 
     def v0(x):
@@ -77,7 +73,7 @@ def multiharmonic_initial(model):
 
     deriv_l2 = float(np.sqrt(sum((a * (k + 1) * np.pi / length) ** 2 * length / 2.0
                                  for k, a in enumerate(amps))))
-    return fc.make_initial(model, rho0, v0, v0_deriv_l2=deriv_l2, nodes=(xt, rt))
+    return fc.make_initial(model, (xt, rt), v0, deriv_l2)
 
 
 def random_state(model, n, rng, v_scale=1.0):

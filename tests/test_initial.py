@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 import fluidchain as fc
 from fluidchain.errors import InitialDataError
+from fluidchain.fields import gauss_cells
 
 from conftest import equilibrium_initial, multiharmonic_initial, perturbed_initial
 
@@ -25,12 +26,11 @@ def test_linear_profile_partition_against_bisection_oracle(sv):
     eps = 1e-6
     xt = np.array([0.0, 1.0])
     rt = np.array([eps, 2.0 - eps])
-    rho0 = fc.table_profile(xt, rt, 1.0, "rho0")
 
     def v0(x):
         return 0.0 * np.asarray(x, dtype=float)
 
-    init = fc.make_initial(sv, rho0, v0, v0_deriv_l2=0.0, nodes=(xt, rt))
+    init = fc.make_initial(sv, (xt, rt), v0, 0.0)
     state = fc.build_particles(sv, init, 2)
 
     def cumulative(x):
@@ -49,9 +49,8 @@ def test_linear_profile_partition_against_bisection_oracle(sv):
 
 
 def test_velocity_sampling_at_uniform_nodes(sv):
-    rho0, nodes = fc.constant_density(sv)
     v0, deriv = fc.sine_velocity(sv, 1.0, 1)
-    init = fc.make_initial(sv, rho0, v0, v0_deriv_l2=deriv, nodes=nodes)
+    init = fc.make_initial(sv, fc.constant_density(sv), v0, deriv)
     state = fc.build_particles(sv, init, 4)
     assert state.v == pytest.approx([math.sin(3 * math.pi / 4),
                                      math.sin(math.pi / 2),
@@ -104,11 +103,6 @@ def test_budget_constants_perturbed(sv):
 
 
 def test_sampled_norms_match_analytic(sv):
-    # same data without the analytic norm overrides: dense sampling
-    rho0, nodes = fc.constant_density(sv)
-    v0, deriv = fc.sine_velocity(sv, 0.1, 1)
-    init = fc.make_initial(sv, rho0, v0, nodes=nodes)
-    assert init.v0_deriv_l2 == pytest.approx(deriv, rel=1e-6)
     init_mh = multiharmonic_initial(sv)
     assert init_mh.rho0_sup == pytest.approx(float(np.max(init_mh._nodes_rho)))
     assert init_mh.rho_min > 0.9
@@ -159,53 +153,51 @@ def test_admissibility_report_serialises(ideal):
 
 
 def test_mass_normalisation_rejected(sv):
-    def rho0(x):
-        return 1.1 + 0.0 * np.asarray(x, dtype=float)
-
     def v0(x):
         return 0.0 * np.asarray(x, dtype=float)
 
     with pytest.raises(InitialDataError):
-        fc.make_initial(sv, rho0, v0, v0_deriv_l2=0.0,
-                        nodes=([0.0, 1.0], [1.1, 1.1]))
+        fc.make_initial(sv, ([0.0, 1.0], [1.1, 1.1]), v0, 0.0)
 
 
 def test_velocity_endpoints_must_vanish(sv):
-    rho0, nodes = fc.constant_density(sv)
-
     def bad_v0(x):
         return 0.1 + 0.0 * np.asarray(x, dtype=float)
 
     with pytest.raises(InitialDataError):
-        fc.make_initial(sv, rho0, bad_v0, nodes=nodes)
+        fc.make_initial(sv, fc.constant_density(sv), bad_v0, 0.0)
 
 
 def test_scalar_profiles_are_rejected(sv):
-    # profiles must map float arrays of positions elementwise; a scalar-only
-    # profile, or one that ignores the shape of its argument, is rejected by
-    # make_initial whether or not the density table is given
-    rho0, nodes = fc.constant_density(sv)
-    v0, deriv_l2 = fc.sine_velocity(sv, 0.1)
-    scalar_v0 = lambda x: 0.1 * math.sin(math.pi * x)
-    cases = [
-        dict(rho0=rho0, v0=scalar_v0, v0_deriv_l2=deriv_l2, nodes=nodes),
-        dict(rho0=lambda x: float(x), v0=v0, v0_deriv_l2=deriv_l2, nodes=nodes),
-        dict(rho0=lambda x: 1.0, v0=v0, v0_deriv_l2=deriv_l2),
-        dict(rho0=lambda x: 1.0 + 0.0 * float(x), v0=v0, v0_deriv_l2=deriv_l2,
-             nodes=([0.0, 1.0], [1.0, 1.0])),
-    ]
-    for case in cases:
+    # the velocity profile must map float arrays of positions elementwise; a
+    # scalar-only profile, or one that ignores the shape of its argument, is
+    # rejected by make_initial
+    for v0 in (lambda x: 0.1 * math.sin(math.pi * x), lambda x: 0.0):
         with pytest.raises(InitialDataError, match="elementwise"):
-            fc.make_initial(sv, **case)
+            fc.make_initial(sv, fc.constant_density(sv), v0, 0.0)
+
+
+def test_density_is_the_interpolant_of_its_table(sv):
+    # rho0 is np.interp on the node table, bitwise, at the nodes, between
+    # them and on a reconstruction's Gauss points
+    init = multiharmonic_initial(sv)
+    x = np.concatenate((init._nodes_x, np.linspace(0.0, sv.length, 1001)))
+    assert np.array_equal(init.rho0(x), np.interp(x, init._nodes_x, init._nodes_rho))
+    # a constant table gives exactly its value, as value + 0.0*x does
+    for value in (None, 1.0 + 2.0 ** -40):
+        nodes = fc.constant_density(sv, value)
+        v0, deriv_l2 = fc.sine_velocity(sv, 0.1, 2)
+        init = fc.make_initial(sv, nodes, v0, deriv_l2)
+        field = fc.reconstruct(sv, fc.build_particles(sv, init, 16))
+        pts = gauss_cells(field, 3)[0].ravel()
+        assert np.array_equal(init.rho0(pts), nodes[1][0] + 0.0 * pts)
 
 
 def test_negative_density_samples_rejected(sv):
     xt = np.array([0.0, 0.5, 1.0])
     rt = np.array([2.0, -0.5, 2.5])
     with pytest.raises(InitialDataError):
-        fc.make_initial(sv, fc.table_profile(xt, rt, 1.0, "rho0"),
-                        lambda x: 0.0 * np.asarray(x, dtype=float),
-                        v0_deriv_l2=0.0, nodes=(xt, rt))
+        fc.make_initial(sv, (xt, rt), lambda x: 0.0 * np.asarray(x, dtype=float), 0.0)
 
 
 @pytest.mark.parametrize("xt, rt, match", [
@@ -223,10 +215,8 @@ def test_node_tables_are_checked(sv, xt, rt, match):
     # table_profile and the nodes of make_initial share one table check
     with pytest.raises(InitialDataError, match=match):
         fc.table_profile(xt, rt, sv.length, "rho0")
-    rho0, _ = fc.constant_density(sv)
     with pytest.raises(InitialDataError, match=match):
-        fc.make_initial(sv, rho0, lambda x: 0.0 * np.asarray(x, dtype=float),
-                        v0_deriv_l2=0.0, nodes=(xt, rt))
+        fc.make_initial(sv, (xt, rt), lambda x: 0.0 * np.asarray(x, dtype=float), 0.0)
 
 
 def test_table_velocity_gets_exact_slope_norm(sv):

@@ -21,7 +21,6 @@ def test_saint_venant_preset_values(sv):
 
 def test_isentropic_preset_values(isentropic):
     assert isentropic.pressure(1.0) == pytest.approx(1.0)
-    assert isentropic.pressure_prime(1.0) == pytest.approx(1.4)
 
 
 def test_preset_parameter_validation():
@@ -37,13 +36,37 @@ def test_preset_parameter_validation():
         fc.make_preset("saint_venant", {"g": 9.81, "nu": -2.0}, m=1.0, length=1.0)
 
 
-def test_preset_derivatives_match_finite_differences(sv, ideal, isentropic):
-    grid = np.geomspace(0.1, 10.0, 13)
-    h = 1e-6
-    for model in (sv, ideal, isentropic):
-        for rho in grid:
-            fd_p = (model.pressure(rho + h) - model.pressure(rho - h)) / (2 * h)
-            assert model.pressure_prime(rho) == pytest.approx(fd_p, rel=1e-6)
+@pytest.mark.parametrize("kind, params, build", [
+    ("saint_venant", {"g": 9.81, "nu": 1.0},
+     lambda m, L: fc.FluidModel.saint_venant(g=9.81, nu=1.0, m=m, length=L)),
+    ("isentropic_gas", {"c": 1.0, "gamma": 1.4},
+     lambda m, L: fc.FluidModel.isentropic_gas(c=1.0, gamma=1.4, m=m, length=L)),
+    ("isentropic_gas", {"c": 1.0, "gamma": 1.4, "mu": 0.5},
+     lambda m, L: fc.FluidModel.isentropic_gas(c=1.0, gamma=1.4, mu=0.5, m=m, length=L)),
+    ("ideal_gas_entropy", {"c": 1.0, "gamma": 1.4, "visc_amp": 1.0},
+     lambda m, L: fc.FluidModel.ideal_gas_entropy(c=1.0, gamma=1.4, visc_amp=1.0,
+                                                  m=m, length=L)),
+    ("custom", {"pressure": {"coeff": 2.0, "exponent": 1.5},
+                "viscosity": {"coeff": 0.5, "exponent": 0.5}},
+     lambda m, L: fc.FluidModel.custom(
+         pressure=lambda r: 2.0 * np.asarray(r, float) ** 1.5,
+         viscosity=lambda r: 0.5 * np.asarray(r, float) ** 0.5, m=m, length=L)),
+], ids=["saint_venant", "isentropic_gas", "isentropic_gas_mu", "ideal_gas_entropy", "custom"])
+def test_make_preset_equals_its_constructor(kind, params, build):
+    m, length = 1.3, 0.7
+    preset = fc.make_preset(kind, params, m=m, length=length)
+    direct = build(m, length)
+    assert (preset.kind, preset.params) == (direct.kind, direct.params)
+    s = m / preset.probe_grid()
+    for a, b in zip(preset.force_and_gain(s), direct.force_and_gain(s)):
+        assert np.array_equal(a, b)
+
+
+def test_make_preset_rejects_unknown_kind():
+    # a FluidModel attribute that is no constructor is no kind either
+    for kind in ("mystery", "probe_grid", "custom_law"):
+        with pytest.raises(ModelError, match="unknown model kind"):
+            fc.make_preset(kind, {}, m=1.0, length=1.0)
 
 
 def test_viscous_potential(sv, ideal):
@@ -269,10 +292,13 @@ def test_rejects_nonpositive_density(sv):
 
 
 def test_rejects_non_increasing_pressure():
-    with pytest.raises(ModelError):
-        fc.FluidModel.custom(pressure=lambda r: 1.0 + 0.0 * np.asarray(r, float),
-                             viscosity=lambda r: np.asarray(r, float),
-                             m=1.0, length=1.0)
+    # a constant and a decreasing pressure, judged from the pressure samples
+    for pressure in (lambda r: 1.0 + 0.0 * np.asarray(r, float),
+                     lambda r: 1.0 / np.asarray(r, float)):
+        with pytest.raises(ModelError, match="strictly increasing"):
+            fc.FluidModel.custom(pressure=pressure,
+                                 viscosity=lambda r: np.asarray(r, float),
+                                 m=1.0, length=1.0)
 
 
 def test_custom_scalar_callables_are_rejected():

@@ -73,9 +73,8 @@ def test_partition_is_equal_mass_over_drawn_tables(log_rho, widths, log_m,
     xt = np.concatenate(([0.0], length * np.cumsum(steps)[:-1] / steps.sum(), [length]))
     rt = 10.0 ** np.asarray(log_rho)
     rt *= m * (1.0 + defect) / np.sum(np.diff(xt) * 0.5 * (rt[:-1] + rt[1:]))
-    init = fc.make_initial(model, fc.table_profile(xt, rt, length, "rho0"),
-                           lambda x: 0.0 * np.asarray(x, dtype=float),
-                           v0_deriv_l2=0.0, nodes=(xt, rt))
+    init = fc.make_initial(model, (xt, rt),
+                           lambda x: 0.0 * np.asarray(x, dtype=float), 0.0)
     x = fc.build_particles(model, init, n).x
     assert np.all(gaps_from_interior(length, x) > 0.0)
 
