@@ -25,7 +25,7 @@ from .errors import AdmissibilityError, ConfigError, FluidchainError
 from .initial import (PROFILE_KEYS, admissibility, build_particles,
                       initial_from_config)
 from .integrate import IntegratorConfig, simulate
-from .model import PRESET_PARAMS, QUAD_REL_TOL, make_preset
+from .model import PRESET_PARAMS, make_preset
 
 
 @dataclass(frozen=True)
@@ -123,9 +123,8 @@ def _parse_model(raw):
             _number(params, "model", key)
     m = _number(raw, "", "m", positive=True)
     length = _number(raw, "", "L", positive=True)
-    quad_rel_tol = _env_number("FLUIDCHAIN_QUAD_REL_TOL", QUAD_REL_TOL)
     try:
-        return make_preset(kind, params, m=m, length=length, quad_rel_tol=quad_rel_tol)
+        return make_preset(kind, params, m=m, length=length)
     except FluidchainError as exc:
         raise ConfigError("model", str(exc)) from exc
 
@@ -166,18 +165,21 @@ def _parse_integrator(raw):
     _check_keys(block, "integrator", set(),
                 {"rel_tol", "abs_tol", "dt_init", "dt_max", "max_steps",
                  "snapshot_dt", "T"})
+    default = IntegratorConfig()
     rel_tol = _env_number("FLUIDCHAIN_REL_TOL", _number(
-        block, "integrator", "rel_tol", default=1e-8, positive=True))
+        block, "integrator", "rel_tol", default=default.rel_tol, positive=True))
     abs_tol = _env_number("FLUIDCHAIN_ABS_TOL", _number(
-        block, "integrator", "abs_tol", default=1e-10, positive=True))
+        block, "integrator", "abs_tol", default=default.abs_tol, positive=True))
     dt_init = block.get("dt_init")
     if dt_init is not None:
         dt_init = _number(block, "integrator", "dt_init", positive=True)
     cfg = IntegratorConfig(
         rel_tol=rel_tol, abs_tol=abs_tol, dt_init=dt_init,
-        dt_max=_number(block, "integrator", "dt_max", default=math.inf, positive=True),
-        max_steps=_integer(block, "integrator", "max_steps", default=2_000_000, minimum=1),
-        snapshot_dt=_number(block, "integrator", "snapshot_dt", default=0.01, positive=True))
+        dt_max=_number(block, "integrator", "dt_max", default=default.dt_max, positive=True),
+        max_steps=_integer(block, "integrator", "max_steps", default=default.max_steps,
+                           minimum=1),
+        snapshot_dt=_number(block, "integrator", "snapshot_dt", default=default.snapshot_dt,
+                            positive=True))
     horizon = _number(block, "integrator", "T", default=1.0, positive=True)
     return cfg, horizon
 

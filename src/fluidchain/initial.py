@@ -289,8 +289,10 @@ def admissibility(model: FluidModel, init: InitialData) -> AdmissibilityReport:
     """Compare the initial energy budget against the envelope limits.
 
     Inadmissibility is a verdict, not an error; spacing bounds are attached
-    only when the verdict is positive.
+    only when the verdict is positive.  A pressure law that fails the growth
+    condition raises ``ModelError`` before any envelope work.
     """
+    model.require_growth()
     consts = budget_constants(model, init)
     limit_high, limit_low = model.energy_envelope_limits()
     lhs = sqrt_budget(consts.e_bar, consts.w_bar)

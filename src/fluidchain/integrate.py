@@ -239,12 +239,7 @@ def simulate(model, state0, T, cfg=None) -> SnapshotSeries:
     cfg = cfg or IntegratorConfig()
     if T <= 0.0:
         raise ValueError("horizon T must be positive")
-    growth = model.pressure_growth_report()
-    if not growth.holds:
-        raise ModelError(
-            "pressure law fails the growth condition "
-            f"(high side diverges: {growth.grows_high}, "
-            f"bounded towards vacuum: {growth.bounded_low})")
+    model.require_growth()
     series = SnapshotSeries()
     state0 = ParticleState(n=state0.n, t=0.0, x=state0.x, v=state0.v)
     first = _record(model, state0, series)

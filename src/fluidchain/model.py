@@ -16,8 +16,12 @@ functions the particle scheme needs:
 * ``energy_envelope``    -- the increasing function that converts an energy
   budget into guaranteed density (and hence spacing) bounds.
 
-Presets evaluate closed forms; a quadrature route (``*_quad``) is kept as an
-independent cross-check and is the only route for custom laws.
+Every model kind is a power-law pair P = c*rho^gamma, mu = a*rho^beta, so
+these functions are closed forms of the one integral
+J(k, rho) = int_{rho*}^{rho} t^k dt.  Adaptive quadrature (scipy) runs only
+where no elementary form exists: the energy-envelope part at gamma != 2, and
+:meth:`FluidModel.custom` with arbitrary callables.  The quadrature route of
+each function (``*_quad``) is kept as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -31,9 +35,8 @@ from .errors import AdmissibilityError, ModelError, QuadratureError
 
 
 def quad(*args, **kwargs):
-    """``scipy.integrate.quad``, imported at the first call: closed-form
-    presets never integrate numerically, so a run that uses only them never
-    loads scipy."""
+    """``scipy.integrate.quad``, imported at the first call: a run whose
+    derived functions are all closed forms never loads scipy."""
     from scipy.integrate import quad as scipy_quad
     return scipy_quad(*args, **kwargs)
 
@@ -47,7 +50,7 @@ PRESET_PARAMS = {
 }
 PRESET_KINDS = tuple(PRESET_PARAMS)
 
-QUAD_REL_TOL = 1e-10     # default relative tolerance of every quadrature
+QUAD_REL_TOL = 1e-10     # relative tolerance of every quadrature
 QUAD_ABS_TOL = 1e-14
 # the probe grid is rho* * 10^k for |k| <= PROBE_DECADES: it estimates the
 # envelope limits, brackets envelope inversions and checks the laws
@@ -79,11 +82,9 @@ class FluidModel:
     construction evaluates each on the probe grid and rejects any that
     raises there or returns another shape, and requires ``pressure`` to be
     positive and strictly increasing and ``viscosity`` positive on it.
-    ``quad_rel_tol`` is the relative tolerance of every quadrature.
     """
 
-    def __init__(self, kind, pressure, viscosity, m, length,
-                 params=None, closed=None, quad_rel_tol=QUAD_REL_TOL):
+    def __init__(self, kind, pressure, viscosity, m, length, params=None, closed=None):
         if not (m > 0.0 and math.isfinite(m)):
             raise ModelError(f"total mass must be positive and finite, got {m}")
         if not (length > 0.0 and math.isfinite(length)):
@@ -95,7 +96,6 @@ class FluidModel:
         self.length = float(length)
         self.rho_star = self.m / self.length
         self.params = dict(params or {})
-        self.quad_rel_tol = quad_rel_tol
         self._closed = dict(closed or {})
         # envelope limits (key ()) and inversions (key target), each
         # computed once per model
@@ -120,87 +120,69 @@ class FluidModel:
             raise ModelError("viscosity law must be positive and finite on the probe grid")
 
     @classmethod
-    def saint_venant(cls, g, nu, m, length, quad_rel_tol=QUAD_REL_TOL):
+    def saint_venant(cls, g, nu, m, length):
         """Shallow-water closure: P(rho) = g*rho^2/2, mu(rho) = nu*rho."""
         _require_positive(g=g, nu=nu, m=m, L=length)
-        rho_star = m / length
-        half_g = 0.5 * g
-        sqrt_half_g = math.sqrt(half_g)
-
-        def part_energy(rho):
-            # integral of s^(-1/2) * |s - rho*| from rho* to rho, signed
-            rho = np.asarray(rho, dtype=float)
-            sq = np.sqrt(rho)
-            upper = (2.0 / 3.0) * (rho * sq - rho_star * math.sqrt(rho_star)) \
-                - 2.0 * rho_star * (sq - math.sqrt(rho_star))
-            return nu * sqrt_half_g * np.where(rho >= rho_star, upper, -upper)
-
-        closed = {
-            "viscous_potential": lambda rho: nu * (np.asarray(rho, float) - rho_star),
-            "compression_energy": lambda rho: half_g * (np.asarray(rho, float) - rho_star) ** 2,
-            "spacing_potential": lambda s: half_g * (m / np.asarray(s, float) - rho_star),
-            "part_energy": part_energy,
-            "part_visc": lambda rho: 2.0 * nu * (np.sqrt(np.asarray(rho, float)) - math.sqrt(rho_star)),
-        }
-        return cls(
-            "saint_venant",
-            pressure=lambda rho: half_g * np.asarray(rho, float) ** 2,
-            viscosity=lambda rho: nu * np.asarray(rho, float),
-            m=m, length=length, params={"g": g, "nu": nu},
-            closed=closed, quad_rel_tol=quad_rel_tol,
-        )
+        return cls._power_law("saint_venant", 0.5 * g, 2.0, nu, 1.0, m, length,
+                              {"g": g, "nu": nu})
 
     @classmethod
-    def isentropic_gas(cls, c, gamma, m, length, mu=1.0, quad_rel_tol=QUAD_REL_TOL):
+    def isentropic_gas(cls, c, gamma, m, length, mu=1.0):
         """Power-law pressure P(rho) = c*rho^gamma (gamma > 1) with constant
         dynamic viscosity ``mu``."""
         _require_positive(c=c, m=m, L=length, mu=mu)
         if not gamma > 1.0:
             raise ModelError(f"isentropic exponent must satisfy gamma > 1, got {gamma}")
-        closed = _power_pressure_closed(c, gamma, m, length)
-        rho_star = m / length
-        closed["viscous_potential"] = lambda rho: mu * np.log(np.asarray(rho, float) / rho_star)
-        closed["part_visc"] = lambda rho: 2.0 * mu * (
-            1.0 / math.sqrt(rho_star) - 1.0 / np.sqrt(np.asarray(rho, float)))
-        return cls(
-            "isentropic_gas",
-            pressure=lambda rho: c * np.asarray(rho, float) ** gamma,
-            viscosity=lambda rho: mu + 0.0 * np.asarray(rho, float),
-            m=m, length=length, params={"c": c, "gamma": gamma, "mu": mu},
-            closed=closed, quad_rel_tol=quad_rel_tol,
-        )
+        return cls._power_law("isentropic_gas", c, gamma, mu, 0.0, m, length,
+                              {"c": c, "gamma": gamma, "mu": mu})
 
     @classmethod
-    def ideal_gas_entropy(cls, c, gamma, visc_amp, m, length,
-                          quad_rel_tol=QUAD_REL_TOL):
+    def ideal_gas_entropy(cls, c, gamma, visc_amp, m, length):
         """Constant-entropy ideal gas: P = c*rho^gamma with gamma in (1, 2)
         and mu(rho) = visc_amp * rho^((gamma-1)/2)."""
         _require_positive(c=c, A=visc_amp, m=m, L=length)
         if not (1.0 < gamma < 2.0):
             raise ModelError(f"entropy-consistent exponent requires gamma in (1, 2), got {gamma}")
-        a = visc_amp
-        eta = 0.5 * (gamma - 1.0)
-        closed = _power_pressure_closed(c, gamma, m, length)
-        rho_star = m / length
-        closed["viscous_potential"] = lambda rho: (2.0 * a / (gamma - 1.0)) * (
-            np.asarray(rho, float) ** eta - rho_star ** eta)
-        # exponent eta - 1/2 = (gamma - 2)/2 < 0, so this stays finite at infinity
-        closed["part_visc"] = lambda rho: (2.0 * a / (gamma - 2.0)) * (
-            np.asarray(rho, float) ** (eta - 0.5) - rho_star ** (eta - 0.5))
-        return cls(
-            "ideal_gas_entropy",
-            pressure=lambda rho: c * np.asarray(rho, float) ** gamma,
-            viscosity=lambda rho: a * np.asarray(rho, float) ** eta,
-            m=m, length=length, params={"c": c, "gamma": gamma, "visc_amp": a},
-            closed=closed, quad_rel_tol=quad_rel_tol,
-        )
+        return cls._power_law("ideal_gas_entropy", c, gamma, visc_amp, 0.5 * (gamma - 1.0),
+                              m, length, {"c": c, "gamma": gamma, "visc_amp": visc_amp})
 
     @classmethod
-    def custom(cls, pressure, viscosity, m, length, quad_rel_tol=QUAD_REL_TOL):
-        """User-supplied laws; derived functions go through adaptive
-        quadrature."""
-        return cls("custom", pressure, viscosity, m=m, length=length,
-                   quad_rel_tol=quad_rel_tol)
+    def custom(cls, pressure, viscosity, m, length):
+        """User-supplied callable laws; every derived function goes through
+        adaptive quadrature.  :func:`make_preset` builds a custom power law
+        with closed forms instead."""
+        return cls("custom", pressure, viscosity, m=m, length=length)
+
+    @classmethod
+    def _power_law(cls, kind, c, gamma, a, beta, m, length, params):
+        """The pair P = c*rho^gamma, mu = a*rho^beta with the closed form of
+        every derived function; ``part_energy`` is closed only at gamma = 2,
+        where sqrt(compression_energy) = sqrt(c)*|rho - rho*|."""
+        rho_star = m / length
+
+        def integral(p, rho):
+            # J(p - 1, rho): the integral of t^(p-1) from rho* to rho
+            u = np.log(np.asarray(rho, dtype=float) / rho_star)
+            if p == 0.0:
+                return u
+            return rho_star ** p * np.expm1(p * u) / p
+
+        def compression_energy(rho):
+            rho = np.asarray(rho, dtype=float)
+            return rho * c * (integral(gamma - 1.0, rho) - rho_star ** gamma * integral(-1.0, rho))
+
+        closed = {
+            "viscous_potential": lambda rho: a * integral(beta, rho),
+            "compression_energy": compression_energy,
+            "spacing_potential": lambda s: c * integral(gamma - 1.0, m / np.asarray(s, float)),
+            "part_visc": lambda rho: a * integral(beta - 0.5, rho),
+        }
+        if gamma == 2.0:
+            closed["part_energy"] = lambda rho: a * math.sqrt(c) * np.sign(
+                np.asarray(rho, float) - rho_star) * (
+                integral(beta + 0.5, rho) - rho_star * integral(beta - 0.5, rho))
+        return cls(kind, pressure=_monomial(c, gamma), viscosity=_monomial(a, beta),
+                   m=m, length=length, params=params, closed=closed)
 
     # -- quadrature plumbing ----------------------------------------------
 
@@ -234,13 +216,13 @@ class FluidModel:
             a, b = math.log(lo), math.log(hi)
         else:
             g, a, b = f, lo, hi
-        out = quad(g, a, b, epsabs=QUAD_ABS_TOL, epsrel=self.quad_rel_tol,
+        out = quad(g, a, b, epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL,
                    limit=200, full_output=1)
         value, err = out[0], out[1]
         # scipy warns whenever it cannot certify its own tolerance, which
         # includes near-empty intervals integrated to full precision; only
         # an achieved error above the requested tolerance is a failure
-        tol = max(QUAD_ABS_TOL, self.quad_rel_tol * abs(value))
+        tol = max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(value))
         if not math.isfinite(value) or (len(out) > 3 and not err <= tol):
             raise QuadratureError(
                 f"quadrature did not converge on [{lo:g}, {hi:g}]"
@@ -455,57 +437,71 @@ class FluidModel:
         return GrowthReport(holds=bool(grows_high and bounded_low),
                             grows_high=bool(grows_high), bounded_low=bool(bounded_low))
 
+    def require_growth(self):
+        """Raise ``ModelError`` unless the pressure law meets the growth
+        condition, which the admissibility analysis and the equations of
+        motion both assume."""
+        growth = self.pressure_growth_report()
+        if not growth.holds:
+            raise ModelError(
+                "pressure law fails the growth condition "
+                f"(high side diverges: {growth.grows_high}, "
+                f"bounded towards vacuum: {growth.bounded_low})")
+
     def __repr__(self):
         ps = ", ".join(f"{k}={v:g}" for k, v in self.params.items())
         return f"FluidModel({self.kind}, {ps}, m={self.m:g}, L={self.length:g})"
 
 
-def make_preset(kind, params, m, length, quad_rel_tol=QUAD_REL_TOL):
-    """Build a model from a plain parameter record (CLI entry point): the
-    constructor named ``kind`` called with ``params`` (the keys of
-    ``PRESET_PARAMS[kind]``).
+def make_preset(kind, params, m, length):
+    """Build a model from a plain parameter record (CLI entry point).
 
-    Custom models are specified through power laws ``pressure`` and
-    ``viscosity``, each ``{"coeff": c, "exponent": e}``.
+    ``params`` holds exactly the required and any of the optional keys of
+    ``PRESET_PARAMS[kind]``; a missing or extra key is a ``ModelError`` that
+    names it.  The presets call the constructor named ``kind``.  A custom
+    model is a power law: ``pressure`` and ``viscosity`` are each a record
+    ``{"coeff": c, "exponent": e}``, and its derived functions are closed
+    forms like those of the presets.
     """
     if kind not in PRESET_KINDS:
         raise ModelError(f"unknown model kind {kind!r}")
-    if kind == "custom":
-        params = {side: _power_law(side, **params[side]) for side in ("pressure", "viscosity")}
-    return getattr(FluidModel, kind)(**params, m=m, length=length, quad_rel_tol=quad_rel_tol)
+    _check_record(params, *PRESET_PARAMS[kind], f"{kind} model")
+    if kind != "custom":
+        return getattr(FluidModel, kind)(**params, m=m, length=length)
+    laws = []
+    for side in ("pressure", "viscosity"):
+        _check_record(params[side], {"coeff", "exponent"}, set(), f"custom {side} law")
+        laws += [float(params[side]["coeff"]), float(params[side]["exponent"])]
+    _require_positive(pressure_coeff=laws[0], viscosity_coeff=laws[2], m=m, L=length)
+    return FluidModel._power_law("custom", *laws, m, length, {})
 
 
 # -- helpers -----------------------------------------------------------------
 
-def _power_pressure_closed(c, gamma, m, length):
-    """Closed forms shared by the two power-law pressure presets."""
-    rho_star = m / length
-
-    def compression_energy(rho):
-        rho = np.asarray(rho, dtype=float)
-        return (c / (gamma - 1.0)) * (
-            rho ** gamma - gamma * rho_star ** (gamma - 1.0) * rho
-            + (gamma - 1.0) * rho_star ** gamma)
-
-    def spacing_potential(s):
-        r = m / np.asarray(s, dtype=float)
-        return (c / (gamma - 1.0)) * (r ** (gamma - 1.0) - rho_star ** (gamma - 1.0))
-
-    return {"compression_energy": compression_energy,
-            "spacing_potential": spacing_potential}
+def _check_record(record, required, optional, what):
+    """Require ``record`` to hold every ``required`` key and no key outside
+    ``required | optional``."""
+    for key in sorted(required - record.keys()):
+        raise ModelError(f"{what} needs parameter {key!r}")
+    for key in sorted(record.keys() - required - optional):
+        raise ModelError(f"{what} takes no parameter {key!r}")
 
 
-def _power_law(side, coeff, exponent):
-    """The law ``coeff * rho**exponent`` of a custom model's ``side``."""
-    coeff, exponent = float(coeff), float(exponent)
-    _require_positive(**{f"{side}_coeff": coeff})
+def _monomial(coeff, exponent):
+    """The law ``coeff * rho**exponent`` of a float array; at exponent 1 it
+    skips the power, which would add about 1 us to each call of the
+    equations of motion."""
+    if exponent == 1.0:
+        return lambda rho: coeff * np.asarray(rho, float)
     return lambda rho: coeff * np.asarray(rho, float) ** exponent
 
 
 def _on_probe_grid(law, name, grid):
     """``law`` evaluated on the probe grid, which it must map elementwise."""
     try:
-        out = np.asarray(law(grid), dtype=float)
+        # non-finite samples are rejected by the caller, without a warning
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            out = np.asarray(law(grid), dtype=float)
     except Exception as exc:
         raise ModelError(f"{name} law must map a float array elementwise; on the "
                          f"probe grid it raised {type(exc).__name__}: {exc}") from exc

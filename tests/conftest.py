@@ -22,7 +22,8 @@ def isentropic():
 
 @pytest.fixture(scope="session")
 def power_law():
-    """Quadrature-backed custom model: P = rho^2, mu = rho^(1/2)."""
+    """Custom power law P = rho^2, mu = rho^(1/2): closed forms throughout,
+    the energy part too (gamma = 2)."""
     return fc.make_preset("custom", {"pressure": {"coeff": 1.0, "exponent": 2.0},
                                      "viscosity": {"coeff": 1.0, "exponent": 0.5}},
                           m=1.0, length=1.0)

@@ -229,10 +229,10 @@ def _simpson_part_energy(model, rho, panels=1_000_000):
                                + 2.0 * f[2:-2:2].sum())
 
 
-def test_criterion_09_closed_forms_vs_quadrature(sv, ideal):
+def test_criterion_09_closed_forms_vs_quadrature(sv, ideal, isentropic, power_law):
     worst_quad = 0.0
     worst_simpson = 0.0
-    for model in (sv, ideal):
+    for model in (sv, ideal, isentropic, power_law):
         for rho in model.probe_grid():
             rho = float(rho)
             s = model.m / rho
@@ -242,6 +242,8 @@ def test_criterion_09_closed_forms_vs_quadrature(sv, ideal):
                 (model.spacing_potential(s), model.spacing_potential_quad(s)),
                 (model.damping_potential(s), -model.viscous_potential_quad(rho) / model.m),
                 (model.envelope_parts(rho)[1], model.envelope_parts_quad(rho)[1]),
+                # closed at gamma = 2; elsewhere both sides integrate alike
+                (model.envelope_parts(rho)[0], model.envelope_parts_quad(rho)[0]),
             )
             for closed, quadrature in pairs:
                 scale = max(abs(closed), abs(quadrature), 1e-300)

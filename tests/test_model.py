@@ -34,6 +34,9 @@ def test_preset_parameter_validation():
         fc.FluidModel.saint_venant(g=9.81, nu=1.0, m=0.0, length=1.0)
     with pytest.raises(ModelError):
         fc.make_preset("saint_venant", {"g": 9.81, "nu": -2.0}, m=1.0, length=1.0)
+    law = {"coeff": 1.0, "exponent": 2.0}
+    with pytest.raises(ModelError):
+        fc.make_preset("custom", {"pressure": law, "viscosity": law}, m=1.0, length=0.0)
 
 
 @pytest.mark.parametrize("kind, params, build", [
@@ -63,10 +66,19 @@ def test_make_preset_equals_its_constructor(kind, params, build):
 
 
 def test_make_preset_rejects_unknown_kind():
-    # a FluidModel attribute that is no constructor is no kind either
-    for kind in ("mystery", "probe_grid", "custom_law"):
-        with pytest.raises(ModelError, match="unknown model kind"):
-            fc.make_preset(kind, {}, m=1.0, length=1.0)
+    # a FluidModel attribute that is no constructor is no kind either; a
+    # record with a missing or an extra key is refused naming the key
+    law = {"coeff": 1.0, "exponent": 2.0}
+    for kind, params, match in (
+            ("mystery", {}, "unknown model kind"),
+            ("probe_grid", {}, "unknown model kind"),
+            ("custom_law", {}, "unknown model kind"),
+            ("saint_venant", {"g": 9.81}, "needs parameter 'nu'"),
+            ("saint_venant", {"g": 9.81, "nu": 1.0, "mu": 1.0}, "takes no parameter 'mu'"),
+            ("custom", {"pressure": law, "viscosity": {"coeff": 1.0}},
+             "viscosity law needs parameter 'exponent'")):
+        with pytest.raises(ModelError, match=match):
+            fc.make_preset(kind, params, m=1.0, length=1.0)
 
 
 def test_viscous_potential(sv, ideal):
@@ -246,9 +258,24 @@ def test_pressure_growth_report(sv, ideal, isentropic):
     assert not report.bounded_low     # log divergence towards vacuum
 
 
-def test_closed_forms_match_quadrature_on_probe_grid(sv, ideal):
-    for model in (sv, ideal):
-        for rho in model.probe_grid():
+def _power_law_preset(gamma, beta, m=1.0, length=1.0):
+    return fc.make_preset("custom", {"pressure": {"coeff": 1.5, "exponent": gamma},
+                                     "viscosity": {"coeff": 0.5, "exponent": beta}},
+                          m=m, length=length)
+
+
+# (gamma, beta[, m, L]): each hits the exact logarithm of one closed form,
+# beta = 0 the viscous potential, beta = 1/2 the viscosity part, gamma = 1
+# the spacing potential, gamma = 2 with beta = -1/2 the energy part; the last
+# has a reference density other than 1
+LOG_BRANCH_LAWS = ((2.0, 0.0), (2.0, 0.5), (1.0, 1.0), (2.0, -0.5), (2.0, 0.5, 1.3, 0.7))
+
+
+def test_closed_forms_match_quadrature_on_probe_grid(sv, ideal, isentropic, power_law):
+    for model in (sv, ideal, isentropic, power_law,
+                  *(_power_law_preset(*law) for law in LOG_BRANCH_LAWS)):
+        near = model.rho_star * np.array([1 - 1e-6, 1 - 1e-12, 1 + 1e-12, 1 + 1e-6])
+        for rho in (*model.probe_grid(), *near):
             rho = float(rho)
             s = model.m / rho
             assert model.viscous_potential(rho) == pytest.approx(
@@ -257,8 +284,9 @@ def test_closed_forms_match_quadrature_on_probe_grid(sv, ideal):
                 model.compression_energy_quad(rho), rel=1e-8, abs=1e-12)
             assert model.spacing_potential(s) == pytest.approx(
                 model.spacing_potential_quad(s), rel=1e-8, abs=1e-12)
-            assert model.envelope_parts(rho)[1] == pytest.approx(
-                model.envelope_parts_quad(rho)[1], rel=1e-8, abs=1e-12)
+            # the energy part is closed at gamma = 2 and integrated otherwise
+            assert model.envelope_parts(rho) == pytest.approx(
+                model.envelope_parts_quad(rho), rel=1e-8, abs=1e-12)
 
 
 def test_spacing_potential_overflow_is_reported(sv, ideal):
@@ -316,23 +344,32 @@ def test_scipy_loads_at_the_first_quadrature():
     package_root = Path(fc.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(package_root), os.environ.get("PYTHONPATH")])))
-    code = "\n".join([
-        "import sys",
-        "import fluidchain.cli",
-        "from fluidchain import make_preset",
-        "assert 'scipy' not in sys.modules, 'imported at load'",
-        "sv = make_preset('saint_venant', {'g': 9.81, 'nu': 1.0}, m=1.0, length=1.0)",
-        "sv.energy_envelope_limits()",
-        "assert 'scipy' not in sys.modules, 'imported by a closed-form preset'",
-        "law = {'coeff': 1.0, 'exponent': 2.0}",
-        "custom = make_preset('custom', {'pressure': law, 'viscosity': law}, m=1.0, length=1.0)",
-        "assert 'scipy' not in sys.modules, 'imported by constructing a custom model'",
-        "custom.energy_envelope(2.0)",
-        "assert 'scipy.integrate' in sys.modules, 'not imported by quadrature'",
-    ])
-    done = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0, done.stderr
+    # the energy part of a gas at gamma != 2, and any function of callable laws
+    for quadrature in ("ideal_gas_entropy(c=1.0, gamma=1.4, visc_amp=1.0, m=1.0, "
+                       "length=1.0).energy_envelope(2.0)",
+                       "custom(pressure=square, viscosity=square, m=1.0, "
+                       "length=1.0).viscous_potential(2.0)"):
+        code = "\n".join([
+            "import sys",
+            "import fluidchain.cli",
+            "from fluidchain import FluidModel, make_preset",
+            "assert 'scipy' not in sys.modules, 'imported at load'",
+            "sv = make_preset('saint_venant', {'g': 9.81, 'nu': 1.0}, m=1.0, length=1.0)",
+            "sv.energy_envelope_limits()",
+            "assert 'scipy' not in sys.modules, 'imported by a closed-form preset'",
+            "law = {'coeff': 1.0, 'exponent': 2.0}",
+            "custom = make_preset('custom', {'pressure': law,",
+            "                                'viscosity': {'coeff': 1.0, 'exponent': 0.5}},",
+            "                     m=1.0, length=1.0)",
+            "custom.energy_envelope_limits()",
+            "assert 'scipy' not in sys.modules, 'imported by a custom power law'",
+            "square = lambda r: r * r",
+            f"FluidModel.{quadrature}",
+            "assert 'scipy.integrate' in sys.modules, 'not imported by quadrature'",
+        ])
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
 
 
 def test_envelope_limits_and_inversions_are_computed_once(sv, monkeypatch):
@@ -345,8 +382,8 @@ def test_envelope_limits_and_inversions_are_computed_once(sv, monkeypatch):
 
     # the binding FluidModel._quad calls, which the benchmark tracer patches too
     monkeypatch.setattr(model_module, "quad", counting_quad)
-    law = {"coeff": 1.0, "exponent": 2.0}
-    model = fc.make_preset("custom", {"pressure": law, "viscosity": law}, m=1.0, length=1.0)
+    square = lambda r: np.asarray(r, float) ** 2
+    model = fc.FluidModel.custom(pressure=square, viscosity=square, m=1.0, length=1.0)
     bounds = spacing_bounds(model, 1e-3, 2e-3)
     assert calls
     calls.clear()

@@ -11,13 +11,16 @@ its fixed-seed ``-reference`` configs.  Every config runs ``check``,
 ``simulate`` and ``validate``, and saint_venant_perturbed also runs
 ``converge --n 8,16``.  Both trees run the same relative paths, so output
 that names a path reads the same on both sides.  Prints every difference and
-exits 1 on any, 0 when everything is identical.
+exits 1 on any, 0 when everything is identical.  Where two outputs differ only
+in their numbers, it also prints the worst relative difference: per column
+for a CSV, and over the whole text otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -33,6 +36,7 @@ SEEDS = (301, 302)
 SUBCOMMANDS = ("check", "simulate", "validate")
 CONVERGE = ("saint_venant_perturbed", "8,16")
 RUN_TIMEOUT_S = 900
+NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
 
 
 def write_configs(directory):
@@ -82,6 +86,39 @@ def first_difference(a, b):
     return f"{len(lines_a)} vs {len(lines_b)} lines"
 
 
+def worst_relative(pairs):
+    """Worst relative difference, by key, over (key, text_a, text_b) pairs
+    whose texts differ only in their numbers; None if any differs otherwise."""
+    worst = {}
+    for key, x, y in pairs:
+        parts_x, parts_y = NUMBER.split(x), NUMBER.split(y)
+        if len(parts_x) != len(parts_y) or parts_x[::2] != parts_y[::2]:
+            return None
+        for u, v in zip(map(float, parts_x[1::2]), map(float, parts_y[1::2])):
+            if u != v:
+                worst[key] = max(worst.get(key, 0.0), abs(u - v) / max(abs(u), abs(v)))
+    return worst
+
+
+def number_differences(a, b, csv):
+    """How two differing outputs differ in their numbers, as printable text:
+    the worst relative difference per column of a CSV (by its header), or
+    over every number of other text."""
+    lines_a, lines_b = a.decode().splitlines(), b.decode().splitlines()
+    worst = None
+    if len(lines_a) == len(lines_b) and not csv:
+        worst = worst_relative(("numbers", x, y) for x, y in zip(lines_a, lines_b))
+    elif len(lines_a) == len(lines_b) and lines_a[:1] == lines_b[:1]:
+        header = lines_a[0].split(",")
+        rows = [(x.split(","), y.split(",")) for x, y in zip(lines_a[1:], lines_b[1:])]
+        if all(len(x) == len(y) == len(header) for x, y in rows):
+            worst = worst_relative(cell for x, y in rows for cell in zip(header, x, y))
+    if worst is None:
+        return "differs in more than its numbers"
+    return "worst relative difference " + ", ".join(
+        f"{key} {value:.2g}" for key, value in worst.items())
+
+
 def output_files(directory):
     if not directory.is_dir():
         return {}
@@ -97,7 +134,8 @@ def compare(name, result_a, result_b, out_a, out_b):
     for label, a, b in (("stdout", result_a[1], result_b[1]),
                         ("stderr", result_a[2], result_b[2])):
         if a != b:
-            diffs.append(f"{name}: {label} differs at {first_difference(a, b)}")
+            diffs.append(f"{name}: {label} differs at {first_difference(a, b)}\n"
+                         f"  {number_differences(a, b, csv=False)}")
     files_a, files_b = output_files(out_a), output_files(out_b)
     for path in sorted(files_a.keys() | files_b.keys()):
         if path not in files_b:
@@ -106,7 +144,9 @@ def compare(name, result_a, result_b, out_a, out_b):
             diffs.append(f"{name}: {path} only in the change's output")
         elif files_a[path] != files_b[path]:
             diffs.append(f"{name}: {path} differs at "
-                         f"{first_difference(files_a[path], files_b[path])}")
+                         f"{first_difference(files_a[path], files_b[path])}\n  "
+                         + number_differences(files_a[path], files_b[path],
+                                              csv=path.endswith(".csv")))
     return diffs, len(files_a.keys() | files_b.keys())
 
 
