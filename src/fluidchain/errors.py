@@ -10,14 +10,9 @@ class ModelError(FluidchainError):
 
 
 class QuadratureError(FluidchainError):
-    """Adaptive quadrature failed to converge.
-
-    Carries the achieved absolute error estimate so callers can report it.
-    """
-
-    def __init__(self, message, achieved_error=None):
-        super().__init__(message)
-        self.achieved_error = achieved_error
+    """A derived function has no trustworthy value: the density lies beyond
+    the reach of its quadrature table or the value overflows, or the table
+    fails its half-panel certificate because the law is not smooth."""
 
 
 class DomainError(FluidchainError):

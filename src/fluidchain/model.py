@@ -18,10 +18,10 @@ functions the particle scheme needs:
 
 Every model kind is a power-law pair P = c*rho^gamma, mu = a*rho^beta, so
 these functions are closed forms of the one integral
-J(k, rho) = int_{rho*}^{rho} t^k dt.  Adaptive quadrature (scipy) runs only
-where no elementary form exists: the energy-envelope part at gamma != 2, and
-:meth:`FluidModel.custom` with arbitrary callables.  The quadrature route of
-each function (``*_quad``) is kept as an independent cross-check.
+J(k, rho) = int_{rho*}^{rho} t^k dt.  Where no elementary form exists (the
+energy-envelope part at gamma != 2, and :meth:`FluidModel.custom` with
+arbitrary callables) a function is read off a self-checking Gauss-Legendre
+table of its integrand (:func:`_gauss_table`), so those laws must be smooth.
 """
 
 from __future__ import annotations
@@ -34,13 +34,6 @@ import numpy as np
 from .errors import AdmissibilityError, ModelError, QuadratureError
 
 
-def quad(*args, **kwargs):
-    """``scipy.integrate.quad``, imported at the first call: a run whose
-    derived functions are all closed forms never loads scipy."""
-    from scipy.integrate import quad as scipy_quad
-    return scipy_quad(*args, **kwargs)
-
-
 # (required, optional) parameters of each model kind, as make_preset reads them
 PRESET_PARAMS = {
     "isentropic_gas": ({"c", "gamma"}, {"mu"}),
@@ -50,8 +43,12 @@ PRESET_PARAMS = {
 }
 PRESET_KINDS = tuple(PRESET_PARAMS)
 
-QUAD_REL_TOL = 1e-10     # relative tolerance of every quadrature
+QUAD_REL_TOL = 1e-10      # certificate of every Gauss-table panel (relative)
 QUAD_ABS_TOL = 1e-14
+GAUSS_ORDER = 12          # Gauss-Legendre nodes per panel
+PANEL_WIDTH = 0.05        # panel width in u = ln(rho/rho*)
+# Gauss tables and envelope inversions reach rho* * 10^(+-REACH_DECADES)
+REACH_DECADES = 12
 # the probe grid is rho* * 10^k for |k| <= PROBE_DECADES: it estimates the
 # envelope limits, brackets envelope inversions and checks the laws
 PROBE_DECADES = 6
@@ -96,7 +93,8 @@ class FluidModel:
         self.length = float(length)
         self.rho_star = self.m / self.length
         self.params = dict(params or {})
-        self._closed = dict(closed or {})
+        # derived functions by name: closed forms, and Gauss tables once built
+        self._functions = dict(closed or {})
         # envelope limits (key ()) and inversions (key target), each
         # computed once per model
         self._envelope_memo = {}
@@ -148,9 +146,10 @@ class FluidModel:
 
     @classmethod
     def custom(cls, pressure, viscosity, m, length):
-        """User-supplied callable laws; every derived function goes through
-        adaptive quadrature.  :func:`make_preset` builds a custom power law
-        with closed forms instead."""
+        """User-supplied callable laws; every derived function is read off a
+        Gauss table of its integrand, so both laws must be smooth over the
+        table's reach.  :func:`make_preset` builds a custom power law with
+        closed forms instead."""
         return cls("custom", pressure, viscosity, m=m, length=length)
 
     @classmethod
@@ -184,65 +183,42 @@ class FluidModel:
         return cls(kind, pressure=_monomial(c, gamma), viscosity=_monomial(a, beta),
                    m=m, length=length, params=params, closed=closed)
 
-    # -- quadrature plumbing ----------------------------------------------
+    # -- derived-function plumbing -----------------------------------------
 
     def probe_grid(self):
         k = np.arange(-PROBE_DECADES, PROBE_DECADES + 1)
         return self.rho_star * 10.0 ** k
 
-    def _quad(self, f, lo, hi):
-        """Adaptive quadrature of ``f`` from ``lo`` to ``hi`` (either order).
+    def _eval(self, name, arg):
+        """Evaluate the derived function ``name`` on ``arg``: its closed form,
+        else a Gauss table of its integrand, built at the first evaluation.
+        A closed form's overflow to inf is left to the callers' finiteness
+        guards; a table raises ``QuadratureError`` on it."""
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            fn = self._functions.get(name)
+            if fn is None:
+                fn = self._functions[name] = self._table(name)
+            out = fn(arg)
+        return out if np.ndim(arg) else float(out)
 
-        Integrates in a log-transformed variable when the limits span many
-        orders of magnitude, which stabilises the integrable end-point
-        behaviour towards vacuum.
-        """
-        lo = float(lo)
-        hi = float(hi)
-        if lo == hi:
-            return 0.0
-        sign = 1.0
-        if hi < lo:
-            lo, hi = hi, lo
-            sign = -1.0
-        if lo <= 0.0:
-            raise ModelError("integration limits must be positive")
-        if not math.isfinite(hi):
-            raise QuadratureError(
-                "integration limit overflowed: the pressure integral diverges "
-                "towards vacuum widths")
-        if hi / lo > 1.0e3:
-            g = lambda u: f(math.exp(u)) * math.exp(u)
-            a, b = math.log(lo), math.log(hi)
-        else:
-            g, a, b = f, lo, hi
-        out = quad(g, a, b, epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL,
-                   limit=200, full_output=1)
-        value, err = out[0], out[1]
-        # scipy warns whenever it cannot certify its own tolerance, which
-        # includes near-empty intervals integrated to full precision; only
-        # an achieved error above the requested tolerance is a failure
-        tol = max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(value))
-        if not math.isfinite(value) or (len(out) > 3 and not err <= tol):
-            raise QuadratureError(
-                f"quadrature did not converge on [{lo:g}, {hi:g}]"
-                f" (achieved error {err:.3g})", achieved_error=err)
-        return sign * value
-
-    def _eval(self, name, quad_fn, arg):
-        """Evaluate a derived function: closed form when available, else
-        elementwise quadrature.  Overflow to inf is left to the callers'
-        finiteness guards."""
-        closed = self._closed.get(name)
-        if closed is not None:
-            with np.errstate(over="ignore", divide="ignore"):
-                out = closed(arg)
-            return out if np.ndim(arg) else float(out)
-        if np.ndim(arg):
-            flat = np.asarray(arg, dtype=float).reshape(-1)
-            out = np.array([quad_fn(float(v)) for v in flat])
-            return out.reshape(np.shape(arg))
-        return quad_fn(float(arg))
+    def _table(self, name):
+        """The derived function ``name`` as a Gauss table of its integrand."""
+        pressure, viscosity, rho_star = self.pressure, self.viscosity, self.rho_star
+        if name == "viscous_potential":
+            return _gauss_table(lambda t: viscosity(t) / t, rho_star)
+        if name == "compression_energy":
+            # rho * int (P(t) - P(rho*))/t^2 dt, which does not cancel next to rho*
+            p_star = float(pressure(rho_star))
+            table = _gauss_table(lambda t: (pressure(t) - p_star) / t ** 2, rho_star)
+            return lambda rho: np.asarray(rho, float) * table(rho)
+        if name == "spacing_potential":
+            table = _gauss_table(lambda t: pressure(t) / t ** 2, rho_star)
+            return lambda s: table(self.m / np.asarray(s, float))
+        if name == "part_visc":
+            return _gauss_table(lambda t: t ** -1.5 * viscosity(t), rho_star)
+        # part_energy, whose integrand reads the compression energy
+        return _gauss_table(lambda t: t ** -1.5 * viscosity(t) * np.sqrt(
+            np.maximum(self._eval("compression_energy", t), 0.0)), rho_star)
 
     # -- derived scalar functions ------------------------------------------
 
@@ -250,22 +226,13 @@ class FluidModel:
         """Cumulative mu(tau)/tau from the reference density; strictly
         increasing, zero at rho*."""
         _require_positive_density(rho)
-        return self._eval("viscous_potential", self.viscous_potential_quad, rho)
-
-    def viscous_potential_quad(self, rho):
-        return self._quad(lambda t: float(self.viscosity(t)) / t, self.rho_star, rho)
+        return self._eval("viscous_potential", rho)
 
     def compression_energy(self, rho):
         """Potential-energy density of compression; nonnegative, zero only
         at the reference density."""
         _require_positive_density(rho)
-        return self._eval("compression_energy", self.compression_energy_quad, rho)
-
-    def compression_energy_quad(self, rho):
-        rho = float(rho)
-        integral = self._quad(lambda t: float(self.pressure(t)) / t ** 2, self.rho_star, rho)
-        p_star = float(self.pressure(self.rho_star))
-        return rho * integral - (p_star / self.rho_star) * rho + p_star
+        return self._eval("compression_energy", rho)
 
     def spacing_potential(self, s):
         """Per-particle potential of a scaled cell width; zero at s = L and
@@ -275,16 +242,12 @@ class FluidModel:
         an overflowing evaluation is reported rather than returned.
         """
         _require_positive_density(s, what="cell width")
-        out = self._eval("spacing_potential", self.spacing_potential_quad, s)
+        out = self._eval("spacing_potential", s)
         if not np.all(np.isfinite(out)):
             raise QuadratureError(
                 "spacing potential overflowed: the pressure integral diverges "
                 "towards vacuum widths")
         return out
-
-    def spacing_potential_quad(self, s):
-        return self._quad(lambda t: float(self.pressure(t)) / t ** 2,
-                          self.rho_star, self.m / float(s))
 
     def damping_potential(self, s):
         """Antiderivative of the viscous coupling gain, -k(m/s)/m; strictly
@@ -319,23 +282,10 @@ class FluidModel:
         (weighted-energy integral, weighted-viscosity integral,
         viscous potential)."""
         _require_positive_density(rho)
-        f1 = self._eval("part_energy", self._part_energy_quad, rho)
-        f2 = self._eval("part_visc", self._part_visc_quad, rho)
+        f1 = self._eval("part_energy", rho)
+        f2 = self._eval("part_visc", rho)
         kk = self.viscous_potential(rho)
         return f1, f2, kk
-
-    def envelope_parts_quad(self, rho):
-        return (self._part_energy_quad(rho), self._part_visc_quad(rho),
-                self.viscous_potential_quad(rho))
-
-    def _part_energy_quad(self, rho):
-        def f(t):
-            q = self.compression_energy(t)
-            return t ** -1.5 * float(self.viscosity(t)) * math.sqrt(max(float(q), 0.0))
-        return self._quad(f, self.rho_star, rho)
-
-    def _part_visc_quad(self, rho):
-        return self._quad(lambda t: t ** -1.5 * float(self.viscosity(t)), self.rho_star, rho)
 
     def energy_envelope(self, rho):
         """Increasing function mapping density to the minimal energy budget
@@ -382,8 +332,8 @@ class FluidModel:
         relative density bracket of ``ENVELOPE_INVERSE_REL_TOL``.
 
         The default bracket spans rho* * 10^(+-6) and is widened (up to
-        10^(+-12)) when the target lies beyond it; an inadmissible target
-        raises ``AdmissibilityError`` naming the failing side.
+        10^(+-REACH_DECADES)) when the target lies beyond it; an inadmissible
+        target raises ``AdmissibilityError`` naming the failing side.
         """
         target = float(target)
         if target == 0.0:
@@ -395,7 +345,7 @@ class FluidModel:
         if target > 0.0:
             while self.energy_envelope(hi) < target:
                 hi *= 10.0
-                if hi > self.rho_star * 1.0e12:
+                if hi > self.rho_star * 10.0 ** REACH_DECADES:
                     raise AdmissibilityError(
                         f"energy budget {target:g} exceeds the envelope's reach"
                         " towards high density", side="high")
@@ -403,7 +353,7 @@ class FluidModel:
         else:
             while self.energy_envelope(lo) > target:
                 lo /= 10.0
-                if lo < self.rho_star * 1.0e-12:
+                if lo < self.rho_star * 10.0 ** -REACH_DECADES:
                     raise AdmissibilityError(
                         f"energy budget {-target:g} exceeds the envelope's reach"
                         " towards vacuum", side="low")
@@ -477,6 +427,57 @@ def make_preset(kind, params, m, length):
 
 
 # -- helpers -----------------------------------------------------------------
+
+def _gauss_table(integrand, rho_star):
+    """``rho -> int_{rho*}^{rho} integrand(t) dt`` (``integrand`` maps
+    arrays) from one composite Gauss-Legendre table in ``u = ln(t/rho*)``.
+
+    Panels of width ``PANEL_WIDTH`` run outward from rho* on each side to
+    the reach rho* * 10^(+-REACH_DECADES), each side keeping the running sum
+    of its panels; an evaluation adds the same rule from its panel's inner
+    edge.  Each panel must match the sum of its halves to ``QUAD_REL_TOL *
+    |panel| + QUAD_ABS_TOL``, so a singular or kinked integrand raises
+    ``QuadratureError``, as does an evaluation beyond the reach or overflowing.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(GAUSS_ORDER)
+
+    def rule(a, b):
+        # the Gauss rule over each [a_i, b_i] in u, where dt = t du
+        half = 0.5 * (b - a)
+        t = rho_star * np.exp((a + half)[:, None] + half[:, None] * nodes)
+        return half * ((integrand(t) * t) @ weights)
+
+    panels = math.ceil(REACH_DECADES * math.log(10.0) / PANEL_WIDTH)
+    edges = PANEL_WIDTH * np.arange(panels + 1.0)
+    running = {}
+    for side in (1.0, -1.0):
+        inner, outer = side * edges[:-1], side * edges[1:]
+        mid = 0.5 * (inner + outer)
+        whole = rule(inner, outer)
+        gap = np.abs(whole - (rule(inner, mid) + rule(mid, outer)))
+        # an overflowing panel is not judged here: evaluations past it raise
+        failed = np.isfinite(whole) & ~(gap <= QUAD_REL_TOL * np.abs(whole) + QUAD_ABS_TOL)
+        if np.any(failed):
+            rho = rho_star * math.exp(inner[np.argmax(failed)])
+            raise QuadratureError(f"quadrature table fails its half-panel check on the "
+                                  f"panel at density {rho:g}: the law is not smooth there")
+        running[side] = np.concatenate(([0.0], np.cumsum(whole)))
+
+    def evaluate(rho):
+        u = np.log(np.asarray(rho, dtype=float) / rho_star).reshape(-1)
+        if not np.all(np.abs(u) <= edges[-1]):
+            raise QuadratureError(
+                f"density beyond the quadrature table's reach rho* * 10^(+-{REACH_DECADES})")
+        k = (np.abs(u) / PANEL_WIDTH).astype(int)
+        out = (np.where(u < 0.0, running[-1.0][k], running[1.0][k])
+               + rule(np.copysign(edges[k], u), u))
+        if not np.all(np.isfinite(out)):
+            raise QuadratureError("quadrature table overflowed: the integral diverges "
+                                  "towards the reach of its density")
+        return out.reshape(np.shape(rho))
+
+    return evaluate
+
 
 def _check_record(record, required, optional, what):
     """Require ``record`` to hold every ``required`` key and no key outside

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 import fluidchain as fc
 
@@ -27,6 +30,63 @@ def power_law():
     return fc.make_preset("custom", {"pressure": {"coeff": 1.0, "exponent": 2.0},
                                      "viscosity": {"coeff": 1.0, "exponent": 0.5}},
                           m=1.0, length=1.0)
+
+
+@pytest.fixture(scope="session")
+def ideal_callable():
+    """The ``ideal`` laws as callables: every derived function from a Gauss
+    table."""
+    return fc.FluidModel.custom(pressure=lambda r: np.asarray(r, float) ** 1.4,
+                                viscosity=lambda r: np.asarray(r, float) ** 0.2,
+                                m=1.0, length=1.0)
+
+
+@pytest.fixture(scope="session")
+def callable_models(ideal_callable):
+    """Callable custom models, whose derived functions all come from Gauss
+    tables: the ideal-gas laws, the Saint-Venant laws and a pressure that is
+    no power law, with rho* other than 1."""
+    sv = fc.FluidModel.custom(pressure=lambda r: 4.905 * np.asarray(r, float) ** 2,
+                              viscosity=lambda r: np.asarray(r, float), m=1.0, length=1.0)
+    mixed = fc.FluidModel.custom(
+        pressure=lambda r: np.asarray(r, float) ** 1.5 + np.asarray(r, float) ** 3,
+        viscosity=lambda r: 0.5 + np.sqrt(np.asarray(r, float)), m=1.3, length=0.7)
+    return ideal_callable, sv, mixed
+
+
+def _quad(f, lo, hi):
+    """scipy's adaptive quadrature of the scalar ``f`` from ``lo`` to ``hi``
+    at relative 1e-10, in log variable when the limits span more than three
+    decades."""
+    if lo == hi:
+        return 0.0
+    sign = 1.0 if lo < hi else -1.0
+    lo, hi = sorted((lo, hi))
+    if hi / lo > 1.0e3:
+        return sign * quad(lambda u: f(math.exp(u)) * math.exp(u), math.log(lo), math.log(hi),
+                           epsabs=1e-14, epsrel=1e-10, limit=200, full_output=1)[0]
+    return sign * quad(f, lo, hi, epsabs=1e-14, epsrel=1e-10, limit=200, full_output=1)[0]
+
+
+def quadrature_reference(model, rho):
+    """The five integrals behind the derived functions of ``model`` at
+    density ``rho``, through scipy's adaptive quadrature: the reference that
+    closed forms and Gauss tables are checked against.  The spacing
+    potential is taken at the width m/rho, and the energy part integrates
+    the model's own compression energy."""
+    rho, rho_star = float(rho), model.rho_star
+    p_star = float(model.pressure(rho_star))
+    law = lambda fn: lambda t: float(fn(t))
+    pressure, viscosity = law(model.pressure), law(model.viscosity)
+    return {
+        "viscous_potential": _quad(lambda t: viscosity(t) / t, rho_star, rho),
+        "compression_energy": rho * _quad(lambda t: (pressure(t) - p_star) / t ** 2,
+                                          rho_star, rho),
+        "spacing_potential": _quad(lambda t: pressure(t) / t ** 2, rho_star, rho),
+        "part_energy": _quad(lambda t: t ** -1.5 * viscosity(t) * math.sqrt(
+            max(model.compression_energy(t), 0.0)), rho_star, rho),
+        "part_visc": _quad(lambda t: t ** -1.5 * viscosity(t), rho_star, rho),
+    }
 
 
 MODEL_FIXTURES = {"saint_venant": "sv", "isentropic_gas": "isentropic",

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -8,9 +9,10 @@ import numpy as np
 import pytest
 
 import fluidchain as fc
-from fluidchain import model as model_module
 from fluidchain.dynamics import spacing_bounds
 from fluidchain.errors import AdmissibilityError, ModelError
+
+from conftest import quadrature_reference
 
 
 def test_saint_venant_preset_values(sv):
@@ -85,7 +87,7 @@ def test_viscous_potential(sv, ideal):
     assert sv.viscous_potential(1.0) == 0.0
     # closed form nu*(rho - rho*) cross-checked by quadrature
     assert sv.viscous_potential(2.0) == pytest.approx(1.0, rel=1e-12)
-    assert sv.viscous_potential_quad(2.0) == pytest.approx(1.0, rel=1e-10)
+    assert quadrature_reference(sv, 2.0)["viscous_potential"] == pytest.approx(1.0, rel=1e-10)
     gamma, a = 1.4, 1.0
     for rho in (0.25, 0.5, 3.0):
         expect = (2 * a / (gamma - 1)) * (rho ** ((gamma - 1) / 2) - 1.0)
@@ -106,12 +108,13 @@ def test_compression_energy(sv, isentropic):
         assert model.compression_energy(model.rho_star) == pytest.approx(0.0, abs=1e-14)
     # oracle: (g/2)*(rho - rho*)^2 by symbolic integration, verified by quadrature
     assert sv.compression_energy(2.0) == pytest.approx(4.905, rel=1e-12)
-    assert sv.compression_energy_quad(2.0) == pytest.approx(4.905, rel=1e-9)
+    assert quadrature_reference(sv, 2.0)["compression_energy"] == pytest.approx(4.905, rel=1e-9)
     c, gamma = 1.0, 1.4
     for rho in (0.3, 0.9, 2.5):
         expect = (c / (gamma - 1)) * (rho ** gamma - gamma * rho + (gamma - 1))
         assert isentropic.compression_energy(rho) == pytest.approx(expect, rel=1e-12)
-        assert isentropic.compression_energy_quad(rho) == pytest.approx(expect, rel=1e-8)
+        assert quadrature_reference(isentropic, rho)["compression_energy"] == pytest.approx(
+            expect, rel=1e-8)
 
 
 def test_compression_energy_positive_away_from_reference(sv, ideal):
@@ -127,7 +130,7 @@ def test_spacing_potential(sv, ideal, isentropic):
         assert model.spacing_potential(model.length) == pytest.approx(0.0, abs=1e-13)
     # oracle: (g/2)*(m/s - rho*) from integrating the quadratic pressure law
     assert sv.spacing_potential(0.5) == pytest.approx(4.905, rel=1e-12)
-    assert sv.spacing_potential_quad(0.5) == pytest.approx(4.905, rel=1e-9)
+    assert quadrature_reference(sv, 2.0)["spacing_potential"] == pytest.approx(4.905, rel=1e-9)
 
 
 def test_spacing_potential_compression_identity(sv, ideal):
@@ -271,43 +274,63 @@ def _power_law_preset(gamma, beta, m=1.0, length=1.0):
 LOG_BRANCH_LAWS = ((2.0, 0.0), (2.0, 0.5), (1.0, 1.0), (2.0, -0.5), (2.0, 0.5, 1.3, 0.7))
 
 
-def test_closed_forms_match_quadrature_on_probe_grid(sv, ideal, isentropic, power_law):
-    for model in (sv, ideal, isentropic, power_law,
+def test_closed_forms_match_quadrature_on_probe_grid(sv, ideal, isentropic, power_law,
+                                                     callable_models):
+    # closed forms, the energy part's Gauss table at gamma != 2, and the
+    # tables of callable laws, each against scipy's adaptive quadrature
+    for model in (sv, ideal, isentropic, power_law, *callable_models,
                   *(_power_law_preset(*law) for law in LOG_BRANCH_LAWS)):
         near = model.rho_star * np.array([1 - 1e-6, 1 - 1e-12, 1 + 1e-12, 1 + 1e-6])
         for rho in (*model.probe_grid(), *near):
             rho = float(rho)
             s = model.m / rho
+            ref = quadrature_reference(model, rho)
             assert model.viscous_potential(rho) == pytest.approx(
-                model.viscous_potential_quad(rho), rel=1e-8, abs=1e-12)
+                ref["viscous_potential"], rel=1e-8, abs=1e-12)
             assert model.compression_energy(rho) == pytest.approx(
-                model.compression_energy_quad(rho), rel=1e-8, abs=1e-12)
+                ref["compression_energy"], rel=1e-8, abs=1e-12)
             assert model.spacing_potential(s) == pytest.approx(
-                model.spacing_potential_quad(s), rel=1e-8, abs=1e-12)
-            # the energy part is closed at gamma = 2 and integrated otherwise
+                ref["spacing_potential"], rel=1e-8, abs=1e-12)
             assert model.envelope_parts(rho) == pytest.approx(
-                model.envelope_parts_quad(rho), rel=1e-8, abs=1e-12)
+                (ref["part_energy"], ref["part_visc"], ref["viscous_potential"]),
+                rel=1e-8, abs=1e-12)
 
 
-def test_spacing_potential_overflow_is_reported(sv, ideal):
+def test_compression_energy_of_callable_laws_next_to_reference(callable_models):
+    # a table of (P(t) - P(rho*))/t^2 keeps its digits where rho*int P/t^2
+    # and the P(rho*) terms cancel: Saint-Venant laws, exact 4.905 (rho-1)^2
+    sv = callable_models[1]
+    for rho, rel in ((1.0 + 1e-6, 1e-8), (1.0 + 1e-9, 1e-6)):
+        assert sv.compression_energy(rho) == pytest.approx(4.905 * (rho - 1.0) ** 2,
+                                                           rel=rel, abs=0.0)
+
+
+def test_spacing_potential_overflow_is_reported(sv, ideal, ideal_callable):
     # towards vacuum widths the pressure integral diverges; evaluations that
-    # overflow must raise instead of returning inf
-    for model in (sv, ideal):
+    # overflow, or that leave a Gauss table's reach, must raise instead of
+    # returning inf
+    for model in (sv, ideal, ideal_callable):
         with pytest.raises(fc.QuadratureError):
             model.spacing_potential(1e-320)
 
 
 def test_envelope_finite_next_to_reference_density(ideal, power_law):
-    # scipy warns on these near-empty intervals although it integrates them
-    # to full precision; that warning alone is not a failure
+    # the ideal gas's energy part here is a near-empty first panel of its table
     for model in (ideal, power_law):
         for rho in (1.0 + 1e-15, 1.0 - 1e-14):
             assert math.isfinite(model.energy_envelope(rho))
 
 
-def test_quadrature_above_tolerance_still_raises(ideal):
-    with pytest.raises(fc.QuadratureError):
-        ideal._quad(lambda t: 1.0 / abs(t - 1.3), 1.0, 2.0)
+def test_quadrature_above_tolerance_still_raises():
+    # a singular viscosity and a pressure with a kink at rho = 2 fail the
+    # tables' half-panel check instead of giving a wrong envelope
+    rho = lambda r: np.asarray(r, float)
+    for pressure, viscosity in ((lambda r: rho(r) ** 2, lambda r: 1.0 / abs(rho(r) - 1.3)),
+                                (lambda r: rho(r) ** 2 + np.maximum(rho(r) - 2.0, 0.0), rho)):
+        model = fc.FluidModel.custom(pressure=pressure, viscosity=viscosity,
+                                     m=1.0, length=1.0)
+        with pytest.raises(fc.QuadratureError, match="half-panel"):
+            model.energy_envelope(1.5)
 
 
 def test_rejects_nonpositive_density(sv):
@@ -340,50 +363,53 @@ def test_custom_scalar_callables_are_rejected():
             fc.FluidModel.custom(pressure=pressure, viscosity=viscosity, m=1.0, length=1.0)
 
 
-def test_scipy_loads_at_the_first_quadrature():
+def test_no_subcommand_imports_scipy(tmp_path):
+    # every subcommand on a gas whose energy part has no closed form, a
+    # custom power law at pressure exponent 1.4 and a model of callable laws
+    # run with scipy blocked
     package_root = Path(fc.__file__).resolve().parents[1]
+    shipped = package_root.parent / "configs" / "ideal_gas.json"
+    config = json.loads(shipped.read_text())
+    config["model"] = {"kind": "custom", "pressure": {"coeff": 1.0, "exponent": 1.4},
+                       "viscosity": {"coeff": 1.0, "exponent": 0.2}}
+    custom = tmp_path / "custom.json"
+    custom.write_text(json.dumps(config))
+    runs = [["check", "--config", str(shipped)],
+            ["simulate", "--config", str(shipped), "--out", str(tmp_path / "sim")],
+            ["validate", "--config", str(shipped), "--out", str(tmp_path / "val")],
+            ["converge", "--config", str(shipped), "--n", "8,16",
+             "--out", str(tmp_path / "conv")],
+            ["check", "--config", str(custom)]]
+    code = "\n".join([
+        "import sys",
+        "sys.modules['scipy'] = None",
+        "import numpy as np",
+        "from fluidchain import FluidModel",
+        "from fluidchain.cli import main",
+        f"for argv in {runs!r}:",
+        "    assert main(argv) == 0, argv",
+        "law = lambda r: np.asarray(r, float) ** 1.4",
+        "FluidModel.custom(pressure=law, viscosity=law, m=1.0, length=1.0)"
+        ".energy_envelope_limits()",
+    ])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(package_root), os.environ.get("PYTHONPATH")])))
-    # the energy part of a gas at gamma != 2, and any function of callable laws
-    for quadrature in ("ideal_gas_entropy(c=1.0, gamma=1.4, visc_amp=1.0, m=1.0, "
-                       "length=1.0).energy_envelope(2.0)",
-                       "custom(pressure=square, viscosity=square, m=1.0, "
-                       "length=1.0).viscous_potential(2.0)"):
-        code = "\n".join([
-            "import sys",
-            "import fluidchain.cli",
-            "from fluidchain import FluidModel, make_preset",
-            "assert 'scipy' not in sys.modules, 'imported at load'",
-            "sv = make_preset('saint_venant', {'g': 9.81, 'nu': 1.0}, m=1.0, length=1.0)",
-            "sv.energy_envelope_limits()",
-            "assert 'scipy' not in sys.modules, 'imported by a closed-form preset'",
-            "law = {'coeff': 1.0, 'exponent': 2.0}",
-            "custom = make_preset('custom', {'pressure': law,",
-            "                                'viscosity': {'coeff': 1.0, 'exponent': 0.5}},",
-            "                     m=1.0, length=1.0)",
-            "custom.energy_envelope_limits()",
-            "assert 'scipy' not in sys.modules, 'imported by a custom power law'",
-            "square = lambda r: r * r",
-            f"FluidModel.{quadrature}",
-            "assert 'scipy.integrate' in sys.modules, 'not imported by quadrature'",
-        ])
-        done = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=60)
-        assert done.returncode == 0, done.stderr
+    done = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_envelope_limits_and_inversions_are_computed_once(sv, monkeypatch):
     calls = []
-    scipy_backed = model_module.quad
-
-    def counting_quad(*args, **kwargs):
-        calls.append(args[1:3])
-        return scipy_backed(*args, **kwargs)
-
-    # the binding FluidModel._quad calls, which the benchmark tracer patches too
-    monkeypatch.setattr(model_module, "quad", counting_quad)
     square = lambda r: np.asarray(r, float) ** 2
     model = fc.FluidModel.custom(pressure=square, viscosity=square, m=1.0, length=1.0)
+    evaluate = model.energy_envelope
+
+    def counting_envelope(rho):
+        calls.append(rho)
+        return evaluate(rho)
+
+    monkeypatch.setattr(model, "energy_envelope", counting_envelope)
     bounds = spacing_bounds(model, 1e-3, 2e-3)
     assert calls
     calls.clear()
