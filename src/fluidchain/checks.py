@@ -114,23 +114,31 @@ def _simpson(ts, gs):
     return total
 
 
+# snapshots per block of the stacked residual evaluation, which bounds its
+# temporaries
+_BLOCK = 32
+
+
 def _weak_residual(series, tf, kind, initial, integrand):
     """Signed defect of a weak identity for ``phi = (1 - t/T) * shape(x)``
     with ``T`` the series horizon: the space integral of
     ``initial(pts, shape)`` at t = 0 plus the Simpson time integral of the
-    space integrals of ``integrand(field, rho, v, phi_t, phi_x)`` over the
-    series.  Space integrals are 3-point Gauss per reconstruction cell,
-    summed ghost-end first."""
+    space integrals of ``integrand(block, rho, v, phi_t, phi_x)``, evaluated
+    on the stacked cells of up to ``_BLOCK`` snapshots at a time (``block``
+    their reconstructed fields).  Space integrals are 3-point Gauss per
+    reconstruction cell (``series.gauss_cells``), summed ghost-end first."""
     if tf.kind != kind:
         raise ValueError(f"expected a {kind}-kind test function, got {tf.kind}")
     horizon = series.times[-1]
-    pts0, wts0, _, _ = fields.gauss_cells(series.reconstructed[0], 3)
-    term0 = ordered_sum(np.sum(initial(pts0, tf.shape(pts0)) * wts0, axis=1)[::-1])
+    pts, wts, rho, vel = series.gauss_cells(3)
+    term0 = ordered_sum(np.sum(initial(pts[0], tf.shape(pts[0])) * wts[0], axis=1)[::-1])
+    times = np.asarray(series.times)[:, None, None]
     g = np.empty(len(series))
-    for j, field in enumerate(series.reconstructed):
-        pts, wts, rho, vel = fields.gauss_cells(field, 3)
-        values = integrand(field, rho, vel, *tf.derivatives(series.times[j], horizon, pts))
-        g[j] = ordered_sum(np.sum(values * wts, axis=1)[::-1])
+    for start in range(0, len(series), _BLOCK):
+        j = slice(start, start + _BLOCK)
+        phi_t, phi_x = tf.derivatives(times[j], horizon, pts[j])
+        values = integrand(series.reconstructed[j], rho[j], vel[j], phi_t, phi_x)
+        g[j] = ordered_sum(np.sum(values * wts[j], axis=2)[:, ::-1])
 
     value = term0 + _simpson(series.times, g)
     n_int = len(series.times) - 1
@@ -152,7 +160,7 @@ def continuity_residual(model, series, init, tf) -> ResidualReport:
     def initial(pts, phi0):
         return phi0 * init.rho0(pts)
 
-    def integrand(field, rho, vel, phi_t, phi_x):
+    def integrand(block, rho, vel, phi_t, phi_x):
         return rho * (phi_t + vel * phi_x)
 
     return _weak_residual(series, tf, "continuity", initial, integrand)
@@ -165,9 +173,10 @@ def momentum_residual(model, series, init, tf) -> ResidualReport:
     def initial(pts, phi0):
         return phi0 * init.rho0(pts) * np.asarray(init.v0(pts.ravel()), float).reshape(pts.shape)
 
-    def integrand(field, rho, vel, phi_t, phi_x):
-        slope_v = ((field.asc_v[1:] - field.asc_v[:-1])
-                   / (field.asc_x[1:] - field.asc_x[:-1]))[:, None]
+    def integrand(block, rho, vel, phi_t, phi_x):
+        asc_x = np.stack([field.asc_x for field in block])
+        asc_v = np.stack([field.asc_v for field in block])
+        slope_v = ((asc_v[:, 1:] - asc_v[:, :-1]) / (asc_x[:, 1:] - asc_x[:, :-1]))[..., None]
         flux = rho * vel ** 2 + np.asarray(model.pressure(rho)) \
             - np.asarray(model.viscosity(rho)) * slope_v
         return phi_t * rho * vel + phi_x * flux
@@ -178,6 +187,7 @@ def momentum_residual(model, series, init, tf) -> ResidualReport:
 def residuals(model, series, init) -> list:
     """One report per member of ``test_function_library``, in library
     order, each against the series' own horizon."""
+    series.gauss_cells(3)       # sampled here once, for every test function
     reports = []
     for tf in test_function_library(model.length):
         # module globals, read per call: a rebinding (perfbench's tracer) is seen
@@ -190,8 +200,8 @@ def residuals(model, series, init) -> list:
 
 @dataclass(frozen=True)
 class DecayReport:
-    """Per-snapshot monotonicity flags plus the time-averaged transformed-
-    energy budget check."""
+    """Per-snapshot monotonicity flags, the continuous energies of every
+    snapshot, and the time-averaged transformed-energy budget check."""
 
     e_n_violations: list
     w_n_violations: list
@@ -199,6 +209,8 @@ class DecayReport:
     w_avg_violations: list
     w_budget: float | None
     w_avg_max: float
+    e_cont: list
+    w_cont: list
 
     @property
     def discrete_ok(self):
@@ -216,30 +228,37 @@ def decay_report(series, w_budget=None) -> DecayReport:
     """Scan a snapshot series for decay violations.
 
     Discrete energies must be nonincreasing within 1e-8 * max(1, initial
-    value).  The continuous energy is monitored with the same slack but only
-    reported (it may legitimately wiggle by the discrete-continuous gap).
-    When ``w_budget`` is given, the running time average of the continuous
-    transformed energy must stay below it plus ``_W_AVG_SLACK`` (1e-6).
+    value).  The continuous energies of every snapshot (``fields.energies``)
+    are reported as ``e_cont`` and ``w_cont``.  The continuous energy is
+    monitored with the same slack but only reported (it may legitimately
+    wiggle by the discrete-continuous gap).  When ``w_budget`` is given, the
+    running time average of the continuous transformed energy must stay
+    below it plus ``_W_AVG_SLACK`` (1e-6).
     """
     diag = series.diagnostics
     times = series.times
-    slack_e = decay_slack(diag[0].e_n)
-    slack_w = decay_slack(diag[0].w_n)
+    e_n = [d.e_n for d in diag]
+    w_n = [d.w_n for d in diag]
+    energies = [fields.energies(series.model, field) for field in series.reconstructed]
+    e_cont = [e for e, _ in energies]
+    w_cont = [w for _, w in energies]
+    slack_e = decay_slack(e_n[0])
+    slack_w = decay_slack(w_n[0])
     w_avg_viol = []
     w_avg_max = 0.0
     running = 0.0
     for j in range(1, len(diag)):
         dt = times[j] - times[j - 1]
-        running += 0.5 * dt * (diag[j].w_cont + diag[j - 1].w_cont)
+        running += 0.5 * dt * (w_cont[j] + w_cont[j - 1])
         avg = running / times[j]
         w_avg_max = max(w_avg_max, avg)
         if w_budget is not None and avg > w_budget + _W_AVG_SLACK:
             w_avg_viol.append((times[j], avg - w_budget))
-    return DecayReport(e_n_violations=decay_violations(series, "e_n", slack_e),
-                       w_n_violations=decay_violations(series, "w_n", slack_w),
-                       e_cont_violations=decay_violations(series, "e_cont", slack_e),
+    return DecayReport(e_n_violations=decay_violations(times, e_n, slack_e),
+                       w_n_violations=decay_violations(times, w_n, slack_w),
+                       e_cont_violations=decay_violations(times, e_cont, slack_e),
                        w_avg_violations=w_avg_viol, w_budget=w_budget,
-                       w_avg_max=w_avg_max)
+                       w_avg_max=w_avg_max, e_cont=e_cont, w_cont=w_cont)
 
 
 @dataclass(frozen=True)
@@ -268,11 +287,9 @@ def envelope_check(model, series) -> EnvelopeReport:
     e0, w0 = max(d0.e_n, 0.0), max(d0.w_n, 0.0)
     budget = sqrt_budget(e0, w0)
     a, b = spacing_bounds(model, e0, w0)
-    excess = -math.inf
-    for field in series.reconstructed:
-        rho_cells = field.rho_nodes[1:]
-        env = np.asarray(model.energy_envelope(rho_cells))
-        excess = max(excess, float(np.max(env) - budget), float(-np.min(env) - budget))
+    rho_cells = np.stack([field.rho_nodes[1:] for field in series.reconstructed])
+    env = np.asarray(model.energy_envelope(rho_cells))
+    excess = max(float(np.max(env) - budget), float(-np.min(env) - budget))
     return EnvelopeReport(budget=budget, a=a, b=b,
                           spacing_min_seen=series.stats.spacing_min_seen,
                           spacing_max_seen=series.stats.spacing_max_seen,

@@ -10,7 +10,6 @@ the same config byte-reproduces its artifacts.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import os
@@ -237,14 +236,17 @@ def _fmt(value):
     return _FLOAT % float(value)
 
 
-def _fmt_floats(values):
-    """``_fmt`` of each value of a float array."""
-    return ["infinite" if math.isinf(v) else _FLOAT % v for v in values.tolist()]
-
-
-def _write_rows(fh, *columns):
-    """Write one CSV row per position of the formatted columns."""
-    fh.write("".join([",".join(row) + "\n" for row in zip(*columns)]))
+def _write_snapshot(fh, t_text, rows, *columns):
+    """Write one snapshot's rows in one call: ``t_text`` starts every row and
+    ``rows`` holds each row's rest, with one ``_FLOAT`` per column filled
+    from ``columns``.  A snapshot holding an infinity is formatted value by
+    value through ``_fmt``."""
+    template = t_text + t_text.join(rows)
+    values = np.column_stack(columns).ravel()
+    if np.isinf(values).any():
+        fh.write(template.replace(_FLOAT, "%s") % tuple(map(_fmt, values.tolist())))
+    else:
+        fh.write(template % tuple(values.tolist()))
 
 
 def _write_csv(path, header, rows):
@@ -256,26 +258,36 @@ def _write_csv(path, header, rows):
 
 def _write_simulation_artifacts(model, series, out_dir, grid_size):
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     # one uniform grid of grid_size points, the same for every snapshot
     grid = np.linspace(0.0, model.length, grid_size)
-    x_col = _fmt_floats(grid)
-    i_col = [str(i) for i in range(series.states[0].n + 1)]
+    particle_rows = [f",{i},{_FLOAT},{_FLOAT},{_FLOAT}\n"
+                     for i in range(series.states[0].n + 1)]
+    field_rows = [f",{_fmt(x)},{_FLOAT},{_FLOAT}\n" for x in grid.tolist()]
     with (open(out / "particles.csv", "w", newline="\n") as particles,
           open(out / "fields.csv", "w", newline="\n") as sampled):
         particles.write("t,i,x_i,v_i,rho_i\n")
         sampled.write("t,x,rho,v\n")
         for t, field in zip(series.times, series.reconstructed):
-            t_col = itertools.repeat(_fmt(t))
-            _write_rows(particles, t_col, i_col, _fmt_floats(field.edges),
-                        _fmt_floats(field.v_nodes), _fmt_floats(field.rho_nodes))
-            _write_rows(sampled, t_col, x_col, _fmt_floats(field.rho(grid)),
-                        _fmt_floats(field.v(grid)))
+            t_text = _fmt(t)
+            _write_snapshot(particles, t_text, particle_rows,
+                            field.edges, field.v_nodes, field.rho_nodes)
+            _write_snapshot(sampled, t_text, field_rows, field.rho(grid), field.v(grid))
     _write_csv(out / "diagnostics.csv",
                ("t", "E_n", "W_n", "Z_n", "H_n", "mass", "min_spacing", "max_spacing"),
                [(t, d.e_n, d.w_n, d.z_n, d.h_n, d.mass, d.spacing_min, d.spacing_max)
                 for t, d in zip(series.times, series.diagnostics)])
+
+
+def _make_out(out_dir):
+    """Create the output directory before any work; a path that cannot be
+    one (an existing file, a path under a file) is a ConfigError on --out."""
+    out = Path(out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError("--out", f"cannot create directory {str(out)!r}: "
+                          f"{exc.strerror or exc}") from None
+    return out
 
 
 def _error_record(exc):
@@ -290,9 +302,10 @@ def _error_record(exc):
 def _cmd_simulate(cfg, out_dir):
     if cfg.n is None:
         raise ConfigError("n", "simulate requires a particle count")
+    out = _make_out(out_dir)
     state0 = build_particles(cfg.model, cfg.initial, cfg.n)
     series = simulate(cfg.model, state0, cfg.horizon, cfg.integrator)
-    _write_simulation_artifacts(cfg.model, series, out_dir, cfg.grid_size)
+    _write_simulation_artifacts(cfg.model, series, out, cfg.grid_size)
     for warning in series.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     print(f"simulate: wrote {len(series)} snapshots to {out_dir} "
@@ -306,29 +319,30 @@ def _cmd_check(cfg):
     return 0 if report.admissible else 2
 
 
-def _require_study_ready(cfg):
+def _prepare_study(cfg, out_dir):
     """What validate and converge need before simulating: equally spaced
-    snapshots (for the residuals' Simpson rule) and admissible initial data."""
+    snapshots (for the residuals' Simpson rule), the output directory and
+    admissible initial data.  Returns the directory and the admissibility
+    report."""
     if not checks.uniform_cadence(cfg.horizon, cfg.integrator.snapshot_dt):
         raise ConfigError("integrator.T", f"T={cfg.horizon:g} is not a multiple of "
                           f"snapshot_dt={cfg.integrator.snapshot_dt:g}")
+    out = _make_out(out_dir)
     report = admissibility(cfg.model, cfg.initial)
     if not report.admissible:
         raise AdmissibilityError(
             f"initial data inadmissible: budget {report.lhs:g} >= envelope "
             f"limit {min(report.f_limit_high, report.f_limit_low):g}")
-    return report
+    return out, report
 
 
 def _cmd_converge(cfg, out_dir, n_override):
     n_list = n_override or cfg.n_list
     if not n_list:
         raise ConfigError("n_list", "converge requires n_list (or --n)")
-    _require_study_ready(cfg)
+    out, _ = _prepare_study(cfg, out_dir)
     rows = checks.convergence_study(cfg.model, cfg.initial, n_list,
                                     cfg.horizon, cfg.integrator)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     long_rows = []
     for row in rows:
         if row.error is not None:
@@ -359,7 +373,8 @@ def _cmd_converge(cfg, out_dir, n_override):
 def _cmd_validate(cfg, out_dir):
     if cfg.n is None:
         raise ConfigError("n", "validate requires a particle count")
-    w_bar = _require_study_ready(cfg).w_bar
+    out, report = _prepare_study(cfg, out_dir)
+    w_bar = report.w_bar
     model, init = cfg.model, cfg.initial
     state0 = build_particles(model, init, cfg.n)
     series = simulate(model, state0, cfg.horizon, cfg.integrator)
@@ -368,8 +383,6 @@ def _cmd_validate(cfg, out_dir):
     decay = checks.decay_report(series, w_budget=w_bar)
     envelope = checks.envelope_check(model, series)
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     rows = [(r.n, f"residual[{r.test_function}]", r.value, r.quad_error)
             for r in reports]
     rows.append((cfg.n, "w_avg_max", decay.w_avg_max, None))

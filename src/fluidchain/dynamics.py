@@ -81,13 +81,16 @@ def gaps_from_interior(length, x):
 
 
 def ordered_sum(values):
-    """Left-to-right sum, bit-identical to a ``total += value`` loop from
-    0.0 (``np.add.accumulate`` adds in order, unlike the pairwise ``np.sum``);
-    0.0 for empty input."""
+    """Left-to-right sum over the last axis, bit-identical to a
+    ``total += value`` loop from 0.0 (``np.add.accumulate`` adds in order,
+    unlike the pairwise ``np.sum``); 0.0 for an empty axis.  A float for 1-D
+    input, an array over the leading axes otherwise."""
     values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        return 0.0
-    return 0.0 + float(np.add.accumulate(values)[-1])
+    if values.shape[-1] == 0:
+        total = np.zeros(values.shape[:-1])
+    else:
+        total = 0.0 + np.add.accumulate(values, axis=-1)[..., -1]
+    return float(total) if values.ndim == 1 else total
 
 
 def rhs_arrays(model, n, x, v):

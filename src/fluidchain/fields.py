@@ -99,12 +99,25 @@ def gauss_cells(field: ReconstructedField, order: int):
     return pts, half * weights[None, :], rho, vel
 
 
-def continuous_energy(model: FluidModel, field: ReconstructedField) -> float:
-    """Kinetic plus compression energy of the rebuilt fields."""
+def energies(model, field):
+    """``(continuous_energy, continuous_energy_mod)`` of a field from one
+    order-5 sampling."""
     _, wts, rho, vel = gauss_cells(field, 5)
     q = np.asarray(model.compression_energy(rho))
-    cells = np.sum((0.5 * rho * vel ** 2 + q) * wts, axis=1)
-    return max(ordered_sum(cells[::-1]), 0.0)    # ghost-end first, as in total_mass
+    slope = (field.asc_rho[1:] - field.asc_rho[:-1]) / (field.asc_x[1:] - field.asc_x[:-1])
+    mu = np.asarray(model.viscosity(rho))
+    shifted = vel + mu * slope[:, None] / rho ** 2
+
+    def energy(u):
+        cells = np.sum((0.5 * rho * u ** 2 + q) * wts, axis=1)
+        return max(ordered_sum(cells[::-1]), 0.0)    # ghost-end first, as in total_mass
+
+    return energy(vel), energy(shifted)
+
+
+def continuous_energy(model: FluidModel, field: ReconstructedField) -> float:
+    """Kinetic plus compression energy of the rebuilt fields."""
+    return energies(model, field)[0]
 
 
 def continuous_energy_mod(model: FluidModel, field: ReconstructedField) -> float:
@@ -113,10 +126,4 @@ def continuous_energy_mod(model: FluidModel, field: ReconstructedField) -> float
     The transformed velocity is v + mu(rho) * rho_x / rho^2 with the exact
     cell slope for rho_x.
     """
-    _, wts, rho, vel = gauss_cells(field, 5)
-    slope = (field.asc_rho[1:] - field.asc_rho[:-1]) / (field.asc_x[1:] - field.asc_x[:-1])
-    mu = np.asarray(model.viscosity(rho))
-    shifted = vel + mu * slope[:, None] / rho ** 2
-    q = np.asarray(model.compression_energy(rho))
-    cells = np.sum((0.5 * rho * shifted ** 2 + q) * wts, axis=1)
-    return max(ordered_sum(cells[::-1]), 0.0)
+    return energies(model, field)[1]

@@ -68,8 +68,8 @@ class IntegratorConfig:
 
 @dataclass(frozen=True)
 class DiagnosticsRecord:
-    """Per-snapshot functionals, reconstructed mass, scaled-spacing extrema,
-    and the continuous functional values of the rebuilt fields."""
+    """Per-snapshot functionals, reconstructed mass and scaled-spacing
+    extrema."""
 
     e_n: float
     w_n: float
@@ -78,8 +78,6 @@ class DiagnosticsRecord:
     mass: float
     spacing_min: float
     spacing_max: float
-    e_cont: float
-    w_cont: float
 
 
 @dataclass
@@ -115,17 +113,35 @@ class MonitorWarning:
 @dataclass
 class SnapshotSeries:
     """Snapshots in time order: each state, its reconstructed field (built
-    once, when the snapshot is recorded) and its diagnostics."""
+    once, when the snapshot is recorded) and its diagnostics, with the model
+    they were integrated with."""
 
+    model: object = None
     times: list = field(default_factory=list)
     states: list = field(default_factory=list)
     reconstructed: list = field(default_factory=list)
     diagnostics: list = field(default_factory=list)
     stats: IntegrationStats = field(default_factory=IntegrationStats)
     warnings: list = field(default_factory=list)
+    _cells: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __len__(self):
         return len(self.times)
+
+    def gauss_cells(self, order):
+        """``fields.gauss_cells`` of every snapshot of the finished series,
+        stacked to shape (snapshots, n, order): points, weights, density and
+        velocity, sampled once per order."""
+        if order not in self._cells:
+            shape = (len(self), self.reconstructed[0].n, order)
+            stack = tuple(np.empty(shape) for _ in range(4))
+            for j, field in enumerate(self.reconstructed):
+                for part, values in zip(stack, fields.gauss_cells(field, order)):
+                    part[j] = values
+            for part in stack:
+                part.flags.writeable = False      # shared by every caller
+            self._cells[order] = stack
+        return self._cells[order]
 
 
 def _error_ratio(err, y_old, y_new, cfg):
@@ -196,11 +212,10 @@ def decay_slack(initial):
     return 1e-8 * max(1.0, initial)
 
 
-def decay_violations(series, name, slack):
-    """Decay monitor: (t, increase) at every snapshot where the diagnostics
-    field ``name`` rose by more than ``slack`` over the previous snapshot."""
-    values = [getattr(rec, name) for rec in series.diagnostics]
-    return [(series.times[j], values[j] - values[j - 1])
+def decay_violations(times, values, slack):
+    """Decay monitor: (t, increase) at every snapshot where ``values`` rose
+    by more than ``slack`` over the previous snapshot."""
+    return [(times[j], values[j] - values[j - 1])
             for j in range(1, len(values)) if values[j] > values[j - 1] + slack]
 
 
@@ -212,9 +227,7 @@ def _record(model, state, series):
         e_n=_clamp_tiny(diag_f.e_n), w_n=_clamp_tiny(diag_f.w_n),
         z_n=diag_f.z_n, h_n=diag_f.h_n,
         mass=fields.total_mass(field_now),
-        spacing_min=float(gaps.min()), spacing_max=float(gaps.max()),
-        e_cont=fields.continuous_energy(model, field_now),
-        w_cont=fields.continuous_energy_mod(model, field_now))
+        spacing_min=float(gaps.min()), spacing_max=float(gaps.max()))
     series.times.append(state.t)
     series.states.append(state)
     series.reconstructed.append(field_now)
@@ -230,17 +243,17 @@ def _clamp_tiny(value):
 def simulate(model, state0, T, cfg=None) -> SnapshotSeries:
     """Integrate a chain to time T, emitting snapshots every snapshot_dt.
 
-    Snapshots carry the discrete functionals, the reconstructed mass, the
-    spacing extrema, and the continuous functional values; the decay and
-    negative-value monitors of E_n and W_n are collected as warnings on the
-    series.  Recording the first snapshot raises DomainError unless
-    ``state0`` is ordered.
+    Snapshots carry the discrete functionals, the reconstructed mass and the
+    spacing extrema (``checks.decay_report`` adds the continuous energies);
+    the decay and negative-value monitors of E_n and W_n are collected as
+    warnings on the series.  Recording the first snapshot raises DomainError
+    unless ``state0`` is ordered.
     """
     cfg = cfg or IntegratorConfig()
     if T <= 0.0:
         raise ValueError("horizon T must be positive")
     model.require_growth()
-    series = SnapshotSeries()
+    series = SnapshotSeries(model=model)
     state0 = ParticleState(n=state0.n, t=0.0, x=state0.x, v=state0.v)
     first = _record(model, state0, series)
 
@@ -285,12 +298,13 @@ def simulate(model, state0, T, cfg=None) -> SnapshotSeries:
         _record(model, state, series)
 
     for name in ("e_n", "w_n"):
-        slack = decay_slack(getattr(first, name))
-        series.warnings += [MonitorWarning(when, name, "decay", rise, slack)
-                            for when, rise in decay_violations(series, name, slack)]
+        values = [getattr(rec, name) for rec in series.diagnostics]
+        slack = decay_slack(values[0])
         series.warnings += [
-            MonitorWarning(when, name, "negative", getattr(rec, name), _NEGATIVE_SLACK)
-            for when, rec in zip(series.times, series.diagnostics)
-            if getattr(rec, name) < -_NEGATIVE_SLACK]
+            MonitorWarning(when, name, "decay", rise, slack)
+            for when, rise in decay_violations(series.times, values, slack)]
+        series.warnings += [
+            MonitorWarning(when, name, "negative", value, _NEGATIVE_SLACK)
+            for when, value in zip(series.times, values) if value < -_NEGATIVE_SLACK]
     series.warnings.sort(key=lambda w: w.t)     # stable: e_n before w_n at one t
     return series

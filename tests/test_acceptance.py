@@ -177,8 +177,9 @@ def test_criterion_07_functional_gap(sv, rate_runs):
     _, runs = rate_runs
     gaps_e, gaps_w = {}, {}
     for n, series in runs.items():
-        gaps_e[n] = max(abs(d.e_cont - d.e_n) for d in series.diagnostics)
-        gaps_w[n] = max(abs(d.w_cont - d.w_n) for d in series.diagnostics)
+        report = checks.decay_report(series)
+        gaps_e[n] = max(abs(e - d.e_n) for e, d in zip(report.e_cont, series.diagnostics))
+        gaps_w[n] = max(abs(w - d.w_n) for w, d in zip(report.w_cont, series.diagnostics))
     ratios_e = [gaps_e[n] / gaps_e[2 * n] for n in (8, 16, 32)]
     ratios_w = [gaps_w[n] / gaps_w[2 * n] for n in (8, 16, 32)]
     ok = all(RATIO_LO <= r <= RATIO_HI for r in ratios_e + ratios_w)

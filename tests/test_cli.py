@@ -384,3 +384,23 @@ def test_simulate_accepts_uneven_last_snapshot(tmp_path, capsys):
     times = [line.split(",")[0] for line in
              (out / "diagnostics.csv").read_text().splitlines()[1:]]
     assert times == ["0", "0.10000000000000001", "0.20000000000000001", "0.25"]
+
+
+@pytest.mark.parametrize("sub", ["simulate", "validate", "converge"])
+@pytest.mark.parametrize("under_a_file", [False, True], ids=["existing_file", "under_a_file"])
+def test_unusable_out_exits_1_before_any_work(tmp_path, capsys, monkeypatch, sub,
+                                              under_a_file):
+    def no_work(*args):
+        raise AssertionError("work started before --out was checked")
+
+    monkeypatch.setattr(cli, "admissibility", no_work)
+    monkeypatch.setattr(cli, "build_particles", no_work)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "out" if under_a_file else blocker
+    path = write_config(tmp_path, _study_config())
+    assert cli.main([sub, "--config", str(path), "--out", str(out)]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    record = json.loads(line)
+    assert (record["error"], record["field"]) == ("ConfigError", "--out")
+    assert blocker.read_text() == ""

@@ -1,5 +1,6 @@
 """The array sums equal the left-to-right loops they replaced, bit for bit."""
 
+import math
 import struct
 
 import numpy as np
@@ -8,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fluidchain as fc
+from fluidchain import checks
 from fluidchain.dynamics import gaps_from_interior, ordered_sum
+from fluidchain.fields import gauss_cells
 
-from conftest import random_state
+from conftest import perturbed_initial, random_state
 
 
 def loop_sum(values):
@@ -41,6 +44,17 @@ def test_ordered_sum_edge_cases():
     # in order, 1e16 absorbs each 1.0; the reordering np.sum gives 8.0
     values = [1e16] + [1.0] * 8 + [-1e16]
     assert ordered_sum(values) == loop_sum(values) == 0.0
+
+
+def test_ordered_sum_over_the_last_axis():
+    rng = np.random.default_rng(0)
+    values = rng.standard_normal((4, 3, 50)) * 10.0 ** rng.integers(-8, 9, (4, 3, 50))
+    values[0, 0] = -0.0
+    totals = ordered_sum(values)
+    assert totals.shape == (4, 3)
+    assert all(bits(totals[i, j]) == bits(loop_sum(values[i, j]))
+               for i in range(4) for j in range(3))
+    assert np.array_equal(ordered_sum(np.empty((2, 0))), np.zeros(2))
 
 
 # -- loop references: the per-cell loops the array code replaced ---------------
@@ -108,3 +122,57 @@ def test_array_sums_match_loop_references(any_model, n):
         assert fc.total_mass(field) == loop_total_mass(field)
         assert fc.continuous_energy(any_model, field) == loop_energy(any_model, field, False)
         assert fc.continuous_energy_mod(any_model, field) == loop_energy(any_model, field, True)
+
+
+def loop_residual(model, series, init, tf):
+    """(value, quad_error) of one test function from the per-snapshot loop
+    the stacked residual evaluation replaced: each snapshot's cells sampled
+    on their own and summed ghost-end first."""
+    horizon = series.times[-1]
+
+    def space_integral(values, wts):
+        return loop_sum(np.sum(values * wts, axis=1)[::-1])
+
+    pts0, wts0, _, _ = gauss_cells(series.reconstructed[0], 3)
+    initial = tf.shape(pts0) * init.rho0(pts0)
+    if tf.kind == "momentum":
+        initial = initial * np.asarray(init.v0(pts0.ravel()), float).reshape(pts0.shape)
+    term0 = space_integral(initial, wts0)
+    g = np.empty(len(series))
+    for j, field in enumerate(series.reconstructed):
+        pts, wts, rho, vel = gauss_cells(field, 3)
+        phi_t, phi_x = tf.derivatives(series.times[j], horizon, pts)
+        if tf.kind == "continuity":
+            values = rho * (phi_t + vel * phi_x)
+        else:
+            slope_v = ((field.asc_v[1:] - field.asc_v[:-1])
+                       / (field.asc_x[1:] - field.asc_x[:-1]))[:, None]
+            flux = rho * vel ** 2 + np.asarray(model.pressure(rho)) \
+                - np.asarray(model.viscosity(rho)) * slope_v
+            values = phi_t * rho * vel + phi_x * flux
+        g[j] = space_integral(values, wts)
+    value = term0 + checks._simpson(series.times, g)
+    n_int = len(series) - 1
+    if n_int >= 4 and n_int % 2 == 0:
+        return value, abs(value - (term0 + checks._simpson(series.times[::2], g[::2])))
+    return value, math.nan
+
+
+# 4 snapshot intervals take the Simpson rule, 5 its 3/8 branch; the last
+# count spans three blocks of the stacked evaluation, the last one partial
+@pytest.mark.parametrize("intervals", [4, 5, 2 * checks._BLOCK + 1])
+@pytest.mark.parametrize("n", [2, 3, 17])
+def test_series_checks_match_loop_references(any_model, n, intervals):
+    init = perturbed_initial(any_model, 0.1)
+    series = fc.simulate(any_model, fc.build_particles(any_model, init, n),
+                         0.002 * intervals, fc.IntegratorConfig(snapshot_dt=0.002))
+    assert len(series) == intervals + 1
+    library = checks.test_function_library(any_model.length)
+    for report, tf in zip(checks.residuals(any_model, series, init), library, strict=True):
+        value, quad_error = loop_residual(any_model, series, init, tf)
+        assert bits(report.value) == bits(value), tf.name
+        assert bits(report.quad_error) == bits(quad_error), tf.name
+    decay = checks.decay_report(series)
+    for field, e, w in zip(series.reconstructed, decay.e_cont, decay.w_cont, strict=True):
+        assert bits(e) == bits(loop_energy(any_model, field, False))
+        assert bits(w) == bits(loop_energy(any_model, field, True))

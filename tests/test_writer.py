@@ -94,15 +94,50 @@ def test_streaming_writer_matches_row_writer_on_special_values(sv, series, tmp_p
     assert lines[4] == "0,3,-0,1.7976931348623157e+308,0"
 
 
+@dataclasses.dataclass(frozen=True)
+class GivenField:
+    """A stand-in field whose node columns and grid samples are given."""
+
+    n: int
+    length: float
+    edges: np.ndarray
+    v_nodes: np.ndarray
+    rho_nodes: np.ndarray
+    samples: np.ndarray
+
+    def rho(self, grid):
+        return np.resize(self.samples, grid.size)
+
+    def v(self, grid):
+        return np.resize(-self.samples[::-1], grid.size)
+
+
+def test_streaming_writer_matches_row_writer_with_specials_in_every_column(
+        sv, series, tmp_path):
+    finite = np.array([v for v in SPECIALS if not math.isinf(v)])
+    n = series.states[0].n
+    columns = [np.resize(np.roll(finite, 2), n + 1), np.array(SPECIALS),
+               np.resize(np.roll(finite, 5), n + 1)]
+    snapshots = [GivenField(n, sv.length, c, np.roll(c, 1), c[::-1].copy(), np.roll(c, 3))
+                 for c in columns]
+    special = dataclasses.replace(series, times=[-0.0, 5e-324, 1.0 / 3.0],
+                                  states=series.states[:3], reconstructed=snapshots,
+                                  diagnostics=series.diagnostics[:3])
+    assert_writes_reference(sv, special, tmp_path, 23)
+    for name in ("particles.csv", "fields.csv"):
+        rows = (tmp_path / name).read_text().splitlines()[1:]
+        assert {row.split(",")[0] for row in rows if "infinite" in row} == {"4.9406564584124654e-324"}
+        assert {row.split(",")[0] for row in rows if "nan" in row} == {
+            "-0", "4.9406564584124654e-324", "0.33333333333333331"}
+
+
 @given(st.floats(allow_nan=True, allow_infinity=True))
 def test_float_format_matches_format_builtin(value):
     expected = reference_fmt(value)
     assert cli._fmt(value) == expected
     assert cli._fmt(np.float64(value)) == expected
-    assert cli._fmt_floats(np.array([value])) == [expected]
 
 
 def test_float_format_on_special_values():
     expected = [reference_fmt(v) for v in SPECIALS]
     assert [cli._fmt(v) for v in SPECIALS] == expected
-    assert cli._fmt_floats(np.array(SPECIALS)) == expected
