@@ -156,7 +156,7 @@ def spacing_bounds(model: FluidModel, e_bar, w_bar):
     envelope limits; raises AdmissibilityError naming the failing side
     otherwise.  At zero budget the interval degenerates to [L, L].
     """
-    if e_bar < 0.0 or w_bar < 0.0:
+    if not (e_bar >= 0.0 and w_bar >= 0.0):
         raise AdmissibilityError("energy budgets must be nonnegative")
     budget = sqrt_budget(e_bar, w_bar)
     limit_high, limit_low = model.energy_envelope_limits()

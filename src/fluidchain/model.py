@@ -53,6 +53,9 @@ REACH_DECADES = 12
 # envelope limits, brackets envelope inversions and checks the laws
 PROBE_DECADES = 6
 ENVELOPE_INVERSE_REL_TOL = 1e-10   # relative width of an inversion's last bracket
+# bisection levels an inversion decides per energy_envelope call: the
+# 2^6 - 1 midpoints of the next six levels go in one array
+ENVELOPE_BATCH_LEVELS = 6
 
 
 @dataclass(frozen=True)
@@ -316,8 +319,8 @@ class FluidModel:
         if () in memo:
             return memo[()]
         grid = self.probe_grid()
-        f_hi = [self.energy_envelope(grid[i]) for i in (-3, -2, -1)]
-        f_lo = [self.energy_envelope(grid[i]) for i in (2, 1, 0)]
+        values = self.energy_envelope(grid[[-3, -2, -1, 2, 1, 0]]).tolist()
+        f_hi, f_lo = values[:3], values[3:]
         hi_unbounded = (abs(f_hi[2]) > 1.5 * abs(f_hi[1])
                         or f_hi[2] - f_hi[1] >= 0.9 * (f_hi[1] - f_hi[0]))
         lo_unbounded = (abs(f_lo[2]) > 1.5 * abs(f_lo[1])
@@ -333,9 +336,16 @@ class FluidModel:
 
         The default bracket spans rho* * 10^(+-6) and is widened (up to
         10^(+-REACH_DECADES)) when the target lies beyond it; an inadmissible
-        target raises ``AdmissibilityError`` naming the failing side.
+        target raises ``AdmissibilityError`` naming the failing side, and a
+        NaN target raises ``ModelError``.  The bisection is level-batched:
+        one envelope call on the midpoints of the next
+        ``ENVELOPE_BATCH_LEVELS`` levels decides all of them, and the walk
+        through those midpoints takes the brackets, and so returns the
+        density, of one-midpoint-per-call bisection.
         """
         target = float(target)
+        if math.isnan(target):
+            raise ModelError("energy budget to invert must be a number, got nan")
         if target == 0.0:
             return self.rho_star
         if target in self._envelope_memo:
@@ -359,12 +369,23 @@ class FluidModel:
                         " towards vacuum", side="low")
             hi = self.rho_star
         a, b = math.log(lo), math.log(hi)
-        while b - a > math.log1p(ENVELOPE_INVERSE_REL_TOL):
-            mid = 0.5 * (a + b)
-            if self.energy_envelope(math.exp(mid)) < target:
-                a = mid
-            else:
-                b = mid
+        width = math.log1p(ENVELOPE_INVERSE_REL_TOL)
+        while b - a > width:
+            # the midpoint tree below [a, b] in heap order: node i splits its
+            # bracket at mids[i] into those of nodes 2i+1 (low) and 2i+2 (high)
+            brackets, mids = [(a, b)], []
+            for lo_i, hi_i in brackets:
+                mid = 0.5 * (lo_i + hi_i)
+                mids.append(mid)
+                if len(brackets) < 2 ** ENVELOPE_BATCH_LEVELS - 1:
+                    brackets += [(lo_i, mid), (mid, hi_i)]
+            values = self.energy_envelope(np.array([math.exp(mid) for mid in mids]))
+            node = 0
+            while node < len(mids) and b - a > width:
+                if values[node] < target:
+                    a, node = mids[node], 2 * node + 2
+                else:
+                    b, node = mids[node], 2 * node + 1
         rho = self._envelope_memo[target] = math.exp(0.5 * (a + b))
         return rho
 
@@ -379,7 +400,7 @@ class FluidModel:
         bounded low side would be conservatively rejected.
         """
         grid = self.probe_grid()
-        values = np.array([self.spacing_potential(self.m / r) for r in grid])
+        values = self.spacing_potential(self.m / grid)
         d_hi, d_hi_prev = values[-1] - values[-2], values[-2] - values[-3]
         d_lo, d_lo_prev = values[1] - values[0], values[2] - values[1]
         grows_high = d_hi >= 0.9 * d_hi_prev and d_hi > 0.0

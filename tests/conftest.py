@@ -89,6 +89,66 @@ def quadrature_reference(model, rho):
     }
 
 
+def reference_envelope_inverse(model, target):
+    """Sequential bisection with one scalar envelope evaluation per level:
+    the reference that the level-batched
+    :meth:`FluidModel.energy_envelope_inverse` must match bit for bit."""
+    target = float(target)
+    if target == 0.0:
+        return model.rho_star
+    lo = model.rho_star * 10.0 ** -fc.model.PROBE_DECADES
+    hi = model.rho_star * 10.0 ** fc.model.PROBE_DECADES
+    if target > 0.0:
+        while model.energy_envelope(hi) < target:
+            hi *= 10.0
+            if hi > model.rho_star * 10.0 ** fc.model.REACH_DECADES:
+                raise fc.AdmissibilityError(
+                    f"energy budget {target:g} exceeds the envelope's reach"
+                    " towards high density", side="high")
+        lo = model.rho_star
+    else:
+        while model.energy_envelope(lo) > target:
+            lo /= 10.0
+            if lo < model.rho_star * 10.0 ** -fc.model.REACH_DECADES:
+                raise fc.AdmissibilityError(
+                    f"energy budget {-target:g} exceeds the envelope's reach"
+                    " towards vacuum", side="low")
+        hi = model.rho_star
+    a, b = math.log(lo), math.log(hi)
+    while b - a > math.log1p(fc.model.ENVELOPE_INVERSE_REL_TOL):
+        mid = 0.5 * (a + b)
+        if model.energy_envelope(math.exp(mid)) < target:
+            a = mid
+        else:
+            b = mid
+    return math.exp(0.5 * (a + b))
+
+
+def reference_envelope_limits(model):
+    """``energy_envelope_limits`` from one scalar envelope call per probe."""
+    grid = model.probe_grid()
+    f_hi = [model.energy_envelope(float(grid[i])) for i in (-3, -2, -1)]
+    f_lo = [model.energy_envelope(float(grid[i])) for i in (2, 1, 0)]
+    hi_unbounded = (abs(f_hi[2]) > 1.5 * abs(f_hi[1])
+                    or f_hi[2] - f_hi[1] >= 0.9 * (f_hi[1] - f_hi[0]))
+    lo_unbounded = (abs(f_lo[2]) > 1.5 * abs(f_lo[1])
+                    or f_lo[1] - f_lo[2] >= 0.9 * (f_lo[0] - f_lo[1]))
+    return (math.inf if hi_unbounded else abs(f_hi[2]),
+            math.inf if lo_unbounded else abs(f_lo[2]))
+
+
+def reference_growth_report(model):
+    """``pressure_growth_report`` from one scalar spacing-potential call per
+    probe."""
+    values = np.array([model.spacing_potential(model.m / r) for r in model.probe_grid()])
+    d_hi, d_hi_prev = values[-1] - values[-2], values[-2] - values[-3]
+    d_lo, d_lo_prev = values[1] - values[0], values[2] - values[1]
+    grows_high = d_hi >= 0.9 * d_hi_prev and d_hi > 0.0
+    bounded_low = d_lo < 0.9 * d_lo_prev
+    return fc.GrowthReport(holds=bool(grows_high and bounded_low),
+                           grows_high=bool(grows_high), bounded_low=bool(bounded_low))
+
+
 MODEL_FIXTURES = {"saint_venant": "sv", "isentropic_gas": "isentropic",
                   "ideal_gas_entropy": "ideal", "custom": "power_law"}
 

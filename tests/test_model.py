@@ -12,7 +12,8 @@ import fluidchain as fc
 from fluidchain.dynamics import spacing_bounds
 from fluidchain.errors import AdmissibilityError, ModelError
 
-from conftest import quadrature_reference
+from conftest import (quadrature_reference, reference_envelope_inverse,
+                      reference_envelope_limits, reference_growth_report)
 
 
 def test_saint_venant_preset_values(sv):
@@ -248,6 +249,46 @@ def test_envelope_inverse_rejects_unreachable_budget(sv):
     assert err.value.side == "low"
 
 
+def test_envelope_inverse_rejects_nan_budget(sv):
+    with pytest.raises(ModelError):
+        sv.energy_envelope_inverse(math.nan)
+    for e_bar, w_bar in ((math.nan, 0.0), (0.0, math.nan)):
+        with pytest.raises(AdmissibilityError):
+            spacing_bounds(sv, e_bar, w_bar)
+
+
+def _outcome(call, *args):
+    """The value of ``call(*args)``, or the type, text and side of the
+    ``AdmissibilityError`` it raises."""
+    try:
+        return call(*args)
+    except AdmissibilityError as err:
+        return type(err), str(err), err.side
+
+
+def _assert_envelope_matches_reference(model):
+    limits = model.energy_envelope_limits()
+    assert limits == reference_envelope_limits(model)
+    assert model.pressure_growth_report() == reference_growth_report(model)
+    for sign, limit in ((1.0, limits[0]), (-1.0, limits[1])):
+        limit = 3.0 if math.isinf(limit) else limit
+        # 1.5x a finite limit and an infinite target are unreachable: both
+        # sides must raise the same error
+        for target in [sign * f * limit for f in (1e-9, 1e-3, 0.3, 0.9, 0.999, 1.5)] + [
+                sign * math.inf]:
+            assert (_outcome(model.energy_envelope_inverse, target)
+                    == _outcome(reference_envelope_inverse, model, target))
+
+
+def test_batched_envelope_matches_scalar_reference(any_model):
+    _assert_envelope_matches_reference(any_model)
+
+
+def test_batched_envelope_matches_scalar_reference_on_gauss_tables(callable_models):
+    for model in callable_models:
+        _assert_envelope_matches_reference(model)
+
+
 def test_pressure_growth_report(sv, ideal, isentropic):
     assert sv.pressure_growth_report().holds
     assert ideal.pressure_growth_report().holds
@@ -415,6 +456,19 @@ def test_envelope_limits_and_inversions_are_computed_once(sv, monkeypatch):
     calls.clear()
     assert spacing_bounds(model, 1e-3, 2e-3) == bounds
     assert calls == []
+    # a fresh inversion inside the default bracket: one bracket check, then
+    # one call per ENVELOPE_BATCH_LEVELS levels of the ~37 it bisects
+    fresh = (fc.FluidModel.saint_venant(g=9.81, nu=1.0, m=1.0, length=1.0),
+             fc.FluidModel.ideal_gas_entropy(c=1.0, gamma=1.4, visc_amp=1.0,
+                                             m=1.0, length=1.0))
+    for other in fresh:
+        monkeypatch.setattr(other, "energy_envelope",
+                            lambda rho, f=other.energy_envelope: calls.append(rho) or f(rho))
+    for other in fresh + (model,):
+        for target in (0.3, -0.3):
+            calls.clear()
+            other.energy_envelope_inverse(target)
+            assert 0 < len(calls) <= 8
     # an unreachable budget raises every time; nothing is stored for it
     for _ in range(2):
         with pytest.raises(AdmissibilityError):
