@@ -269,8 +269,9 @@ def _write_simulation_artifacts(model, series, out_dir, grid_size):
         sampled.write("t,x,rho,v\n")
         for t, field in zip(series.times, series.reconstructed):
             t_text = _fmt(t)
+            # the nodes reversed: i = 0 is the ghost end, x = L
             _write_snapshot(particles, t_text, particle_rows,
-                            field.edges, field.v_nodes, field.rho_nodes)
+                            field.asc_x[::-1], field.asc_v[::-1], field.asc_rho[::-1])
             _write_snapshot(sampled, t_text, field_rows, field.rho(grid), field.v(grid))
     _write_csv(out / "diagnostics.csv",
                ("t", "E_n", "W_n", "Z_n", "H_n", "mass", "min_spacing", "max_spacing"),

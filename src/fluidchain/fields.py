@@ -22,20 +22,14 @@ _GAUSS = {order: np.polynomial.legendre.leggauss(order) for order in (3, 5)}
 
 @dataclass(frozen=True)
 class ReconstructedField:
-    """Piecewise-linear density/velocity over [0, L].
-
-    ``edges``, ``rho_nodes`` and ``v_nodes`` are in descending position
-    order (ghost end first); ascending copies are kept for fast lookup.
-    """
+    """Piecewise-linear density/velocity over [0, L], held as its n+1 nodes
+    in ascending position order (wall first, ghost end last)."""
 
     n: int
     length: float
-    edges: np.ndarray        # length n+1, edges[0] = L, edges[n] = 0
-    rho_nodes: np.ndarray    # length n+1, rho_nodes[0] == rho_nodes[1]
-    v_nodes: np.ndarray      # length n+1, zero at both ends
-    asc_x: np.ndarray
-    asc_rho: np.ndarray
-    asc_v: np.ndarray
+    asc_x: np.ndarray        # asc_x[0] = 0, asc_x[n] = L
+    asc_rho: np.ndarray      # asc_rho[n] == asc_rho[n-1]
+    asc_v: np.ndarray        # zero at both ends
 
     def _interp(self, values, x):
         xq = np.asarray(x, dtype=float)
@@ -59,65 +53,66 @@ def reconstruct(model: FluidModel, state: ParticleState) -> ReconstructedField:
     is ordered."""
     n = state.n
     gaps = gaps_from_interior(model.length, state.x)
-    edges = np.empty(n + 1)
-    edges[0] = model.length
-    edges[1:-1] = state.x
-    edges[-1] = 0.0
-    rho_nodes = np.empty(n + 1)
-    rho_nodes[1:] = model.m / (n * gaps)
-    rho_nodes[0] = rho_nodes[1]
-    v_nodes = np.concatenate(([0.0], state.v, [0.0]))
-    return ReconstructedField(
-        n=n, length=model.length,
-        edges=edges, rho_nodes=rho_nodes, v_nodes=v_nodes,
-        asc_x=edges[::-1].copy(), asc_rho=rho_nodes[::-1].copy(),
-        asc_v=v_nodes[::-1].copy())
+    asc_x = np.empty(n + 1)
+    asc_x[0] = 0.0
+    asc_x[1:-1] = state.x[::-1]
+    asc_x[-1] = model.length
+    asc_rho = np.empty(n + 1)
+    asc_rho[:-1] = (model.m / (n * gaps))[::-1]
+    asc_rho[-1] = asc_rho[-2]
+    asc_v = np.concatenate(([0.0], state.v[::-1], [0.0]))
+    return ReconstructedField(n=n, length=model.length,
+                              asc_x=asc_x, asc_rho=asc_rho, asc_v=asc_v)
 
 
 def total_mass(field: ReconstructedField) -> float:
     """Exact integral of the piecewise-linear density (trapezoid per cell,
     summed ghost-end first for run-to-run determinism)."""
-    widths = field.edges[:-1] - field.edges[1:]
-    rho = field.rho_nodes
-    return ordered_sum(widths * 0.5 * (rho[:-1] + rho[1:]))
+    x, rho = field.asc_x, field.asc_rho
+    return ordered_sum(((x[1:] - x[:-1]) * 0.5 * (rho[:-1] + rho[1:]))[::-1])
 
 
-def gauss_cells(field: ReconstructedField, order: int):
-    """Gauss-Legendre sampling of every cell, ascending cells.
+def gauss_cells(x, rho, v, order):
+    """Gauss-Legendre sampling of every cell of the fields with ascending
+    nodes ``x``, ``rho`` and ``v``, each of shape (..., n+1).
 
-    Returns the points and weights, shape (n, order), and the density and
-    velocity fields at the points.
+    Returns the points and weights, shape (..., n, order), and the density
+    and velocity interpolated linearly within each point's own cell.
     """
     nodes, weights = _GAUSS[order]
-    left = field.asc_x[:-1][:, None]
-    right = field.asc_x[1:][:, None]
-    mid = 0.5 * (left + right)
+    left, right = x[..., :-1, None], x[..., 1:, None]
     half = 0.5 * (right - left)
-    pts = mid + half * nodes[None, :]
-    rho = np.asarray(field.rho(pts.ravel())).reshape(pts.shape)
-    vel = np.asarray(field.v(pts.ravel())).reshape(pts.shape)
-    return pts, half * weights[None, :], rho, vel
+    pts = 0.5 * (left + right) + half * nodes
+    width = right - left
+
+    def interp(values):
+        lo, hi = values[..., :-1, None], values[..., 1:, None]
+        return lo + (hi - lo) * (pts - left) / width
+
+    return pts, half * weights, interp(rho), interp(v)
 
 
-def energies(model, field):
-    """``(continuous_energy, continuous_energy_mod)`` of a field from one
-    order-5 sampling."""
-    _, wts, rho, vel = gauss_cells(field, 5)
-    q = np.asarray(model.compression_energy(rho))
-    slope = (field.asc_rho[1:] - field.asc_rho[:-1]) / (field.asc_x[1:] - field.asc_x[:-1])
-    mu = np.asarray(model.viscosity(rho))
-    shifted = vel + mu * slope[:, None] / rho ** 2
+def energies(model, x, rho, v):
+    """``(continuous_energy, continuous_energy_mod)`` of the fields with
+    ascending nodes ``x``, ``rho`` and ``v`` of shape (..., n+1), from one
+    order-5 sampling; each has the shape of the leading axes."""
+    _, wts, rho_pts, vel = gauss_cells(x, rho, v, 5)
+    q = np.asarray(model.compression_energy(rho_pts))
+    slope = (rho[..., 1:] - rho[..., :-1]) / (x[..., 1:] - x[..., :-1])
+    mu = np.asarray(model.viscosity(rho_pts))
+    shifted = vel + mu * slope[..., None] / rho_pts ** 2
 
     def energy(u):
-        cells = np.sum((0.5 * rho * u ** 2 + q) * wts, axis=1)
-        return max(ordered_sum(cells[::-1]), 0.0)    # ghost-end first, as in total_mass
+        cells = np.sum((0.5 * rho_pts * u ** 2 + q) * wts, axis=-1)
+        total = ordered_sum(cells[..., ::-1])    # ghost-end first, as in total_mass
+        return np.where(total < 0.0, 0.0, total)     # max(total, 0.0), NaN kept
 
     return energy(vel), energy(shifted)
 
 
 def continuous_energy(model: FluidModel, field: ReconstructedField) -> float:
     """Kinetic plus compression energy of the rebuilt fields."""
-    return energies(model, field)[0]
+    return float(energies(model, field.asc_x, field.asc_rho, field.asc_v)[0])
 
 
 def continuous_energy_mod(model: FluidModel, field: ReconstructedField) -> float:
@@ -126,4 +121,4 @@ def continuous_energy_mod(model: FluidModel, field: ReconstructedField) -> float
     The transformed velocity is v + mu(rho) * rho_x / rho^2 with the exact
     cell slope for rho_x.
     """
-    return energies(model, field)[1]
+    return float(energies(model, field.asc_x, field.asc_rho, field.asc_v)[1])

@@ -91,10 +91,14 @@ def make_initial(model: FluidModel, nodes, v0, v0_deriv_l2) -> InitialData:
     with positive finite values integrating to the model's mass.  ``v0`` is
     evaluated on the walls ``[0, L]``, which checks that it maps arrays
     elementwise and vanishes there.  ``v0_deriv_l2`` is the exact L2 norm
-    of ``v0'`` (``sine_velocity`` returns it with its profile).
+    of ``v0'`` (``sine_velocity`` returns it with its profile), finite and
+    nonnegative.
     """
     L = model.length
     m = model.m
+    if not 0.0 <= v0_deriv_l2 < math.inf:
+        raise InitialDataError(
+            f"velocity derivative L2 norm must be finite and nonnegative, got {v0_deriv_l2!r}")
 
     nodes_x, nodes_rho = _check_table(*nodes, L, "rho0")
     if np.any(_sample(v0, "v0", np.array([0.0, L])) != 0.0):
@@ -185,8 +189,9 @@ def initial_from_config(model, block):
                                      v_block.get("mode", 1))
     elif v_block["kind"] == "table":
         v0 = table_profile(v_block["x"], v_block["v"], L, "v0")
-        deriv_l2 = math.sqrt(ordered_sum(np.diff(v_block["v"]) ** 2
-                                         / np.diff(v_block["x"])))
+        with np.errstate(over="ignore"):     # an overflow is rejected as infinite
+            deriv_l2 = math.sqrt(ordered_sum(np.diff(v_block["v"]) ** 2
+                                             / np.diff(v_block["x"])))
     else:
         raise InitialDataError(f"unknown v0 kind {v_block['kind']!r}")
 
@@ -233,7 +238,9 @@ def budget_constants(model: FluidModel, init: InitialData) -> BudgetConstants:
     """Energy budget constants from the profile norms.
 
     ``m_bar`` is the max damping gain over scaled spacings between
-    m/sup(rho0) and m/min(rho0), sampled on a dense grid.
+    m/sup(rho0) and m/min(rho0), sampled on a dense grid.  A constant that
+    does not fit in a float raises InitialDataError: no verdict can be
+    drawn from it.
     """
     m = model.m
     L = model.length
@@ -245,14 +252,20 @@ def budget_constants(model: FluidModel, init: InitialData) -> BudgetConstants:
     else:
         m_bar = float(model.damping_gain(lo))
     pot_sup = max(float(model.spacing_potential(lo)), 0.0)
-    dv2 = init.v0_deriv_l2 ** 2
-    grad_term = 2.0 * m ** 5 * m_bar ** 2 * init.rho0_deriv_sup ** 2 / init.rho_min ** 6
-    e_bar = 0.5 * m * L * dv2 + m * pot_sup
-    w_bar = m * L * dv2 + grad_term + m * pot_sup
-    z_bar = 0.5 * dv2
-    a_bar = 2.0 * m ** 2 * m_bar * init.rho0_deriv_sup / init.rho_min ** 3
-    return BudgetConstants(e_bar=e_bar, w_bar=w_bar, z_bar=z_bar,
-                           a_bar=a_bar, m_bar=m_bar)
+    try:
+        dv2 = init.v0_deriv_l2 ** 2
+        grad_term = 2.0 * m ** 5 * m_bar ** 2 * init.rho0_deriv_sup ** 2 / init.rho_min ** 6
+        consts = BudgetConstants(
+            e_bar=0.5 * m * L * dv2 + m * pot_sup,
+            w_bar=m * L * dv2 + grad_term + m * pot_sup, z_bar=0.5 * dv2,
+            a_bar=2.0 * m ** 2 * m_bar * init.rho0_deriv_sup / init.rho_min ** 3,
+            m_bar=m_bar)
+    except (OverflowError, ZeroDivisionError):
+        consts = None
+    if consts is None or not all(map(math.isfinite, vars(consts).values())):
+        raise InitialDataError("energy budget does not fit in a float (a profile "
+                               "norm, m or 1/min(rho0) is too large)")
+    return consts
 
 
 @dataclass(frozen=True)
@@ -271,18 +284,9 @@ class AdmissibilityReport:
     b: float | None = None
 
     def to_dict(self):
-        def ext(v):
-            if v is None:
-                return None
-            return "infinite" if math.isinf(v) else v
-        return {
-            "e_bar": self.e_bar, "w_bar": self.w_bar, "z_bar": self.z_bar,
-            "a_bar": self.a_bar, "m_bar": self.m_bar, "rho_min": self.rho_min,
-            "f_limit_high": ext(self.f_limit_high),
-            "f_limit_low": ext(self.f_limit_low),
-            "lhs": self.lhs, "admissible": self.admissible,
-            "a": self.a, "b": self.b,
-        }
+        """Every field by name, each infinity written as ``"infinite"``."""
+        return {key: "infinite" if isinstance(value, float) and math.isinf(value) else value
+                for key, value in vars(self).items()}
 
 
 def admissibility(model: FluidModel, init: InitialData) -> AdmissibilityReport:

@@ -123,25 +123,16 @@ class SnapshotSeries:
     diagnostics: list = field(default_factory=list)
     stats: IntegrationStats = field(default_factory=IntegrationStats)
     warnings: list = field(default_factory=list)
-    _cells: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __len__(self):
         return len(self.times)
 
-    def gauss_cells(self, order):
-        """``fields.gauss_cells`` of every snapshot of the finished series,
-        stacked to shape (snapshots, n, order): points, weights, density and
-        velocity, sampled once per order."""
-        if order not in self._cells:
-            shape = (len(self), self.reconstructed[0].n, order)
-            stack = tuple(np.empty(shape) for _ in range(4))
-            for j, field in enumerate(self.reconstructed):
-                for part, values in zip(stack, fields.gauss_cells(field, order)):
-                    part[j] = values
-            for part in stack:
-                part.flags.writeable = False      # shared by every caller
-            self._cells[order] = stack
-        return self._cells[order]
+    def nodes(self):
+        """The ascending nodes of every snapshot's field, stacked to shape
+        (snapshots, n+1): positions, densities and velocities, built anew
+        on each call."""
+        return tuple(np.stack([getattr(f, name) for f in self.reconstructed])
+                     for name in ("asc_x", "asc_rho", "asc_v"))
 
 
 def _error_ratio(err, y_old, y_new, cfg):

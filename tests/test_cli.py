@@ -248,6 +248,36 @@ def test_overflowing_law_prints_only_the_error_record(tmp_path):
     assert "positive and finite" in json.loads(line)["message"]
 
 
+@pytest.mark.parametrize("change", [
+    pytest.param({"initial": {"v0": {"kind": "sine", "amplitude": 1e160}}}, id="v0_norm"),
+    pytest.param({"m": 1e80, "initial": {"rho0": {"kind": "constant", "value": 1e80}}},
+                 id="mass"),
+    pytest.param({"initial": {"rho0": {"kind": "table", "x": [0.0, 0.5, 1.0],
+                                       "rho": [2.0, 2e-60, 2.0]}}}, id="rho_min"),
+    pytest.param({"initial": {"v0": {"kind": "table", "x": [0.0, 0.5, 1.0],
+                                     "v": [0.0, 1e200, 0.0]}}}, id="v0_table_peak"),
+])
+def test_overflowing_budget_prints_only_the_error_record(tmp_path, change):
+    # finite inputs whose budget constants do not fit in a float; run outside
+    # pytest, whose warning filters would hide a numpy warning
+    payload = _study_config()
+    payload["initial"].update(change.pop("initial"))
+    payload.update(change)
+    path = write_config(tmp_path, payload)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")])))
+    for sub in ("check", "validate"):
+        argv = [sub, "--config", str(path)]
+        if sub != "check":
+            argv += ["--out", str(tmp_path / sub)]
+        done = subprocess.run([sys.executable, "-m", "fluidchain.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 1, sub
+        assert done.stdout == ""
+        [line] = done.stderr.splitlines()
+        assert json.loads(line)["error"] in ("InitialDataError", "ConfigError")
+
+
 def test_seed_is_an_unknown_key(tmp_path):
     with pytest.raises(ConfigError) as err:
         cli.parse_config(write_config(tmp_path, dict(MINIMAL, seed=0)))

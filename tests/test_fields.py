@@ -17,7 +17,7 @@ def test_equilibrium_fields(sv):
 def test_two_packet_reconstruction(sv):
     state = fc.ParticleState(n=2, t=0.0, x=np.array([0.4]), v=np.array([0.3]))
     field = fc.reconstruct(sv, state)
-    assert field.rho_nodes == pytest.approx([1 / 1.2, 1 / 1.2, 1.25])
+    assert field.asc_rho[::-1] == pytest.approx([1 / 1.2, 1 / 1.2, 1.25])
     assert field.rho(0.2) == pytest.approx(1.25 + (1 / 1.2 - 1.25) * 0.5)
     assert field.rho(0.2) == pytest.approx(1.0416666666666667)
     # ghost cell carries the same density at both ends

@@ -189,7 +189,7 @@ def test_density_is_the_interpolant_of_its_table(sv):
         v0, deriv_l2 = fc.sine_velocity(sv, 0.1, 2)
         init = fc.make_initial(sv, nodes, v0, deriv_l2)
         field = fc.reconstruct(sv, fc.build_particles(sv, init, 16))
-        pts = gauss_cells(field, 3)[0].ravel()
+        pts = gauss_cells(field.asc_x, field.asc_rho, field.asc_v, 3)[0].ravel()
         assert np.array_equal(init.rho0(pts), nodes[1][0] + 0.0 * pts)
 
 

@@ -9,9 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fluidchain as fc
-from fluidchain import checks
-from fluidchain.dynamics import gaps_from_interior, ordered_sum
-from fluidchain.fields import gauss_cells
+from fluidchain import checks, fields
+from fluidchain.dynamics import gaps_from_interior, ordered_sum, spacing_bounds, sqrt_budget
 
 from conftest import perturbed_initial, random_state
 
@@ -87,15 +86,18 @@ def loop_functionals(model, state):
 
 
 def loop_total_mass(field):
-    widths = field.edges[:-1] - field.edges[1:]
+    edges, rho_nodes = field.asc_x[::-1], field.asc_rho[::-1]
+    widths = edges[:-1] - edges[1:]
     total = 0.0
     for i in range(field.n):
-        total += widths[i] * 0.5 * (field.rho_nodes[i] + field.rho_nodes[i + 1])
+        total += widths[i] * 0.5 * (rho_nodes[i] + rho_nodes[i + 1])
     return total
 
 
-def loop_energy(model, field, transformed):
-    nodes, weights = np.polynomial.legendre.leggauss(5)
+def loop_cells(field, order):
+    """Gauss points and weights of one field's cells, shape (n, order), with
+    the fields sampled point by point through ``field.rho`` and ``field.v``."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
     left = field.asc_x[:-1][:, None]
     right = field.asc_x[1:][:, None]
     mid = 0.5 * (left + right)
@@ -103,6 +105,11 @@ def loop_energy(model, field, transformed):
     pts, wts = mid + half * nodes[None, :], half * weights[None, :]
     rho = np.asarray(field.rho(pts.ravel())).reshape(pts.shape)
     vel = np.asarray(field.v(pts.ravel())).reshape(pts.shape)
+    return pts, wts, rho, vel
+
+
+def loop_energy(model, field, transformed):
+    pts, wts, rho, vel = loop_cells(field, 5)
     if transformed:
         slope = (field.asc_rho[1:] - field.asc_rho[:-1]) / (field.asc_x[1:] - field.asc_x[:-1])
         vel = vel + np.asarray(model.viscosity(rho)) * slope[:, None] / rho ** 2
@@ -133,14 +140,14 @@ def loop_residual(model, series, init, tf):
     def space_integral(values, wts):
         return loop_sum(np.sum(values * wts, axis=1)[::-1])
 
-    pts0, wts0, _, _ = gauss_cells(series.reconstructed[0], 3)
+    pts0, wts0, _, _ = loop_cells(series.reconstructed[0], 3)
     initial = tf.shape(pts0) * init.rho0(pts0)
     if tf.kind == "momentum":
         initial = initial * np.asarray(init.v0(pts0.ravel()), float).reshape(pts0.shape)
     term0 = space_integral(initial, wts0)
     g = np.empty(len(series))
     for j, field in enumerate(series.reconstructed):
-        pts, wts, rho, vel = gauss_cells(field, 3)
+        pts, wts, rho, vel = loop_cells(field, 3)
         phi_t, phi_x = tf.derivatives(series.times[j], horizon, pts)
         if tf.kind == "continuity":
             values = rho * (phi_t + vel * phi_x)
@@ -176,3 +183,32 @@ def test_series_checks_match_loop_references(any_model, n, intervals):
     for field, e, w in zip(series.reconstructed, decay.e_cont, decay.w_cont, strict=True):
         assert bits(e) == bits(loop_energy(any_model, field, False))
         assert bits(w) == bits(loop_energy(any_model, field, True))
+    envelope = checks.envelope_check(any_model, series)
+    assert [bits(v) for v in (envelope.budget, envelope.a, envelope.b,
+                              envelope.max_envelope_excess)] \
+        == [bits(v) for v in loop_envelope(any_model, series)]
+
+
+def loop_envelope(model, series):
+    """(budget, a, b, max_envelope_excess) of envelope_check from a loop over
+    the snapshots, each field's cell densities enveloped on their own."""
+    d0 = series.diagnostics[0]
+    e0, w0 = max(d0.e_n, 0.0), max(d0.w_n, 0.0)
+    budget = sqrt_budget(e0, w0)
+    excess = -math.inf
+    for field in series.reconstructed:
+        env = np.asarray(model.energy_envelope(field.asc_rho[:-1]))
+        excess = max(excess, float(np.max(env) - budget), float(-np.min(env) - budget))
+    return (budget, *spacing_bounds(model, e0, w0), excess)
+
+
+@pytest.mark.parametrize("n", [2, 17])
+def test_stacked_gauss_cells_rows_are_each_fields_own(any_model, n):
+    init = perturbed_initial(any_model, 0.1)
+    series = fc.simulate(any_model, fc.build_particles(any_model, init, n),
+                         0.01, fc.IntegratorConfig(snapshot_dt=0.002))
+    stacked = fields.gauss_cells(*series.nodes(), 3)
+    for j, field in enumerate(series.reconstructed):
+        own = fields.gauss_cells(field.asc_x, field.asc_rho, field.asc_v, 3)
+        for whole, part in zip(stacked, own, strict=True):
+            assert whole[j].tobytes() == part.tobytes()

@@ -37,7 +37,8 @@ def test_structure_holds_for_admissible_draws(sv, isentropic, ideal, ideal_calla
     # each cell of the rebuilt field holds m/n exactly (the trapezoid mass of
     # the piecewise-linear density in the diagnostics is only first-order)
     for field in series.reconstructed:
-        cell_mass = field.rho_nodes[1:] * (field.edges[:-1] - field.edges[1:])
+        edges, rho_nodes = field.asc_x[::-1], field.asc_rho[::-1]
+        cell_mass = rho_nodes[1:] * (edges[:-1] - edges[1:])
         assert abs(ordered_sum(cell_mass) - model.m) <= 1e-13 * model.m
     diag = series.diagnostics
     for name in ("e_n", "w_n"):

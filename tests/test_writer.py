@@ -40,8 +40,8 @@ def reference_artifacts(series, grid_size):
     particle_rows, field_rows, diag_rows = [], [], []
     for t, field, diag in zip(series.times, series.reconstructed, series.diagnostics):
         for i in range(field.n + 1):
-            particle_rows.append((t, i, field.edges[i], field.v_nodes[i],
-                                  field.rho_nodes[i]))
+            particle_rows.append((t, i, field.asc_x[::-1][i], field.asc_v[::-1][i],
+                                  field.asc_rho[::-1][i]))
         grid = np.linspace(0.0, field.length, grid_size)
         rho, vel = field.rho(grid), field.v(grid)
         for x, r, v in zip(grid, rho, vel):
@@ -73,7 +73,7 @@ def test_stored_fields_are_the_reconstruction(sv, series):
     assert len(series.reconstructed) == len(series.states) == len(series)
     for state, field in zip(series.states, series.reconstructed):
         fresh = fc.reconstruct(sv, state)
-        for name in ("edges", "rho_nodes", "v_nodes", "asc_x", "asc_rho", "asc_v"):
+        for name in ("asc_x", "asc_rho", "asc_v"):
             assert np.array_equal(getattr(field, name), getattr(fresh, name))
 
 
@@ -85,8 +85,11 @@ def test_streaming_writer_matches_row_writer(sv, series, tmp_path, grid_size):
 def test_streaming_writer_matches_row_writer_on_special_values(sv, series, tmp_path):
     column = np.array(SPECIALS)
     assert column.size == series.states[0].n + 1
-    odd = dataclasses.replace(series.reconstructed[0], edges=column,
-                              v_nodes=column[::-1].copy(), rho_nodes=-column)
+    # the node columns as the writer reads them, reversed; the grid samples
+    # stay those of the real first snapshot
+    first = series.reconstructed[0]
+    odd = GivenField(first.n, first.length, asc_x=column[::-1], asc_v=column.copy(),
+                     asc_rho=-column[::-1], samples=first.rho(np.linspace(0.0, first.length, 16)))
     special = dataclasses.replace(series, reconstructed=[odd, *series.reconstructed[1:]])
     assert_writes_reference(sv, special, tmp_path, 16)
     lines = (tmp_path / "particles.csv").read_text().splitlines()
@@ -100,9 +103,9 @@ class GivenField:
 
     n: int
     length: float
-    edges: np.ndarray
-    v_nodes: np.ndarray
-    rho_nodes: np.ndarray
+    asc_x: np.ndarray
+    asc_v: np.ndarray
+    asc_rho: np.ndarray
     samples: np.ndarray
 
     def rho(self, grid):
@@ -118,7 +121,7 @@ def test_streaming_writer_matches_row_writer_with_specials_in_every_column(
     n = series.states[0].n
     columns = [np.resize(np.roll(finite, 2), n + 1), np.array(SPECIALS),
                np.resize(np.roll(finite, 5), n + 1)]
-    snapshots = [GivenField(n, sv.length, c, np.roll(c, 1), c[::-1].copy(), np.roll(c, 3))
+    snapshots = [GivenField(n, sv.length, c[::-1], np.roll(c, 1)[::-1], c.copy(), np.roll(c, 3))
                  for c in columns]
     special = dataclasses.replace(series, times=[-0.0, 5e-324, 1.0 / 3.0],
                                   states=series.states[:3], reconstructed=snapshots,
