@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -78,17 +77,6 @@ def _number_list(block, path, key):
             isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v)
             for v in values):
         raise ConfigError(_field(path, key), f"expected a list of finite numbers, got {values!r}")
-
-
-def _env_number(name, default):
-    """Positive number from environment variable ``name``, else ``default``."""
-    text = os.environ.get(name)
-    if text is None:
-        return default
-    try:
-        return _number({name: float(text)}, "", name, positive=True)
-    except ValueError:
-        raise ConfigError(name, f"expected a number, got {text!r}") from None
 
 
 def _integer(block, path, key, default=None, minimum=None):
@@ -162,19 +150,13 @@ def _parse_initial(model, raw):
 def _parse_integrator(raw):
     block = raw.get("integrator", {})
     _check_keys(block, "integrator", set(),
-                {"rel_tol", "abs_tol", "dt_init", "dt_max", "max_steps",
-                 "snapshot_dt", "T"})
+                {"rel_tol", "abs_tol", "max_steps", "snapshot_dt", "T"})
     default = IntegratorConfig()
-    rel_tol = _env_number("FLUIDCHAIN_REL_TOL", _number(
-        block, "integrator", "rel_tol", default=default.rel_tol, positive=True))
-    abs_tol = _env_number("FLUIDCHAIN_ABS_TOL", _number(
-        block, "integrator", "abs_tol", default=default.abs_tol, positive=True))
-    dt_init = block.get("dt_init")
-    if dt_init is not None:
-        dt_init = _number(block, "integrator", "dt_init", positive=True)
     cfg = IntegratorConfig(
-        rel_tol=rel_tol, abs_tol=abs_tol, dt_init=dt_init,
-        dt_max=_number(block, "integrator", "dt_max", default=default.dt_max, positive=True),
+        rel_tol=_number(block, "integrator", "rel_tol", default=default.rel_tol,
+                        positive=True),
+        abs_tol=_number(block, "integrator", "abs_tol", default=default.abs_tol,
+                        positive=True),
         max_steps=_integer(block, "integrator", "max_steps", default=default.max_steps,
                            minimum=1),
         snapshot_dt=_number(block, "integrator", "snapshot_dt", default=default.snapshot_dt,

@@ -18,7 +18,8 @@ import numpy as np
 from . import fields
 from .dynamics import (ParticleState, functionals, gaps_from_interior,
                        rhs_arrays, spacing_bounds)
-from .errors import AdmissibilityError, DomainError, ModelError, StiffnessError
+from .errors import (AdmissibilityError, DomainError, InitialDataError, ModelError,
+                     StiffnessError)
 
 # Dormand-Prince 5(4) tableau as float arrays built once; row 7 is the
 # 5th-order solution weights.
@@ -47,8 +48,6 @@ _NEGATIVE_SLACK = 1e-14
 class IntegratorConfig:
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
-    dt_init: float | None = None
-    dt_max: float = math.inf
     max_steps: int = 2_000_000
     snapshot_dt: float = 0.01
 
@@ -58,10 +57,6 @@ class IntegratorConfig:
             raise ValueError("tolerances must be positive")
         if not 0.0 < self.snapshot_dt < math.inf:
             raise ValueError("snapshot_dt must be positive and finite")
-        if self.dt_init is not None and not 0.0 < self.dt_init < math.inf:
-            raise ValueError("dt_init must be positive and finite")
-        if not self.dt_max > 0.0:
-            raise ValueError("dt_max must be positive")
         if not self.max_steps >= 1:
             raise ValueError("max_steps must be at least 1")
 
@@ -172,11 +167,9 @@ def _attempt(model, n, y, dt, cfg, k1=None):
     return True, y_new, k[6].copy(), factor
 
 
-def _default_dt(model, n, first, cfg, T):
+def _default_dt(model, n, first, T):
     """Viscous-coupling-aware first step from the first snapshot's record;
     falls back to 1e-6 when the spacing bounds are unavailable."""
-    if cfg.dt_init is not None:
-        return min(cfg.dt_init, cfg.dt_max, T)
     try:
         a_est, b_est = spacing_bounds(model, max(first.e_n, 0.0), max(first.w_n, 0.0))
         grid = np.linspace(a_est, b_est, 101)
@@ -184,7 +177,7 @@ def _default_dt(model, n, first, cfg, T):
         dt0 = min(1e-3, 0.1 * (a_est / n) ** 2 / (n * n * gain_max))
     except (AdmissibilityError, ModelError):
         dt0 = 1e-6
-    return min(dt0, cfg.dt_max, T)
+    return min(dt0, T)
 
 
 def _snapshot_targets(T, snapshot_dt):
@@ -238,7 +231,8 @@ def simulate(model, state0, T, cfg=None) -> SnapshotSeries:
     spacing extrema (``checks.decay_report`` adds the continuous energies);
     the decay and negative-value monitors of E_n and W_n are collected as
     warnings on the series.  Recording the first snapshot raises DomainError
-    unless ``state0`` is ordered.
+    unless ``state0`` is ordered, and InitialDataError when its E_n, W_n or
+    Z_n does not fit in a float.
     """
     cfg = cfg or IntegratorConfig()
     if T <= 0.0:
@@ -246,13 +240,16 @@ def simulate(model, state0, T, cfg=None) -> SnapshotSeries:
     model.require_growth()
     series = SnapshotSeries(model=model)
     state0 = ParticleState(n=state0.n, t=0.0, x=state0.x, v=state0.v)
-    first = _record(model, state0, series)
+    with np.errstate(over="ignore"):
+        first = _record(model, state0, series)
+    if not all(map(math.isfinite, (first.e_n, first.w_n, first.z_n))):
+        raise InitialDataError("initial energy does not fit in a float")
 
     n = state0.n
     y = np.concatenate((state0.x, state0.v))
     half = y.size // 2
     t = 0.0
-    dt_ctrl = _default_dt(model, n, first, cfg, T)
+    dt_ctrl = _default_dt(model, n, first, T)
     k1 = None
     stats = series.stats
     stats.spacing_min_seen = first.spacing_min
@@ -264,7 +261,7 @@ def simulate(model, state0, T, cfg=None) -> SnapshotSeries:
             if stats.accepted + stats.rejected >= cfg.max_steps:
                 raise StiffnessError(
                     f"exceeded max_steps={cfg.max_steps} at t={t:g}")
-            dt = min(dt_ctrl, cfg.dt_max, target - t)
+            dt = min(dt_ctrl, target - t)
             if dt < dt_floor:
                 raise StiffnessError(
                     f"step size underflow (dt={dt:.3e} < {dt_floor:.3e}) at "

@@ -69,12 +69,16 @@ def test_parse_rejects_bad_n_list(tmp_path):
         cli.parse_config(write_config(tmp_path, dict(MINIMAL, n_list=[1, 2])))
 
 
-def test_env_overrides_tolerances(tmp_path, monkeypatch):
-    monkeypatch.setenv("FLUIDCHAIN_REL_TOL", "1e-6")
-    monkeypatch.setenv("FLUIDCHAIN_ABS_TOL", "1e-9")
-    cfg = cli.parse_config(write_config(tmp_path, MINIMAL))
-    assert cfg.integrator.rel_tol == 1e-6
-    assert cfg.integrator.abs_tol == 1e-9
+def test_environment_does_not_change_a_run(tmp_path, capsys, monkeypatch):
+    # the config file alone sets a run: tolerance variables in the
+    # environment are ignored, even malformed ones
+    path = write_config(tmp_path, _simulate_config())
+    assert cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "a")]) == 0
+    monkeypatch.setenv("FLUIDCHAIN_REL_TOL", "1e-2")
+    monkeypatch.setenv("FLUIDCHAIN_ABS_TOL", "abc")
+    assert cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "b")]) == 0
+    for name in ("particles.csv", "fields.csv", "diagnostics.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 def test_check_exit_codes(tmp_path, capsys):
@@ -236,13 +240,17 @@ def test_growth_condition_fails_check_validate_and_converge(tmp_path, capsys):
         assert "growth condition" in record["message"]
 
 
-def test_overflowing_law_prints_only_the_error_record(tmp_path):
-    # run outside pytest, whose warning filters would hide a numpy warning
-    path = write_config(tmp_path, _power_law_config(80.0))
+def _run_cli(*argv):
+    """The CLI in a subprocess, outside pytest, whose warning filters would
+    hide a numpy warning."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
         str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-m", "fluidchain.cli", "check", "--config",
-                           str(path)], env=env, capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, "-m", "fluidchain.cli", *map(str, argv)],
+                          env=env, capture_output=True, text=True, timeout=60)
+
+
+def test_overflowing_law_prints_only_the_error_record(tmp_path):
+    done = _run_cli("check", "--config", write_config(tmp_path, _power_law_config(80.0)))
     assert done.returncode == 1
     [line] = done.stderr.splitlines()
     assert "positive and finite" in json.loads(line)["message"]
@@ -258,24 +266,33 @@ def test_overflowing_law_prints_only_the_error_record(tmp_path):
                                      "v": [0.0, 1e200, 0.0]}}}, id="v0_table_peak"),
 ])
 def test_overflowing_budget_prints_only_the_error_record(tmp_path, change):
-    # finite inputs whose budget constants do not fit in a float; run outside
-    # pytest, whose warning filters would hide a numpy warning
+    # finite inputs whose budget constants do not fit in a float
     payload = _study_config()
     payload["initial"].update(change.pop("initial"))
     payload.update(change)
     path = write_config(tmp_path, payload)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
-        str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")])))
     for sub in ("check", "validate"):
-        argv = [sub, "--config", str(path)]
+        argv = [sub, "--config", path]
         if sub != "check":
-            argv += ["--out", str(tmp_path / sub)]
-        done = subprocess.run([sys.executable, "-m", "fluidchain.cli", *argv], env=env,
-                              capture_output=True, text=True, timeout=60)
+            argv += ["--out", tmp_path / sub]
+        done = _run_cli(*argv)
         assert done.returncode == 1, sub
         assert done.stdout == ""
         [line] = done.stderr.splitlines()
         assert json.loads(line)["error"] in ("InitialDataError", "ConfigError")
+
+
+def test_overflowing_initial_energy_prints_only_the_error_record(tmp_path):
+    # simulate builds no budget: the first snapshot's energies overflow
+    payload = json.loads((Path(__file__).resolve().parents[1] / "configs"
+                          / "saint_venant_perturbed.json").read_text())
+    payload["initial"]["v0"]["amplitude"] = 1e160
+    done = _run_cli("simulate", "--config", write_config(tmp_path, payload),
+                    "--out", tmp_path / "out")
+    assert done.returncode == 1
+    assert done.stdout == ""
+    [line] = done.stderr.splitlines()
+    assert json.loads(line)["error"] == "InitialDataError"
 
 
 def test_seed_is_an_unknown_key(tmp_path):
@@ -303,68 +320,61 @@ def _study_config(T=0.1, snapshot_dt=0.05):
     return payload
 
 
-@pytest.mark.parametrize("env, argv, payload, field", [
-    pytest.param({"FLUIDCHAIN_REL_TOL": "abc"}, ["check"], MINIMAL,
-                 "FLUIDCHAIN_REL_TOL", id="rel_tol_not_a_number"),
-    pytest.param({"FLUIDCHAIN_REL_TOL": "-1"}, ["check"], MINIMAL,
-                 "FLUIDCHAIN_REL_TOL", id="rel_tol_negative"),
-    pytest.param({"FLUIDCHAIN_ABS_TOL": "nan"}, ["check"], MINIMAL,
-                 "FLUIDCHAIN_ABS_TOL", id="abs_tol_nan"),
-    pytest.param({}, ["converge", "--n", "8,x"], MINIMAL, "--n", id="n_not_integers"),
-    pytest.param({}, ["converge", "--n", "16,8"], MINIMAL, "--n", id="n_descending"),
-    pytest.param({}, ["converge", "--n", "1"], MINIMAL, "--n", id="n_too_small"),
-    pytest.param({}, ["check"], dict(MINIMAL, model={"kind": ["saint_venant"]}),
+@pytest.mark.parametrize("argv, payload, field", [
+    pytest.param(["converge", "--n", "8,x"], MINIMAL, "--n", id="n_not_integers"),
+    pytest.param(["converge", "--n", "16,8"], MINIMAL, "--n", id="n_descending"),
+    pytest.param(["converge", "--n", "1"], MINIMAL, "--n", id="n_too_small"),
+    pytest.param(["check"], dict(MINIMAL, model={"kind": ["saint_venant"]}),
                  "model.kind", id="model_kind_not_a_string"),
-    pytest.param({}, ["validate"], _study_config(T=0.25, snapshot_dt=0.1),
+    pytest.param(["validate"], _study_config(T=0.25, snapshot_dt=0.1),
                  "integrator.T", id="validate_uneven_cadence"),
-    pytest.param({}, ["converge"], _study_config(T=0.25, snapshot_dt=0.1),
+    pytest.param(["converge"], _study_config(T=0.25, snapshot_dt=0.1),
                  "integrator.T", id="converge_uneven_cadence"),
-    pytest.param({}, ["check"], _initial(rho0={"kind": "table"}),
+    pytest.param(["check"], _initial(rho0={"kind": "table"}),
                  "initial.rho0.x", id="rho0_table_without_x"),
-    pytest.param({}, ["check"], _initial(v0={"kind": "sine"}),
+    pytest.param(["check"], _initial(v0={"kind": "sine"}),
                  "initial.v0.amplitude", id="v0_sine_without_amplitude"),
-    pytest.param({}, ["check"], _initial(rho0={"kind": "constant", "value": "abc"}),
+    pytest.param(["check"], _initial(rho0={"kind": "constant", "value": "abc"}),
                  "initial.rho0.value", id="rho0_value_not_a_number"),
-    pytest.param({}, ["check"], _initial(rho0={"kind": "table", "x": [0.0, 1.0], "rho": "ab"}),
+    pytest.param(["check"], _initial(rho0={"kind": "table", "x": [0.0, 1.0], "rho": "ab"}),
                  "initial.rho0.rho", id="rho0_rho_not_a_list"),
-    pytest.param({}, ["check"], _initial(v0={"kind": "sine", "amplitude": "x"}),
+    pytest.param(["check"], _initial(v0={"kind": "sine", "amplitude": "x"}),
                  "initial.v0.amplitude", id="v0_amplitude_not_a_number"),
-    pytest.param({}, ["check"], _initial(rho0={"kind": "constant", "value": True}),
+    pytest.param(["check"], _initial(rho0={"kind": "constant", "value": True}),
                  "initial.rho0.value", id="rho0_value_boolean"),
-    pytest.param({}, ["check"], _initial(v0={"kind": "sine", "amplitude": 0.1, "mode": True}),
+    pytest.param(["check"], _initial(v0={"kind": "sine", "amplitude": 0.1, "mode": True}),
                  "initial.v0.mode", id="v0_mode_boolean"),
-    pytest.param({}, ["simulate"], _integrator(T=math.inf),
+    pytest.param(["simulate"], _integrator(T=math.inf),
                  "integrator.T", id="simulate_infinite_T"),
-    pytest.param({}, ["validate"], _integrator(T=math.inf),
+    pytest.param(["validate"], _integrator(T=math.inf),
                  "integrator.T", id="validate_infinite_T"),
-    pytest.param({}, ["simulate"], _integrator(snapshot_dt=math.inf),
+    pytest.param(["simulate"], _integrator(snapshot_dt=math.inf),
                  "integrator.snapshot_dt", id="infinite_snapshot_dt"),
-    pytest.param({}, ["check"], _initial(v0={"kind": "sine", "amplitude": math.nan}),
+    pytest.param(["simulate"], _integrator(dt_init=1e-3),
+                 "integrator.dt_init", id="dt_init_unknown"),
+    pytest.param(["simulate"], _integrator(dt_max=1e-3),
+                 "integrator.dt_max", id="dt_max_unknown"),
+    pytest.param(["check"], _initial(v0={"kind": "sine", "amplitude": math.nan}),
                  "initial.v0.amplitude", id="v0_amplitude_nan"),
-    pytest.param({"FLUIDCHAIN_REL_TOL": "inf"}, ["check"], MINIMAL,
-                 "FLUIDCHAIN_REL_TOL", id="rel_tol_infinite"),
-    pytest.param({}, ["check"], _initial(rho0={"kind": "table", "x": [0.0, 1.0],
-                                               "rho": [1.0, math.nan]}),
+    pytest.param(["check"], _initial(rho0={"kind": "table", "x": [0.0, 1.0],
+                                           "rho": [1.0, math.nan]}),
                  "initial.rho0.rho", id="rho0_table_nan"),
-    pytest.param({}, ["check"], dict(MINIMAL, model={"kind": "saint_venant",
-                                                     "g": math.inf, "nu": 1.0}),
+    pytest.param(["check"], dict(MINIMAL, model={"kind": "saint_venant",
+                                                 "g": math.inf, "nu": 1.0}),
                  "model.g", id="model_parameter_infinite"),
-    pytest.param({}, ["check"], _initial(v0={"kind": "zero", "amplitude": 0.1}),
+    pytest.param(["check"], _initial(v0={"kind": "zero", "amplitude": 0.1}),
                  "initial.v0.amplitude", id="v0_zero_with_amplitude"),
-    pytest.param({}, ["check"], _initial(rho0={"kind": "table", "x": [0.0, 1.0],
-                                               "rho": [1.0, 1.0], "value": 1.0}),
+    pytest.param(["check"], _initial(rho0={"kind": "table", "x": [0.0, 1.0],
+                                           "rho": [1.0, 1.0], "value": 1.0}),
                  "initial.rho0.value", id="rho0_table_with_value"),
-    pytest.param({}, ["check"], _initial(rho0={"kind": "constant", "x": [0.0, 1.0]}),
+    pytest.param(["check"], _initial(rho0={"kind": "constant", "x": [0.0, 1.0]}),
                  "initial.rho0.x", id="rho0_constant_with_x"),
-    pytest.param({}, ["check"], _initial(rho0={"kind": "mystery"}),
+    pytest.param(["check"], _initial(rho0={"kind": "mystery"}),
                  "initial.rho0.kind", id="rho0_unknown_kind"),
-    pytest.param({}, ["check"], _initial(v0={"kind": ["sine"], "amplitude": 0.1}),
+    pytest.param(["check"], _initial(v0={"kind": ["sine"], "amplitude": 0.1}),
                  "initial.v0.kind", id="v0_kind_not_a_string"),
 ])
-def test_bad_input_exits_1_with_one_json_line(tmp_path, capsys, monkeypatch,
-                                              env, argv, payload, field):
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
+def test_bad_input_exits_1_with_one_json_line(tmp_path, capsys, argv, payload, field):
     argv = [argv[0], "--config", str(write_config(tmp_path, payload)), *argv[1:]]
     if argv[0] != "check":
         argv += ["--out", str(tmp_path / "out")]

@@ -23,14 +23,11 @@ def test_config_validation():
         fc.IntegratorConfig(rel_tol=0.0)
     with pytest.raises(ValueError):
         fc.IntegratorConfig(snapshot_dt=-0.1)
-    with pytest.raises(ValueError):
-        fc.IntegratorConfig(dt_init=0.0)
 
 
 @pytest.mark.parametrize("field, value", [
     ("rel_tol", math.nan), ("abs_tol", math.nan), ("snapshot_dt", math.nan),
-    ("dt_init", math.nan), ("dt_max", math.nan), ("max_steps", math.nan),
-    ("snapshot_dt", math.inf), ("dt_init", math.inf),
+    ("max_steps", math.nan), ("snapshot_dt", math.inf),
 ])
 def test_config_rejects_nan_and_infinite(field, value):
     with pytest.raises(ValueError):
@@ -121,10 +118,12 @@ def test_max_steps_guard(sv):
         fc.simulate(sv, state0, 1.0, fc.IntegratorConfig(max_steps=5))
 
 
-def test_dt_underflow_reports_stiffness(sv):
+def test_dt_underflow_reports_stiffness(sv, monkeypatch):
+    # every trial rejected and shrunk by 5 drives the step below the floor
+    monkeypatch.setattr(integrate, "_attempt", lambda *a: (False, None, None, 0.2))
     state0 = fc.equilibrium_state(sv, 4)
     with pytest.raises(StiffnessError) as err:
-        fc.simulate(sv, state0, 1.0, fc.IntegratorConfig(dt_max=1e-20))
+        fc.simulate(sv, state0, 1.0, fc.IntegratorConfig())
     assert "stiff" in str(err.value)
 
 
