@@ -16,10 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fields
-from .dynamics import (ParticleState, functionals, gaps_from_interior,
-                       rhs_arrays, spacing_bounds)
-from .errors import (AdmissibilityError, DomainError, InitialDataError, ModelError,
-                     StiffnessError)
+from .dynamics import ParticleState, functionals, gaps_from_interior, rhs_arrays
+from .errors import DomainError, InitialDataError, StiffnessError
 
 # Dormand-Prince 5(4) tableau as float arrays built once; row 7 is the
 # 5th-order solution weights.
@@ -79,7 +77,6 @@ class DiagnosticsRecord:
 class IntegrationStats:
     accepted: int = 0
     rejected: int = 0
-    dt_min: float = math.inf
     spacing_min_seen: float = math.inf
     spacing_max_seen: float = 0.0
 
@@ -167,19 +164,6 @@ def _attempt(model, n, y, dt, cfg, k1=None):
     return True, y_new, k[6].copy(), factor
 
 
-def _default_dt(model, n, first, T):
-    """Viscous-coupling-aware first step from the first snapshot's record;
-    falls back to 1e-6 when the spacing bounds are unavailable."""
-    try:
-        a_est, b_est = spacing_bounds(model, max(first.e_n, 0.0), max(first.w_n, 0.0))
-        grid = np.linspace(a_est, b_est, 101)
-        gain_max = float(np.max(model.damping_gain(grid)))
-        dt0 = min(1e-3, 0.1 * (a_est / n) ** 2 / (n * n * gain_max))
-    except (AdmissibilityError, ModelError):
-        dt0 = 1e-6
-    return min(dt0, T)
-
-
 def _snapshot_targets(T, snapshot_dt):
     count = int(math.floor(T / snapshot_dt + 1e-9))
     targets = [k * snapshot_dt for k in range(1, count + 1)]
@@ -249,7 +233,10 @@ def simulate(model, state0, T, cfg=None) -> SnapshotSeries:
     y = np.concatenate((state0.x, state0.v))
     half = y.size // 2
     t = 0.0
-    dt_ctrl = _default_dt(model, n, first, T)
+    # a tenth of the viscous time 1/(n^2 max gain) of the initial cells; the
+    # first snapshot interval bounds it further
+    gaps = n * gaps_from_interior(model.length, state0.x)
+    dt_ctrl = 0.1 / (n * n * float(np.max(model.damping_gain(gaps))))
     k1 = None
     stats = series.stats
     stats.spacing_min_seen = first.spacing_min
@@ -270,7 +257,6 @@ def simulate(model, state0, T, cfg=None) -> SnapshotSeries:
             accepted, y_new, k_last, factor = _attempt(model, n, y, dt, cfg, k1)
             if accepted:
                 stats.accepted += 1
-                stats.dt_min = min(stats.dt_min, dt)
                 y = y_new
                 k1 = k_last          # first stage of the next step (FSAL)
                 t = target if dt >= target - t else t + dt

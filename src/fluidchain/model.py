@@ -263,7 +263,8 @@ class FluidModel:
     def damping_gain(self, s):
         """Viscous coupling gain mu(m/s)/(m*s) > 0."""
         _require_positive_density(s, what="cell width")
-        out = self.force_and_gain(np.asarray(s, dtype=float))[1]
+        s = np.asarray(s, dtype=float)
+        out = self.viscosity(self.m / s) / (self.m * s)
         return out if np.ndim(s) else float(out)
 
     def force_and_gain(self, s):

@@ -204,12 +204,13 @@ def test_criterion_08_admissibility_logic(sv, ideal):
              f"(lhs {sv_large.lhs:.2f} vs limit {sv_large.f_limit_low:.3f})")
 
 
-def _simpson_part_energy(model, rho, panels=1_000_000):
-    """Brute-force composite-Simpson oracle for the envelope energy part;
-    integrates in log-density when the limits span more than 3 decades."""
+def _simpson_part_energy(model, rho, panels=8192):
+    """Composite-Simpson oracle for the envelope energy part as a Richardson
+    pair of S_h on 2*panels panels and S_2h on every other node: returns the
+    extrapolation S_h + (S_h - S_2h)/15 and the error estimate of S_h,
+    |S_h - S_2h|/15, which bounds it.  Integrates in log-density when the
+    limits span more than 3 decades."""
     rho_star = model.rho_star
-    if rho == rho_star:
-        return 0.0
     lo, hi = min(rho, rho_star), max(rho, rho_star)
     sign = 1.0 if rho > rho_star else -1.0
 
@@ -218,22 +219,29 @@ def _simpson_part_energy(model, rho, panels=1_000_000):
         return s ** -1.5 * np.asarray(model.viscosity(s)) * np.sqrt(np.maximum(q, 0.0))
 
     if hi / lo <= 1e3:
-        s = np.linspace(lo, hi, 2 * panels + 1)
+        s = np.linspace(lo, hi, 4 * panels + 1)
         f = integrand(s)
-        h = (hi - lo) / (2 * panels)
     else:
-        u = np.linspace(math.log(lo), math.log(hi), 2 * panels + 1)
+        u = np.linspace(math.log(lo), math.log(hi), 4 * panels + 1)
         s = np.exp(u)
         f = integrand(s) * s
-        h = (u[-1] - u[0]) / (2 * panels)
-    return sign * (h / 3.0) * (f[0] + f[-1] + 4.0 * f[1:-1:2].sum()
-                               + 2.0 * f[2:-2:2].sum())
+        lo, hi = u[0], u[-1]
+
+    def simpson(f):
+        h = (hi - lo) / (f.size - 1)
+        return sign * (h / 3.0) * (f[0] + f[-1] + 4.0 * f[1:-1:2].sum()
+                                   + 2.0 * f[2:-2:2].sum())
+
+    fine = simpson(f)
+    correction = (fine - simpson(f[::2])) / 15.0
+    return fine + correction, abs(correction)
 
 
 def test_criterion_09_closed_forms_vs_quadrature(sv, ideal, isentropic, power_law,
                                                  callable_models):
     worst_quad = 0.0
     worst_simpson = 0.0
+    worst_estimate = 0.0
     closed_form = (sv, ideal, isentropic, power_law)
     # the callable models' functions all come from Gauss tables
     for model in (*closed_form, *callable_models):
@@ -254,16 +262,19 @@ def test_criterion_09_closed_forms_vs_quadrature(sv, ideal, isentropic, power_la
                 scale = max(abs(value), abs(quadrature), 1e-300)
                 if value != quadrature:
                     worst_quad = max(worst_quad, abs(value - quadrature) / scale)
-            # the oracle's two million points are too many for a table
-            # evaluation of twelve nodes each
+            # the Simpson oracle checks the energy part of the four
+            # closed-form fixtures; the callable models' is checked against
+            # quadrature above
             if rho != model.rho_star and model in closed_form:
                 part = model.envelope_parts(rho)[0]
-                oracle = _simpson_part_energy(model, rho)
+                oracle, estimate = _simpson_part_energy(model, rho)
                 worst_simpson = max(worst_simpson, abs(part - oracle) / abs(oracle))
-    ok = worst_quad <= 1e-8 and worst_simpson <= 1e-6
+                worst_estimate = max(worst_estimate, estimate / abs(oracle))
+    ok = worst_quad <= 1e-8 and worst_simpson <= 1e-6 and worst_estimate <= 1e-7
     _verdict(9, "closed-form-vs-quadrature", ok,
              f"worst closed/quad rel {worst_quad:.2e}, "
-             f"worst energy-part/Simpson rel {worst_simpson:.2e}")
+             f"worst energy-part/Simpson rel {worst_simpson:.2e} "
+             f"(Simpson's own estimate {worst_estimate:.2e})")
 
 
 def test_criterion_10_self_convergence(sv, rate_runs):

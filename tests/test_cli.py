@@ -444,3 +444,19 @@ def test_unusable_out_exits_1_before_any_work(tmp_path, capsys, monkeypatch, sub
     record = json.loads(line)
     assert (record["error"], record["field"]) == ("ConfigError", "--out")
     assert blocker.read_text() == ""
+
+
+def test_low_viscosity_gas_runs(tmp_path, capsys):
+    # at mu = 1e-3 the spacing band [a, b] is wide (a = 2.5e-4 at n = 32),
+    # and a first step sized from it underflowed at t = 0
+    payload = json.loads(json.dumps(MINIMAL))
+    payload["model"] = {"kind": "isentropic_gas", "c": 1.0, "gamma": 1.4, "mu": 1e-3}
+    payload["integrator"] = {"snapshot_dt": 0.05, "T": 0.5}
+    payload["n"] = 32
+    path = write_config(tmp_path, payload)
+    for sub in ("simulate", "validate"):
+        assert cli.main([sub, "--config", str(path), "--out", str(tmp_path / sub)]) == 0
+        assert capsys.readouterr().err == ""
+    report = (tmp_path / "validate" / "validate.txt").read_text()
+    assert "discrete decay ok: True" in report
+    assert "spacing containment ok: True" in report

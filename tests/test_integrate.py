@@ -187,3 +187,39 @@ def test_decay_warnings_match_snapshot_scan(sv):
     report = checks.decay_report(series)
     assert report.e_n_violations == [(t, r) for t, name, r, _ in expected if name == "e_n"]
     assert report.w_n_violations == [(t, r) for t, name, r, _ in expected if name == "w_n"]
+
+
+@pytest.mark.parametrize("n", [16, 32, 64, 128])
+def test_first_step_is_on_the_scale_of_the_accepted_steps(sv, monkeypatch, n):
+    # the first step comes from the viscous time of the initial cells, so it
+    # falls like n^-2, as the accepted steps do
+    attempts = []
+    attempt = integrate._attempt
+
+    def recording(*args):
+        out = attempt(*args)
+        attempts.append((args[3], out[0]))      # (dt, accepted)
+        return out
+
+    monkeypatch.setattr(integrate, "_attempt", recording)
+    state0 = fc.build_particles(sv, perturbed_initial(sv, 0.1), n)
+    fc.simulate(sv, state0, 0.05, fc.IntegratorConfig(snapshot_dt=0.05))
+    median = float(np.median([dt for dt, accepted in attempts if accepted]))
+    assert attempts[0][0] >= median / 20.0
+
+
+@pytest.mark.parametrize("make", [
+    lambda: fc.FluidModel.saint_venant(g=9.81, nu=1.0, m=1.0, length=1.0),
+    lambda: fc.FluidModel.ideal_gas_entropy(c=1.0, gamma=1.4, visc_amp=1.0, m=1.0, length=1.0),
+], ids=["saint_venant", "ideal_gas_entropy"])
+def test_simulate_never_evaluates_the_energy_envelope(monkeypatch, make):
+    # the spacing band [a, b] bounds the existence argument, not the step
+    model = make()
+
+    def unavailable(self, rho):
+        raise AssertionError("simulate evaluated the energy envelope")
+
+    monkeypatch.setattr(fc.FluidModel, "energy_envelope", unavailable)
+    state0 = fc.build_particles(model, perturbed_initial(model, 0.1), 16)
+    series = fc.simulate(model, state0, 0.1, fc.IntegratorConfig(snapshot_dt=0.05))
+    assert series.times[-1] == 0.1
