@@ -132,8 +132,8 @@ def _error_ratio(err, y_old, y_new, cfg):
     return float((np.abs(err) / scale).max())
 
 
-def _attempt(model, n, y, dt, cfg, k1=None):
-    """One embedded-pair trial from y over dt.
+def _attempt(model, n, y, dt, cfg, k1):
+    """One embedded-pair trial from y over dt; ``k1`` is the rhs at y.
 
     Returns (accepted, y_new, k_new_first_stage, dt_next_factor).  Domain
     exits at any stage or in the candidate count as rejections.
@@ -141,11 +141,8 @@ def _attempt(model, n, y, dt, cfg, k1=None):
     dim = y.size
     half = dim // 2
     k = np.empty((7, dim))
+    k[0] = k1
     try:
-        if k1 is None:
-            k[0, :half], k[0, half:] = rhs_arrays(model, n, y[:half], y[half:])
-        else:
-            k[0] = k1
         for stage in range(1, 7):
             yi = y + dt * np.dot(_A[stage], k[:stage])
             k[stage, :half], k[stage, half:] = rhs_arrays(model, n, yi[:half], yi[half:])
@@ -156,11 +153,10 @@ def _attempt(model, n, y, dt, cfg, k1=None):
     ratio = _error_ratio(err, y, y_new, cfg)
     if not math.isfinite(ratio):
         return False, None, None, 0.5
-    if ratio > 1.0:
-        factor = max(_SHRINK_MIN, _SAFETY * ratio ** -0.2)
-        return False, None, None, factor
     factor = _GROW_MAX if ratio == 0.0 else min(_GROW_MAX, max(
         _SHRINK_MIN, _SAFETY * ratio ** -0.2))
+    if ratio > 1.0:
+        return False, None, None, factor
     return True, y_new, k[6].copy(), factor
 
 
@@ -237,7 +233,7 @@ def simulate(model, state0, T, cfg=None) -> SnapshotSeries:
     # first snapshot interval bounds it further
     gaps = n * gaps_from_interior(model.length, state0.x)
     dt_ctrl = 0.1 / (n * n * float(np.max(model.damping_gain(gaps))))
-    k1 = None
+    k1 = np.concatenate(rhs_arrays(model, n, state0.x, state0.v))
     stats = series.stats
     stats.spacing_min_seen = first.spacing_min
     stats.spacing_max_seen = first.spacing_max
@@ -255,19 +251,18 @@ def simulate(model, state0, T, cfg=None) -> SnapshotSeries:
                     f"t={t:g}; the viscous coupling is too stiff for the "
                     "explicit pair -- reduce n or use an implicit extension")
             accepted, y_new, k_last, factor = _attempt(model, n, y, dt, cfg, k1)
-            if accepted:
-                stats.accepted += 1
-                y = y_new
-                k1 = k_last          # first stage of the next step (FSAL)
-                t = target if dt >= target - t else t + dt
-                gaps = n * gaps_from_interior(model.length, y[:half])
-                stats.spacing_min_seen = min(stats.spacing_min_seen, float(gaps.min()))
-                stats.spacing_max_seen = max(stats.spacing_max_seen, float(gaps.max()))
-                dt_ctrl = dt * factor
-            else:
-                # y is unchanged, so a previously computed first stage stays valid
+            dt_ctrl = dt * factor
+            if not accepted:
+                # y is unchanged, so its first stage k1 stays valid
                 stats.rejected += 1
-                dt_ctrl = dt * factor
+                continue
+            stats.accepted += 1
+            y = y_new
+            k1 = k_last          # first stage of the next step (FSAL)
+            t = target if dt >= target - t else t + dt
+            gaps = n * gaps_from_interior(model.length, y[:half])
+            stats.spacing_min_seen = min(stats.spacing_min_seen, float(gaps.min()))
+            stats.spacing_max_seen = max(stats.spacing_max_seen, float(gaps.max()))
         state = ParticleState(n=n, t=t, x=y[:half].copy(), v=y[half:].copy())
         _record(model, state, series)
 

@@ -98,9 +98,6 @@ class FluidModel:
         self.params = dict(params or {})
         # derived functions by name: closed forms, and Gauss tables once built
         self._functions = dict(closed or {})
-        # envelope limits (key ()) and inversions (key target), each
-        # computed once per model
-        self._envelope_memo = {}
 
         self.pressure = pressure
         self.viscosity = viscosity
@@ -256,9 +253,7 @@ class FluidModel:
         """Antiderivative of the viscous coupling gain, -k(m/s)/m; strictly
         increasing and zero at s = L."""
         _require_positive_density(s, what="cell width")
-        if np.ndim(s):
-            return -np.asarray(self.viscous_potential(self.m / np.asarray(s, float))) / self.m
-        return -self.viscous_potential(self.m / float(s)) / self.m
+        return -self.viscous_potential(self.m / np.asarray(s, float)) / self.m
 
     def damping_gain(self, s):
         """Viscous coupling gain mu(m/s)/(m*s) > 0."""
@@ -316,9 +311,6 @@ class FluidModel:
         catches logarithmic divergence, e.g. viscosity growing like
         sqrt(density)).
         """
-        memo = self._envelope_memo
-        if () in memo:
-            return memo[()]
         grid = self.probe_grid()
         values = self.energy_envelope(grid[[-3, -2, -1, 2, 1, 0]]).tolist()
         f_hi, f_lo = values[:3], values[3:]
@@ -328,7 +320,6 @@ class FluidModel:
                         or f_lo[1] - f_lo[2] >= 0.9 * (f_lo[0] - f_lo[1]))
         limit_high = math.inf if hi_unbounded else abs(f_hi[2])
         limit_low = math.inf if lo_unbounded else abs(f_lo[2])
-        memo[()] = limit_high, limit_low
         return limit_high, limit_low
 
     def energy_envelope_inverse(self, target):
@@ -349,8 +340,6 @@ class FluidModel:
             raise ModelError("energy budget to invert must be a number, got nan")
         if target == 0.0:
             return self.rho_star
-        if target in self._envelope_memo:
-            return self._envelope_memo[target]
         lo = self.rho_star * 10.0 ** -PROBE_DECADES
         hi = self.rho_star * 10.0 ** PROBE_DECADES
         if target > 0.0:
@@ -387,8 +376,7 @@ class FluidModel:
                     a, node = mids[node], 2 * node + 2
                 else:
                     b, node = mids[node], 2 * node + 1
-        rho = self._envelope_memo[target] = math.exp(0.5 * (a + b))
-        return rho
+        return math.exp(0.5 * (a + b))
 
     # -- growth condition ----------------------------------------------------
 

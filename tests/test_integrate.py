@@ -5,6 +5,7 @@ import pytest
 
 import fluidchain as fc
 from fluidchain import checks, integrate
+from fluidchain.dynamics import rhs_arrays
 from fluidchain.errors import ModelError, StiffnessError
 
 from conftest import perturbed_initial
@@ -46,7 +47,8 @@ def test_equilibrium_is_a_fixed_point(sv):
 def test_step_accepts_at_equilibrium(sv):
     state0 = fc.equilibrium_state(sv, 4)
     y = np.concatenate((state0.x, state0.v))
-    accepted, y_new, _, factor = integrate._attempt(sv, 4, y, 1e-3, fc.IntegratorConfig())
+    k1 = np.concatenate(rhs_arrays(sv, 4, state0.x, state0.v))
+    accepted, y_new, _, factor = integrate._attempt(sv, 4, y, 1e-3, fc.IntegratorConfig(), k1)
     assert accepted
     assert np.allclose(y_new[:3], state0.x, atol=1e-10)
     assert factor > 1.0
@@ -55,7 +57,8 @@ def test_step_accepts_at_equilibrium(sv):
 def test_step_rejects_ordering_exit(sv):
     # packet racing towards the wall; a large trial step exits the domain
     y = np.array([0.05, -5.0])
-    accepted, y_new, k_new, factor = integrate._attempt(sv, 2, y, 0.05, fc.IntegratorConfig())
+    k1 = np.concatenate(rhs_arrays(sv, 2, y[:1], y[1:]))
+    accepted, y_new, k_new, factor = integrate._attempt(sv, 2, y, 0.05, fc.IntegratorConfig(), k1)
     assert not accepted
     assert y_new is None and k_new is None
     assert factor == 0.5
@@ -206,6 +209,26 @@ def test_first_step_is_on_the_scale_of_the_accepted_steps(sv, monkeypatch, n):
     fc.simulate(sv, state0, 0.05, fc.IntegratorConfig(snapshot_dt=0.05))
     median = float(np.median([dt for dt, accepted in attempts if accepted]))
     assert attempts[0][0] >= median / 20.0
+
+
+def test_every_attempt_starts_from_the_rhs_at_its_state(sv, monkeypatch):
+    # first-same-as-last: the first stage an attempt receives, whether from
+    # the initial state, an accepted step or a rejected one, is the rhs at y
+    outcomes = []
+    attempt = integrate._attempt
+
+    def checking(model, n, y, dt, cfg, k1):
+        expect = np.concatenate(rhs_arrays(model, n, y[:n - 1], y[n - 1:]))
+        assert k1.tobytes() == expect.tobytes()
+        out = attempt(model, n, y, dt, cfg, k1)
+        outcomes.append(out[0])
+        return out
+
+    monkeypatch.setattr(integrate, "_attempt", checking)
+    state0 = fc.build_particles(sv, perturbed_initial(sv, 0.1), 16)
+    series = fc.simulate(sv, state0, 0.05, fc.IntegratorConfig(snapshot_dt=0.05))
+    assert outcomes.count(False) == series.stats.rejected > 0
+    assert outcomes.count(True) == series.stats.accepted
 
 
 @pytest.mark.parametrize("make", [
