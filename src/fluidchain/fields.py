@@ -38,7 +38,8 @@ class ReconstructedField:
         k = np.clip(np.searchsorted(self.asc_x, xq, side="left") - 1, 0, self.n - 1)
         x0 = self.asc_x[k]
         width = self.asc_x[k + 1] - x0
-        out = values[k] + (values[k + 1] - values[k]) * (xq - x0) / width
+        # fraction first: it is exactly 0 or 1 at a node, so a wall's 0 is exact
+        out = values[k] + (xq - x0) / width * (values[k + 1] - values[k])
         return out if np.ndim(x) else float(out)
 
     def rho(self, x):
@@ -87,7 +88,7 @@ def gauss_cells(x, rho, v, order):
 
     def interp(values):
         lo, hi = values[..., :-1, None], values[..., 1:, None]
-        return lo + (hi - lo) * (pts - left) / width
+        return lo + (pts - left) / width * (hi - lo)
 
     return pts, half * weights, interp(rho), interp(v)
 

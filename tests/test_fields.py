@@ -55,6 +55,21 @@ def test_velocity_bounded_by_node_values(sv):
         assert np.max(np.abs(np.asarray(field.v(grid)))) <= np.max(np.abs(state.v)) + 1e-15
 
 
+@pytest.mark.parametrize("length", [1.0, 3.7])
+def test_velocity_is_exactly_zero_at_both_walls(length):
+    # the in-cell fraction at a wall is exactly 0 or 1, so no rounding of
+    # the node value survives there
+    model = fc.FluidModel.saint_venant(g=9.81, nu=1.0, m=1.0, length=length)
+    rng = np.random.default_rng(11)
+    grid = np.linspace(0.0, length, 65)
+    for n in (2, 5, 12, 33):
+        for _ in range(50):
+            field = fc.reconstruct(model, random_state(model, n, rng))
+            assert field.v(0.0) == 0.0
+            assert field.v(length) == 0.0
+            assert field.v(grid)[-1] == 0.0
+
+
 def test_density_within_spacing_bound_band(sv):
     init = multiharmonic_initial(sv)
     state0 = fc.build_particles(sv, init, 16)

@@ -12,8 +12,11 @@ its fixed-seed ``-reference`` configs.  Every config runs ``check``,
 ``converge --n 8,16``.  Both trees run the same relative paths, so output
 that names a path reads the same on both sides.  Prints every difference and
 exits 1 on any, 0 when everything is identical.  Where two outputs differ only
-in their numbers, it also prints the worst relative difference: per column
-for a CSV, and over the whole text otherwise.
+in their numbers, it also prints the worst relative difference over values of
+magnitude at least ``FLOOR`` and the largest absolute difference between
+smaller values: per column for a CSV, and over the whole text otherwise.  A
+rounding-sized value next to an exact 0 thus reads as its size, not as a
+relative difference of 1.
 """
 
 from __future__ import annotations
@@ -36,6 +39,8 @@ SEEDS = (301, 302)
 SUBCOMMANDS = ("check", "simulate", "validate")
 CONVERGE = ("saint_venant_perturbed", "8,16")
 RUN_TIMEOUT_S = 900
+# values smaller than this in magnitude are compared absolutely
+FLOOR = 1e-12
 NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
 
 
@@ -86,37 +91,46 @@ def first_difference(a, b):
     return f"{len(lines_a)} vs {len(lines_b)} lines"
 
 
-def worst_relative(pairs):
-    """Worst relative difference, by key, over (key, text_a, text_b) pairs
-    whose texts differ only in their numbers; None if any differs otherwise."""
-    worst = {}
+def worst_differences(pairs):
+    """(worst relative, worst absolute) difference, each by key, over (key,
+    text_a, text_b) pairs whose texts differ only in their numbers; a pair of
+    numbers counts as relative when either is at least ``FLOOR`` in magnitude,
+    else as absolute.  None if any text differs otherwise."""
+    relative, absolute = {}, {}
     for key, x, y in pairs:
         parts_x, parts_y = NUMBER.split(x), NUMBER.split(y)
         if len(parts_x) != len(parts_y) or parts_x[::2] != parts_y[::2]:
             return None
         for u, v in zip(map(float, parts_x[1::2]), map(float, parts_y[1::2])):
-            if u != v:
-                worst[key] = max(worst.get(key, 0.0), abs(u - v) / max(abs(u), abs(v)))
-    return worst
+            if u == v:
+                continue
+            size = max(abs(u), abs(v))
+            if size >= FLOOR:
+                relative[key] = max(relative.get(key, 0.0), abs(u - v) / size)
+            else:
+                absolute[key] = max(absolute.get(key, 0.0), abs(u - v))
+    return relative, absolute
 
 
 def number_differences(a, b, csv):
     """How two differing outputs differ in their numbers, as printable text:
-    the worst relative difference per column of a CSV (by its header), or
-    over every number of other text."""
+    the worst relative and absolute differences (see ``worst_differences``)
+    per column of a CSV (by its header), or over every number of other text."""
     lines_a, lines_b = a.decode().splitlines(), b.decode().splitlines()
     worst = None
     if len(lines_a) == len(lines_b) and not csv:
-        worst = worst_relative(("numbers", x, y) for x, y in zip(lines_a, lines_b))
+        worst = worst_differences(("numbers", x, y) for x, y in zip(lines_a, lines_b))
     elif len(lines_a) == len(lines_b) and lines_a[:1] == lines_b[:1]:
         header = lines_a[0].split(",")
         rows = [(x.split(","), y.split(",")) for x, y in zip(lines_a[1:], lines_b[1:])]
         if all(len(x) == len(y) == len(header) for x, y in rows):
-            worst = worst_relative(cell for x, y in rows for cell in zip(header, x, y))
+            worst = worst_differences(cell for x, y in rows for cell in zip(header, x, y))
     if worst is None:
         return "differs in more than its numbers"
-    return "worst relative difference " + ", ".join(
-        f"{key} {value:.2g}" for key, value in worst.items())
+    relative, absolute = (", ".join(f"{key} {value:.2g}" for key, value in side.items())
+                          or "none" for side in worst)
+    return (f"worst relative difference {relative}; "
+            f"largest absolute difference below {FLOOR:g}: {absolute}")
 
 
 def output_files(directory):
