@@ -2,8 +2,8 @@
 between walls, with admissibility checking, weak-form residual validation,
 and refinement studies."""
 
-from .dynamics import (DiscreteFunctionals, ParticleState, equilibrium_state,
-                       functionals, spacing_bounds)
+from .dynamics import (DiscreteFunctionals, ParticleState, functionals,
+                       spacing_bounds)
 from .errors import (AdmissibilityError, ConfigError, DomainError,
                      FluidchainError, InitialDataError, ModelError,
                      QuadratureError, StiffnessError)
@@ -11,11 +11,11 @@ from .fields import (ReconstructedField, continuous_energy,
                      continuous_energy_mod, reconstruct, total_mass)
 from .initial import (AdmissibilityReport, BudgetConstants, InitialData,
                       admissibility, budget_constants, build_particles,
-                      constant_density, initial_from_config, make_initial,
-                      sine_velocity, table_profile)
+                      constant_density, make_initial, sine_velocity,
+                      table_profile)
 from .integrate import (DiagnosticsRecord, IntegratorConfig, SnapshotSeries,
                         simulate)
-from .model import FluidModel, GrowthReport, make_preset
+from .model import FluidModel, GrowthReport
 
 __version__ = "0.1.0"
 
@@ -28,7 +28,6 @@ __all__ = [
     "StiffnessError", "admissibility",
     "budget_constants", "build_particles", "constant_density",
     "continuous_energy", "continuous_energy_mod",
-    "equilibrium_state", "functionals", "initial_from_config", "make_initial",
-    "make_preset", "reconstruct", "simulate", "sine_velocity",
+    "functionals", "make_initial", "reconstruct", "simulate", "sine_velocity",
     "spacing_bounds", "table_profile", "total_mass",
 ]

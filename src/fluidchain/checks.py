@@ -228,17 +228,18 @@ def decay_report(series, w_budget=None) -> DecayReport:
     """Scan a snapshot series for decay violations.
 
     Discrete energies must be nonincreasing within 1e-8 * max(1, initial
-    value).  The continuous energies of every snapshot (``fields.energies``,
-    on blocks of up to ``_BLOCK`` snapshots) are reported as ``e_cont`` and
-    ``w_cont``.  The continuous energy is monitored with the same slack but
-    only reported (it may legitimately wiggle by the discrete-continuous
-    gap).  When ``w_budget`` is given, the
-    running time average of the continuous transformed energy must stay
-    below it plus ``_W_AVG_SLACK`` (1e-6).
+    value): their violations are the decay warnings ``simulate`` collected.
+    The continuous energies of every snapshot (``fields.energies``, on
+    blocks of up to ``_BLOCK`` snapshots) are reported as ``e_cont`` and
+    ``w_cont``.  The continuous energy is monitored with the slack of E_n
+    but only reported (it may legitimately wiggle by the
+    discrete-continuous gap).  When ``w_budget`` is given, the running time
+    average of the continuous transformed energy must stay below it plus
+    ``_W_AVG_SLACK`` (1e-6).
     """
     times = series.times
-    e_n = [d.e_n for d in series.diagnostics]
-    w_n = [d.w_n for d in series.diagnostics]
+    decays = [(w.functional, (w.t, w.amount)) for w in series.warnings
+              if w.monitor == "decay"]
     x, rho, v = series.nodes()
     e_cont, w_cont = np.empty(len(series)), np.empty(len(series))
     for start in range(0, len(series), _BLOCK):
@@ -254,10 +255,9 @@ def decay_report(series, w_budget=None) -> DecayReport:
         over = avg > w_budget + _W_AVG_SLACK
         w_avg_viol = list(zip(t[1:][over].tolist(), (avg[over] - w_budget).tolist()))
     e_cont, w_cont = e_cont.tolist(), w_cont.tolist()
-    slack_e = decay_slack(e_n[0])
-    slack_w = decay_slack(w_n[0])
-    return DecayReport(e_n_violations=decay_violations(times, e_n, slack_e),
-                       w_n_violations=decay_violations(times, w_n, slack_w),
+    slack_e = decay_slack(series.diagnostics[0].e_n)
+    return DecayReport(e_n_violations=[v for name, v in decays if name == "e_n"],
+                       w_n_violations=[v for name, v in decays if name == "w_n"],
                        e_cont_violations=decay_violations(times, e_cont, slack_e),
                        w_avg_violations=w_avg_viol, w_budget=w_budget,
                        w_avg_max=w_avg_max, e_cont=e_cont, w_cont=w_cont)

@@ -1,7 +1,8 @@
 """Command-line entry point: JSON configuration, CSV/JSON artifacts, and the
 simulate / check / converge / validate workflows.
 
-The config schema is strict: unknown keys anywhere are fatal, and every
+The config schema lives here alone, and each block is built in the pass that
+checks it.  It is strict: unknown keys anywhere are fatal, and every
 diagnostic names the offending field path.  Numeric CSV output uses 17
 significant digits with a plain decimal point, so re-running a subcommand on
 the same config byte-reproduces its artifacts.
@@ -19,11 +20,28 @@ from pathlib import Path
 import numpy as np
 
 from . import checks
+from .dynamics import ordered_sum
 from .errors import AdmissibilityError, ConfigError, FluidchainError
-from .initial import (PROFILE_KEYS, admissibility, build_particles,
-                      initial_from_config)
+from .initial import (admissibility, build_particles, constant_density,
+                      make_initial, sine_velocity, table_profile)
 from .integrate import IntegratorConfig, simulate
-from .model import PRESET_PARAMS, make_preset
+from .model import FluidModel
+
+# kind -> (required keys, optional keys) of the model block, besides "kind";
+# a preset's keys are the keyword arguments of its FluidModel constructor
+MODEL_KEYS = {
+    "isentropic_gas": ({"c", "gamma"}, {"mu"}),
+    "ideal_gas_entropy": ({"c", "gamma", "visc_amp"}, set()),
+    "saint_venant": ({"g", "nu"}, set()),
+    "custom": ({"pressure", "viscosity"}, set()),
+}
+# profile -> kind -> (required keys, optional keys) of its initial block,
+# besides "kind"
+PROFILE_KEYS = {
+    "rho0": {"constant": ((), ("value",)), "table": (("x", "rho"), ())},
+    "v0": {"zero": ((), ()), "sine": (("amplitude",), ("mode",)),
+           "table": (("x", "v"), ())},
+}
 
 
 @dataclass(frozen=True)
@@ -52,6 +70,17 @@ def _check_keys(block, path, required, optional=frozenset()):
             raise ConfigError(_field(path, key), "missing required key")
 
 
+def _finite(value):
+    """Whether ``value`` is a JSON number (no boolean) that is a finite
+    float; an integer too large for a float is not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _number(block, path, key, default=None, positive=False):
     if key not in block:
         if default is None:
@@ -60,9 +89,9 @@ def _number(block, path, key, default=None, positive=False):
     value = block[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(_field(path, key), f"expected a number, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value):
+    if not _finite(value):
         raise ConfigError(_field(path, key), f"must be finite, got {value!r}")
+    value = float(value)
     if positive and not value > 0.0:
         raise ConfigError(_field(path, key), f"must be positive, got {value!r}")
     return value
@@ -73,9 +102,7 @@ def _number_list(block, path, key):
     if key not in block:
         raise ConfigError(_field(path, key), "missing required key")
     values = block[key]
-    if not isinstance(values, list) or any(
-            isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v)
-            for v in values):
+    if not isinstance(values, list) or not all(map(_finite, values)):
         raise ConfigError(_field(path, key), f"expected a list of finite numbers, got {values!r}")
 
 
@@ -95,30 +122,34 @@ def _parse_model(raw):
     if not isinstance(block, dict) or "kind" not in block:
         raise ConfigError("model.kind", "missing model kind")
     kind = block["kind"]
-    if not isinstance(kind, str) or kind not in PRESET_PARAMS:
+    if not isinstance(kind, str) or kind not in MODEL_KEYS:
         raise ConfigError("model.kind", f"unknown kind {kind!r}")
-    required, optional = PRESET_PARAMS[kind]
+    required, optional = MODEL_KEYS[kind]
     _check_keys(block, "model", required | {"kind"}, optional)
     params = {k: v for k, v in block.items() if k != "kind"}
     if kind == "custom":
         for side in ("pressure", "viscosity"):
             _check_keys(params[side], f"model.{side}", {"coeff", "exponent"})
-            _number(params[side], f"model.{side}", "coeff", positive=True)
-            _number(params[side], f"model.{side}", "exponent")
+            params[side] = (_number(params[side], f"model.{side}", "coeff", positive=True),
+                            _number(params[side], f"model.{side}", "exponent"))
     else:
         for key in params:
             _number(params, "model", key)
     m = _number(raw, "", "m", positive=True)
     length = _number(raw, "", "L", positive=True)
     try:
-        return make_preset(kind, params, m=m, length=length)
+        if kind == "custom":
+            return FluidModel.power_law(*params["pressure"], *params["viscosity"],
+                                        m=m, length=length)
+        return getattr(FluidModel, kind)(**params, m=m, length=length)
     except FluidchainError as exc:
         raise ConfigError("model", str(exc)) from exc
 
 
 def _parse_profile(block, name):
     """Check the profile ``block[name]`` against the keys of its own kind:
-    the keys of a ``table`` are lists of numbers, all others numbers."""
+    the keys of a ``table`` are lists of numbers, all others numbers.
+    Returns the kind."""
     path = f"initial.{name}"
     profile = block[name]
     if not isinstance(profile, dict):
@@ -134,15 +165,32 @@ def _parse_profile(block, name):
     for key in (*required, *optional):
         if key in profile:
             check(profile, path, key)
+    return kind
 
 
 def _parse_initial(model, raw):
     block = raw["initial"]
     _check_keys(block, "initial", {"rho0", "v0"})
-    _parse_profile(block, "rho0")
-    _parse_profile(block, "v0")
+    rho_kind = _parse_profile(block, "rho0")
+    v_kind = _parse_profile(block, "v0")
+    rho_block, v_block = block["rho0"], block["v0"]
     try:
-        return initial_from_config(model, block)
+        if rho_kind == "constant":
+            nodes = constant_density(model, rho_block.get("value"))
+        else:
+            nodes = (rho_block["x"], rho_block["rho"])
+        if v_kind == "zero":
+            v0, deriv_l2 = (lambda x: 0.0 * np.asarray(x, dtype=float)), 0.0
+        elif v_kind == "sine":
+            v0, deriv_l2 = sine_velocity(model, v_block["amplitude"],
+                                         v_block.get("mode", 1))
+        else:
+            v0 = table_profile(v_block["x"], v_block["v"], model.length, "v0")
+            # the exact slope norm of the interpolant, sqrt(sum(dv**2 / dx))
+            with np.errstate(over="ignore"):     # an overflow is rejected as infinite
+                deriv_l2 = math.sqrt(ordered_sum(np.diff(v_block["v"]) ** 2
+                                                 / np.diff(v_block["x"])))
+        return make_initial(model, nodes, v0, deriv_l2)
     except FluidchainError as exc:
         raise ConfigError("initial", str(exc)) from exc
 
@@ -172,7 +220,8 @@ def parse_config(path) -> SimulationConfig:
         raise ConfigError(str(path), "config file not found")
     try:
         raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # bad JSON, bytes that are not UTF-8, or an integer of over 4300 digits
         raise ConfigError(str(path), f"malformed JSON: {exc}") from exc
     _check_keys(raw, "", {"model", "m", "L", "initial"},
                 {"integrator", "n", "n_list", "grid_size"})

@@ -172,9 +172,3 @@ def spacing_bounds(model: FluidModel, e_bar, w_bar):
     rho_lo = model.energy_envelope_inverse(-budget)
     return model.m / rho_hi, model.m / rho_lo
 
-
-def equilibrium_state(model: FluidModel, n: int) -> ParticleState:
-    """Uniformly spaced, motionless chain (the unique rest point)."""
-    i = np.arange(1, n)
-    return ParticleState(n=n, t=0.0, x=model.length * (1.0 - i / n),
-                         v=np.zeros(n - 1))

@@ -20,6 +20,12 @@ from .model import FluidModel
 _GAUSS = {order: np.polynomial.legendre.leggauss(order) for order in (3, 5)}
 
 
+def _in_cell(lo, hi, left, right, x):
+    """The line through ``(left, lo)`` and ``(right, hi)`` at ``x``, fraction
+    first: it is exactly 0 or 1 at a node, so a wall's 0 is exact."""
+    return lo + (x - left) / (right - left) * (hi - lo)
+
+
 @dataclass(frozen=True)
 class ReconstructedField:
     """Piecewise-linear density/velocity over [0, L], held as its n+1 nodes
@@ -36,10 +42,7 @@ class ReconstructedField:
         if np.any(xq < -1e-12) or np.any(xq > self.length * (1.0 + 1e-12)):
             raise ValueError("query point outside [0, L]")
         k = np.clip(np.searchsorted(self.asc_x, xq, side="left") - 1, 0, self.n - 1)
-        x0 = self.asc_x[k]
-        width = self.asc_x[k + 1] - x0
-        # fraction first: it is exactly 0 or 1 at a node, so a wall's 0 is exact
-        out = values[k] + (xq - x0) / width * (values[k + 1] - values[k])
+        out = _in_cell(values[k], values[k + 1], self.asc_x[k], self.asc_x[k + 1], xq)
         return out if np.ndim(x) else float(out)
 
     def rho(self, x):
@@ -84,11 +87,9 @@ def gauss_cells(x, rho, v, order):
     left, right = x[..., :-1, None], x[..., 1:, None]
     half = 0.5 * (right - left)
     pts = 0.5 * (left + right) + half * nodes
-    width = right - left
 
     def interp(values):
-        lo, hi = values[..., :-1, None], values[..., 1:, None]
-        return lo + (pts - left) / width * (hi - lo)
+        return _in_cell(values[..., :-1, None], values[..., 1:, None], left, right, pts)
 
     return pts, half * weights, interp(rho), interp(v)
 

@@ -16,19 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ParticleState, ordered_sum, spacing_bounds, sqrt_budget
+from .dynamics import ParticleState, spacing_bounds, sqrt_budget
 from .errors import InitialDataError
 from .model import FluidModel
 
 GAIN_SAMPLES = 10_000
-
-# profile -> kind -> (required keys, optional keys) of its config block,
-# besides "kind"
-PROFILE_KEYS = {
-    "rho0": {"constant": ((), ("value",)), "table": (("x", "rho"), ())},
-    "v0": {"zero": ((), ()), "sine": (("amplitude",), ("mode",)),
-           "table": (("x", "v"), ())},
-}
 
 
 @dataclass(frozen=True)
@@ -161,41 +153,6 @@ def table_profile(xs, values, length, name):
         return np.interp(np.asarray(x, dtype=float), xs, values)
 
     return f
-
-
-def initial_from_config(model, block):
-    """Build InitialData from the JSON 'initial' block (see cli module).
-
-    A table ``v0`` gets the exact slope norm of its interpolant,
-    ``sqrt(sum(dv**2 / dx))`` over the table's segments.
-    """
-    rho_block = block["rho0"]
-    v_block = block["v0"]
-    L = model.length
-
-    if rho_block["kind"] == "constant":
-        nodes = constant_density(model, rho_block.get("value"))
-    elif rho_block["kind"] == "table":
-        nodes = (rho_block["x"], rho_block["rho"])
-    else:
-        raise InitialDataError(f"unknown rho0 kind {rho_block['kind']!r}")
-
-    if v_block["kind"] == "zero":
-        def v0(x):
-            return 0.0 * np.asarray(x, dtype=float)
-        deriv_l2 = 0.0
-    elif v_block["kind"] == "sine":
-        v0, deriv_l2 = sine_velocity(model, v_block["amplitude"],
-                                     v_block.get("mode", 1))
-    elif v_block["kind"] == "table":
-        v0 = table_profile(v_block["x"], v_block["v"], L, "v0")
-        with np.errstate(over="ignore"):     # an overflow is rejected as infinite
-            deriv_l2 = math.sqrt(ordered_sum(np.diff(v_block["v"]) ** 2
-                                             / np.diff(v_block["x"])))
-    else:
-        raise InitialDataError(f"unknown v0 kind {v_block['kind']!r}")
-
-    return make_initial(model, nodes, v0, deriv_l2)
 
 
 # -- particle construction and budgets ------------------------------------------

@@ -34,15 +34,6 @@ import numpy as np
 from .errors import AdmissibilityError, ModelError, QuadratureError
 
 
-# (required, optional) parameters of each model kind, as make_preset reads them
-PRESET_PARAMS = {
-    "isentropic_gas": ({"c", "gamma"}, {"mu"}),
-    "ideal_gas_entropy": ({"c", "gamma", "visc_amp"}, set()),
-    "saint_venant": ({"g", "nu"}, set()),
-    "custom": ({"pressure", "viscosity"}, set()),
-}
-PRESET_KINDS = tuple(PRESET_PARAMS)
-
 QUAD_REL_TOL = 1e-10      # certificate of every Gauss-table panel (relative)
 QUAD_ABS_TOL = 1e-14
 GAUSS_ORDER = 12          # Gauss-Legendre nodes per panel
@@ -76,8 +67,8 @@ class FluidModel:
     functions derived from them.
 
     Use the classmethod constructors (:meth:`saint_venant`,
-    :meth:`isentropic_gas`, :meth:`ideal_gas_entropy`, :meth:`custom`) or
-    :func:`make_preset`; the bare ``__init__`` is shared plumbing.  Every
+    :meth:`isentropic_gas`, :meth:`ideal_gas_entropy`, :meth:`power_law`,
+    :meth:`custom`); the bare ``__init__`` is shared plumbing.  Every
     law maps a float array elementwise (and so a single float too); the
     construction evaluates each on the probe grid and rejects any that
     raises there or returns another shape, and requires ``pressure`` to be
@@ -89,7 +80,7 @@ class FluidModel:
             raise ModelError(f"total mass must be positive and finite, got {m}")
         if not (length > 0.0 and math.isfinite(length)):
             raise ModelError(f"domain length must be positive and finite, got {length}")
-        if kind not in PRESET_KINDS:
+        if kind not in ("isentropic_gas", "ideal_gas_entropy", "saint_venant", "custom"):
             raise ModelError(f"unknown model kind {kind!r}")
         self.kind = kind
         self.m = float(m)
@@ -148,9 +139,16 @@ class FluidModel:
     def custom(cls, pressure, viscosity, m, length):
         """User-supplied callable laws; every derived function is read off a
         Gauss table of its integrand, so both laws must be smooth over the
-        table's reach.  :func:`make_preset` builds a custom power law with
+        table's reach.  :meth:`power_law` builds a custom power law with
         closed forms instead."""
         return cls("custom", pressure, viscosity, m=m, length=length)
+
+    @classmethod
+    def power_law(cls, c, gamma, a, beta, m, length):
+        """Custom power law P(rho) = c*rho^gamma, mu(rho) = a*rho^beta, with
+        closed forms like those of the presets."""
+        _require_positive(c=c, a=a, m=m, L=length)
+        return cls._power_law("custom", c, gamma, a, beta, m, length, {})
 
     @classmethod
     def _power_law(cls, kind, c, gamma, a, beta, m, length, params):
@@ -413,29 +411,6 @@ class FluidModel:
         return f"FluidModel({self.kind}, {ps}, m={self.m:g}, L={self.length:g})"
 
 
-def make_preset(kind, params, m, length):
-    """Build a model from a plain parameter record (CLI entry point).
-
-    ``params`` holds exactly the required and any of the optional keys of
-    ``PRESET_PARAMS[kind]``; a missing or extra key is a ``ModelError`` that
-    names it.  The presets call the constructor named ``kind``.  A custom
-    model is a power law: ``pressure`` and ``viscosity`` are each a record
-    ``{"coeff": c, "exponent": e}``, and its derived functions are closed
-    forms like those of the presets.
-    """
-    if kind not in PRESET_KINDS:
-        raise ModelError(f"unknown model kind {kind!r}")
-    _check_record(params, *PRESET_PARAMS[kind], f"{kind} model")
-    if kind != "custom":
-        return getattr(FluidModel, kind)(**params, m=m, length=length)
-    laws = []
-    for side in ("pressure", "viscosity"):
-        _check_record(params[side], {"coeff", "exponent"}, set(), f"custom {side} law")
-        laws += [float(params[side]["coeff"]), float(params[side]["exponent"])]
-    _require_positive(pressure_coeff=laws[0], viscosity_coeff=laws[2], m=m, L=length)
-    return FluidModel._power_law("custom", *laws, m, length, {})
-
-
 # -- helpers -----------------------------------------------------------------
 
 def _gauss_table(integrand, rho_star):
@@ -487,15 +462,6 @@ def _gauss_table(integrand, rho_star):
         return out.reshape(np.shape(rho))
 
     return evaluate
-
-
-def _check_record(record, required, optional, what):
-    """Require ``record`` to hold every ``required`` key and no key outside
-    ``required | optional``."""
-    for key in sorted(required - record.keys()):
-        raise ModelError(f"{what} needs parameter {key!r}")
-    for key in sorted(record.keys() - required - optional):
-        raise ModelError(f"{what} takes no parameter {key!r}")
 
 
 def _monomial(coeff, exponent):

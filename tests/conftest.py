@@ -27,9 +27,7 @@ def isentropic():
 def power_law():
     """Custom power law P = rho^2, mu = rho^(1/2): closed forms throughout,
     the energy part too (gamma = 2)."""
-    return fc.make_preset("custom", {"pressure": {"coeff": 1.0, "exponent": 2.0},
-                                     "viscosity": {"coeff": 1.0, "exponent": 0.5}},
-                          m=1.0, length=1.0)
+    return fc.FluidModel.power_law(1.0, 2.0, 1.0, 0.5, m=1.0, length=1.0)
 
 
 @pytest.fixture(scope="session")
@@ -159,6 +157,13 @@ def any_model(request):
     model = request.getfixturevalue(MODEL_FIXTURES[request.param])
     assert model.kind == request.param
     return model
+
+
+def equilibrium_state(model, n):
+    """Uniformly spaced, motionless chain (the unique rest point)."""
+    i = np.arange(1, n)
+    return fc.ParticleState(n=n, t=0.0, x=model.length * (1.0 - i / n),
+                            v=np.zeros(n - 1))
 
 
 def equilibrium_initial(model):

@@ -6,7 +6,7 @@ import pytest
 import fluidchain as fc
 from fluidchain import checks
 
-from conftest import equilibrium_initial, perturbed_initial
+from conftest import equilibrium_initial, equilibrium_state, perturbed_initial
 
 
 @pytest.fixture(scope="module")
@@ -199,7 +199,7 @@ def test_simpson_helper():
 ])
 def test_uniform_cadence_follows_snapshot_times(sv, T, snapshot_dt, uniform):
     assert checks.uniform_cadence(T, snapshot_dt) is uniform
-    series = fc.simulate(sv, fc.equilibrium_state(sv, 2), T,
+    series = fc.simulate(sv, equilibrium_state(sv, 2), T,
                          fc.IntegratorConfig(snapshot_dt=snapshot_dt))
     if uniform:
         checks._simpson(series.times, np.zeros(len(series)))

@@ -6,8 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import fluidchain as fc
 from fluidchain import cli
 from fluidchain import initial as initial_module
 from fluidchain import integrate as integrate_module
@@ -60,6 +62,13 @@ def test_parse_rejects_malformed_json(tmp_path):
         cli.parse_config(path)
     with pytest.raises(ConfigError):
         cli.parse_config(tmp_path / "missing.json")
+    # bytes that are not UTF-8, and an integer past Python's 4300-digit limit
+    path.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(ConfigError):
+        cli.parse_config(path)
+    path.write_text('{"m": 1' + "0" * 5000 + "}")
+    with pytest.raises(ConfigError):
+        cli.parse_config(path)
 
 
 def test_parse_rejects_bad_n_list(tmp_path):
@@ -172,7 +181,7 @@ def test_validate_writes_reports(tmp_path, capsys):
 
 def test_shipped_configs_validate(tmp_path, capsys):
     configs = Path(__file__).resolve().parents[1] / "configs"
-    for name in ("ideal_gas", "saint_venant_perturbed"):
+    for name in ("ideal_gas", "power_law", "saint_venant_perturbed"):
         out = tmp_path / name
         assert cli.main(["validate", "--config", str(configs / f"{name}.json"),
                          "--out", str(out)]) == 0
@@ -206,6 +215,55 @@ def test_converge_requires_n_list(tmp_path, capsys):
     path = write_config(tmp_path, payload)
     assert cli.main(["converge", "--config", str(path),
                      "--out", str(tmp_path / "c")]) == 1
+
+
+@pytest.mark.parametrize("block, build", [
+    ({"kind": "saint_venant", "g": 9.81, "nu": 1.0},
+     lambda m, L: fc.FluidModel.saint_venant(g=9.81, nu=1.0, m=m, length=L)),
+    ({"kind": "isentropic_gas", "c": 1.0, "gamma": 1.4},
+     lambda m, L: fc.FluidModel.isentropic_gas(c=1.0, gamma=1.4, m=m, length=L)),
+    ({"kind": "isentropic_gas", "c": 1.0, "gamma": 1.4, "mu": 0.5},
+     lambda m, L: fc.FluidModel.isentropic_gas(c=1.0, gamma=1.4, mu=0.5, m=m, length=L)),
+    ({"kind": "ideal_gas_entropy", "c": 1.0, "gamma": 1.4, "visc_amp": 1.0},
+     lambda m, L: fc.FluidModel.ideal_gas_entropy(c=1.0, gamma=1.4, visc_amp=1.0,
+                                                  m=m, length=L)),
+    ({"kind": "custom", "pressure": {"coeff": 2.0, "exponent": 1.5},
+      "viscosity": {"coeff": 0.5, "exponent": 0.5}},
+     lambda m, L: fc.FluidModel.custom(
+         pressure=lambda r: 2.0 * np.asarray(r, float) ** 1.5,
+         viscosity=lambda r: 0.5 * np.asarray(r, float) ** 0.5, m=m, length=L)),
+], ids=["saint_venant", "isentropic_gas", "isentropic_gas_mu", "ideal_gas_entropy", "custom"])
+def test_config_model_equals_its_constructor(tmp_path, block, build):
+    m, length = 1.3, 0.7
+    payload = dict(_initial(rho0={"kind": "constant"}), model=block, m=m, L=length)
+    model = cli.parse_config(write_config(tmp_path, payload)).model
+    direct = build(m, length)
+    assert (model.kind, model.params) == (direct.kind, direct.params)
+    s = m / model.probe_grid()
+    for a, b in zip(model.force_and_gain(s), direct.force_and_gain(s)):
+        assert np.array_equal(a, b)
+
+
+def test_config_initial_matches_factories(tmp_path):
+    init = cli.parse_config(write_config(tmp_path, MINIMAL)).initial
+    sv = fc.FluidModel.saint_venant(g=9.81, nu=1.0, m=1.0, length=1.0)
+    v0, deriv_l2 = fc.sine_velocity(sv, 0.1, 1)
+    direct = fc.make_initial(sv, fc.constant_density(sv, 1.0), v0, deriv_l2)
+    assert init.v0_deriv_l2 == direct.v0_deriv_l2
+    state_a = fc.build_particles(sv, init, 8)
+    state_b = fc.build_particles(sv, direct, 8)
+    assert np.array_equal(state_a.x, state_b.x)
+    assert np.array_equal(state_a.v, state_b.v)
+
+
+def test_config_table_density_and_zero_velocity(tmp_path):
+    payload = _initial(rho0={"kind": "table", "x": [0.0, 1.0], "rho": [0.96, 1.04]},
+                       v0={"kind": "zero"})
+    init = cli.parse_config(write_config(tmp_path, payload)).initial
+    assert init.rho0_deriv_sup == pytest.approx(0.08)
+    assert init.rho_min == pytest.approx(0.96)
+    assert init.v0_deriv_l2 == 0.0
+    assert np.array_equal(init.v0(np.linspace(0.0, 1.0, 5)), np.zeros(5))
 
 
 def test_custom_model_config_roundtrip(tmp_path):
@@ -373,6 +431,30 @@ def _study_config(T=0.1, snapshot_dt=0.05):
                  "initial.rho0.kind", id="rho0_unknown_kind"),
     pytest.param(["check"], _initial(v0={"kind": ["sine"], "amplitude": 0.1}),
                  "initial.v0.kind", id="v0_kind_not_a_string"),
+    pytest.param(["check"], dict(MINIMAL, model={"kind": "mystery"}),
+                 "model.kind", id="model_kind_unknown"),
+    # a FluidModel attribute that is no constructor is no kind either
+    pytest.param(["check"], dict(MINIMAL, model={"kind": "probe_grid"}),
+                 "model.kind", id="model_kind_probe_grid"),
+    pytest.param(["check"], dict(MINIMAL, model={"kind": "custom_law"}),
+                 "model.kind", id="model_kind_custom_law"),
+    pytest.param(["check"], dict(MINIMAL, model={"kind": "saint_venant", "g": 9.81}),
+                 "model.nu", id="model_parameter_missing"),
+    pytest.param(["check"], dict(MINIMAL, model={"kind": "saint_venant", "g": 9.81,
+                                                 "nu": 1.0, "mu": 1.0}),
+                 "model.mu", id="model_parameter_extra"),
+    pytest.param(["check"], dict(MINIMAL, model={
+        "kind": "custom", "pressure": {"coeff": 1.0, "exponent": 2.0},
+        "viscosity": {"coeff": 1.0}}),
+                 "model.viscosity.exponent", id="custom_law_without_exponent"),
+    # integers too large for a float
+    pytest.param(["check"], dict(MINIMAL, model={"kind": "saint_venant",
+                                                 "g": 10 ** 400, "nu": 1.0}),
+                 "model.g", id="model_parameter_huge_integer"),
+    pytest.param(["check"], dict(MINIMAL, m=-10 ** 400), "m", id="mass_huge_integer"),
+    pytest.param(["check"], _initial(rho0={"kind": "table", "x": [0, 10 ** 400],
+                                           "rho": [1.0, 1.0]}),
+                 "initial.rho0.x", id="rho0_table_huge_integer"),
 ])
 def test_bad_input_exits_1_with_one_json_line(tmp_path, capsys, argv, payload, field):
     argv = [argv[0], "--config", str(write_config(tmp_path, payload)), *argv[1:]]

@@ -5,7 +5,7 @@ import fluidchain as fc
 from fluidchain.dynamics import rhs_arrays
 from fluidchain.errors import AdmissibilityError, DomainError
 
-from conftest import random_state
+from conftest import equilibrium_state, random_state
 
 
 def test_state_validation():
@@ -18,7 +18,7 @@ def test_state_validation():
 
 
 def test_rhs_zero_at_equilibrium(sv):
-    state = fc.equilibrium_state(sv, 4)
+    state = equilibrium_state(sv, 4)
     dx, dv = rhs_arrays(sv, state.n, state.x, state.v)
     assert np.all(dx == 0.0)
     assert np.all(dv == 0.0)
@@ -95,7 +95,7 @@ def test_rhs_rejects_every_domain_exit(any_model):
 
 
 def test_functionals_zero_at_equilibrium(sv):
-    f = fc.functionals(sv, fc.equilibrium_state(sv, 8))
+    f = fc.functionals(sv, equilibrium_state(sv, 8))
     assert f.e_n == pytest.approx(0.0, abs=1e-15)
     assert f.w_n == pytest.approx(0.0, abs=1e-15)
     assert f.z_n == 0.0

@@ -3,11 +3,11 @@ import pytest
 
 import fluidchain as fc
 
-from conftest import multiharmonic_initial, random_state
+from conftest import equilibrium_state, multiharmonic_initial, random_state
 
 
 def test_equilibrium_fields(sv):
-    field = fc.reconstruct(sv, fc.equilibrium_state(sv, 4))
+    field = fc.reconstruct(sv, equilibrium_state(sv, 4))
     grid = np.linspace(0.0, 1.0, 41)
     assert np.asarray(field.rho(grid)) == pytest.approx(np.ones(41))
     assert np.asarray(field.v(grid)) == pytest.approx(np.zeros(41))
@@ -39,7 +39,7 @@ def test_left_cell_edge_convention(sv):
 
 
 def test_field_rejects_outside_queries(sv):
-    field = fc.reconstruct(sv, fc.equilibrium_state(sv, 4))
+    field = fc.reconstruct(sv, equilibrium_state(sv, 4))
     with pytest.raises(ValueError):
         field.rho(1.5)
     with pytest.raises(ValueError):
@@ -96,7 +96,7 @@ def test_total_mass_refinement_rate(sv):
 
 
 def test_continuous_functionals(sv):
-    eq = fc.reconstruct(sv, fc.equilibrium_state(sv, 8))
+    eq = fc.reconstruct(sv, equilibrium_state(sv, 8))
     assert fc.continuous_energy(sv, eq) == pytest.approx(0.0, abs=1e-14)
     assert fc.continuous_energy_mod(sv, eq) == pytest.approx(0.0, abs=1e-14)
     rng = np.random.default_rng(9)
@@ -120,7 +120,7 @@ def test_continuous_energy_against_fine_sampling(sv):
 
 
 def test_grid_export(sv):
-    field = fc.reconstruct(sv, fc.equilibrium_state(sv, 4))
+    field = fc.reconstruct(sv, equilibrium_state(sv, 4))
     grid = np.linspace(0.0, sv.length, 64)
     rho, vel = field.rho(grid), field.v(grid)
     # both walls are queried: the grid includes x = 0 and x = L

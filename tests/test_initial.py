@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 import fluidchain as fc
+from fluidchain import cli
 from fluidchain.errors import InitialDataError
 from fluidchain.fields import gauss_cells
 
@@ -219,32 +221,16 @@ def test_node_tables_are_checked(sv, xt, rt, match):
         fc.make_initial(sv, (xt, rt), lambda x: 0.0 * np.asarray(x, dtype=float), 0.0)
 
 
-def test_table_velocity_gets_exact_slope_norm(sv):
+def test_table_velocity_gets_exact_slope_norm(tmp_path):
+    # the CLI gives a table v0 the slope norm of its interpolant
     xt = [0.0, 0.2, 0.7, 1.0]
     vt = [0.0, 0.05, -0.03, 0.0]
-    block = {"rho0": {"kind": "constant"}, "v0": {"kind": "table", "x": xt, "v": vt}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "model": {"kind": "saint_venant", "g": 9.81, "nu": 1.0}, "m": 1.0, "L": 1.0,
+        "initial": {"rho0": {"kind": "constant"},
+                    "v0": {"kind": "table", "x": xt, "v": vt}}}))
     exact = math.sqrt(sum((vt[k + 1] - vt[k]) ** 2 / (xt[k + 1] - xt[k])
                           for k in range(3)))
-    assert fc.initial_from_config(sv, block).v0_deriv_l2 == pytest.approx(exact, rel=1e-15)
-
-
-def test_initial_from_config_matches_factories(sv):
-    block = {"rho0": {"kind": "constant", "value": 1.0},
-             "v0": {"kind": "sine", "amplitude": 0.1, "mode": 1}}
-    init = fc.initial_from_config(sv, block)
-    direct = perturbed_initial(sv, 0.1)
-    assert init.v0_deriv_l2 == pytest.approx(direct.v0_deriv_l2)
-    state_a = fc.build_particles(sv, init, 8)
-    state_b = fc.build_particles(sv, direct, 8)
-    assert np.array_equal(state_a.x, state_b.x)
-    assert np.array_equal(state_a.v, state_b.v)
-
-
-def test_initial_from_config_table_and_zero(sv):
-    block = {"rho0": {"kind": "table", "x": [0.0, 1.0], "rho": [0.96, 1.04]},
-             "v0": {"kind": "zero"}}
-    init = fc.initial_from_config(sv, block)
-    assert init.rho0_deriv_sup == pytest.approx(0.08)
-    assert init.rho_min == pytest.approx(0.96)
-    with pytest.raises(InitialDataError):
-        fc.initial_from_config(sv, {"rho0": {"kind": "mystery"}, "v0": {"kind": "zero"}})
+    init = cli.parse_config(path).initial
+    assert init.v0_deriv_l2 == pytest.approx(exact, rel=1e-15)

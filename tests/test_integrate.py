@@ -8,7 +8,7 @@ from fluidchain import checks, integrate
 from fluidchain.dynamics import rhs_arrays
 from fluidchain.errors import ModelError, StiffnessError
 
-from conftest import perturbed_initial
+from conftest import equilibrium_state, perturbed_initial
 
 
 def _final_state(sv, rel_tol):
@@ -36,7 +36,7 @@ def test_config_rejects_nan_and_infinite(field, value):
 
 
 def test_equilibrium_is_a_fixed_point(sv):
-    state0 = fc.equilibrium_state(sv, 8)
+    state0 = equilibrium_state(sv, 8)
     series = fc.simulate(sv, state0, 0.5, fc.IntegratorConfig(snapshot_dt=0.1))
     for state in series.states:
         assert np.max(np.abs(state.x - state0.x)) <= 1e-12
@@ -45,7 +45,7 @@ def test_equilibrium_is_a_fixed_point(sv):
 
 
 def test_step_accepts_at_equilibrium(sv):
-    state0 = fc.equilibrium_state(sv, 4)
+    state0 = equilibrium_state(sv, 4)
     y = np.concatenate((state0.x, state0.v))
     k1 = np.concatenate(rhs_arrays(sv, 4, state0.x, state0.v))
     accepted, y_new, _, factor = integrate._attempt(sv, 4, y, 1e-3, fc.IntegratorConfig(), k1)
@@ -65,7 +65,7 @@ def test_step_rejects_ordering_exit(sv):
 
 
 def test_snapshot_times_exact(sv):
-    state0 = fc.equilibrium_state(sv, 4)
+    state0 = equilibrium_state(sv, 4)
     series = fc.simulate(sv, state0, 1.0, fc.IntegratorConfig(snapshot_dt=0.3))
     assert series.times == [0.0, 0.3, 0.6, 0.8999999999999999, 1.0]
     assert series.times[-1] == 1.0
@@ -124,7 +124,7 @@ def test_max_steps_guard(sv):
 def test_dt_underflow_reports_stiffness(sv, monkeypatch):
     # every trial rejected and shrunk by 5 drives the step below the floor
     monkeypatch.setattr(integrate, "_attempt", lambda *a: (False, None, None, 0.2))
-    state0 = fc.equilibrium_state(sv, 4)
+    state0 = equilibrium_state(sv, 4)
     with pytest.raises(StiffnessError) as err:
         fc.simulate(sv, state0, 1.0, fc.IntegratorConfig())
     assert "stiff" in str(err.value)
@@ -162,10 +162,8 @@ def test_ideal_gas_full_stack(ideal):
 
 
 def test_simulate_requires_growth_condition():
-    weak = fc.make_preset("custom", {"pressure": {"coeff": 1.0, "exponent": 1.0},
-                                     "viscosity": {"coeff": 1.0, "exponent": 1.0}},
-                          m=1.0, length=1.0)
-    state0 = fc.equilibrium_state(weak, 4)
+    weak = fc.FluidModel.power_law(1.0, 1.0, 1.0, 1.0, m=1.0, length=1.0)
+    state0 = equilibrium_state(weak, 4)
     with pytest.raises(ModelError):
         fc.simulate(weak, state0, 0.1, fc.IntegratorConfig())
 

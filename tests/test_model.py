@@ -36,52 +36,13 @@ def test_preset_parameter_validation():
     with pytest.raises(ModelError):
         fc.FluidModel.saint_venant(g=9.81, nu=1.0, m=0.0, length=1.0)
     with pytest.raises(ModelError):
-        fc.make_preset("saint_venant", {"g": 9.81, "nu": -2.0}, m=1.0, length=1.0)
-    law = {"coeff": 1.0, "exponent": 2.0}
-    with pytest.raises(ModelError):
-        fc.make_preset("custom", {"pressure": law, "viscosity": law}, m=1.0, length=0.0)
-
-
-@pytest.mark.parametrize("kind, params, build", [
-    ("saint_venant", {"g": 9.81, "nu": 1.0},
-     lambda m, L: fc.FluidModel.saint_venant(g=9.81, nu=1.0, m=m, length=L)),
-    ("isentropic_gas", {"c": 1.0, "gamma": 1.4},
-     lambda m, L: fc.FluidModel.isentropic_gas(c=1.0, gamma=1.4, m=m, length=L)),
-    ("isentropic_gas", {"c": 1.0, "gamma": 1.4, "mu": 0.5},
-     lambda m, L: fc.FluidModel.isentropic_gas(c=1.0, gamma=1.4, mu=0.5, m=m, length=L)),
-    ("ideal_gas_entropy", {"c": 1.0, "gamma": 1.4, "visc_amp": 1.0},
-     lambda m, L: fc.FluidModel.ideal_gas_entropy(c=1.0, gamma=1.4, visc_amp=1.0,
-                                                  m=m, length=L)),
-    ("custom", {"pressure": {"coeff": 2.0, "exponent": 1.5},
-                "viscosity": {"coeff": 0.5, "exponent": 0.5}},
-     lambda m, L: fc.FluidModel.custom(
-         pressure=lambda r: 2.0 * np.asarray(r, float) ** 1.5,
-         viscosity=lambda r: 0.5 * np.asarray(r, float) ** 0.5, m=m, length=L)),
-], ids=["saint_venant", "isentropic_gas", "isentropic_gas_mu", "ideal_gas_entropy", "custom"])
-def test_make_preset_equals_its_constructor(kind, params, build):
-    m, length = 1.3, 0.7
-    preset = fc.make_preset(kind, params, m=m, length=length)
-    direct = build(m, length)
-    assert (preset.kind, preset.params) == (direct.kind, direct.params)
-    s = m / preset.probe_grid()
-    for a, b in zip(preset.force_and_gain(s), direct.force_and_gain(s)):
-        assert np.array_equal(a, b)
-
-
-def test_make_preset_rejects_unknown_kind():
-    # a FluidModel attribute that is no constructor is no kind either; a
-    # record with a missing or an extra key is refused naming the key
-    law = {"coeff": 1.0, "exponent": 2.0}
-    for kind, params, match in (
-            ("mystery", {}, "unknown model kind"),
-            ("probe_grid", {}, "unknown model kind"),
-            ("custom_law", {}, "unknown model kind"),
-            ("saint_venant", {"g": 9.81}, "needs parameter 'nu'"),
-            ("saint_venant", {"g": 9.81, "nu": 1.0, "mu": 1.0}, "takes no parameter 'mu'"),
-            ("custom", {"pressure": law, "viscosity": {"coeff": 1.0}},
-             "viscosity law needs parameter 'exponent'")):
-        with pytest.raises(ModelError, match=match):
-            fc.make_preset(kind, params, m=1.0, length=1.0)
+        fc.FluidModel.saint_venant(g=9.81, nu=-2.0, m=1.0, length=1.0)
+    with pytest.raises(ModelError, match="parameter L"):
+        fc.FluidModel.power_law(1.0, 2.0, 1.0, 2.0, m=1.0, length=0.0)
+    with pytest.raises(ModelError, match="parameter a"):
+        fc.FluidModel.power_law(1.0, 2.0, 0.0, 2.0, m=1.0, length=1.0)
+    with pytest.raises(ModelError, match="unknown model kind"):
+        fc.FluidModel("mystery", np.sqrt, np.sqrt, m=1.0, length=1.0)
 
 
 def test_viscous_potential(sv, ideal):
@@ -228,9 +189,7 @@ def test_envelope_limits(sv, ideal):
     assert math.isinf(hi)
     assert math.isfinite(lo) and 0.9 < lo < 1.1
     # mild-viscosity gas proxy (power-law exponents inside the divergence class)
-    proxy = fc.make_preset("custom", {"pressure": {"coeff": 1.0, "exponent": 1.5},
-                                      "viscosity": {"coeff": 1.0, "exponent": 0.5}},
-                           m=1.0, length=1.0)
+    proxy = fc.FluidModel.power_law(1.0, 1.5, 1.0, 0.5, m=1.0, length=1.0)
     hi, lo = proxy.energy_envelope_limits()
     assert math.isinf(hi) and math.isinf(lo)
 
@@ -293,9 +252,7 @@ def test_pressure_growth_report(sv, ideal, isentropic):
     assert sv.pressure_growth_report().holds
     assert ideal.pressure_growth_report().holds
     assert isentropic.pressure_growth_report().holds
-    linear = fc.make_preset("custom", {"pressure": {"coeff": 1.0, "exponent": 1.0},
-                                       "viscosity": {"coeff": 1.0, "exponent": 1.0}},
-                            m=1.0, length=1.0)
+    linear = fc.FluidModel.power_law(1.0, 1.0, 1.0, 1.0, m=1.0, length=1.0)
     report = linear.pressure_growth_report()
     assert not report.holds
     assert report.grows_high          # log divergence at high density
@@ -303,9 +260,7 @@ def test_pressure_growth_report(sv, ideal, isentropic):
 
 
 def _power_law_preset(gamma, beta, m=1.0, length=1.0):
-    return fc.make_preset("custom", {"pressure": {"coeff": 1.5, "exponent": gamma},
-                                     "viscosity": {"coeff": 0.5, "exponent": beta}},
-                          m=m, length=length)
+    return fc.FluidModel.power_law(1.5, gamma, 0.5, beta, m=m, length=length)
 
 
 # (gamma, beta[, m, L]): each hits the exact logarithm of one closed form,
