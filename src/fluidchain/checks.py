@@ -13,7 +13,7 @@ member of ``test_function_library``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,8 +27,7 @@ from .integrate import (IntegratorConfig, _snapshot_targets, decay_slack,
 
 # -- test functions -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TestFunction:
+class TestFunction(NamedTuple):
     """Separable space-time test function ``(1 - t/T) * shape(x)``, with
     ``T`` the horizon of the series it is tested against, so every member
     vanishes at the final time.  ``slope`` is ``shape'``; both map an array
@@ -75,8 +74,7 @@ def test_function_library(length):
 
 # -- residual evaluation ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(NamedTuple):
     value: float
     quad_error: float
     n: int
@@ -198,8 +196,7 @@ def residuals(model, series, init) -> list:
 
 # -- decay and containment reports ----------------------------------------------
 
-@dataclass(frozen=True)
-class DecayReport:
+class DecayReport(NamedTuple):
     """Per-snapshot monotonicity flags, the continuous energies of every
     snapshot, and the time-averaged transformed-energy budget check."""
 
@@ -263,8 +260,7 @@ def decay_report(series, w_budget=None) -> DecayReport:
                        w_avg_max=w_avg_max, e_cont=e_cont, w_cont=w_cont)
 
 
-@dataclass(frozen=True)
-class EnvelopeReport:
+class EnvelopeReport(NamedTuple):
     """Containment of the trajectory inside the envelope-derived bounds."""
 
     budget: float
@@ -300,8 +296,7 @@ def envelope_check(model, series) -> EnvelopeReport:
 
 # -- refinement study -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConvergenceRow:
+class ConvergenceRow(NamedTuple):
     n: int
     mass_error: float | None = None
     residual_max: float | None = None

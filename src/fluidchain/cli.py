@@ -14,8 +14,8 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,10 +42,11 @@ PROFILE_KEYS = {
     "v0": {"zero": ((), ()), "sine": (("amplitude",), ("mode",)),
            "table": (("x", "v"), ())},
 }
+# largest particle count and grid size a config may ask for
+MAX_COUNT = 10 ** 6
 
 
-@dataclass(frozen=True)
-class SimulationConfig:
+class SimulationConfig(NamedTuple):
     model: object
     initial: object
     integrator: IntegratorConfig
@@ -106,7 +107,7 @@ def _number_list(block, path, key):
         raise ConfigError(_field(path, key), f"expected a list of finite numbers, got {values!r}")
 
 
-def _integer(block, path, key, default=None, minimum=None):
+def _integer(block, path, key, default=None, minimum=None, maximum=None):
     if key not in block:
         return default
     value = block[key]
@@ -114,6 +115,8 @@ def _integer(block, path, key, default=None, minimum=None):
         raise ConfigError(_field(path, key), f"expected an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(_field(path, key), f"must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(_field(path, key), f"must be <= {maximum}, got {value}")
     return value
 
 
@@ -148,8 +151,8 @@ def _parse_model(raw):
 
 def _parse_profile(block, name):
     """Check the profile ``block[name]`` against the keys of its own kind:
-    the keys of a ``table`` are lists of numbers, all others numbers.
-    Returns the kind."""
+    the keys of a ``table`` are lists of numbers, all others numbers, and a
+    sine's ``mode`` a positive whole number.  Returns the kind."""
     path = f"initial.{name}"
     profile = block[name]
     if not isinstance(profile, dict):
@@ -165,6 +168,9 @@ def _parse_profile(block, name):
     for key in (*required, *optional):
         if key in profile:
             check(profile, path, key)
+    mode = profile.get("mode", 1)           # only a sine has one; 1 is its default
+    if not (mode >= 1 and mode == int(mode)):
+        raise ConfigError(_field(path, "mode"), f"must be a positive integer, got {mode!r}")
     return kind
 
 
@@ -228,23 +234,26 @@ def parse_config(path) -> SimulationConfig:
     model = _parse_model(raw)
     init = _parse_initial(model, raw)
     integ, horizon = _parse_integrator(raw)
-    n = _integer(raw, "", "n", default=None, minimum=2)
+    n = _integer(raw, "", "n", default=None, minimum=2, maximum=MAX_COUNT)
     n_list = raw.get("n_list")
     if n_list is not None:
         _check_n_list(n_list, "n_list")
-    grid_size = _integer(raw, "", "grid_size", default=512, minimum=2)
+    grid_size = _integer(raw, "", "grid_size", default=512, minimum=2, maximum=MAX_COUNT)
     return SimulationConfig(model=model, initial=init, integrator=integ,
                             horizon=horizon, n=n, n_list=n_list,
                             grid_size=grid_size)
 
 
 def _check_n_list(n_list, field):
-    """Particle counts for a refinement study: integers >= 2, ascending."""
+    """Particle counts for a refinement study: integers from 2 to
+    ``MAX_COUNT``, ascending."""
     if (not isinstance(n_list, list) or not n_list
             or any(isinstance(v, bool) or not isinstance(v, int) for v in n_list)):
         raise ConfigError(field, "must be a non-empty list of integers")
     if any(v < 2 for v in n_list):
         raise ConfigError(field, "entries must be >= 2")
+    if any(v > MAX_COUNT for v in n_list):
+        raise ConfigError(field, f"entries must be <= {MAX_COUNT}")
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ConfigError(field, "entries must be strictly ascending")
 

@@ -11,7 +11,7 @@ never stored, so boundary conditions cannot be mutated by accident.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,36 +19,41 @@ from .errors import AdmissibilityError, DomainError
 from .model import FluidModel
 
 
-@dataclass(frozen=True)
-class ParticleState:
-    """Interior positions/velocities of the chain at a time stamp.
-
-    Construction checks the shapes and finiteness; the ordering is checked
-    by ``gaps_from_interior`` wherever a state is read.
-    """
-
+class _ParticleFields(NamedTuple):
     n: int
     t: float
     x: np.ndarray
     v: np.ndarray
 
-    def __post_init__(self):
-        if self.n < 2:
-            raise DomainError(f"need at least 2 packets, got n={self.n}")
-        x = np.asarray(self.x, dtype=float)
-        v = np.asarray(self.v, dtype=float)
-        if x.shape != (self.n - 1,) or v.shape != (self.n - 1,):
+
+class ParticleState(_ParticleFields):
+    """Interior positions/velocities of the chain at a time stamp.
+
+    Construction, ``_replace`` included, checks the shapes and finiteness;
+    the ordering is checked by ``gaps_from_interior`` wherever a state is
+    read.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, n, t, x, v):
+        if n < 2:
+            raise DomainError(f"need at least 2 packets, got n={n}")
+        x = np.asarray(x, dtype=float)
+        v = np.asarray(v, dtype=float)
+        if x.shape != (n - 1,) or v.shape != (n - 1,):
             raise DomainError(
-                f"state arrays must have length n-1={self.n - 1}, "
+                f"state arrays must have length n-1={n - 1}, "
                 f"got {x.shape} and {v.shape}")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "v", v)
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
             raise DomainError("state entries must be finite")
+        return super().__new__(cls, n, t, x, v)
+
+    # _replace builds through _make, which would skip the checks
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
-@dataclass(frozen=True)
-class DiscreteFunctionals:
+class DiscreteFunctionals(NamedTuple):
     """Per-state values of the discrete energy, the transformed-momentum
     energy, the squared-velocity-slope sum, and the max adjacent
     damping-potential jump."""

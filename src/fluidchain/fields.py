@@ -9,15 +9,12 @@ derivative take the exact piecewise-constant cell slope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .dynamics import ParticleState, gaps_from_interior, ordered_sum
-from .model import FluidModel
-
-# Gauss-Legendre rules: order 5 for the energies, 3 for the weak residuals
-_GAUSS = {order: np.polynomial.legendre.leggauss(order) for order in (3, 5)}
+from .model import GAUSS_RULES, FluidModel
 
 
 def _in_cell(lo, hi, left, right, x):
@@ -26,8 +23,7 @@ def _in_cell(lo, hi, left, right, x):
     return lo + (x - left) / (right - left) * (hi - lo)
 
 
-@dataclass(frozen=True)
-class ReconstructedField:
+class ReconstructedField(NamedTuple):
     """Piecewise-linear density/velocity over [0, L], held as its n+1 nodes
     in ascending position order (wall first, ghost end last)."""
 
@@ -83,7 +79,7 @@ def gauss_cells(x, rho, v, order):
     Returns the points and weights, shape (..., n, order), and the density
     and velocity interpolated linearly within each point's own cell.
     """
-    nodes, weights = _GAUSS[order]
+    nodes, weights = GAUSS_RULES[order]
     left, right = x[..., :-1, None], x[..., 1:, None]
     half = 0.5 * (right - left)
     pts = 0.5 * (left + right) + half * nodes

@@ -12,7 +12,7 @@ one quadratic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,11 +23,10 @@ from .model import FluidModel
 GAIN_SAMPLES = 10_000
 
 
-@dataclass(frozen=True)
-class InitialData:
+class InitialData(NamedTuple):
     """Validated initial profiles plus the norms the budget formulas need.
-    The density is held as its node table ``(_nodes_x, _nodes_rho)`` with
-    the exact cumulative mass ``_nodes_cum`` at each node; ``v0`` maps a
+    The density is held as its node table ``(nodes_x, nodes_rho)`` with
+    the exact cumulative mass ``nodes_cum`` at each node; ``v0`` maps a
     float array of positions elementwise."""
 
     v0: object                   # v0(0) = v0(L) = 0 exactly
@@ -35,14 +34,14 @@ class InitialData:
     rho0_deriv_sup: float
     rho_min: float
     v0_deriv_l2: float
-    _nodes_x: np.ndarray
-    _nodes_rho: np.ndarray
-    _nodes_cum: np.ndarray
+    nodes_x: np.ndarray
+    nodes_rho: np.ndarray
+    nodes_cum: np.ndarray
 
     def rho0(self, x):
         """The initial density at the positions ``x``: the linear interpolant
         of the node table, positive on [0, L]."""
-        return np.interp(x, self._nodes_x, self._nodes_rho)
+        return np.interp(x, self.nodes_x, self.nodes_rho)
 
 
 def _check_table(xs, values, length, name):
@@ -115,7 +114,7 @@ def make_initial(model: FluidModel, nodes, v0, v0_deriv_l2) -> InitialData:
         v0=v0, rho0_sup=float(nodes_rho.max()),
         rho0_deriv_sup=float(np.max(np.abs(np.diff(nodes_rho) / widths))),
         rho_min=float(nodes_rho.min()), v0_deriv_l2=float(v0_deriv_l2),
-        _nodes_x=nodes_x, _nodes_rho=nodes_rho, _nodes_cum=nodes_cum)
+        nodes_x=nodes_x, nodes_rho=nodes_rho, nodes_cum=nodes_cum)
 
 
 # -- profile presets -----------------------------------------------------------
@@ -170,7 +169,7 @@ def build_particles(model: FluidModel, init: InitialData, n: int) -> ParticleSta
     """
     if n < 2:
         raise InitialDataError(f"need n >= 2 packets, got {n}")
-    xs, rho, cum = init._nodes_x, init._nodes_rho, init._nodes_cum
+    xs, rho, cum = init.nodes_x, init.nodes_rho, init.nodes_cum
     target = cum[-1] * np.arange(n - 1, 0, -1) / n
     j = np.clip(np.searchsorted(cum, target, side="right") - 1, 0, xs.size - 2)
     slope = (rho[j + 1] - rho[j]) / (xs[j + 1] - xs[j])
@@ -180,8 +179,7 @@ def build_particles(model: FluidModel, init: InitialData, n: int) -> ParticleSta
     return ParticleState(n=n, t=0.0, x=x, v=v)
 
 
-@dataclass(frozen=True)
-class BudgetConstants:
+class BudgetConstants(NamedTuple):
     """n-independent bounds on the initial discrete functionals."""
 
     e_bar: float
@@ -219,14 +217,13 @@ def budget_constants(model: FluidModel, init: InitialData) -> BudgetConstants:
             m_bar=m_bar)
     except (OverflowError, ZeroDivisionError):
         consts = None
-    if consts is None or not all(map(math.isfinite, vars(consts).values())):
+    if consts is None or not all(map(math.isfinite, consts)):
         raise InitialDataError("energy budget does not fit in a float (a profile "
                                "norm, m or 1/min(rho0) is too large)")
     return consts
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
+class AdmissibilityReport(NamedTuple):
     e_bar: float
     w_bar: float
     z_bar: float
@@ -243,7 +240,7 @@ class AdmissibilityReport:
     def to_dict(self):
         """Every field by name, each infinity written as ``"infinite"``."""
         return {key: "infinite" if isinstance(value, float) and math.isinf(value) else value
-                for key, value in vars(self).items()}
+                for key, value in self._asdict().items()}
 
 
 def admissibility(model: FluidModel, init: InitialData) -> AdmissibilityReport:

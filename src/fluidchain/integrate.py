@@ -11,7 +11,7 @@ so identical inputs reproduce bit-identical output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,14 +42,21 @@ _GROW_MAX = 5.0
 _NEGATIVE_SLACK = 1e-14
 
 
-@dataclass(frozen=True)
-class IntegratorConfig:
+class _IntegratorFields(NamedTuple):
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
     max_steps: int = 2_000_000
     snapshot_dt: float = 0.01
 
-    def __post_init__(self):
+
+class IntegratorConfig(_IntegratorFields):
+    """Error-test tolerances, step budget and snapshot cadence; construction,
+    ``_replace`` included, rejects a value the integrator cannot use."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         # written as not (x > 0) so that NaN fails every test
         if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
             raise ValueError("tolerances must be positive")
@@ -57,10 +64,13 @@ class IntegratorConfig:
             raise ValueError("snapshot_dt must be positive and finite")
         if not self.max_steps >= 1:
             raise ValueError("max_steps must be at least 1")
+        return self
+
+    # _replace builds through _make, which would skip the checks
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
-@dataclass(frozen=True)
-class DiagnosticsRecord:
+class DiagnosticsRecord(NamedTuple):
     """Per-snapshot functionals, reconstructed mass and scaled-spacing
     extrema."""
 
@@ -73,16 +83,18 @@ class DiagnosticsRecord:
     spacing_max: float
 
 
-@dataclass
 class IntegrationStats:
-    accepted: int = 0
-    rejected: int = 0
-    spacing_min_seen: float = math.inf
-    spacing_max_seen: float = 0.0
+    """Accepted and rejected step counts and the scaled-spacing extrema
+    over every accepted step, updated as the integration runs."""
+
+    def __init__(self):
+        self.accepted = 0
+        self.rejected = 0
+        self.spacing_min_seen = math.inf
+        self.spacing_max_seen = 0.0
 
 
-@dataclass(frozen=True)
-class MonitorWarning:
+class MonitorWarning(NamedTuple):
     """A structure monitor firing at snapshot time ``t`` (not fatal).
 
     ``monitor`` is ``"decay"`` when the diagnostics field ``functional``
@@ -102,19 +114,19 @@ class MonitorWarning:
         return f"{self.functional} {what} at t={self.t:g} (slack {self.slack:.3e})"
 
 
-@dataclass
 class SnapshotSeries:
     """Snapshots in time order: each state, its reconstructed field (built
     once, when the snapshot is recorded) and its diagnostics, with the model
     they were integrated with."""
 
-    model: object = None
-    times: list = field(default_factory=list)
-    states: list = field(default_factory=list)
-    reconstructed: list = field(default_factory=list)
-    diagnostics: list = field(default_factory=list)
-    stats: IntegrationStats = field(default_factory=IntegrationStats)
-    warnings: list = field(default_factory=list)
+    def __init__(self, model=None):
+        self.model = model
+        self.times = []
+        self.states = []
+        self.reconstructed = []
+        self.diagnostics = []
+        self.stats = IntegrationStats()
+        self.warnings = []
 
     def __len__(self):
         return len(self.times)
@@ -269,11 +281,11 @@ def simulate(model, state0, T, cfg=None) -> SnapshotSeries:
     for name in ("e_n", "w_n"):
         values = [getattr(rec, name) for rec in series.diagnostics]
         slack = decay_slack(values[0])
-        series.warnings += [
+        series.warnings.extend(
             MonitorWarning(when, name, "decay", rise, slack)
-            for when, rise in decay_violations(series.times, values, slack)]
-        series.warnings += [
+            for when, rise in decay_violations(series.times, values, slack))
+        series.warnings.extend(
             MonitorWarning(when, name, "negative", value, _NEGATIVE_SLACK)
-            for when, value in zip(series.times, values) if value < -_NEGATIVE_SLACK]
+            for when, value in zip(series.times, values) if value < -_NEGATIVE_SLACK)
     series.warnings.sort(key=lambda w: w.t)     # stable: e_n before w_n at one t
     return series

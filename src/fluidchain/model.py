@@ -27,7 +27,7 @@ table of its integrand (:func:`_gauss_table`), so those laws must be smooth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,9 +48,28 @@ ENVELOPE_INVERSE_REL_TOL = 1e-10   # relative width of an inversion's last brack
 # 2^6 - 1 midpoints of the next six levels go in one array
 ENVELOPE_BATCH_LEVELS = 6
 
+# Gauss-Legendre rules on [-1, 1] as (nodes, weights) by order: 3 for the
+# weak residuals, 5 for the continuous energies, GAUSS_ORDER for the
+# tables.  The literals are the reprs of np.polynomial.legendre.leggauss,
+# so every bit is leggauss's, without importing numpy.polynomial.
+GAUSS_RULES = {order: (np.array(nodes), np.array(weights)) for order, nodes, weights in (
+    (3, (-0.7745966692414834, 0.0, 0.7745966692414834),
+     (0.5555555555555557, 0.8888888888888888, 0.5555555555555557)),
+    (5, (-0.906179845938664, -0.5384693101056831, 0.0, 0.5384693101056831,
+         0.906179845938664),
+     (0.23692688505618928, 0.4786286704993663, 0.5688888888888887, 0.4786286704993663,
+      0.23692688505618928)),
+    (GAUSS_ORDER,
+     (-0.9815606342467192, -0.9041172563704748, -0.7699026741943047, -0.5873179542866175,
+      -0.3678314989981802, -0.1252334085114689, 0.1252334085114689, 0.3678314989981802,
+      0.5873179542866175, 0.7699026741943047, 0.9041172563704748, 0.9815606342467192),
+     (0.04717533638651141, 0.10693932599531907, 0.16007832854334642, 0.20316742672306573,
+      0.2334925365383546, 0.2491470458134027, 0.2491470458134027, 0.2334925365383546,
+      0.20316742672306573, 0.16007832854334642, 0.10693932599531907, 0.04717533638651141)),
+)}
 
-@dataclass(frozen=True)
-class GrowthReport:
+
+class GrowthReport(NamedTuple):
     """Numeric verdict on the pressure-integral growth condition.
 
     ``holds`` requires the cumulative integral of P(s)/s^2 to grow without
@@ -424,7 +443,7 @@ def _gauss_table(integrand, rho_star):
     |panel| + QUAD_ABS_TOL``, so a singular or kinked integrand raises
     ``QuadratureError``, as does an evaluation beyond the reach or overflowing.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(GAUSS_ORDER)
+    nodes, weights = GAUSS_RULES[GAUSS_ORDER]
 
     def rule(a, b):
         # the Gauss rule over each [a_i, b_i] in u, where dt = t du

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import os
@@ -402,6 +401,17 @@ def _study_config(T=0.1, snapshot_dt=0.05):
                  "initial.rho0.value", id="rho0_value_boolean"),
     pytest.param(["check"], _initial(v0={"kind": "sine", "amplitude": 0.1, "mode": True}),
                  "initial.v0.mode", id="v0_mode_boolean"),
+    pytest.param(["check"], _initial(v0={"kind": "sine", "amplitude": 0.1, "mode": 1.5}),
+                 "initial.v0.mode", id="v0_mode_fractional"),
+    pytest.param(["check"], _initial(v0={"kind": "sine", "amplitude": 0.1, "mode": 0}),
+                 "initial.v0.mode", id="v0_mode_zero"),
+    # counts too large for an array
+    pytest.param(["simulate"], dict(_simulate_config(), n=10 ** 20), "n", id="n_huge"),
+    pytest.param(["simulate"], dict(_simulate_config(), grid_size=10 ** 20),
+                 "grid_size", id="grid_size_huge"),
+    pytest.param(["converge"], dict(_study_config(), n_list=[4, 10 ** 20]),
+                 "n_list", id="n_list_huge"),
+    pytest.param(["converge", "--n", f"8,{10 ** 20}"], _study_config(), "--n", id="n_flag_huge"),
     pytest.param(["simulate"], _integrator(T=math.inf),
                  "integrator.T", id="simulate_infinite_T"),
     pytest.param(["validate"], _integrator(T=math.inf),
@@ -489,7 +499,7 @@ def test_simulate_prints_negative_functional_warnings(tmp_path, capsys, monkeypa
 
     def negative_e_n(model, state):
         values = functionals(model, state)
-        return dataclasses.replace(values, e_n=-1e-6) if state.t > 0.0 else values
+        return values._replace(e_n=-1e-6) if state.t > 0.0 else values
 
     monkeypatch.setattr(integrate_module, "functionals", negative_e_n)
     path = write_config(tmp_path, _simulate_config(T=0.1))

@@ -17,6 +17,21 @@ def test_state_validation():
         fc.ParticleState(n=2, t=0.0, x=np.array([np.nan]), v=np.array([0.0]))
 
 
+def test_state_is_immutable_and_replace_keeps_the_checks():
+    state = fc.ParticleState(n=3, t=0.0, x=[0.6, 0.3], v=[0.0, 0.1])
+    assert repr(state) == ("ParticleState(n=3, t=0.0, x=array([0.6, 0.3]), "
+                           "v=array([0. , 0.1]))")
+    with pytest.raises(AttributeError):
+        state.t = 1.0
+    moved = state._replace(t=1.0, v=[0.2, 0.0])
+    assert type(moved) is fc.ParticleState and moved.t == 1.0
+    assert moved.v.dtype == float
+    with pytest.raises(DomainError):
+        state._replace(x=np.array([0.5]))
+    with pytest.raises(DomainError):
+        state._replace(v=np.array([0.0, np.inf]))
+
+
 def test_rhs_zero_at_equilibrium(sv):
     state = equilibrium_state(sv, 4)
     dx, dv = rhs_arrays(sv, state.n, state.x, state.v)

@@ -106,7 +106,7 @@ def test_budget_constants_perturbed(sv):
 
 def test_sampled_norms_match_analytic(sv):
     init_mh = multiharmonic_initial(sv)
-    assert init_mh.rho0_sup == pytest.approx(float(np.max(init_mh._nodes_rho)))
+    assert init_mh.rho0_sup == pytest.approx(float(np.max(init_mh.nodes_rho)))
     assert init_mh.rho_min > 0.9
 
 
@@ -183,8 +183,8 @@ def test_density_is_the_interpolant_of_its_table(sv):
     # rho0 is np.interp on the node table, bitwise, at the nodes, between
     # them and on a reconstruction's Gauss points
     init = multiharmonic_initial(sv)
-    x = np.concatenate((init._nodes_x, np.linspace(0.0, sv.length, 1001)))
-    assert np.array_equal(init.rho0(x), np.interp(x, init._nodes_x, init._nodes_rho))
+    x = np.concatenate((init.nodes_x, np.linspace(0.0, sv.length, 1001)))
+    assert np.array_equal(init.rho0(x), np.interp(x, init.nodes_x, init.nodes_rho))
     # a constant table gives exactly its value, as value + 0.0*x does
     for value in (None, 1.0 + 2.0 ** -40):
         nodes = fc.constant_density(sv, value)

@@ -33,6 +33,8 @@ def test_config_validation():
 def test_config_rejects_nan_and_infinite(field, value):
     with pytest.raises(ValueError):
         fc.IntegratorConfig(**{field: value})
+    with pytest.raises(ValueError):
+        fc.IntegratorConfig()._replace(**{field: value})
 
 
 def test_equilibrium_is_a_fixed_point(sv):

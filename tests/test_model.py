@@ -11,6 +11,7 @@ import pytest
 import fluidchain as fc
 from fluidchain.dynamics import spacing_bounds
 from fluidchain.errors import AdmissibilityError, ModelError
+from fluidchain.model import GAUSS_ORDER, GAUSS_RULES
 
 from conftest import (quadrature_reference, reference_envelope_inverse,
                       reference_envelope_limits, reference_growth_report)
@@ -362,7 +363,8 @@ def test_custom_scalar_callables_are_rejected():
 def test_no_subcommand_imports_scipy(tmp_path):
     # every subcommand on a gas whose energy part has no closed form, a
     # custom power law at pressure exponent 1.4 and a model of callable laws
-    # run with scipy blocked
+    # run with scipy blocked; none of them loads dataclasses or
+    # numpy.polynomial, which would only add to the start-up time
     package_root = Path(fc.__file__).resolve().parents[1]
     shipped = package_root.parent / "configs" / "ideal_gas.json"
     config = json.loads(shipped.read_text())
@@ -387,12 +389,22 @@ def test_no_subcommand_imports_scipy(tmp_path):
         "law = lambda r: np.asarray(r, float) ** 1.4",
         "FluidModel.custom(pressure=law, viscosity=law, m=1.0, length=1.0)"
         ".energy_envelope_limits()",
+        "loaded = {'dataclasses', 'numpy.polynomial'} & set(sys.modules)",
+        "assert not loaded, loaded",
     ])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(package_root), os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("order", [3, 5, GAUSS_ORDER])
+def test_gauss_rules_are_leggauss_bit_for_bit(order):
+    assert sorted(GAUSS_RULES) == [3, 5, GAUSS_ORDER]
+    for literal, computed in zip(GAUSS_RULES[order], np.polynomial.legendre.leggauss(order)):
+        assert literal.dtype == computed.dtype
+        assert literal.tobytes() == computed.tobytes()
 
 
 def test_envelope_inversions_are_recomputed_in_few_calls(sv, monkeypatch):
