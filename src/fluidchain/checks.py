@@ -10,8 +10,6 @@ than the residual is flagged inconclusive.  ``residuals`` evaluates every
 member of ``test_function_library``.
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 

@@ -5,10 +5,8 @@ The config schema lives here alone, and each block is built in the pass that
 checks it.  It is strict: unknown keys anywhere are fatal, and every
 diagnostic names the offending field path.  Numeric CSV output uses 17
 significant digits with a plain decimal point, so re-running a subcommand on
-the same config byte-reproduces its artifacts.
+the same config byte-reproduces its artifacts on one numpy/BLAS build and CPU.
 """
-
-from __future__ import annotations
 
 import argparse
 import json
@@ -198,7 +196,12 @@ def _parse_initial(model, raw):
                                                  / np.diff(v_block["x"])))
         return make_initial(model, nodes, v0, deriv_l2)
     except FluidchainError as exc:
-        raise ConfigError("initial", str(exc)) from exc
+        part = getattr(exc, "part", None)
+        if part in PROFILE_KEYS:
+            # a profile's values are at fault: name the key that holds them
+            required, optional = PROFILE_KEYS[part][block[part]["kind"]]
+            part += "." + [k for k in (*required, *optional) if k not in ("x", "mode")][0]
+        raise ConfigError(f"initial.{part}" if part else "initial", str(exc)) from exc
 
 
 def _parse_integrator(raw):

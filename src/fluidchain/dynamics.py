@@ -8,8 +8,6 @@ in descending order ``L > x_1 > ... > x_{n-1} > 0``; the boundary values
 never stored, so boundary conditions cannot be mutated by accident.
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 
@@ -101,24 +99,24 @@ def ordered_sum(values):
 def rhs_arrays(model, n, x, v):
     """Equations of motion on raw arrays; hot path for the integrator.
 
-    dx_i = v_i and dv_i combines the pressure-force difference of the two
-    adjacent cells with the viscous coupling to both neighbours.  Raises
+    The momentum balance v_t = d/dM (mu(rho) v_x - P(rho)) in mass
+    coordinates: dx_i = v_i, and dv_i = (n/m) (sigma_i - sigma_{i+1}) is the
+    difference of the stresses sigma_c = mu(rho_c) (v_{c-1} - v_c)/gap_c -
+    P(rho_c) of the two adjacent cells, with rho_c = (m/n)/gap_c.  Raises
     DomainError when the ordering is violated or a velocity is not finite,
     so integrators can reject trial states.
     """
     gaps = gaps_from_interior(model.length, x)
     if not np.isfinite(v).all():
         raise DomainError("trial state has non-finite velocities")
-    s = n * gaps
     full_v = np.empty(n + 1)
     full_v[0] = 0.0
     full_v[1:-1] = v
     full_v[-1] = 0.0
-    dvel = full_v[:-1] - full_v[1:]          # v_{i-1} - v_i per cell
-    force, gain = model.force_and_gain(s)
-    flux = gain * dvel                       # viscous flux per cell
-    dv = n * (force[:-1] - force[1:]) + n * n * (flux[:-1] - flux[1:])
-    return v.copy(), dv
+    dvel = full_v[:-1] - full_v[1:]          # v_{c-1} - v_c per cell
+    rho = (model.m / n) / gaps
+    stress = model.viscosity(rho) * dvel / gaps - model.pressure(rho)
+    return v.copy(), (n / model.m) * (stress[:-1] - stress[1:])
 
 
 def functionals(model: FluidModel, state: ParticleState) -> DiscreteFunctionals:

@@ -35,7 +35,13 @@ class StiffnessError(FluidchainError):
 
 
 class InitialDataError(FluidchainError):
-    """Initial density/velocity profile violates its constraints."""
+    """Initial density/velocity profile violates its constraints; names the
+    part at fault when there is one: a profile ('rho0' or 'v0') for its
+    values, or 'rho0.x' / 'v0.x' for its table positions."""
+
+    def __init__(self, message, part=None):
+        super().__init__(message)
+        self.part = part
 
 
 class ConfigError(FluidchainError):

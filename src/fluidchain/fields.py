@@ -7,8 +7,6 @@ zero at the walls.  The energies and residuals that need a spatial
 derivative take the exact piecewise-constant cell slope.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 import numpy as np

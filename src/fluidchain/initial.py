@@ -9,8 +9,6 @@ quadratic in the position, so each equal-mass cell edge is the exact root of
 one quadratic.
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 
@@ -51,11 +49,12 @@ def _check_table(xs, values, length, name):
     xs = np.asarray(xs, dtype=float)
     values = np.asarray(values, dtype=float)
     if xs.ndim != 1 or xs.shape != values.shape or xs.size < 2:
-        raise InitialDataError(f"{name} table needs matching 1-D x/value arrays")
+        raise InitialDataError(f"{name} table needs matching 1-D x/value arrays", name)
     if xs[0] != 0.0 or not abs(xs[-1] - length) <= 1e-12 * length:
-        raise InitialDataError(f"{name} table must span [0, L]")
+        raise InitialDataError(f"{name} table must span [0, L]", f"{name}.x")
     if not np.all(np.diff(xs) > 0.0):
-        raise InitialDataError(f"{name} table x values must be strictly increasing")
+        raise InitialDataError(f"{name} table x values must be strictly increasing",
+                               f"{name}.x")
     return xs, values
 
 
@@ -89,17 +88,18 @@ def make_initial(model: FluidModel, nodes, v0, v0_deriv_l2) -> InitialData:
     m = model.m
     if not 0.0 <= v0_deriv_l2 < math.inf:
         raise InitialDataError(
-            f"velocity derivative L2 norm must be finite and nonnegative, got {v0_deriv_l2!r}")
+            f"velocity derivative L2 norm must be finite and nonnegative, got {v0_deriv_l2!r}",
+            "v0")
 
     nodes_x, nodes_rho = _check_table(*nodes, L, "rho0")
     if np.any(_sample(v0, "v0", np.array([0.0, L])) != 0.0):
         raise InitialDataError(
             "velocity profile must vanish exactly at both walls; "
-            "it is rejected rather than projected")
+            "it is rejected rather than projected", "v0")
     if not np.all(np.isfinite(nodes_rho)) or np.any(nodes_rho <= 0.0):
         raise InitialDataError(
             "density samples must be positive and finite "
-            "(the cumulative mass must be strictly increasing)")
+            "(the cumulative mass must be strictly increasing)", "rho0")
     widths = np.diff(nodes_x)
     cell_mass = widths * 0.5 * (nodes_rho[:-1] + nodes_rho[1:])
     nodes_cum = np.concatenate(([0.0], np.cumsum(cell_mass)))
@@ -108,7 +108,7 @@ def make_initial(model: FluidModel, nodes, v0, v0_deriv_l2) -> InitialData:
     if abs(mass - m) > 1e-8 * m:
         raise InitialDataError(
             f"density profile integrates to {mass:.12g}, expected total mass "
-            f"{m:.12g} (relative error {abs(mass - m) / m:.3e} > 1e-8)")
+            f"{m:.12g} (relative error {abs(mass - m) / m:.3e} > 1e-8)", "rho0")
 
     return InitialData(
         v0=v0, rho0_sup=float(nodes_rho.max()),

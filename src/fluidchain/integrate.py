@@ -5,10 +5,9 @@ trial step is accepted only when the componentwise error passes the mixed
 absolute/relative test *and* every stage plus the candidate state keeps the
 strict particle ordering; otherwise the step is rejected and retried smaller.
 Snapshot times are hit exactly by truncating the step, never by interpolation,
-so identical inputs reproduce bit-identical output.
+so identical inputs reproduce bit-identical output on one numpy/BLAS build
+and CPU (the stage sums' ``np.dot`` rounds by the BLAS kernel).
 """
-
-from __future__ import annotations
 
 import math
 from typing import NamedTuple

@@ -24,8 +24,6 @@ arbitrary callables) a function is read off a self-checking Gauss-Legendre
 table of its integrand (:func:`_gauss_table`), so those laws must be smooth.
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 
@@ -278,18 +276,6 @@ class FluidModel:
         s = np.asarray(s, dtype=float)
         out = self.viscosity(self.m / s) / (self.m * s)
         return out if np.ndim(s) else float(out)
-
-    def force_and_gain(self, s):
-        """Pressure force -P(m/s)/m, the slope of :meth:`spacing_potential`,
-        and viscous coupling gain mu(m/s)/(m*s) of a float array of scaled
-        cell widths, from one density m/s.
-
-        Performs no validation: every width must already be known positive
-        and finite.  :meth:`damping_gain` is the checked entry point of the
-        gain; the equations of motion check the widths they pass here.
-        """
-        rho = self.m / s
-        return -self.pressure(rho) / self.m, self.viscosity(rho) / (self.m * s)
 
     # -- admissibility envelope ---------------------------------------------
 

@@ -238,9 +238,9 @@ def test_config_model_equals_its_constructor(tmp_path, block, build):
     model = cli.parse_config(write_config(tmp_path, payload)).model
     direct = build(m, length)
     assert (model.kind, model.params) == (direct.kind, direct.params)
-    s = m / model.probe_grid()
-    for a, b in zip(model.force_and_gain(s), direct.force_and_gain(s)):
-        assert np.array_equal(a, b)
+    rho = model.probe_grid()
+    for law in ("pressure", "viscosity"):
+        assert np.array_equal(getattr(model, law)(rho), getattr(direct, law)(rho))
 
 
 def test_config_initial_matches_factories(tmp_path):
@@ -465,6 +465,32 @@ def _study_config(T=0.1, snapshot_dt=0.05):
     pytest.param(["check"], _initial(rho0={"kind": "table", "x": [0, 10 ** 400],
                                            "rho": [1.0, 1.0]}),
                  "initial.rho0.x", id="rho0_table_huge_integer"),
+    # errors raised while a profile is built name the key at fault
+    pytest.param(["check"], _initial(rho0={"kind": "table", "x": [0.0, 0.5],
+                                           "rho": [1.0, 1.0]}),
+                 "initial.rho0.x", id="rho0_table_short_span"),
+    pytest.param(["check"], _initial(rho0={"kind": "table", "x": [0.0, 0.6, 0.4, 1.0],
+                                           "rho": [1.0, 1.0, 1.0, 1.0]}),
+                 "initial.rho0.x", id="rho0_table_x_not_increasing"),
+    pytest.param(["check"], _initial(rho0={"kind": "table", "x": [0.0, 1.0],
+                                           "rho": [1.0, 1.0, 1.0]}),
+                 "initial.rho0.rho", id="rho0_table_length_mismatch"),
+    pytest.param(["check"], _initial(rho0={"kind": "table", "x": [0.0, 1.0],
+                                           "rho": [2.0, 2.0]}),
+                 "initial.rho0.rho", id="rho0_table_wrong_mass"),
+    pytest.param(["check"], _initial(rho0={"kind": "constant", "value": -1.0}),
+                 "initial.rho0.value", id="rho0_constant_negative"),
+    pytest.param(["check"], _initial(v0={"kind": "table", "x": [0.0, 0.5, 1.0],
+                                         "v": [0.0, 1.0, 0.5]}),
+                 "initial.v0.v", id="v0_table_not_zero_at_wall"),
+    pytest.param(["check"], _initial(v0={"kind": "table", "x": [0.0, 0.5],
+                                         "v": [0.0, 0.0]}),
+                 "initial.v0.x", id="v0_table_short_span"),
+    pytest.param(["check"], _initial(v0={"kind": "table", "x": [0.0, 1e-300, 1.0],
+                                         "v": [0.0, 1e200, 0.0]}),
+                 "initial.v0.v", id="v0_table_slope_overflow"),
+    pytest.param(["check"], _initial(v0={"kind": "sine", "amplitude": 1e308, "mode": 4}),
+                 "initial.v0.amplitude", id="v0_sine_slope_overflow"),
 ])
 def test_bad_input_exits_1_with_one_json_line(tmp_path, capsys, argv, payload, field):
     argv = [argv[0], "--config", str(write_config(tmp_path, payload)), *argv[1:]]

@@ -57,22 +57,51 @@ def test_rhs_rejects_disordered_state(sv):
         rhs_arrays(sv, 3, np.array([0.2, 0.6]), np.zeros(2))
 
 
+def _cell_terms(model, n, x, v):
+    """Cell widths, velocity jumps v_{c-1} - v_c, pressures and viscosities
+    of a chain, from the public laws."""
+    gaps = fc.dynamics.gaps_from_interior(model.length, x)
+    full_v = np.concatenate(([0.0], v, [0.0]))
+    rho = (model.m / n) / gaps
+    return gaps, full_v[:-1] - full_v[1:], model.pressure(rho), model.viscosity(rho)
+
+
 def test_rhs_kernel_matches_checked_public_laws(any_model):
-    # the equations of motion must reproduce, bit for bit, the difference
-    # formula built from the force law and the checked public gain
+    # the equations of motion are, bit for bit, the difference of the cell
+    # stresses mu(rho) dvel/gap - P(rho) built from the public laws; and,
+    # to a few roundings of the stresses, the force/gain form
+    # n*d(force) + n^2*d(gain*dvel) with force = -P(m/s)/m and the checked
+    # public gain
     rng = np.random.default_rng(5)
+    m = any_model.m
     for n in (2, 7, 32):
         state = random_state(any_model, n, rng)
         dx, dv = rhs_arrays(any_model, n, state.x, state.v)
-        s = n * fc.dynamics.gaps_from_interior(any_model.length, state.x)
-        force = any_model.force_and_gain(s)[0]
-        gain = any_model.damping_gain(s)
-        full_v = np.concatenate(([0.0], state.v, [0.0]))
-        dvel = full_v[:-1] - full_v[1:]
-        expected = (n * (force[:-1] - force[1:])
-                    + n * n * (gain[:-1] * dvel[:-1] - gain[1:] * dvel[1:]))
-        assert np.array_equal(dv, expected)
+        gaps, dvel, p, mu = _cell_terms(any_model, n, state.x, state.v)
+        stress = mu * dvel / gaps - p
+        assert np.array_equal(dv, (n / m) * (stress[:-1] - stress[1:]))
         assert np.array_equal(dx, state.v)
+        s = n * gaps
+        force = -any_model.pressure(m / s) / m
+        flux = any_model.damping_gain(s) * dvel
+        old = n * (force[:-1] - force[1:]) + n * n * (flux[:-1] - flux[1:])
+        scale = (n / m) * np.max(p + mu * np.abs(dvel) / gaps)
+        assert np.max(np.abs(dv - old)) <= 16 * np.finfo(float).eps * scale
+
+
+@pytest.mark.parametrize("n", [2, 7, 32, 128])
+def test_rhs_semi_discrete_energy_balance(any_model, n):
+    # summation by parts with v_0 = v_n = 0: the kinetic-energy rate minus
+    # the pressure work is the viscous dissipation,
+    # (m/n) sum_i v_i dv_i - sum_c P_c dvel_c = -sum_c mu_c dvel_c^2 / gap_c
+    rng = np.random.default_rng(20 + n)
+    for _ in range(10):
+        state = random_state(any_model, n, rng)
+        dv = rhs_arrays(any_model, n, state.x, state.v)[1]
+        gaps, dvel, p, mu = _cell_terms(any_model, n, state.x, state.v)
+        rate = (any_model.m / n) * np.sum(state.v * dv) - np.sum(p * dvel)
+        dissipation = np.sum(mu * dvel ** 2 / gaps)
+        assert abs(rate + dissipation) <= 1e-12 * max(abs(rate), dissipation)
 
 
 def test_rhs_rejects_every_domain_exit(any_model):
