@@ -40,6 +40,9 @@ PROFILE_KEYS = {
     "v0": {"zero": ((), ()), "sine": (("amplitude",), ("mode",)),
            "table": (("x", "v"), ())},
 }
+# the key holding a profile's values, named when those values are at fault
+VALUES_KEY = {("rho0", "constant"): "rho0.value", ("rho0", "table"): "rho0.rho",
+              ("v0", "sine"): "v0.amplitude", ("v0", "table"): "v0.v"}
 # largest particle count and grid size a config may ask for
 MAX_COUNT = 10 ** 6
 
@@ -197,10 +200,8 @@ def _parse_initial(model, raw):
         return make_initial(model, nodes, v0, deriv_l2)
     except FluidchainError as exc:
         part = getattr(exc, "part", None)
-        if part in PROFILE_KEYS:
-            # a profile's values are at fault: name the key that holds them
-            required, optional = PROFILE_KEYS[part][block[part]["kind"]]
-            part += "." + [k for k in (*required, *optional) if k not in ("x", "mode")][0]
+        kind = {"rho0": rho_kind, "v0": v_kind}.get(part)
+        part = VALUES_KEY.get((part, kind), part)
         raise ConfigError(f"initial.{part}" if part else "initial", str(exc)) from exc
 
 

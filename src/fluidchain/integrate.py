@@ -171,6 +171,13 @@ def _attempt(model, n, y, dt, cfg, k1):
     return True, y_new, k[6].copy(), factor
 
 
+def first_step(model, n, x):
+    """The first trial step: a tenth of the viscous time 1/(n^2 max gain)
+    of the cells of the interior positions ``x``."""
+    gaps = n * gaps_from_interior(model.length, x)
+    return 0.1 / (n * n * float(np.max(model.damping_gain(gaps))))
+
+
 def _snapshot_targets(T, snapshot_dt):
     count = int(math.floor(T / snapshot_dt + 1e-9))
     targets = [k * snapshot_dt for k in range(1, count + 1)]
@@ -240,10 +247,7 @@ def simulate(model, state0, T, cfg=None) -> SnapshotSeries:
     y = np.concatenate((state0.x, state0.v))
     half = y.size // 2
     t = 0.0
-    # a tenth of the viscous time 1/(n^2 max gain) of the initial cells; the
-    # first snapshot interval bounds it further
-    gaps = n * gaps_from_interior(model.length, state0.x)
-    dt_ctrl = 0.1 / (n * n * float(np.max(model.damping_gain(gaps))))
+    dt_ctrl = first_step(model, n, state0.x)    # the first snapshot bounds it further
     k1 = np.concatenate(rhs_arrays(model, n, state0.x, state0.v))
     stats = series.stats
     stats.spacing_min_seen = first.spacing_min

@@ -4,11 +4,13 @@ from pathlib import Path
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "hot_path_us.py"
 
 
-def test_reports_both_hot_path_calls(capsys):
+def test_reports_both_hot_path_calls(capsys, monkeypatch):
     spec = importlib.util.spec_from_file_location("hot_path_us", TOOL)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    module.main(["--n", "16", "--repeat", "1"])
+    monkeypatch.setattr(module, "N", 16)
+    monkeypatch.setattr(module, "REPEAT", 1)
+    module.main()
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[:2] for line in lines] == [["rhs_arrays", "n=16:"],
                                                     ["_attempt", "n=16:"]]

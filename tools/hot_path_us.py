@@ -1,48 +1,43 @@
 """Microseconds per call of the DP5 hot path: ``dynamics.rhs_arrays`` and
 ``integrate._attempt`` at n = 128 on the saint_venant chain of
-``configs/saint_venant_perturbed.json``.
+``configs/saint_venant_perturbed.json``, from its first trial step.
 
-    PYTHONPATH=src python3 tools/hot_path_us.py [--n 128] [--repeat 7]
+    PYTHONPATH=src python3 tools/hot_path_us.py
 
-Prints one line per function with the best of ``--repeat`` timing rounds, in
-µs per call.  The numbers report only; nothing compares them to a bound.
+Prints one line per function with the best of REPEAT timing rounds, in µs per
+call.  The numbers report only; nothing compares them to a bound.
 """
 
-import argparse
 import timeit
 from pathlib import Path
 
 import numpy as np
 
 from fluidchain import cli, integrate
-from fluidchain.dynamics import gaps_from_interior, rhs_arrays
+from fluidchain.dynamics import rhs_arrays
 from fluidchain.initial import build_particles
 
 CONFIG = Path(__file__).resolve().parents[1] / "configs" / "saint_venant_perturbed.json"
+N = 128
+REPEAT = 7
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--n", type=int, default=128)
-    parser.add_argument("--repeat", type=int, default=7)
-    args = parser.parse_args(argv)
+def main():
     cfg = cli.parse_config(CONFIG)
-    model, n = cfg.model, args.n
-    state = build_particles(model, cfg.initial, n)
+    model = cfg.model
+    state = build_particles(model, cfg.initial, N)
     y = np.concatenate((state.x, state.v))
-    k1 = np.concatenate(rhs_arrays(model, n, state.x, state.v))
-    # simulate's first step: a tenth of the viscous time of the cells
-    gaps = n * gaps_from_interior(model.length, state.x)
-    dt = 0.1 / (n * n * float(np.max(model.damping_gain(gaps))))
+    k1 = np.concatenate(rhs_arrays(model, N, state.x, state.v))
+    dt = integrate.first_step(model, N, state.x)
     calls = {
-        "rhs_arrays": lambda: rhs_arrays(model, n, state.x, state.v),
-        "_attempt": lambda: integrate._attempt(model, n, y, dt, cfg.integrator, k1),
+        "rhs_arrays": lambda: rhs_arrays(model, N, state.x, state.v),
+        "_attempt": lambda: integrate._attempt(model, N, y, dt, cfg.integrator, k1),
     }
     assert calls["_attempt"]()[0], "the timed step must be accepted"
     for name, call in calls.items():
         number = 2000 if name == "rhs_arrays" else 300
-        best = min(timeit.repeat(call, number=number, repeat=args.repeat)) / number
-        print(f"{name} n={n}: {best * 1e6:.1f} us per call")
+        best = min(timeit.repeat(call, number=number, repeat=REPEAT)) / number
+        print(f"{name} n={N}: {best * 1e6:.1f} us per call")
 
 
 if __name__ == "__main__":
