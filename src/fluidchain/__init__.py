@@ -7,8 +7,7 @@ from .dynamics import (DiscreteFunctionals, ParticleState, functionals,
 from .errors import (AdmissibilityError, ConfigError, DomainError,
                      FluidchainError, InitialDataError, ModelError,
                      QuadratureError, StiffnessError)
-from .fields import (ReconstructedField, continuous_energy,
-                     continuous_energy_mod, reconstruct, total_mass)
+from .fields import ReconstructedField, reconstruct, total_mass
 from .initial import (AdmissibilityReport, BudgetConstants, InitialData,
                       admissibility, budget_constants, build_particles,
                       constant_density, make_initial, sine_velocity,
@@ -27,7 +26,6 @@ __all__ = [
     "QuadratureError", "ReconstructedField", "SnapshotSeries",
     "StiffnessError", "admissibility",
     "budget_constants", "build_particles", "constant_density",
-    "continuous_energy", "continuous_energy_mod",
     "functionals", "make_initial", "reconstruct", "simulate", "sine_velocity",
     "spacing_bounds", "table_profile", "total_mass",
 ]

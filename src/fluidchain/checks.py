@@ -127,7 +127,7 @@ def _weak_residual(series, tf, kind, initial, integrand):
     if tf.kind != kind:
         raise ValueError(f"expected a {kind}-kind test function, got {tf.kind}")
     horizon = series.times[-1]
-    x, rho_nodes, v = series.nodes()
+    x, rho_nodes, v = series.x, series.rho, series.v
     pts, wts, _, _ = fields.gauss_cells(x[0], rho_nodes[0], v[0], 3)
     term0 = ordered_sum(np.sum(initial(pts, tf.shape(pts)) * wts, axis=1)[::-1])
     times = np.asarray(series.times)[:, None, None]
@@ -149,7 +149,7 @@ def _weak_residual(series, tf, kind, initial, integrand):
         quad_error = math.nan
         inconclusive = True
     return ResidualReport(value=value, quad_error=quad_error,
-                          n=series.states[0].n, test_function=tf.name,
+                          n=series.n, test_function=tf.name,
                           inconclusive=inconclusive)
 
 
@@ -235,11 +235,11 @@ def decay_report(series, w_budget=None) -> DecayReport:
     times = series.times
     decays = [(w.functional, (w.t, w.amount)) for w in series.warnings
               if w.monitor == "decay"]
-    x, rho, v = series.nodes()
     e_cont, w_cont = np.empty(len(series)), np.empty(len(series))
     for start in range(0, len(series), _BLOCK):
         j = slice(start, start + _BLOCK)
-        e_cont[j], w_cont[j] = fields.energies(series.model, x[j], rho[j], v[j])
+        e_cont[j], w_cont[j] = fields.energies(series.model, series.x[j], series.rho[j],
+                                               series.v[j])
     # running trapezoid time average of w_cont, accumulated in time order
     t = np.asarray(times)
     steps = 0.5 * np.diff(t) * (w_cont[1:] + w_cont[:-1])
@@ -283,7 +283,7 @@ def envelope_check(model, series) -> EnvelopeReport:
     e0, w0 = max(d0.e_n, 0.0), max(d0.w_n, 0.0)
     budget = sqrt_budget(e0, w0)
     a, b = spacing_bounds(model, e0, w0)
-    rho_cells = series.nodes()[1][:, :-1]
+    rho_cells = series.rho[:, :-1]
     env = np.asarray(model.energy_envelope(rho_cells))
     excess = max(float(np.max(env) - budget), float(-np.min(env) - budget))
     return EnvelopeReport(budget=budget, a=a, b=b,
@@ -308,7 +308,8 @@ class ConvergenceRow(NamedTuple):
 def _sampled_series(series, grid):
     rho = np.empty((len(series), grid.size))
     vel = np.empty((len(series), grid.size))
-    for j, field in enumerate(series.reconstructed):
+    for j in range(len(series)):
+        field = series.field(j)
         rho[j] = np.asarray(field.rho(grid))
         vel[j] = np.asarray(field.v(grid))
     return rho, vel

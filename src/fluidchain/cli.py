@@ -43,7 +43,7 @@ PROFILE_KEYS = {
 # the key holding a profile's values, named when those values are at fault
 VALUES_KEY = {("rho0", "constant"): "rho0.value", ("rho0", "table"): "rho0.rho",
               ("v0", "sine"): "v0.amplitude", ("v0", "table"): "v0.v"}
-# largest particle count and grid size a config may ask for
+# largest particle count, grid size and snapshot count a config may ask for
 MAX_COUNT = 10 ** 6
 
 
@@ -220,6 +220,10 @@ def _parse_integrator(raw):
         snapshot_dt=_number(block, "integrator", "snapshot_dt", default=default.snapshot_dt,
                             positive=True))
     horizon = _number(block, "integrator", "T", default=1.0, positive=True)
+    # a ratio in float, so that a subnormal snapshot_dt (ratio inf) fails too
+    if not horizon / cfg.snapshot_dt <= MAX_COUNT:
+        raise ConfigError("integrator.snapshot_dt", f"gives more than {MAX_COUNT} snapshots "
+                          f"over T={horizon:g}, got {cfg.snapshot_dt!r}")
     return cfg, horizon
 
 
@@ -305,14 +309,14 @@ def _write_simulation_artifacts(model, series, out_dir, grid_size):
     # one uniform grid of grid_size points, the same for every snapshot
     grid = np.linspace(0.0, model.length, grid_size)
     particle_rows = [f",{i},{_FLOAT},{_FLOAT},{_FLOAT}\n"
-                     for i in range(series.states[0].n + 1)]
+                     for i in range(series.n + 1)]
     field_rows = [f",{_fmt(x)},{_FLOAT},{_FLOAT}\n" for x in grid.tolist()]
     with (open(out / "particles.csv", "w", newline="\n") as particles,
           open(out / "fields.csv", "w", newline="\n") as sampled):
         particles.write("t,i,x_i,v_i,rho_i\n")
         sampled.write("t,x,rho,v\n")
-        for t, field in zip(series.times, series.reconstructed):
-            t_text = _fmt(t)
+        for j, t in enumerate(series.times):
+            field, t_text = series.field(j), _fmt(t)
             # the nodes reversed: i = 0 is the ghost end, x = L
             _write_snapshot(particles, t_text, particle_rows,
                             field.asc_x[::-1], field.asc_v[::-1], field.asc_rho[::-1])

@@ -89,9 +89,11 @@ def gauss_cells(x, rho, v, order):
 
 
 def energies(model, x, rho, v):
-    """``(continuous_energy, continuous_energy_mod)`` of the fields with
-    ascending nodes ``x``, ``rho`` and ``v`` of shape (..., n+1), from one
-    order-5 sampling; each has the shape of the leading axes."""
+    """The continuous energies ``(E, W)`` of the fields with ascending nodes
+    ``x``, ``rho`` and ``v`` of shape (..., n+1), from one order-5 sampling,
+    each of the shape of the leading axes: kinetic plus compression energy,
+    with ``v`` in ``E`` and ``v + mu(rho) * rho_x / rho^2`` (exact cell
+    slope) in ``W``."""
     _, wts, rho_pts, vel = gauss_cells(x, rho, v, 5)
     q = np.asarray(model.compression_energy(rho_pts))
     slope = (rho[..., 1:] - rho[..., :-1]) / (x[..., 1:] - x[..., :-1])
@@ -105,16 +107,3 @@ def energies(model, x, rho, v):
 
     return energy(vel), energy(shifted)
 
-
-def continuous_energy(model: FluidModel, field: ReconstructedField) -> float:
-    """Kinetic plus compression energy of the rebuilt fields."""
-    return float(energies(model, field.asc_x, field.asc_rho, field.asc_v)[0])
-
-
-def continuous_energy_mod(model: FluidModel, field: ReconstructedField) -> float:
-    """Energy of the viscosity-transformed momentum plus compression energy.
-
-    The transformed velocity is v + mu(rho) * rho_x / rho^2 with the exact
-    cell slope for rho_x.
-    """
-    return float(energies(model, field.asc_x, field.asc_rho, field.asc_v)[1])

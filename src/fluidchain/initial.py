@@ -130,7 +130,7 @@ def sine_velocity(model, amplitude, mode=1):
     """v0(x) = amplitude * sin(mode*pi*x/L), clamped to exactly zero at the
     walls, with the analytic derivative L2 norm."""
     L = model.length
-    if int(mode) != mode or mode < 1:
+    if not (mode >= 1 and float(mode).is_integer()):     # NaN and inf fail too
         raise InitialDataError("sine mode must be a positive integer")
     mode = int(mode)
 

@@ -114,15 +114,16 @@ class MonitorWarning(NamedTuple):
 
 
 class SnapshotSeries:
-    """Snapshots in time order: each state, its reconstructed field (built
-    once, when the snapshot is recorded) and its diagnostics, with the model
-    they were integrated with."""
+    """Snapshots in time order, each stored once: row ``j`` of ``x``,
+    ``rho`` and ``v``, shape (snapshots, n+1), holds the ascending nodes of
+    the field rebuilt at ``times[j]`` (``fields.reconstruct``), next to its
+    diagnostics and the model it was integrated with."""
 
-    def __init__(self, model=None):
+    def __init__(self, model, n, count):
         self.model = model
+        self.n = n
         self.times = []
-        self.states = []
-        self.reconstructed = []
+        self.x, self.rho, self.v = np.empty((3, count, n + 1))
         self.diagnostics = []
         self.stats = IntegrationStats()
         self.warnings = []
@@ -130,12 +131,10 @@ class SnapshotSeries:
     def __len__(self):
         return len(self.times)
 
-    def nodes(self):
-        """The ascending nodes of every snapshot's field, stacked to shape
-        (snapshots, n+1): positions, densities and velocities, built anew
-        on each call."""
-        return tuple(np.stack([getattr(f, name) for f in self.reconstructed])
-                     for name in ("asc_x", "asc_rho", "asc_v"))
+    def field(self, j):
+        """The reconstructed field of snapshot ``j``, over its stored row."""
+        return fields.ReconstructedField(self.n, self.model.length,
+                                         self.x[j], self.rho[j], self.v[j])
 
 
 def _error_ratio(err, y_old, y_new, cfg):
@@ -179,6 +178,8 @@ def first_step(model, n, x):
 
 
 def _snapshot_targets(T, snapshot_dt):
+    if not 0.0 < T < math.inf:
+        raise ValueError("horizon T must be positive and finite")
     count = int(math.floor(T / snapshot_dt + 1e-9))
     targets = [k * snapshot_dt for k in range(1, count + 1)]
     if not targets or targets[-1] < T - 1e-12 * max(T, 1.0):
@@ -204,15 +205,17 @@ def decay_violations(times, values, slack):
 def _record(model, state, series):
     diag_f = functionals(model, state)
     field_now = fields.reconstruct(model, state)
-    gaps = state.n * gaps_from_interior(model.length, state.x)
+    # the widths of gaps_from_interior, ghost end last: the same extrema
+    gaps = state.n * np.diff(field_now.asc_x)
     rec = DiagnosticsRecord(
         e_n=_clamp_tiny(diag_f.e_n), w_n=_clamp_tiny(diag_f.w_n),
         z_n=diag_f.z_n, h_n=diag_f.h_n,
         mass=fields.total_mass(field_now),
         spacing_min=float(gaps.min()), spacing_max=float(gaps.max()))
+    j = len(series)
+    series.x[j], series.rho[j], series.v[j] = (field_now.asc_x, field_now.asc_rho,
+                                               field_now.asc_v)
     series.times.append(state.t)
-    series.states.append(state)
-    series.reconstructed.append(field_now)
     series.diagnostics.append(rec)
     return rec
 
@@ -230,13 +233,13 @@ def simulate(model, state0, T, cfg=None) -> SnapshotSeries:
     the decay and negative-value monitors of E_n and W_n are collected as
     warnings on the series.  Recording the first snapshot raises DomainError
     unless ``state0`` is ordered, and InitialDataError when its E_n, W_n or
-    Z_n does not fit in a float.
+    Z_n does not fit in a float; a ``T`` that is not positive and finite is
+    a ValueError.
     """
     cfg = cfg or IntegratorConfig()
-    if T <= 0.0:
-        raise ValueError("horizon T must be positive")
+    targets = _snapshot_targets(T, cfg.snapshot_dt)
     model.require_growth()
-    series = SnapshotSeries(model=model)
+    series = SnapshotSeries(model, state0.n, len(targets) + 1)
     state0 = ParticleState(n=state0.n, t=0.0, x=state0.x, v=state0.v)
     with np.errstate(over="ignore"):
         first = _record(model, state0, series)
@@ -254,7 +257,7 @@ def simulate(model, state0, T, cfg=None) -> SnapshotSeries:
     stats.spacing_max_seen = first.spacing_max
     dt_floor = 1e-14 * T
 
-    for target in _snapshot_targets(T, cfg.snapshot_dt):
+    for target in targets:
         while t < target:
             if stats.accepted + stats.rejected >= cfg.max_steps:
                 raise StiffnessError(
@@ -278,8 +281,7 @@ def simulate(model, state0, T, cfg=None) -> SnapshotSeries:
             gaps = n * gaps_from_interior(model.length, y[:half])
             stats.spacing_min_seen = min(stats.spacing_min_seen, float(gaps.min()))
             stats.spacing_max_seen = max(stats.spacing_max_seen, float(gaps.max()))
-        state = ParticleState(n=n, t=t, x=y[:half].copy(), v=y[half:].copy())
-        _record(model, state, series)
+        _record(model, ParticleState(n=n, t=t, x=y[:half], v=y[half:]), series)
 
     for name in ("e_n", "w_n"):
         values = [getattr(rec, name) for rec in series.diagnostics]

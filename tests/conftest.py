@@ -202,6 +202,13 @@ def multiharmonic_initial(model):
     return fc.make_initial(model, (xt, rt), v0, deriv_l2)
 
 
+def snapshot_states(series):
+    """Each snapshot of a series as the particle state its row was rebuilt
+    from: the interior nodes, in descending position order."""
+    return [fc.ParticleState(n=series.n, t=t, x=series.x[j, -2:0:-1], v=series.v[j, -2:0:-1])
+            for j, t in enumerate(series.times)]
+
+
 def random_state(model, n, rng, v_scale=1.0):
     """A valid interior state with spacings in [0.5, 1.5]/n after rescale."""
     gaps = rng.uniform(0.5, 1.5, n)

@@ -20,7 +20,8 @@ from fluidchain import checks
 from fluidchain.dynamics import gaps_from_interior, rhs_arrays
 
 from conftest import (equilibrium_initial, multiharmonic_initial,
-                      perturbed_initial, quadrature_reference, random_state)
+                      perturbed_initial, quadrature_reference, random_state,
+                      snapshot_states)
 
 RATE_T = 0.25
 RATIO_LO, RATIO_HI = 1.5, 3.0
@@ -66,7 +67,7 @@ def test_criterion_01_equilibrium_fixed_point(sv, equilibrium_run):
     _, state0, series, elapsed = equilibrium_run
     deviation = max(
         float(np.max(np.abs(state.x - state0.x)) + np.max(np.abs(state.v)))
-        for state in series.states)
+        for state in snapshot_states(series))
     ok = deviation <= 1e-10 and elapsed < 5.0
     _verdict(1, "equilibrium-fixed-point", ok,
              f"max deviation {deviation:.2e}, runtime {elapsed:.2f}s")
@@ -284,8 +285,8 @@ def test_criterion_10_self_convergence(sv, rate_runs):
     for n, series in runs.items():
         rho = np.empty((len(series), grid.size))
         vel = np.empty_like(rho)
-        for j, state in enumerate(series.states):
-            field = fc.reconstruct(sv, state)
+        for j in range(len(series)):
+            field = series.field(j)
             rho[j] = np.asarray(field.rho(grid))
             vel[j] = np.asarray(field.v(grid))
         samples[n] = (rho, vel)

@@ -418,6 +418,15 @@ def _study_config(T=0.1, snapshot_dt=0.05):
                  "integrator.T", id="validate_infinite_T"),
     pytest.param(["simulate"], _integrator(snapshot_dt=math.inf),
                  "integrator.snapshot_dt", id="infinite_snapshot_dt"),
+    # more snapshots than MAX_COUNT, refused before a target list is built
+    pytest.param(["check"], _integrator(snapshot_dt=1e-9),
+                 "integrator.snapshot_dt", id="check_snapshot_count_huge"),
+    pytest.param(["simulate"], _integrator(snapshot_dt=1e-9),
+                 "integrator.snapshot_dt", id="simulate_snapshot_count_huge"),
+    pytest.param(["validate"], _integrator(snapshot_dt=1e-9),
+                 "integrator.snapshot_dt", id="validate_snapshot_count_huge"),
+    pytest.param(["simulate"], _integrator(snapshot_dt=5e-324),
+                 "integrator.snapshot_dt", id="snapshot_count_infinite"),
     pytest.param(["simulate"], _integrator(dt_init=1e-3),
                  "integrator.dt_init", id="dt_init_unknown"),
     pytest.param(["simulate"], _integrator(dt_max=1e-3),

@@ -170,6 +170,12 @@ def test_velocity_endpoints_must_vanish(sv):
         fc.make_initial(sv, fc.constant_density(sv), bad_v0, 0.0)
 
 
+@pytest.mark.parametrize("mode", [0, -1, 1.5, math.nan, math.inf, -math.inf])
+def test_sine_mode_must_be_a_positive_integer(sv, mode):
+    with pytest.raises(InitialDataError, match="sine mode must be a positive integer"):
+        fc.sine_velocity(sv, 0.1, mode=mode)
+
+
 def test_scalar_profiles_are_rejected(sv):
     # the velocity profile must map float arrays of positions elementwise; a
     # scalar-only profile, or one that ignores the shape of its argument, is

@@ -8,15 +8,14 @@ from fluidchain import checks, integrate
 from fluidchain.dynamics import rhs_arrays
 from fluidchain.errors import ModelError, StiffnessError
 
-from conftest import equilibrium_state, perturbed_initial
+from conftest import equilibrium_state, perturbed_initial, snapshot_states
 
 
 def _final_state(sv, rel_tol):
     state0 = fc.ParticleState(n=2, t=0.0, x=np.array([0.4]), v=np.array([0.0]))
     cfg = fc.IntegratorConfig(rel_tol=rel_tol, abs_tol=rel_tol * 1e-2, snapshot_dt=0.1)
     series = fc.simulate(sv, state0, 0.1, cfg)
-    last = series.states[-1]
-    return np.concatenate((last.x, last.v))
+    return np.concatenate((series.x[-1, 1:-1], series.v[-1, 1:-1]))
 
 
 def test_config_validation():
@@ -40,7 +39,7 @@ def test_config_rejects_nan_and_infinite(field, value):
 def test_equilibrium_is_a_fixed_point(sv):
     state0 = equilibrium_state(sv, 8)
     series = fc.simulate(sv, state0, 0.5, fc.IntegratorConfig(snapshot_dt=0.1))
-    for state in series.states:
+    for state in snapshot_states(series):
         assert np.max(np.abs(state.x - state0.x)) <= 1e-12
         assert np.max(np.abs(state.v)) <= 1e-12
     assert not series.warnings
@@ -95,9 +94,8 @@ def test_simulation_is_deterministic(sv):
     one = fc.simulate(sv, state0, 0.3, cfg)
     two = fc.simulate(sv, state0, 0.3, cfg)
     assert one.times == two.times
-    for a, b in zip(one.states, two.states):
-        assert np.array_equal(a.x, b.x)
-        assert np.array_equal(a.v, b.v)
+    for name in ("x", "rho", "v"):
+        assert np.array_equal(getattr(one, name), getattr(two, name))
     for a, b in zip(one.diagnostics, two.diagnostics):
         assert a == b
     assert one.stats.accepted == two.stats.accepted
@@ -108,12 +106,21 @@ def test_states_stay_ordered_and_monitored(sv):
     init = perturbed_initial(sv, amplitude=0.3)
     state0 = fc.build_particles(sv, init, 16)
     series = fc.simulate(sv, state0, 0.5, fc.IntegratorConfig(snapshot_dt=0.05))
-    for state in series.states:
+    for state in snapshot_states(series):
         gaps = fc.dynamics.gaps_from_interior(sv.length, state.x)
         assert np.all(gaps > 0.0)
     energies = [d.e_n for d in series.diagnostics]
     slack = 1e-8 * max(1.0, energies[0])
     assert all(b <= a + slack for a, b in zip(energies, energies[1:]))
+
+
+@pytest.mark.parametrize("T", [0.0, -1.0, math.nan, math.inf])
+def test_horizon_must_be_positive_and_finite(sv, T):
+    cfg = fc.IntegratorConfig(snapshot_dt=0.1)
+    with pytest.raises(ValueError, match="horizon"):
+        fc.simulate(sv, equilibrium_state(sv, 4), T, cfg)
+    with pytest.raises(ValueError, match="horizon"):
+        checks.convergence_study(sv, perturbed_initial(sv), [4, 8], T, cfg)
 
 
 def test_max_steps_guard(sv):

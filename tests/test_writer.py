@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import fluidchain as fc
 from fluidchain import cli
 
-from conftest import perturbed_initial
+from conftest import perturbed_initial, snapshot_states
 
 SPECIALS = [math.inf, -math.inf, math.nan, -0.0, 5e-324,
             1.7976931348623157e308, 0.1, 1.0 / 3.0, -2.5]
@@ -39,7 +39,8 @@ def reference_csv(header, rows):
 def reference_artifacts(series, grid_size):
     """The three simulation CSVs as the row-at-a-time writer built them."""
     particle_rows, field_rows, diag_rows = [], [], []
-    for t, field, diag in zip(series.times, series.reconstructed, series.diagnostics):
+    for j, (t, diag) in enumerate(zip(series.times, series.diagnostics)):
+        field = series.field(j)
         for i in range(field.n + 1):
             particle_rows.append((t, i, field.asc_x[::-1][i], field.asc_v[::-1][i],
                                   field.asc_rho[::-1][i]))
@@ -71,9 +72,9 @@ def assert_writes_reference(model, series, tmp_path, grid_size):
 
 
 def test_stored_fields_are_the_reconstruction(sv, series):
-    assert len(series.reconstructed) == len(series.states) == len(series)
-    for state, field in zip(series.states, series.reconstructed):
-        fresh = fc.reconstruct(sv, state)
+    assert series.x.shape == series.rho.shape == series.v.shape == (len(series), series.n + 1)
+    for j, state in enumerate(snapshot_states(series)):
+        field, fresh = series.field(j), fc.reconstruct(sv, state)
         for name in ("asc_x", "asc_rho", "asc_v"):
             assert np.array_equal(getattr(field, name), getattr(fresh, name))
 
@@ -85,14 +86,14 @@ def test_streaming_writer_matches_row_writer(sv, series, tmp_path, grid_size):
 
 def test_streaming_writer_matches_row_writer_on_special_values(sv, series, tmp_path):
     column = np.array(SPECIALS)
-    assert column.size == series.states[0].n + 1
+    assert column.size == series.n + 1
     # the node columns as the writer reads them, reversed; the grid samples
     # stay those of the real first snapshot
-    first = series.reconstructed[0]
+    first = series.field(0)
     odd = GivenField(first.n, first.length, asc_x=column[::-1], asc_v=column.copy(),
                      asc_rho=-column[::-1], samples=first.rho(np.linspace(0.0, first.length, 16)))
     special = copy.copy(series)
-    special.reconstructed = [odd, *series.reconstructed[1:]]
+    special.field = lambda j: odd if j == 0 else series.field(j)
     assert_writes_reference(sv, special, tmp_path, 16)
     lines = (tmp_path / "particles.csv").read_text().splitlines()
     assert lines[1] == "0,0,infinite,-2.5,infinite"
@@ -120,15 +121,14 @@ class GivenField:
 def test_streaming_writer_matches_row_writer_with_specials_in_every_column(
         sv, series, tmp_path):
     finite = np.array([v for v in SPECIALS if not math.isinf(v)])
-    n = series.states[0].n
+    n = series.n
     columns = [np.resize(np.roll(finite, 2), n + 1), np.array(SPECIALS),
                np.resize(np.roll(finite, 5), n + 1)]
     snapshots = [GivenField(n, sv.length, c[::-1], np.roll(c, 1)[::-1], c.copy(), np.roll(c, 3))
                  for c in columns]
     special = copy.copy(series)
     special.times = [-0.0, 5e-324, 1.0 / 3.0]
-    special.states = series.states[:3]
-    special.reconstructed = snapshots
+    special.field = snapshots.__getitem__
     special.diagnostics = series.diagnostics[:3]
     assert_writes_reference(sv, special, tmp_path, 23)
     for name in ("particles.csv", "fields.csv"):
