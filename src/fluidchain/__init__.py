@@ -7,7 +7,7 @@ from .dynamics import (DiscreteFunctionals, ParticleState, functionals,
 from .errors import (AdmissibilityError, ConfigError, DomainError,
                      FluidchainError, InitialDataError, ModelError,
                      QuadratureError, StiffnessError)
-from .fields import ReconstructedField, reconstruct, total_mass
+from .fields import reconstruct, total_mass
 from .initial import (AdmissibilityReport, BudgetConstants, InitialData,
                       admissibility, budget_constants, build_particles,
                       constant_density, make_initial, sine_velocity,
@@ -23,7 +23,7 @@ __all__ = [
     "ConfigError", "DiagnosticsRecord", "DiscreteFunctionals", "DomainError",
     "FluidModel", "FluidchainError", "GrowthReport", "InitialData",
     "InitialDataError", "IntegratorConfig", "ModelError", "ParticleState",
-    "QuadratureError", "ReconstructedField", "SnapshotSeries",
+    "QuadratureError", "SnapshotSeries",
     "StiffnessError", "admissibility",
     "budget_constants", "build_particles", "constant_density",
     "functionals", "make_initial", "reconstruct", "simulate", "sine_velocity",

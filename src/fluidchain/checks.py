@@ -110,17 +110,12 @@ def _simpson(ts, gs):
     return total
 
 
-# snapshots per block of the residual and energy evaluations: one stack of
-# every snapshot's Gauss cells would raise the peak memory of a long series
-_BLOCK = 32
-
-
 def _weak_residual(series, tf, kind, initial, integrand):
     """Signed defect of a weak identity for ``phi = (1 - t/T) * shape(x)``
     with ``T`` the series horizon: the space integral of
     ``initial(pts, shape)`` at t = 0 plus the Simpson time integral of the
     space integrals of ``integrand(x, v, rho, vel, phi_t, phi_x)``, evaluated
-    on the cells of up to ``_BLOCK`` snapshots at a time (``x`` and ``v``
+    on the cells of up to ``fields.BLOCK`` snapshots at a time (``x`` and ``v``
     their node positions and velocities).  Space integrals are 3-point Gauss
     per reconstruction cell (``fields.gauss_cells``), summed ghost-end
     first."""
@@ -132,8 +127,7 @@ def _weak_residual(series, tf, kind, initial, integrand):
     term0 = ordered_sum(np.sum(initial(pts, tf.shape(pts)) * wts, axis=1)[::-1])
     times = np.asarray(series.times)[:, None, None]
     g = np.empty(len(series))
-    for start in range(0, len(series), _BLOCK):
-        j = slice(start, start + _BLOCK)
+    for j in fields.row_blocks(len(series)):
         pts, wts, rho, vel = fields.gauss_cells(x[j], rho_nodes[j], v[j], 3)
         phi_t, phi_x = tf.derivatives(times[j], horizon, pts)
         values = integrand(x[j], v[j], rho, vel, phi_t, phi_x)
@@ -225,7 +219,7 @@ def decay_report(series, w_budget=None) -> DecayReport:
     Discrete energies must be nonincreasing within 1e-8 * max(1, initial
     value): their violations are the decay warnings ``simulate`` collected.
     The continuous energies of every snapshot (``fields.energies``, on
-    blocks of up to ``_BLOCK`` snapshots) are reported as ``e_cont`` and
+    blocks of up to ``fields.BLOCK`` snapshots) are reported as ``e_cont`` and
     ``w_cont``.  The continuous energy is monitored with the slack of E_n
     but only reported (it may legitimately wiggle by the
     discrete-continuous gap).  When ``w_budget`` is given, the running time
@@ -236,8 +230,7 @@ def decay_report(series, w_budget=None) -> DecayReport:
     decays = [(w.functional, (w.t, w.amount)) for w in series.warnings
               if w.monitor == "decay"]
     e_cont, w_cont = np.empty(len(series)), np.empty(len(series))
-    for start in range(0, len(series), _BLOCK):
-        j = slice(start, start + _BLOCK)
+    for j in fields.row_blocks(len(series)):
         e_cont[j], w_cont[j] = fields.energies(series.model, series.x[j], series.rho[j],
                                                series.v[j])
     # running trapezoid time average of w_cont, accumulated in time order
@@ -250,7 +243,7 @@ def decay_report(series, w_budget=None) -> DecayReport:
         over = avg > w_budget + _W_AVG_SLACK
         w_avg_viol = list(zip(t[1:][over].tolist(), (avg[over] - w_budget).tolist()))
     e_cont, w_cont = e_cont.tolist(), w_cont.tolist()
-    slack_e = decay_slack(series.diagnostics[0].e_n)
+    slack_e = decay_slack(float(series.diagnostics.e_n[0]))
     return DecayReport(e_n_violations=[v for name, v in decays if name == "e_n"],
                        w_n_violations=[v for name, v in decays if name == "w_n"],
                        e_cont_violations=decay_violations(times, e_cont, slack_e),
@@ -279,8 +272,8 @@ class EnvelopeReport(NamedTuple):
 def envelope_check(model, series) -> EnvelopeReport:
     """Check every snapshot's cell densities against the initial energy
     budget and every accepted step's spacing extrema against [a, b]."""
-    d0 = series.diagnostics[0]
-    e0, w0 = max(d0.e_n, 0.0), max(d0.w_n, 0.0)
+    diag = series.diagnostics
+    e0, w0 = max(float(diag.e_n[0]), 0.0), max(float(diag.w_n[0]), 0.0)
     budget = sqrt_budget(e0, w0)
     a, b = spacing_bounds(model, e0, w0)
     rho_cells = series.rho[:, :-1]
@@ -308,10 +301,9 @@ class ConvergenceRow(NamedTuple):
 def _sampled_series(series, grid):
     rho = np.empty((len(series), grid.size))
     vel = np.empty((len(series), grid.size))
-    for j in range(len(series)):
-        field = series.field(j)
-        rho[j] = np.asarray(field.rho(grid))
-        vel[j] = np.asarray(field.v(grid))
+    for j, x in enumerate(series.x):
+        rho[j] = fields.sample(x, series.rho[j], grid)
+        vel[j] = fields.sample(x, series.v[j], grid)
     return rho, vel
 
 
@@ -362,7 +354,7 @@ def convergence_study(model, init, n_list, T, cfg=None):
         if runs.get(n) is None:
             continue
         series, rho_s, vel_s = runs[n]
-        mass_error = max(abs(d.mass - model.m) for d in series.diagnostics)
+        mass_error = float(np.max(np.abs(series.diagnostics.mass - model.m)))
         residual_max = max(0.0, *(abs(r.value) for r in residuals(model, series, init)))
         self_rho = self_v = None
         twin = runs.get(2 * n)

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import checks
+from . import checks, fields
 from .dynamics import ordered_sum
 from .errors import AdmissibilityError, ConfigError, FluidchainError
 from .initial import (admissibility, build_particles, constant_density,
@@ -315,16 +315,15 @@ def _write_simulation_artifacts(model, series, out_dir, grid_size):
           open(out / "fields.csv", "w", newline="\n") as sampled):
         particles.write("t,i,x_i,v_i,rho_i\n")
         sampled.write("t,x,rho,v\n")
-        for j, t in enumerate(series.times):
-            field, t_text = series.field(j), _fmt(t)
+        for t, x, rho, v in zip(series.times, series.x, series.rho, series.v):
+            t_text = _fmt(t)
             # the nodes reversed: i = 0 is the ghost end, x = L
-            _write_snapshot(particles, t_text, particle_rows,
-                            field.asc_x[::-1], field.asc_v[::-1], field.asc_rho[::-1])
-            _write_snapshot(sampled, t_text, field_rows, field.rho(grid), field.v(grid))
+            _write_snapshot(particles, t_text, particle_rows, x[::-1], v[::-1], rho[::-1])
+            _write_snapshot(sampled, t_text, field_rows, fields.sample(x, rho, grid),
+                            fields.sample(x, v, grid))
     _write_csv(out / "diagnostics.csv",
                ("t", "E_n", "W_n", "Z_n", "H_n", "mass", "min_spacing", "max_spacing"),
-               [(t, d.e_n, d.w_n, d.z_n, d.h_n, d.mass, d.spacing_min, d.spacing_max)
-                for t, d in zip(series.times, series.diagnostics)])
+               zip(series.times, *(column.tolist() for column in series.diagnostics)))
 
 
 def _make_out(out_dir):

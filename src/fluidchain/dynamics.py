@@ -119,31 +119,37 @@ def rhs_arrays(model, n, x, v):
     return v.copy(), (n / model.m) * (stress[:-1] - stress[1:])
 
 
-def functionals(model: FluidModel, state: ParticleState) -> DiscreteFunctionals:
-    """Discrete functionals of a state; DomainError unless it is ordered.
+def chain_functionals(model: FluidModel, gaps, v) -> DiscreteFunctionals:
+    """Discrete functionals of chains with cell widths ``gaps`` of shape
+    (..., n), ghost end first, and interior velocities ``v`` of shape
+    (..., n-1), each an array over the leading axes (a float for one chain).
 
     Sums run left to right in the cell index so reruns are bit-identical.
     """
-    n = state.n
+    n = gaps.shape[-1]
     m = model.m
-    gaps = gaps_from_interior(model.length, state.x)
     s = n * gaps
     pot = np.asarray(model.spacing_potential(s), dtype=float)
     damp = np.asarray(model.damping_potential(s), dtype=float)
 
-    full_v = np.concatenate(([0.0], state.v, [0.0]))
-    dvel = full_v[:-1] - full_v[1:]
+    dvel = np.diff(v, prepend=0.0, append=0.0)     # v_c - v_{c-1}, walls at rest
 
     pot_sum = ordered_sum(pot)
-    e_n = (m / (2.0 * n)) * ordered_sum(state.v * state.v) + (m / n) * pot_sum
+    e_n = (m / (2.0 * n)) * ordered_sum(v * v) + (m / n) * pot_sum
 
     # transformed velocities v_i - n*K(s_i) + n*K(s_{i+1}), interior only
-    v_tr = state.v - n * damp[:-1] + n * damp[1:]
+    v_tr = v - n * damp[..., :-1] + n * damp[..., 1:]
     w_n = (m / (2.0 * n)) * ordered_sum(v_tr * v_tr) + (m / n) * pot_sum
 
     z_n = 0.5 * ordered_sum(dvel * dvel / gaps)
-    h_n = float(np.max(n * np.abs(damp[:-1] - damp[1:])))
+    h_n = np.max(n * np.abs(damp[..., :-1] - damp[..., 1:]), axis=-1)
     return DiscreteFunctionals(e_n=e_n, w_n=w_n, z_n=z_n, h_n=h_n)
+
+
+def functionals(model: FluidModel, state: ParticleState) -> DiscreteFunctionals:
+    """``chain_functionals`` of a state, as floats; DomainError unless ordered."""
+    gaps = gaps_from_interior(model.length, state.x)
+    return DiscreteFunctionals(*map(float, chain_functionals(model, gaps, state.v)))
 
 
 def sqrt_budget(e, w):

@@ -7,8 +7,6 @@ zero at the walls.  The energies and residuals that need a spatial
 derivative take the exact piecewise-constant cell slope.
 """
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .dynamics import ParticleState, gaps_from_interior, ordered_sum
@@ -21,53 +19,46 @@ def _in_cell(lo, hi, left, right, x):
     return lo + (x - left) / (right - left) * (hi - lo)
 
 
-class ReconstructedField(NamedTuple):
-    """Piecewise-linear density/velocity over [0, L], held as its n+1 nodes
-    in ascending position order (wall first, ghost end last)."""
-
-    n: int
-    length: float
-    asc_x: np.ndarray        # asc_x[0] = 0, asc_x[n] = L
-    asc_rho: np.ndarray      # asc_rho[n] == asc_rho[n-1]
-    asc_v: np.ndarray        # zero at both ends
-
-    def _interp(self, values, x):
-        xq = np.asarray(x, dtype=float)
-        if np.any(xq < -1e-12) or np.any(xq > self.length * (1.0 + 1e-12)):
-            raise ValueError("query point outside [0, L]")
-        k = np.clip(np.searchsorted(self.asc_x, xq, side="left") - 1, 0, self.n - 1)
-        out = _in_cell(values[k], values[k + 1], self.asc_x[k], self.asc_x[k + 1], xq)
-        return out if np.ndim(x) else float(out)
-
-    def rho(self, x):
-        return self._interp(self.asc_rho, x)
-
-    def v(self, x):
-        return self._interp(self.asc_v, x)
+def sample(x, values, points):
+    """The piecewise-linear field with ascending nodes ``x`` (from 0 to L)
+    and node values ``values``, each of shape (n+1,), at ``points`` in
+    [0, L]; a ValueError for a point outside."""
+    xq = np.asarray(points, dtype=float)
+    if np.any(xq < -1e-12) or np.any(xq > x[-1] * (1.0 + 1e-12)):
+        raise ValueError("query point outside [0, L]")
+    k = np.clip(np.searchsorted(x, xq, side="left") - 1, 0, x.size - 2)
+    out = _in_cell(values[k], values[k + 1], x[k], x[k + 1], xq)
+    return out if np.ndim(points) else float(out)
 
 
-def reconstruct(model: FluidModel, state: ParticleState) -> ReconstructedField:
-    """Build the piecewise-linear fields for a state; DomainError unless it
-    is ordered."""
-    n = state.n
-    gaps = gaps_from_interior(model.length, state.x)
-    asc_x = np.empty(n + 1)
-    asc_x[0] = 0.0
-    asc_x[1:-1] = state.x[::-1]
-    asc_x[-1] = model.length
-    asc_rho = np.empty(n + 1)
-    asc_rho[:-1] = (model.m / (n * gaps))[::-1]
-    asc_rho[-1] = asc_rho[-2]
-    asc_v = np.concatenate(([0.0], state.v[::-1], [0.0]))
-    return ReconstructedField(n=n, length=model.length,
-                              asc_x=asc_x, asc_rho=asc_rho, asc_v=asc_v)
+def reconstruct(model: FluidModel, state: ParticleState):
+    """The piecewise-linear fields of a state as their n+1 nodes ``(x, rho,
+    v)`` in ascending position order: ``x`` from 0 to L, ``rho`` with the
+    ghost cell's density repeated at L, ``v`` zero at both ends.
+    DomainError unless the state is ordered."""
+    rho = (model.m / (state.n * gaps_from_interior(model.length, state.x)))[::-1]
+    return (np.concatenate(([0.0], state.x[::-1], [model.length])),
+            np.concatenate((rho, rho[-1:])), np.concatenate(([0.0], state.v[::-1], [0.0])))
 
 
-def total_mass(field: ReconstructedField) -> float:
-    """Exact integral of the piecewise-linear density (trapezoid per cell,
-    summed ghost-end first for run-to-run determinism)."""
-    x, rho = field.asc_x, field.asc_rho
-    return ordered_sum(((x[1:] - x[:-1]) * 0.5 * (rho[:-1] + rho[1:]))[::-1])
+def total_mass(x, rho):
+    """Exact integral of the piecewise-linear density with ascending nodes
+    ``x`` and ``rho`` of shape (..., n+1): trapezoid per cell, summed
+    ghost-end first for run-to-run determinism.  A float for one field, an
+    array over the leading axes otherwise."""
+    return ordered_sum(((x[..., 1:] - x[..., :-1]) * 0.5
+                        * (rho[..., :-1] + rho[..., 1:]))[..., ::-1])
+
+
+# rows per block of the passes over stacked snapshot rows (diagnostics,
+# energies, residuals): one stack of every snapshot's Gauss cells would
+# raise the peak memory of a long series
+BLOCK = 32
+
+
+def row_blocks(count):
+    """Slices of at most ``BLOCK`` rows that cover ``count`` rows in order."""
+    return [slice(start, start + BLOCK) for start in range(0, count, BLOCK)]
 
 
 def gauss_cells(x, rho, v, order):

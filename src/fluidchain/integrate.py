@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import fields
-from .dynamics import ParticleState, functionals, gaps_from_interior, rhs_arrays
+from .dynamics import ParticleState, chain_functionals, gaps_from_interior, rhs_arrays
 from .errors import DomainError, InitialDataError, StiffnessError
 
 # Dormand-Prince 5(4) tableau as float arrays built once; row 7 is the
@@ -70,16 +70,16 @@ class IntegratorConfig(_IntegratorFields):
 
 
 class DiagnosticsRecord(NamedTuple):
-    """Per-snapshot functionals, reconstructed mass and scaled-spacing
-    extrema."""
+    """The functionals, reconstructed mass and scaled-spacing extrema of
+    snapshots, each an array over the snapshots (a float for one)."""
 
-    e_n: float
-    w_n: float
-    z_n: float
-    h_n: float
-    mass: float
-    spacing_min: float
-    spacing_max: float
+    e_n: np.ndarray
+    w_n: np.ndarray
+    z_n: np.ndarray
+    h_n: np.ndarray
+    mass: np.ndarray
+    spacing_min: np.ndarray
+    spacing_max: np.ndarray
 
 
 class IntegrationStats:
@@ -116,25 +116,21 @@ class MonitorWarning(NamedTuple):
 class SnapshotSeries:
     """Snapshots in time order, each stored once: row ``j`` of ``x``,
     ``rho`` and ``v``, shape (snapshots, n+1), holds the ascending nodes of
-    the field rebuilt at ``times[j]`` (``fields.reconstruct``), next to its
-    diagnostics and the model it was integrated with."""
+    the field rebuilt at ``times[j]`` (``fields.reconstruct``).  Next to
+    them: ``diagnostics``, one ``DiagnosticsRecord`` of columns over the
+    snapshots, and the model the series was integrated with."""
 
     def __init__(self, model, n, count):
         self.model = model
         self.n = n
         self.times = []
         self.x, self.rho, self.v = np.empty((3, count, n + 1))
-        self.diagnostics = []
+        self.diagnostics = None
         self.stats = IntegrationStats()
         self.warnings = []
 
     def __len__(self):
         return len(self.times)
-
-    def field(self, j):
-        """The reconstructed field of snapshot ``j``, over its stored row."""
-        return fields.ReconstructedField(self.n, self.model.length,
-                                         self.x[j], self.rho[j], self.v[j])
 
 
 def _error_ratio(err, y_old, y_new, cfg):
@@ -202,48 +198,60 @@ def decay_violations(times, values, slack):
             for j in range(1, len(values)) if values[j] > values[j - 1] + slack]
 
 
-def _record(model, state, series):
-    diag_f = functionals(model, state)
-    field_now = fields.reconstruct(model, state)
-    # the widths of gaps_from_interior, ghost end last: the same extrema
-    gaps = state.n * np.diff(field_now.asc_x)
-    rec = DiagnosticsRecord(
-        e_n=_clamp_tiny(diag_f.e_n), w_n=_clamp_tiny(diag_f.w_n),
-        z_n=diag_f.z_n, h_n=diag_f.h_n,
-        mass=fields.total_mass(field_now),
-        spacing_min=float(gaps.min()), spacing_max=float(gaps.max()))
+def _store(model, state, series):
+    """Append the snapshot of ``state`` to ``series``: its time and its
+    rebuilt nodes as the next row."""
     j = len(series)
-    series.x[j], series.rho[j], series.v[j] = (field_now.asc_x, field_now.asc_rho,
-                                               field_now.asc_v)
+    series.x[j], series.rho[j], series.v[j] = fields.reconstruct(model, state)
     series.times.append(state.t)
-    series.diagnostics.append(rec)
-    return rec
 
 
-def _clamp_tiny(value):
-    """A functional value with a rounding-sized negative part read as 0.0."""
-    return 0.0 if -_NEGATIVE_SLACK <= value < 0.0 else value
+def _diagnostics(model, x, rho, v):
+    """The ``DiagnosticsRecord`` of the snapshots with ascending node rows
+    ``x``, ``rho`` and ``v`` of shape (..., n+1); an E_n or W_n in
+    ``[-_NEGATIVE_SLACK, 0)`` is rounding and read as 0.0."""
+    widths = np.diff(x)
+    n = widths.shape[-1]
+    # the widths of gaps_from_interior (ghost end first) and the interior
+    # velocities, in descending position order
+    f = chain_functionals(model, widths[..., ::-1], v[..., -2:0:-1])
+    e_n, w_n = (np.where((-_NEGATIVE_SLACK <= value) & (value < 0.0), 0.0, value)
+                for value in (f.e_n, f.w_n))
+    return DiagnosticsRecord(e_n=e_n, w_n=w_n, z_n=f.z_n, h_n=f.h_n,
+                             mass=fields.total_mass(x, rho),
+                             spacing_min=n * widths.min(axis=-1),
+                             spacing_max=n * widths.max(axis=-1))
+
+
+def _diagnostic_columns(series):
+    """The diagnostics of every snapshot of ``series``, one pass over its
+    rows in blocks of ``fields.BLOCK``."""
+    blocks = [_diagnostics(series.model, series.x[j], series.rho[j], series.v[j])
+              for j in fields.row_blocks(len(series))]
+    return DiagnosticsRecord(*map(np.concatenate, zip(*blocks)))
 
 
 def simulate(model, state0, T, cfg=None) -> SnapshotSeries:
     """Integrate a chain to time T, emitting snapshots every snapshot_dt.
 
-    Snapshots carry the discrete functionals, the reconstructed mass and the
-    spacing extrema (``checks.decay_report`` adds the continuous energies);
-    the decay and negative-value monitors of E_n and W_n are collected as
-    warnings on the series.  Recording the first snapshot raises DomainError
-    unless ``state0`` is ordered, and InitialDataError when its E_n, W_n or
-    Z_n does not fit in a float; a ``T`` that is not positive and finite is
-    a ValueError.
+    Each snapshot is stored as its rebuilt node rows; after the last step
+    one pass over the rows fills ``series.diagnostics`` with the columns of
+    the discrete functionals, the reconstructed mass and the spacing extrema
+    (``checks.decay_report`` adds the continuous energies), and the decay
+    and negative-value monitors of E_n and W_n are collected as warnings on
+    the series.  Before the first step, the first snapshot raises
+    DomainError unless ``state0`` is ordered, and InitialDataError when its
+    E_n, W_n or Z_n does not fit in a float; a ``T`` that is not positive
+    and finite is a ValueError.
     """
     cfg = cfg or IntegratorConfig()
     targets = _snapshot_targets(T, cfg.snapshot_dt)
     model.require_growth()
     series = SnapshotSeries(model, state0.n, len(targets) + 1)
-    state0 = ParticleState(n=state0.n, t=0.0, x=state0.x, v=state0.v)
+    _store(model, ParticleState(n=state0.n, t=0.0, x=state0.x, v=state0.v), series)
     with np.errstate(over="ignore"):
-        first = _record(model, state0, series)
-    if not all(map(math.isfinite, (first.e_n, first.w_n, first.z_n))):
+        first = _diagnostics(model, series.x[0], series.rho[0], series.v[0])
+    if not np.isfinite((first.e_n, first.w_n, first.z_n)).all():
         raise InitialDataError("initial energy does not fit in a float")
 
     n = state0.n
@@ -253,8 +261,8 @@ def simulate(model, state0, T, cfg=None) -> SnapshotSeries:
     dt_ctrl = first_step(model, n, state0.x)    # the first snapshot bounds it further
     k1 = np.concatenate(rhs_arrays(model, n, state0.x, state0.v))
     stats = series.stats
-    stats.spacing_min_seen = first.spacing_min
-    stats.spacing_max_seen = first.spacing_max
+    stats.spacing_min_seen = float(first.spacing_min)
+    stats.spacing_max_seen = float(first.spacing_max)
     dt_floor = 1e-14 * T
 
     for target in targets:
@@ -281,10 +289,11 @@ def simulate(model, state0, T, cfg=None) -> SnapshotSeries:
             gaps = n * gaps_from_interior(model.length, y[:half])
             stats.spacing_min_seen = min(stats.spacing_min_seen, float(gaps.min()))
             stats.spacing_max_seen = max(stats.spacing_max_seen, float(gaps.max()))
-        _record(model, ParticleState(n=n, t=t, x=y[:half], v=y[half:]), series)
+        _store(model, ParticleState(n=n, t=t, x=y[:half], v=y[half:]), series)
 
+    series.diagnostics = _diagnostic_columns(series)
     for name in ("e_n", "w_n"):
-        values = [getattr(rec, name) for rec in series.diagnostics]
+        values = getattr(series.diagnostics, name).tolist()
         slack = decay_slack(values[0])
         series.warnings.extend(
             MonitorWarning(when, name, "decay", rise, slack)

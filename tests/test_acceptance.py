@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import fluidchain as fc
-from fluidchain import checks
+from fluidchain import checks, fields
 from fluidchain.dynamics import gaps_from_interior, rhs_arrays
 
 from conftest import (equilibrium_initial, multiharmonic_initial,
@@ -78,7 +78,7 @@ def test_criterion_02_discrete_energy_decay(sv, perturbed_runs):
     worst_jump = -math.inf
     for n in (16, 32, 64):
         series = runs[n]
-        e = [d.e_n for d in series.diagnostics]
+        e = series.diagnostics.e_n.tolist()
         slack = 1e-8 * max(1.0, e[0])
         worst_jump = max(worst_jump,
                          max(b - a - slack for a, b in zip(e, e[1:])))
@@ -122,7 +122,7 @@ def test_criterion_03_transformed_energy_decay(sv, perturbed_runs):
     worst_jump = -math.inf
     for n in (16, 32, 64):
         series = runs[n]
-        w = [d.w_n for d in series.diagnostics]
+        w = series.diagnostics.w_n.tolist()
         slack = 1e-8 * max(1.0, w[0])
         worst_jump = max(worst_jump,
                          max(b - a - slack for a, b in zip(w, w[1:])))
@@ -132,7 +132,7 @@ def test_criterion_03_transformed_energy_decay(sv, perturbed_runs):
 
 def test_criterion_04_mass_accuracy(sv, perturbed_runs):
     _, runs = perturbed_runs
-    errs = {n: max(abs(d.mass - sv.m) for d in runs[n].diagnostics)
+    errs = {n: float(np.max(np.abs(runs[n].diagnostics.mass - sv.m)))
             for n in (8, 16, 32, 64)}
     ratios = [errs[n] / errs[2 * n] for n in (8, 16, 32)]
     ok = all(RATIO_LO <= r <= RATIO_HI for r in ratios)
@@ -179,8 +179,8 @@ def test_criterion_07_functional_gap(sv, rate_runs):
     gaps_e, gaps_w = {}, {}
     for n, series in runs.items():
         report = checks.decay_report(series)
-        gaps_e[n] = max(abs(e - d.e_n) for e, d in zip(report.e_cont, series.diagnostics))
-        gaps_w[n] = max(abs(w - d.w_n) for w, d in zip(report.w_cont, series.diagnostics))
+        gaps_e[n] = float(np.max(np.abs(report.e_cont - series.diagnostics.e_n)))
+        gaps_w[n] = float(np.max(np.abs(report.w_cont - series.diagnostics.w_n)))
     ratios_e = [gaps_e[n] / gaps_e[2 * n] for n in (8, 16, 32)]
     ratios_w = [gaps_w[n] / gaps_w[2 * n] for n in (8, 16, 32)]
     ok = all(RATIO_LO <= r <= RATIO_HI for r in ratios_e + ratios_w)
@@ -285,10 +285,9 @@ def test_criterion_10_self_convergence(sv, rate_runs):
     for n, series in runs.items():
         rho = np.empty((len(series), grid.size))
         vel = np.empty_like(rho)
-        for j in range(len(series)):
-            field = series.field(j)
-            rho[j] = np.asarray(field.rho(grid))
-            vel[j] = np.asarray(field.v(grid))
+        for j, x in enumerate(series.x):
+            rho[j] = fields.sample(x, series.rho[j], grid)
+            vel[j] = fields.sample(x, series.v[j], grid)
         samples[n] = (rho, vel)
     dist_rho, dist_v = {}, {}
     for n in (8, 16, 32):

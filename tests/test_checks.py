@@ -215,7 +215,7 @@ def test_decay_report_equilibrium(sv, eq_series):
     assert report.ok
     assert not report.e_cont_violations
     assert report.w_avg_max == pytest.approx(0.0, abs=1e-12)
-    assert all(d.e_n == 0.0 and d.w_n == 0.0 for d in series.diagnostics)
+    assert np.all(series.diagnostics.e_n == 0.0) and np.all(series.diagnostics.w_n == 0.0)
 
 
 def test_decay_report_perturbed(sv, perturbed_series):

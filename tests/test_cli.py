@@ -530,13 +530,14 @@ def test_validate_computes_the_budget_once(tmp_path, capsys, monkeypatch):
 
 
 def test_simulate_prints_negative_functional_warnings(tmp_path, capsys, monkeypatch):
-    functionals = integrate_module.functionals
+    columns = integrate_module._diagnostic_columns
 
-    def negative_e_n(model, state):
-        values = functionals(model, state)
-        return values._replace(e_n=-1e-6) if state.t > 0.0 else values
+    def negative_e_n(series):
+        values = columns(series)
+        return values._replace(e_n=np.where(np.asarray(series.times) > 0.0, -1e-6,
+                                            values.e_n))
 
-    monkeypatch.setattr(integrate_module, "functionals", negative_e_n)
+    monkeypatch.setattr(integrate_module, "_diagnostic_columns", negative_e_n)
     path = write_config(tmp_path, _simulate_config(T=0.1))
     assert cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "s")]) == 0
     assert capsys.readouterr().err.splitlines() == [

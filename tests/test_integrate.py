@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import fluidchain as fc
-from fluidchain import checks, integrate
-from fluidchain.dynamics import rhs_arrays
+from fluidchain import checks, fields, integrate
+from fluidchain.dynamics import gaps_from_interior, rhs_arrays
 from fluidchain.errors import ModelError, StiffnessError
 
 from conftest import equilibrium_state, perturbed_initial, snapshot_states
@@ -96,10 +96,35 @@ def test_simulation_is_deterministic(sv):
     assert one.times == two.times
     for name in ("x", "rho", "v"):
         assert np.array_equal(getattr(one, name), getattr(two, name))
-    for a, b in zip(one.diagnostics, two.diagnostics):
-        assert a == b
+    for a, b in zip(one.diagnostics, two.diagnostics, strict=True):
+        assert a.tobytes() == b.tobytes()
     assert one.stats.accepted == two.stats.accepted
     assert one.stats.rejected == two.stats.rejected
+
+
+def test_diagnostic_columns_are_each_snapshots_own(any_model):
+    # the one pass over the rows, in blocks, gives bit for bit what the
+    # per-state functions give for each snapshot's state, an E_n or W_n of
+    # rounding size below 0 read as 0
+    def clamp(value):
+        return 0.0 if -1e-14 <= value < 0.0 else value
+
+    init = perturbed_initial(any_model, 0.1)
+    series = fc.simulate(any_model, fc.build_particles(any_model, init, 7),
+                         0.002 * (fields.BLOCK + 3), fc.IntegratorConfig(snapshot_dt=0.002))
+    diag = series.diagnostics
+    assert len(series) > fields.BLOCK
+    assert all(column.shape == (len(series),) for column in diag)
+    for j, state in enumerate(snapshot_states(series)):
+        f = fc.functionals(any_model, state)
+        x, rho, v = fc.reconstruct(any_model, state)
+        for stored, fresh in zip((series.x, series.rho, series.v), (x, rho, v)):
+            assert stored[j].tobytes() == fresh.tobytes()
+        spacings = state.n * gaps_from_interior(any_model.length, state.x)
+        expected = (clamp(f.e_n), clamp(f.w_n), f.z_n, f.h_n, fc.total_mass(x, rho),
+                    spacings.min(), spacings.max())
+        assert np.array([column[j] for column in diag]).tobytes() \
+            == np.array(expected).tobytes()
 
 
 def test_states_stay_ordered_and_monitored(sv):
@@ -109,7 +134,7 @@ def test_states_stay_ordered_and_monitored(sv):
     for state in snapshot_states(series):
         gaps = fc.dynamics.gaps_from_interior(sv.length, state.x)
         assert np.all(gaps > 0.0)
-    energies = [d.e_n for d in series.diagnostics]
+    energies = series.diagnostics.e_n.tolist()
     slack = 1e-8 * max(1.0, energies[0])
     assert all(b <= a + slack for a, b in zip(energies, energies[1:]))
 
@@ -149,7 +174,7 @@ def test_small_amplitude_decay_matches_linearised_rate(sv):
     init = perturbed_initial(sv, 0.01)
     state0 = fc.build_particles(sv, init, 48)
     series = fc.simulate(sv, state0, 0.5, fc.IntegratorConfig(snapshot_dt=0.05))
-    e = [d.e_n for d in series.diagnostics]
+    e = series.diagnostics.e_n
     kap = np.pi / sv.length
     nu_eff = float(sv.viscosity(sv.rho_star)) / sv.rho_star
     c2 = sv.params["g"] * sv.rho_star
@@ -164,10 +189,9 @@ def test_ideal_gas_full_stack(ideal):
     state0 = fc.build_particles(ideal, init, 16)
     series = fc.simulate(ideal, state0, 0.5, fc.IntegratorConfig(snapshot_dt=0.05))
     assert not series.warnings
-    e = [d.e_n for d in series.diagnostics]
+    e = series.diagnostics.e_n
     assert e[-1] < e[0]
-    masses = [d.mass for d in series.diagnostics]
-    assert max(abs(m - ideal.m) for m in masses) < 0.05
+    assert np.max(np.abs(series.diagnostics.mass - ideal.m)) < 0.05
 
 
 def test_simulate_requires_growth_condition():
@@ -186,10 +210,11 @@ def test_decay_warnings_match_snapshot_scan(sv):
     series = fc.simulate(sv, state0, 0.5, cfg)
     diag = series.diagnostics
     expected = []
-    for j in range(1, len(diag)):
+    for j in range(1, len(series)):
         for name in ("e_n", "w_n"):
-            slack = 1e-8 * max(1.0, getattr(diag[0], name))
-            now, before = getattr(diag[j], name), getattr(diag[j - 1], name)
+            column = getattr(diag, name).tolist()
+            slack = 1e-8 * max(1.0, column[0])
+            now, before = column[j], column[j - 1]
             if now > before + slack:
                 expected.append((series.times[j], name, now - before, slack))
     assert [(w.t, w.functional, w.amount, w.slack) for w in series.warnings] == expected

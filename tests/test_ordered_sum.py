@@ -85,33 +85,41 @@ def loop_functionals(model, state):
             (m / (2.0 * n)) * w_sum + (m / n) * pot_sum, 0.5 * z_sum, h_n)
 
 
-def loop_total_mass(field):
-    edges, rho_nodes = field.asc_x[::-1], field.asc_rho[::-1]
+def loop_total_mass(x, rho):
+    edges, rho_nodes = x[::-1], rho[::-1]
     widths = edges[:-1] - edges[1:]
     total = 0.0
-    for i in range(field.n):
+    for i in range(widths.size):
         total += widths[i] * 0.5 * (rho_nodes[i] + rho_nodes[i + 1])
     return total
 
 
-def loop_cells(field, order):
-    """Gauss points and weights of one field's cells, shape (n, order), with
-    the fields sampled point by point through ``field.rho`` and ``field.v``."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    left = field.asc_x[:-1][:, None]
-    right = field.asc_x[1:][:, None]
+def loop_cells(nodes, order):
+    """Gauss points and weights of the cells of one field with ascending
+    nodes ``(x, rho, v)``, shape (n, order), with the fields sampled point
+    by point through ``fields.sample``."""
+    x, rho_nodes, v = nodes
+    gauss, weights = np.polynomial.legendre.leggauss(order)
+    left = x[:-1][:, None]
+    right = x[1:][:, None]
     mid = 0.5 * (left + right)
     half = 0.5 * (right - left)
-    pts, wts = mid + half * nodes[None, :], half * weights[None, :]
-    rho = np.asarray(field.rho(pts.ravel())).reshape(pts.shape)
-    vel = np.asarray(field.v(pts.ravel())).reshape(pts.shape)
+    pts, wts = mid + half * gauss[None, :], half * weights[None, :]
+    rho = fields.sample(x, rho_nodes, pts.ravel()).reshape(pts.shape)
+    vel = fields.sample(x, v, pts.ravel()).reshape(pts.shape)
     return pts, wts, rho, vel
 
 
-def loop_energy(model, field, transformed):
-    pts, wts, rho, vel = loop_cells(field, 5)
+def row(series, j):
+    """The ascending nodes ``(x, rho, v)`` of snapshot ``j``."""
+    return series.x[j], series.rho[j], series.v[j]
+
+
+def loop_energy(model, nodes, transformed):
+    pts, wts, rho, vel = loop_cells(nodes, 5)
     if transformed:
-        slope = (field.asc_rho[1:] - field.asc_rho[:-1]) / (field.asc_x[1:] - field.asc_x[:-1])
+        x, rho_nodes, _ = nodes
+        slope = (rho_nodes[1:] - rho_nodes[:-1]) / (x[1:] - x[:-1])
         vel = vel + np.asarray(model.viscosity(rho)) * slope[:, None] / rho ** 2
     q = np.asarray(model.compression_energy(rho))
     cells = np.sum((0.5 * rho * vel ** 2 + q) * wts, axis=1)
@@ -125,11 +133,11 @@ def test_array_sums_match_loop_references(any_model, n):
         state = random_state(any_model, n, rng, v_scale=0.3)
         f = fc.functionals(any_model, state)
         assert (f.e_n, f.w_n, f.z_n, f.h_n) == loop_functionals(any_model, state)
-        field = fc.reconstruct(any_model, state)
-        assert fc.total_mass(field) == loop_total_mass(field)
-        e, w = fields.energies(any_model, field.asc_x, field.asc_rho, field.asc_v)
-        assert bits(e) == bits(loop_energy(any_model, field, False))
-        assert bits(w) == bits(loop_energy(any_model, field, True))
+        nodes = fc.reconstruct(any_model, state)
+        assert fc.total_mass(*nodes[:2]) == loop_total_mass(*nodes[:2])
+        e, w = fields.energies(any_model, *nodes)
+        assert bits(e) == bits(loop_energy(any_model, nodes, False))
+        assert bits(w) == bits(loop_energy(any_model, nodes, True))
 
 
 def loop_residual(model, series, init, tf):
@@ -141,21 +149,20 @@ def loop_residual(model, series, init, tf):
     def space_integral(values, wts):
         return loop_sum(np.sum(values * wts, axis=1)[::-1])
 
-    pts0, wts0, _, _ = loop_cells(series.field(0), 3)
+    pts0, wts0, _, _ = loop_cells(row(series, 0), 3)
     initial = tf.shape(pts0) * init.rho0(pts0)
     if tf.kind == "momentum":
         initial = initial * np.asarray(init.v0(pts0.ravel()), float).reshape(pts0.shape)
     term0 = space_integral(initial, wts0)
     g = np.empty(len(series))
     for j in range(len(series)):
-        field = series.field(j)
-        pts, wts, rho, vel = loop_cells(field, 3)
+        x, _, v = row(series, j)
+        pts, wts, rho, vel = loop_cells(row(series, j), 3)
         phi_t, phi_x = tf.derivatives(series.times[j], horizon, pts)
         if tf.kind == "continuity":
             values = rho * (phi_t + vel * phi_x)
         else:
-            slope_v = ((field.asc_v[1:] - field.asc_v[:-1])
-                       / (field.asc_x[1:] - field.asc_x[:-1]))[:, None]
+            slope_v = ((v[1:] - v[:-1]) / (x[1:] - x[:-1]))[:, None]
             flux = rho * vel ** 2 + np.asarray(model.pressure(rho)) \
                 - np.asarray(model.viscosity(rho)) * slope_v
             values = phi_t * rho * vel + phi_x * flux
@@ -169,7 +176,7 @@ def loop_residual(model, series, init, tf):
 
 # 4 snapshot intervals take the Simpson rule, 5 its 3/8 branch; the last
 # count spans three blocks of the stacked evaluation, the last one partial
-@pytest.mark.parametrize("intervals", [4, 5, 2 * checks._BLOCK + 1])
+@pytest.mark.parametrize("intervals", [4, 5, 2 * fields.BLOCK + 1])
 @pytest.mark.parametrize("n", [2, 3, 17])
 def test_series_checks_match_loop_references(any_model, n, intervals):
     init = perturbed_initial(any_model, 0.1)
@@ -183,9 +190,8 @@ def test_series_checks_match_loop_references(any_model, n, intervals):
         assert bits(report.quad_error) == bits(quad_error), tf.name
     decay = checks.decay_report(series)
     for j, e, w in zip(range(len(series)), decay.e_cont, decay.w_cont, strict=True):
-        field = series.field(j)
-        assert bits(e) == bits(loop_energy(any_model, field, False))
-        assert bits(w) == bits(loop_energy(any_model, field, True))
+        assert bits(e) == bits(loop_energy(any_model, row(series, j), False))
+        assert bits(w) == bits(loop_energy(any_model, row(series, j), True))
     envelope = checks.envelope_check(any_model, series)
     assert [bits(v) for v in (envelope.budget, envelope.a, envelope.b,
                               envelope.max_envelope_excess)] \
@@ -195,8 +201,7 @@ def test_series_checks_match_loop_references(any_model, n, intervals):
 def loop_envelope(model, series):
     """(budget, a, b, max_envelope_excess) of envelope_check from a loop over
     the snapshots, each field's cell densities enveloped on their own."""
-    d0 = series.diagnostics[0]
-    e0, w0 = max(d0.e_n, 0.0), max(d0.w_n, 0.0)
+    e0, w0 = max(series.diagnostics.e_n[0], 0.0), max(series.diagnostics.w_n[0], 0.0)
     budget = sqrt_budget(e0, w0)
     excess = -math.inf
     for asc_rho in series.rho:
@@ -212,7 +217,6 @@ def test_stacked_gauss_cells_rows_are_each_fields_own(any_model, n):
                          0.01, fc.IntegratorConfig(snapshot_dt=0.002))
     stacked = fields.gauss_cells(series.x, series.rho, series.v, 3)
     for j in range(len(series)):
-        field = series.field(j)
-        own = fields.gauss_cells(field.asc_x, field.asc_rho, field.asc_v, 3)
+        own = fields.gauss_cells(*row(series, j), 3)
         for whole, part in zip(stacked, own, strict=True):
             assert whole[j].tobytes() == part.tobytes()

@@ -2,7 +2,6 @@
 writer it replaced."""
 
 import copy
-import dataclasses
 import math
 
 import numpy as np
@@ -11,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import fluidchain as fc
-from fluidchain import cli
+from fluidchain import cli, fields
 
 from conftest import perturbed_initial, snapshot_states
 
@@ -37,19 +36,17 @@ def reference_csv(header, rows):
 
 
 def reference_artifacts(series, grid_size):
-    """The three simulation CSVs as the row-at-a-time writer built them."""
+    """The three simulation CSVs as the row-at-a-time writer built them,
+    each field sampled through ``fields.sample`` as bound at the call."""
     particle_rows, field_rows, diag_rows = [], [], []
-    for j, (t, diag) in enumerate(zip(series.times, series.diagnostics)):
-        field = series.field(j)
-        for i in range(field.n + 1):
-            particle_rows.append((t, i, field.asc_x[::-1][i], field.asc_v[::-1][i],
-                                  field.asc_rho[::-1][i]))
-        grid = np.linspace(0.0, field.length, grid_size)
-        rho, vel = field.rho(grid), field.v(grid)
-        for x, r, v in zip(grid, rho, vel):
-            field_rows.append((t, x, r, v))
-        diag_rows.append((t, diag.e_n, diag.w_n, diag.z_n, diag.h_n,
-                          diag.mass, diag.spacing_min, diag.spacing_max))
+    for j, t in enumerate(series.times):
+        x, rho, v = series.x[j], series.rho[j], series.v[j]
+        for i in range(series.n + 1):
+            particle_rows.append((t, i, x[::-1][i], v[::-1][i], rho[::-1][i]))
+        grid = np.linspace(0.0, series.model.length, grid_size)
+        for xq, r, u in zip(grid, fields.sample(x, rho, grid), fields.sample(x, v, grid)):
+            field_rows.append((t, xq, r, u))
+        diag_rows.append((t, *(float(column[j]) for column in series.diagnostics)))
     return {
         "particles.csv": reference_csv(("t", "i", "x_i", "v_i", "rho_i"), particle_rows),
         "fields.csv": reference_csv(("t", "x", "rho", "v"), field_rows),
@@ -74,9 +71,15 @@ def assert_writes_reference(model, series, tmp_path, grid_size):
 def test_stored_fields_are_the_reconstruction(sv, series):
     assert series.x.shape == series.rho.shape == series.v.shape == (len(series), series.n + 1)
     for j, state in enumerate(snapshot_states(series)):
-        field, fresh = series.field(j), fc.reconstruct(sv, state)
-        for name in ("asc_x", "asc_rho", "asc_v"):
-            assert np.array_equal(getattr(field, name), getattr(fresh, name))
+        for row, fresh in zip((series.x, series.rho, series.v), fc.reconstruct(sv, state),
+                              strict=True):
+            assert np.array_equal(row[j], fresh)
+
+
+def resized(x, values, points):
+    """A stand-in for ``fields.sample``: the node values, resized to the
+    points, so that special node values reach the sampled columns."""
+    return np.resize(values, np.size(points))
 
 
 @pytest.mark.parametrize("grid_size", [2, 37, 512])
@@ -84,52 +87,34 @@ def test_streaming_writer_matches_row_writer(sv, series, tmp_path, grid_size):
     assert_writes_reference(sv, series, tmp_path, grid_size)
 
 
-def test_streaming_writer_matches_row_writer_on_special_values(sv, series, tmp_path):
+def test_streaming_writer_matches_row_writer_on_special_values(sv, series, tmp_path,
+                                                               monkeypatch):
     column = np.array(SPECIALS)
     assert column.size == series.n + 1
-    # the node columns as the writer reads them, reversed; the grid samples
-    # stay those of the real first snapshot
-    first = series.field(0)
-    odd = GivenField(first.n, first.length, asc_x=column[::-1], asc_v=column.copy(),
-                     asc_rho=-column[::-1], samples=first.rho(np.linspace(0.0, first.length, 16)))
+    # the node columns as the writer reads them, reversed
     special = copy.copy(series)
-    special.field = lambda j: odd if j == 0 else series.field(j)
+    special.x, special.rho, special.v = series.x.copy(), series.rho.copy(), series.v.copy()
+    special.x[0], special.v[0], special.rho[0] = column[::-1], column, -column[::-1]
+    monkeypatch.setattr(fields, "sample", resized)
     assert_writes_reference(sv, special, tmp_path, 16)
     lines = (tmp_path / "particles.csv").read_text().splitlines()
     assert lines[1] == "0,0,infinite,-2.5,infinite"
     assert lines[4] == "0,3,-0,1.7976931348623157e+308,0"
 
 
-@dataclasses.dataclass(frozen=True)
-class GivenField:
-    """A stand-in field whose node columns and grid samples are given."""
-
-    n: int
-    length: float
-    asc_x: np.ndarray
-    asc_v: np.ndarray
-    asc_rho: np.ndarray
-    samples: np.ndarray
-
-    def rho(self, grid):
-        return np.resize(self.samples, grid.size)
-
-    def v(self, grid):
-        return np.resize(-self.samples[::-1], grid.size)
-
-
 def test_streaming_writer_matches_row_writer_with_specials_in_every_column(
-        sv, series, tmp_path):
+        sv, series, tmp_path, monkeypatch):
     finite = np.array([v for v in SPECIALS if not math.isinf(v)])
     n = series.n
     columns = [np.resize(np.roll(finite, 2), n + 1), np.array(SPECIALS),
                np.resize(np.roll(finite, 5), n + 1)]
-    snapshots = [GivenField(n, sv.length, c[::-1], np.roll(c, 1)[::-1], c.copy(), np.roll(c, 3))
-                 for c in columns]
     special = copy.copy(series)
     special.times = [-0.0, 5e-324, 1.0 / 3.0]
-    special.field = snapshots.__getitem__
-    special.diagnostics = series.diagnostics[:3]
+    special.x = np.array([c[::-1] for c in columns])
+    special.v = np.array([np.roll(c, 1)[::-1] for c in columns])
+    special.rho = np.array(columns)
+    special.diagnostics = fc.DiagnosticsRecord(*(c[:3] for c in series.diagnostics))
+    monkeypatch.setattr(fields, "sample", resized)
     assert_writes_reference(sv, special, tmp_path, 23)
     for name in ("particles.csv", "fields.csv"):
         rows = (tmp_path / name).read_text().splitlines()[1:]
