@@ -378,9 +378,10 @@ def _prepare_study(cfg, out_dir):
     out = _make_out(out_dir)
     report = admissibility(cfg.model, cfg.initial)
     if not report.admissible:
-        raise AdmissibilityError(
-            f"initial data inadmissible: budget {report.lhs:g} >= envelope "
-            f"limit {min(report.f_limit_high, report.f_limit_low):g}")
+        limit = min(report.f_limit_high, report.f_limit_low)
+        why = (f">= envelope limit {limit:g}" if report.lhs >= limit
+               else "is beyond the reach of the envelope tables")
+        raise AdmissibilityError(f"initial data inadmissible: budget {report.lhs:g} {why}")
     return out, report
 
 

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dynamics import ParticleState, spacing_bounds, sqrt_budget
-from .errors import InitialDataError
+from .errors import AdmissibilityError, InitialDataError
 from .model import FluidModel
 
 GAIN_SAMPLES = 10_000
@@ -246,8 +246,10 @@ class AdmissibilityReport(NamedTuple):
 def admissibility(model: FluidModel, init: InitialData) -> AdmissibilityReport:
     """Compare the initial energy budget against the envelope limits.
 
-    Inadmissibility is a verdict, not an error; spacing bounds are attached
-    only when the verdict is positive.  A pressure law that fails the growth
+    Inadmissibility is a verdict, not an error: the data are admissible when
+    the budget sits below both limits and the envelope inversion certifies
+    the spacing band ``[a, b]`` within the tables' reach, and only then are
+    ``a`` and ``b`` attached.  A pressure law that fails the growth
     condition raises ``ModelError`` before any envelope work.
     """
     model.require_growth()
@@ -257,7 +259,10 @@ def admissibility(model: FluidModel, init: InitialData) -> AdmissibilityReport:
     admissible = lhs < min(limit_high, limit_low)
     a = b = None
     if admissible:
-        a, b = spacing_bounds(model, consts.e_bar, consts.w_bar)
+        try:
+            a, b = spacing_bounds(model, consts.e_bar, consts.w_bar)
+        except AdmissibilityError:      # the band lies beyond the tables' reach
+            admissible = False
     return AdmissibilityReport(
         e_bar=consts.e_bar, w_bar=consts.w_bar, z_bar=consts.z_bar,
         a_bar=consts.a_bar, m_bar=consts.m_bar, rho_min=init.rho_min,

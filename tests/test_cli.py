@@ -193,6 +193,47 @@ def test_validate_inadmissible_exits_2(tmp_path, capsys):
     path = write_config(tmp_path, payload)
     assert cli.main(["validate", "--config", str(path),
                      "--out", str(tmp_path / "v")]) == 2
+    message = json.loads(capsys.readouterr().err)["message"]
+    assert message.startswith("initial data inadmissible: budget ")
+    assert " >= envelope limit " in message
+
+
+def _beyond_reach_config():
+    """Admissible in theory (both envelope limits are infinite), but the
+    band [a, b] lies beyond the envelope tables' reach rho* * 10^12: the
+    high-density envelope grows like rho^0.1 and is 2.64 at the reach, below
+    the budget of 3.79."""
+    payload = _simulate_config()
+    payload["model"] = {"kind": "isentropic_gas", "c": 1.0, "gamma": 1.4, "mu": 0.01}
+    payload["initial"]["v0"]["amplitude"] = 1.0
+    return payload
+
+
+def test_check_reports_a_band_beyond_reach_as_inadmissible(tmp_path, capsys):
+    path = write_config(tmp_path, _beyond_reach_config())
+    assert cli.main(["check", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert report["admissible"] is False
+    assert report["a"] is None and report["b"] is None
+    assert report["f_limit_high"] == report["f_limit_low"] == "infinite"
+    assert report["lhs"] == pytest.approx(3.79224, rel=1e-5)
+    # the library verdict has the same shape as every other inadmissible one
+    cfg = cli.parse_config(path)
+    assert fc.admissibility(cfg.model, cfg.initial)._asdict() == {
+        key: math.inf if value == "infinite" else value for key, value in report.items()}
+
+
+def test_validate_on_a_band_beyond_reach_names_the_reach(tmp_path, capsys):
+    path = write_config(tmp_path, _beyond_reach_config())
+    assert cli.main(["validate", "--config", str(path), "--out", str(tmp_path / "v")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "AdmissibilityError",
+        "message": "initial data inadmissible: budget 3.79224 is beyond the reach "
+                   "of the envelope tables"}
 
 
 def test_converge_with_n_override(tmp_path, capsys):
