@@ -1,11 +1,13 @@
 """Microseconds per call of the DP5 hot path: ``dynamics.rhs_arrays`` and
 ``integrate._attempt`` at n = 128 on the saint_venant chain of
-``configs/saint_venant_perturbed.json``, from its first trial step.
+``configs/saint_venant_perturbed.json``, from its first trial step; and
+microseconds per snapshot of the diagnostics pass over the stored rows
+(``integrate._diagnostic_columns``), on SNAPSHOTS rows of that state.
 
     PYTHONPATH=src python3 tools/hot_path_us.py
 
-Prints one line per function with the best of REPEAT timing rounds, in µs per
-call.  The numbers report only; nothing compares them to a bound.
+Prints one line per measurement with the best of REPEAT timing rounds.  The
+numbers report only; nothing compares them to a bound.
 """
 
 import timeit
@@ -13,13 +15,14 @@ from pathlib import Path
 
 import numpy as np
 
-from fluidchain import cli, integrate
+from fluidchain import cli, fields, integrate
 from fluidchain.dynamics import rhs_arrays
 from fluidchain.initial import build_particles
 
 CONFIG = Path(__file__).resolve().parents[1] / "configs" / "saint_venant_perturbed.json"
 N = 128
 REPEAT = 7
+SNAPSHOTS = 2 * fields.BLOCK
 
 
 def main():
@@ -38,6 +41,12 @@ def main():
         number = 2000 if name == "rhs_arrays" else 300
         best = min(timeit.repeat(call, number=number, repeat=REPEAT)) / number
         print(f"{name} n={N}: {best * 1e6:.1f} us per call")
+    series = integrate.SnapshotSeries(model, N, SNAPSHOTS)
+    for _ in range(SNAPSHOTS):
+        integrate._store(model, state, series)
+    best = min(timeit.repeat(lambda: integrate._diagnostic_columns(series), number=20,
+                             repeat=REPEAT)) / 20
+    print(f"diagnostics n={N}: {best / SNAPSHOTS * 1e6:.1f} us per snapshot")
 
 
 if __name__ == "__main__":
