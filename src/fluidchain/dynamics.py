@@ -52,9 +52,9 @@ class ParticleState(_ParticleFields):
 
 
 class DiscreteFunctionals(NamedTuple):
-    """Per-state values of the discrete energy, the transformed-momentum
-    energy, the squared-velocity-slope sum, and the max adjacent
-    damping-potential jump."""
+    """The discrete energy, the transformed-momentum energy, the
+    squared-velocity-slope sum and the max adjacent damping-potential jump:
+    floats for one state, arrays over the leading axes of stacked chains."""
 
     e_n: float
     w_n: float
