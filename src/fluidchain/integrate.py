@@ -71,7 +71,7 @@ class IntegratorConfig(_IntegratorFields):
 
 class DiagnosticsRecord(NamedTuple):
     """The functionals, reconstructed mass and scaled-spacing extrema of
-    snapshots, each an array over the snapshots (a float for one)."""
+    snapshots, each an array over the snapshots."""
 
     e_n: np.ndarray
     w_n: np.ndarray
