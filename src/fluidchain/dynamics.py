@@ -161,19 +161,21 @@ def spacing_bounds(model: FluidModel, e_bar, w_bar):
     """Guaranteed scaled-spacing interval [a, b] for trajectories whose
     initial energies stay below (e_bar, w_bar).
 
-    Requires the budget sqrt(w_bar) + sqrt(e_bar) to sit strictly below both
-    envelope limits; raises AdmissibilityError naming the failing side
-    otherwise.  At zero budget the interval degenerates to [L, L].
+    The one admissibility verdict: requires the budget sqrt(w_bar) +
+    sqrt(e_bar) to sit strictly below both envelope limits (a NaN limit
+    fails) and the inversion to stay within the tables' reach; raises
+    AdmissibilityError naming the failing side otherwise.  At zero budget
+    the interval degenerates to [L, L].
     """
     if not (e_bar >= 0.0 and w_bar >= 0.0):
         raise AdmissibilityError("energy budgets must be nonnegative")
     budget = sqrt_budget(e_bar, w_bar)
     limit_high, limit_low = model.energy_envelope_limits()
-    if budget >= limit_high:
+    if not budget < limit_high:
         raise AdmissibilityError(
             f"budget {budget:g} >= high-density envelope limit {limit_high:g}",
             side="high")
-    if budget >= limit_low:
+    if not budget < limit_low:
         raise AdmissibilityError(
             f"budget {budget:g} >= vacuum-side envelope limit {limit_low:g}",
             side="low")

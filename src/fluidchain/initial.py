@@ -247,8 +247,8 @@ def admissibility(model: FluidModel, init: InitialData) -> AdmissibilityReport:
     """Compare the initial energy budget against the envelope limits.
 
     Inadmissibility is a verdict, not an error: the data are admissible when
-    the budget sits below both limits and the envelope inversion certifies
-    the spacing band ``[a, b]`` within the tables' reach, and only then are
+    ``spacing_bounds`` certifies the band ``[a, b]`` (the budget below both
+    limits, the inversion within the tables' reach), and only then are
     ``a`` and ``b`` attached.  A pressure law that fails the growth
     condition raises ``ModelError`` before any envelope work.
     """
@@ -256,13 +256,12 @@ def admissibility(model: FluidModel, init: InitialData) -> AdmissibilityReport:
     consts = budget_constants(model, init)
     limit_high, limit_low = model.energy_envelope_limits()
     lhs = sqrt_budget(consts.e_bar, consts.w_bar)
-    admissible = lhs < min(limit_high, limit_low)
-    a = b = None
-    if admissible:
-        try:
-            a, b = spacing_bounds(model, consts.e_bar, consts.w_bar)
-        except AdmissibilityError:      # the band lies beyond the tables' reach
-            admissible = False
+    try:
+        a, b = spacing_bounds(model, consts.e_bar, consts.w_bar)
+        admissible = True
+    except AdmissibilityError:
+        a = b = None
+        admissible = False
     return AdmissibilityReport(
         e_bar=consts.e_bar, w_bar=consts.w_bar, z_bar=consts.z_bar,
         a_bar=consts.a_bar, m_bar=consts.m_bar, rho_min=init.rho_min,
