@@ -157,9 +157,6 @@ def test_rhs_rejects_every_domain_exit(any_model):
         for consume in consumers:
             with pytest.raises(DomainError):
                 consume(any_model, fc.ParticleState(n=4, t=0.0, x=bad, v=v))
-    for bad in ([0.1, np.nan, 0.3], [np.inf, -0.2, 0.3], [0.1, -0.2, -np.inf]):
-        with pytest.raises(DomainError):
-            rhs_arrays(any_model, 4, x, np.array(bad))
     rhs_arrays(any_model, 4, x, v)
     for consume in consumers:
         consume(any_model, fc.ParticleState(n=4, t=0.0, x=x, v=v))

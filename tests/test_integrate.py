@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -60,6 +61,23 @@ def test_step_rejects_ordering_exit(sv):
     y = np.array([0.05, -5.0])
     k1 = np.concatenate(rhs_arrays(sv, 2, y[:1], y[1:]))
     accepted, y_new, k_new, factor = integrate._attempt(sv, 2, y, 0.05, fc.IntegratorConfig(), k1)
+    assert not accepted
+    assert y_new is None and k_new is None
+    assert factor == 0.5
+
+
+def test_step_rejects_nonfinite_velocity(any_model):
+    # rhs_arrays tests no velocity: a NaN one gives NaN accelerations, with
+    # no warning, and the trial that carries it is rejected
+    x = any_model.length * np.array([0.75, 0.5, 0.25])
+    v = np.array([0.1, np.nan, 0.3])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dx, dv = rhs_arrays(any_model, 4, x, v)
+    assert np.isnan(dx[1]) and np.isnan(dv).any()
+    y = np.concatenate((x, v))
+    accepted, y_new, k_new, factor = integrate._attempt(
+        any_model, 4, y, 1e-4, fc.IntegratorConfig(), np.concatenate((dx, dv)))
     assert not accepted
     assert y_new is None and k_new is None
     assert factor == 0.5
