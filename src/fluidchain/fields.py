@@ -13,21 +13,15 @@ from .dynamics import ParticleState, gaps_from_interior, ordered_sum
 from .model import GAUSS_RULES, FluidModel
 
 
-def _in_cell(lo, hi, left, right, x):
-    """The line through ``(left, lo)`` and ``(right, hi)`` at ``x``, fraction
-    first: it is exactly 0 or 1 at a node, so a wall's 0 is exact."""
-    return lo + (x - left) / (right - left) * (hi - lo)
-
-
 def sample(x, values, points):
     """The piecewise-linear field with ascending nodes ``x`` (from 0 to L)
     and node values ``values``, each of shape (n+1,), at ``points`` in
-    [0, L]; a ValueError for a point outside."""
+    [0, L] (``np.interp``, exact at every node); a ValueError for a point
+    outside."""
     xq = np.asarray(points, dtype=float)
     if np.any(xq < -1e-12) or np.any(xq > x[-1] * (1.0 + 1e-12)):
         raise ValueError("query point outside [0, L]")
-    k = np.clip(np.searchsorted(x, xq, side="left") - 1, 0, x.size - 2)
-    out = _in_cell(values[k], values[k + 1], x[k], x[k + 1], xq)
+    out = np.interp(xq, x, values)
     return out if np.ndim(points) else float(out)
 
 
@@ -66,15 +60,18 @@ def gauss_cells(x, rho, v, order):
     nodes ``x``, ``rho`` and ``v``, each of shape (..., n+1).
 
     Returns the points and weights, shape (..., n, order), and the density
-    and velocity interpolated linearly within each point's own cell.
+    and velocity interpolated linearly within each point's own cell, at the
+    rule's fixed fractions ``(1 + nodes) / 2`` of the cell.
     """
     nodes, weights = GAUSS_RULES[order]
     left, right = x[..., :-1, None], x[..., 1:, None]
     half = 0.5 * (right - left)
     pts = 0.5 * (left + right) + half * nodes
+    fractions = 0.5 * (1.0 + nodes)
 
     def interp(values):
-        return _in_cell(values[..., :-1, None], values[..., 1:, None], left, right, pts)
+        lo = values[..., :-1, None]
+        return lo + fractions * (values[..., 1:, None] - lo)
 
     return pts, half * weights, interp(rho), interp(v)
 

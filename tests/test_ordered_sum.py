@@ -96,8 +96,8 @@ def loop_total_mass(x, rho):
 
 def loop_cells(nodes, order):
     """Gauss points and weights of the cells of one field with ascending
-    nodes ``(x, rho, v)``, shape (n, order), with the fields sampled point
-    by point through ``fields.sample``."""
+    nodes ``(x, rho, v)``, shape (n, order), with the fields interpolated
+    cell by cell at the rule's fractions ``(1 + gauss) / 2``."""
     x, rho_nodes, v = nodes
     gauss, weights = np.polynomial.legendre.leggauss(order)
     left = x[:-1][:, None]
@@ -105,8 +105,10 @@ def loop_cells(nodes, order):
     mid = 0.5 * (left + right)
     half = 0.5 * (right - left)
     pts, wts = mid + half * gauss[None, :], half * weights[None, :]
-    rho = fields.sample(x, rho_nodes, pts.ravel()).reshape(pts.shape)
-    vel = fields.sample(x, v, pts.ravel()).reshape(pts.shape)
+    fractions = 0.5 * (1.0 + gauss)
+    rho = np.array([lo + fractions * (hi - lo)
+                    for lo, hi in zip(rho_nodes[:-1], rho_nodes[1:])])
+    vel = np.array([lo + fractions * (hi - lo) for lo, hi in zip(v[:-1], v[1:])])
     return pts, wts, rho, vel
 
 
