@@ -83,12 +83,15 @@ class DiagnosticsRecord(NamedTuple):
 
 
 class IntegrationStats:
-    """Accepted and rejected step counts and the scaled-spacing extrema
-    over every accepted step, updated as the integration runs."""
+    """Accepted and rejected step counts, the rejections by cause
+    (``"domain"``, ``"nonfinite"``, ``"error"``; they sum to ``rejected``)
+    and the scaled-spacing extrema over every accepted step, updated as the
+    integration runs."""
 
     def __init__(self):
         self.accepted = 0
         self.rejected = 0
+        self.rejected_by = dict.fromkeys(("domain", "nonfinite", "error"), 0)
         self.spacing_min_seen = math.inf
         self.spacing_max_seen = 0.0
 
@@ -141,8 +144,11 @@ def _error_ratio(err, y_old, y_new, cfg):
 def _attempt(model, n, y, dt, cfg, k1):
     """One embedded-pair trial from y over dt; ``k1`` is the rhs at y.
 
-    Returns (accepted, y_new, k_new_first_stage, dt_next_factor).  Domain
-    exits at any stage or in the candidate count as rejections.
+    Returns (accepted, y_new, k_new_first_stage, dt_next_factor, cause),
+    with ``cause`` None for an accepted trial, else why it was rejected:
+    ``"domain"`` (a DomainError at any stage, the candidate included),
+    ``"nonfinite"`` (a non-finite error ratio) or ``"error"`` (a ratio
+    above 1).
     """
     dim = y.size
     half = dim // 2
@@ -153,17 +159,17 @@ def _attempt(model, n, y, dt, cfg, k1):
             yi = y + dt * np.dot(_A[stage], k[:stage])
             k[stage, :half], k[stage, half:] = rhs_arrays(model, n, yi[:half], yi[half:])
     except DomainError:
-        return False, None, None, 0.5
+        return False, None, None, 0.5, "domain"
     y_new = yi                      # row 7 of the tableau is the solution
     err = dt * np.dot(_ERR, k)
     ratio = _error_ratio(err, y, y_new, cfg)
     if not math.isfinite(ratio):
-        return False, None, None, 0.5
+        return False, None, None, 0.5, "nonfinite"
     factor = _GROW_MAX if ratio == 0.0 else min(_GROW_MAX, max(
         _SHRINK_MIN, _SAFETY * ratio ** -0.2))
     if ratio > 1.0:
-        return False, None, None, factor
-    return True, y_new, k[6].copy(), factor
+        return False, None, None, factor, "error"
+    return True, y_new, k[6].copy(), factor, None
 
 
 def first_step(model, n, x):
@@ -276,11 +282,12 @@ def simulate(model, state0, T, cfg=None) -> SnapshotSeries:
                     f"step size underflow (dt={dt:.3e} < {dt_floor:.3e}) at "
                     f"t={t:g}; the viscous coupling is too stiff for the "
                     "explicit pair -- reduce n or use an implicit extension")
-            accepted, y_new, k_last, factor = _attempt(model, n, y, dt, cfg, k1)
+            accepted, y_new, k_last, factor, cause = _attempt(model, n, y, dt, cfg, k1)
             dt_ctrl = dt * factor
             if not accepted:
                 # y is unchanged, so its first stage k1 stays valid
                 stats.rejected += 1
+                stats.rejected_by[cause] += 1
                 continue
             stats.accepted += 1
             y = y_new

@@ -50,8 +50,9 @@ def test_step_accepts_at_equilibrium(sv):
     state0 = equilibrium_state(sv, 4)
     y = np.concatenate((state0.x, state0.v))
     k1 = np.concatenate(rhs_arrays(sv, 4, state0.x, state0.v))
-    accepted, y_new, _, factor = integrate._attempt(sv, 4, y, 1e-3, fc.IntegratorConfig(), k1)
-    assert accepted
+    accepted, y_new, _, factor, cause = integrate._attempt(sv, 4, y, 1e-3,
+                                                           fc.IntegratorConfig(), k1)
+    assert accepted and cause is None
     assert np.allclose(y_new[:3], state0.x, atol=1e-10)
     assert factor > 1.0
 
@@ -60,10 +61,48 @@ def test_step_rejects_ordering_exit(sv):
     # packet racing towards the wall; a large trial step exits the domain
     y = np.array([0.05, -5.0])
     k1 = np.concatenate(rhs_arrays(sv, 2, y[:1], y[1:]))
-    accepted, y_new, k_new, factor = integrate._attempt(sv, 2, y, 0.05, fc.IntegratorConfig(), k1)
+    accepted, y_new, k_new, factor, cause = integrate._attempt(sv, 2, y, 0.05,
+                                                               fc.IntegratorConfig(), k1)
     assert not accepted
     assert y_new is None and k_new is None
     assert factor == 0.5
+    assert cause == "domain"
+
+
+def test_attempt_reports_each_rejection_cause(sv, monkeypatch):
+    cfg = fc.IntegratorConfig()
+
+    def cause(model, n, y, dt):
+        k1 = np.concatenate(rhs_arrays(model, n, y[:n - 1], y[n - 1:]))
+        return integrate._attempt(model, n, y, dt, cfg, k1)[4]
+
+    # the 2-particle packet racing into the wall leaves the ordered domain
+    assert cause(sv, 2, np.array([0.05, -5.0]), 0.05) == "domain"
+    # an ordered step far above the error-controlled size fails the error test
+    state = fc.build_particles(sv, perturbed_initial(sv, 0.1), 8)
+    y = np.concatenate((state.x, state.v))
+    assert cause(sv, 8, y, 1e-3) is None
+    assert cause(sv, 8, y, 1e-2) == "error"
+    # NaN accelerations at the last stage make the error ratio NaN
+    calls = []
+
+    def nan_at_last_stage(model, n, x, v):
+        calls.append(None)
+        dx, dv = rhs_arrays(model, n, x, v)
+        return dx, dv * math.nan if len(calls) == 6 else dv
+
+    k1 = np.concatenate(rhs_arrays(sv, 8, state.x, state.v))
+    monkeypatch.setattr(integrate, "rhs_arrays", nan_at_last_stage)
+    out = integrate._attempt(sv, 8, y, 1e-3, cfg, k1)
+    assert len(calls) == 6
+    assert out[0] is False and out[3] == 0.5 and out[4] == "nonfinite"
+
+
+def test_rejections_by_cause_sum_to_rejected(sv):
+    state0 = fc.build_particles(sv, perturbed_initial(sv, 0.1), 16)
+    stats = fc.simulate(sv, state0, 0.05, fc.IntegratorConfig(snapshot_dt=0.05)).stats
+    assert sorted(stats.rejected_by) == ["domain", "error", "nonfinite"]
+    assert sum(stats.rejected_by.values()) == stats.rejected > 0
 
 
 def test_step_rejects_nonfinite_velocity(any_model):
@@ -76,11 +115,12 @@ def test_step_rejects_nonfinite_velocity(any_model):
         dx, dv = rhs_arrays(any_model, 4, x, v)
     assert np.isnan(dx[1]) and np.isnan(dv).any()
     y = np.concatenate((x, v))
-    accepted, y_new, k_new, factor = integrate._attempt(
+    accepted, y_new, k_new, factor, cause = integrate._attempt(
         any_model, 4, y, 1e-4, fc.IntegratorConfig(), np.concatenate((dx, dv)))
     assert not accepted
     assert y_new is None and k_new is None
     assert factor == 0.5
+    assert cause == "domain"          # the NaN velocity moves the next stage's positions
 
 
 def test_snapshot_times_exact(sv):
@@ -175,7 +215,7 @@ def test_max_steps_guard(sv):
 
 def test_dt_underflow_reports_stiffness(sv, monkeypatch):
     # every trial rejected and shrunk by 5 drives the step below the floor
-    monkeypatch.setattr(integrate, "_attempt", lambda *a: (False, None, None, 0.2))
+    monkeypatch.setattr(integrate, "_attempt", lambda *a: (False, None, None, 0.2, "error"))
     state0 = equilibrium_state(sv, 4)
     with pytest.raises(StiffnessError) as err:
         fc.simulate(sv, state0, 1.0, fc.IntegratorConfig())
