@@ -293,9 +293,15 @@ class ConvergenceRow(NamedTuple):
     residual_max: float | None = None
     self_dist_rho: float | None = None
     self_dist_v: float | None = None
+    self_dist_v_late: float | None = None      # over the snapshots with t > 0
     holder_rho: float | None = None
     holder_v: float | None = None
     error: str | None = None
+
+
+# the metrics of a refinement row whose observed order is reported
+ORDER_METRICS = ("mass_error", "residual_max", "self_dist_rho", "self_dist_v",
+                 "self_dist_v_late")
 
 
 def _sampled_series(series, grid):
@@ -327,7 +333,9 @@ def convergence_study(model, init, n_list, T, cfg=None):
 
     Per n: worst reconstructed-mass error, worst residual magnitude over the
     test-function library, sup-over-time grid-L2 distance to the next (2n)
-    run when present, and the measured time-regularity rates (exponent 1/2
+    run when present (for the velocity also over the snapshots with t > 0
+    alone, since at t = 0 it is the gap between two interpolants of the
+    initial data), and the measured time-regularity rates (exponent 1/2
     for density, 1/4 for velocity).  Failures are recorded per row and the
     remaining entries continue.
     """
@@ -356,16 +364,38 @@ def convergence_study(model, init, n_list, T, cfg=None):
         series, rho_s, vel_s = runs[n]
         mass_error = float(np.max(np.abs(series.diagnostics.mass - model.m)))
         residual_max = max(0.0, *(abs(r.value) for r in residuals(model, series, init)))
-        self_rho = self_v = None
+        self_rho = self_v = self_v_late = None
         twin = runs.get(2 * n)
         if 2 * n in n_list and twin is not None:
             _, rho_t, vel_t = twin
             self_rho = float(np.max(np.sqrt(np.trapezoid((rho_t - rho_s) ** 2, grid, axis=1))))
-            self_v = float(np.max(np.sqrt(np.trapezoid((vel_t - vel_s) ** 2, grid, axis=1))))
+            dist_v = np.sqrt(np.trapezoid((vel_t - vel_s) ** 2, grid, axis=1))
+            # row 0 is the snapshot at t = 0
+            self_v, self_v_late = float(np.max(dist_v)), float(np.max(dist_v[1:]))
         rows.append(ConvergenceRow(
             n=n, mass_error=mass_error, residual_max=residual_max,
-            self_dist_rho=self_rho, self_dist_v=self_v,
+            self_dist_rho=self_rho, self_dist_v=self_v, self_dist_v_late=self_v_late,
             holder_rho=_holder_rate(rho_s, series.times, grid, 0.5),
             holder_v=_holder_rate(vel_s, series.times, grid, 0.25)))
     rows.sort(key=lambda r: r.n)
     return rows
+
+
+def observed_orders(rows):
+    """The observed order ``log2(metric(n) / metric(2n))`` of each metric of
+    ``ORDER_METRICS`` for every row of ``rows`` whose 2n row is there too:
+    a list of ``(n, {metric: order})`` in ascending n, a metric left out
+    where either value is missing or not positive."""
+    done = {row.n: row for row in rows if row.error is None}
+    orders = []
+    for n, row in sorted(done.items()):
+        twin = done.get(2 * n)
+        if twin is None:
+            continue
+        pairs = ((metric, getattr(row, metric), getattr(twin, metric))
+                 for metric in ORDER_METRICS)
+        orders.append((n, {metric: math.log2(coarse / fine)
+                           for metric, coarse, fine in pairs
+                           if coarse is not None and fine is not None
+                           and coarse > 0.0 and fine > 0.0}))
+    return orders

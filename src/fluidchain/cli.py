@@ -43,6 +43,10 @@ PROFILE_KEYS = {
 # the key holding a profile's values, named when those values are at fault
 VALUES_KEY = {("rho0", "constant"): "rho0.value", ("rho0", "table"): "rho0.rho",
               ("v0", "sine"): "v0.amplitude", ("v0", "table"): "v0.v"}
+# the convergence.txt label of each metric of checks.ORDER_METRICS
+ORDER_LABELS = {"mass_error": "mass_err", "residual_max": "max_residual",
+                "self_dist_rho": "|rho_2n-rho_n|", "self_dist_v": "|v_2n-v_n|",
+                "self_dist_v_late": "|v_2n-v_n| over t>0"}
 # largest particle count, grid size and snapshot count a config may ask for
 MAX_COUNT = 10 ** 6
 
@@ -398,13 +402,18 @@ def _cmd_converge(cfg, out_dir, n_override):
             long_rows.append((row.n, "error", math.nan, None))
             continue
         for metric in ("mass_error", "residual_max", "self_dist_rho",
-                       "self_dist_v", "holder_rho", "holder_v"):
+                       "self_dist_v", "self_dist_v_late", "holder_rho", "holder_v"):
             value = getattr(row, metric)
             if value is not None:
                 long_rows.append((row.n, metric, value, None))
+    orders = checks.observed_orders(rows)
+    long_rows += [(n, f"order_{metric}", value, None)
+                  for n, by_metric in orders for metric, value in by_metric.items()]
     _write_csv(out / "convergence.csv", ("n", "metric", "value", "error_estimate"),
                long_rows)
-    lines = ["refinement study", ""]
+    lines = ["refinement study",
+             "mass_err is the trapezoid error of the rebuilt density, not a conservation error",
+             ""]
     for row in rows:
         if row.error is not None:
             lines.append(f"n={row.n}: FAILED ({row.error})")
@@ -414,6 +423,11 @@ def _cmd_converge(cfg, out_dir, n_override):
                     f"|v_2n-v_n|={row.self_dist_v:.6e}")
             lines.append(f"n={row.n}: mass_err={row.mass_error:.6e}, "
                          f"max_residual={row.residual_max:.6e}{dist}")
+    lines += [f"n={row.n}: |v_2n-v_n| over t>0={row.self_dist_v_late:.6e}"
+              for row in rows if row.self_dist_v_late is not None]
+    for n, by_metric in orders:
+        lines.append(f"observed order n={n} to {2 * n}: " + ", ".join(
+            f"{ORDER_LABELS[metric]}={value:.3f}" for metric, value in by_metric.items()))
     (out / "convergence.txt").write_text("\n".join(lines) + "\n")
     print("\n".join(lines))
     return 0

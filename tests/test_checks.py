@@ -250,6 +250,15 @@ def test_convergence_study_equilibrium(sv):
     assert rows[1].self_dist_rho is None
 
 
+def test_observed_orders_pair_each_n_with_2n():
+    row = checks.ConvergenceRow
+    rows = [row(n=4, mass_error=4.0, residual_max=0.0, self_dist_rho=1.0),
+            row(n=8, mass_error=1.0, residual_max=0.0), row(n=12, mass_error=1.0),
+            row(n=16, error="failed")]
+    # a zero, a missing value and a failed twin give no order
+    assert checks.observed_orders(rows) == [(4, {"mass_error": 2.0})]
+
+
 def test_convergence_study_continues_past_failures(sv):
     init = perturbed_initial(sv, 0.1)
     rows = checks.convergence_study(sv, init, [4, 8], 0.5,

@@ -249,6 +249,28 @@ def test_converge_with_n_override(tmp_path, capsys):
     assert (out / "convergence.txt").is_file()
 
 
+def test_converge_prints_observed_orders(tmp_path, capsys):
+    config = Path(__file__).resolve().parents[1] / "configs" / "saint_venant_perturbed.json"
+    out = tmp_path / "conv"
+    assert cli.main(["converge", "--config", str(config), "--out", str(out),
+                     "--n", "8,16,32"]) == 0
+    lines = (out / "convergence.txt").read_text().splitlines()
+    assert lines[1].startswith("mass_err is the trapezoid error")
+    assert [line.split(":")[0] for line in lines if line.startswith("observed")] == [
+        "observed order n=8 to 16", "observed order n=16 to 32"]
+    first, second = (line.split(": ")[1] for line in lines if line.startswith("observed"))
+    orders = dict(item.split("=") for item in first.split(", "))
+    assert list(orders) == ["mass_err", "max_residual", "|rho_2n-rho_n|", "|v_2n-v_n|",
+                            "|v_2n-v_n| over t>0"]
+    assert float(orders["|rho_2n-rho_n|"]) >= 0.9
+    assert [item.split("=")[0] for item in second.split(", ")] == ["mass_err", "max_residual"]
+    table = (out / "convergence.csv").read_text().splitlines()
+    [rho_order] = [line for line in table if line.startswith("8,order_self_dist_rho,")]
+    assert abs(float(rho_order.split(",")[2]) - float(orders["|rho_2n-rho_n|"])) <= 5e-4
+    assert any(line.startswith("8,self_dist_v_late,") for line in table)
+    assert capsys.readouterr().out.splitlines() == lines
+
+
 def test_converge_requires_n_list(tmp_path, capsys):
     payload = _simulate_config()
     del payload["n"]
