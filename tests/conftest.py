@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -216,3 +220,12 @@ def random_state(model, n, rng, v_scale=1.0):
     x = model.length - np.cumsum(gaps)[:-1]
     v = v_scale * rng.uniform(-1.0, 1.0, n - 1)
     return fc.ParticleState(n=n, t=0.0, x=x, v=v)
+
+
+def run_cli(*argv):
+    """The CLI in a subprocess, outside pytest, whose warning filters would
+    hide a numpy warning."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(Path(fc.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "fluidchain.cli", *map(str, argv)],
+                          env=env, capture_output=True, text=True, timeout=60)

@@ -1,8 +1,5 @@
 import json
 import math
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +10,8 @@ from fluidchain import cli
 from fluidchain import initial as initial_module
 from fluidchain import integrate as integrate_module
 from fluidchain.errors import ConfigError
+
+from conftest import run_cli
 
 MINIMAL = {
     "model": {"kind": "saint_venant", "g": 9.81, "nu": 1.0},
@@ -360,17 +359,8 @@ def test_growth_condition_fails_check_validate_and_converge(tmp_path, capsys):
         assert "growth condition" in record["message"]
 
 
-def _run_cli(*argv):
-    """The CLI in a subprocess, outside pytest, whose warning filters would
-    hide a numpy warning."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
-        str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-m", "fluidchain.cli", *map(str, argv)],
-                          env=env, capture_output=True, text=True, timeout=60)
-
-
 def test_overflowing_law_prints_only_the_error_record(tmp_path):
-    done = _run_cli("check", "--config", write_config(tmp_path, _power_law_config(80.0)))
+    done = run_cli("check", "--config", write_config(tmp_path, _power_law_config(80.0)))
     assert done.returncode == 1
     [line] = done.stderr.splitlines()
     assert "positive and finite" in json.loads(line)["message"]
@@ -395,7 +385,7 @@ def test_overflowing_budget_prints_only_the_error_record(tmp_path, change):
         argv = [sub, "--config", path]
         if sub != "check":
             argv += ["--out", tmp_path / sub]
-        done = _run_cli(*argv)
+        done = run_cli(*argv)
         assert done.returncode == 1, sub
         assert done.stdout == ""
         [line] = done.stderr.splitlines()
@@ -407,7 +397,7 @@ def test_overflowing_initial_energy_prints_only_the_error_record(tmp_path):
     payload = json.loads((Path(__file__).resolve().parents[1] / "configs"
                           / "saint_venant_perturbed.json").read_text())
     payload["initial"]["v0"]["amplitude"] = 1e160
-    done = _run_cli("simulate", "--config", write_config(tmp_path, payload),
+    done = run_cli("simulate", "--config", write_config(tmp_path, payload),
                     "--out", tmp_path / "out")
     assert done.returncode == 1
     assert done.stdout == ""
