@@ -1,8 +1,10 @@
 """Microseconds per call of the DP5 hot path: ``dynamics.rhs_arrays`` and
 ``integrate._attempt`` at n = 128 on the saint_venant chain of
-``configs/saint_venant_perturbed.json``, from its first trial step; and
+``configs/saint_venant_perturbed.json``, from its first trial step;
 microseconds per snapshot of the diagnostics pass over the stored rows
-(``integrate._diagnostic_columns``), on SNAPSHOTS rows of that state.
+(``integrate._diagnostic_columns``), on SNAPSHOTS rows of that state; and
+microseconds per ``fields.sample`` call on the config's uniform grid of
+``grid_size`` (512) points, of which the CSV writer makes two per snapshot.
 
     PYTHONPATH=src python3 tools/hot_path_us.py
 
@@ -47,6 +49,11 @@ def main():
     best = min(timeit.repeat(lambda: integrate._diagnostic_columns(series), number=20,
                              repeat=REPEAT)) / 20
     print(f"diagnostics n={N}: {best / SNAPSHOTS * 1e6:.1f} us per snapshot")
+    x, _, v = fields.reconstruct(model, state)
+    grid = np.linspace(0.0, model.length, cfg.grid_size)
+    best = min(timeit.repeat(lambda: fields.sample(x, v, grid), number=2000,
+                             repeat=REPEAT)) / 2000
+    print(f"sample n={N}: {best * 1e6:.1f} us per call on {cfg.grid_size} points")
 
 
 if __name__ == "__main__":
