@@ -147,6 +147,15 @@ def test_admissibility_verdicts(sv, ideal):
     assert hot.a is None and hot.b is None
 
 
+@pytest.mark.parametrize("limits", [(math.nan, math.inf), (math.inf, math.nan)])
+def test_admissibility_refuses_a_nan_limit(monkeypatch, limits):
+    model = fc.FluidModel.saint_venant(g=9.81, nu=1.0, m=1.0, length=1.0)
+    monkeypatch.setattr(model, "energy_envelope_limits", lambda: limits)
+    report = fc.admissibility(model, perturbed_initial(model, 0.1))
+    assert not report.admissible
+    assert report.a is None and report.b is None
+
+
 def test_admissibility_report_serialises(ideal):
     d = fc.admissibility(ideal, perturbed_initial(ideal, 0.1)).to_dict()
     assert d["f_limit_high"] == "infinite"
