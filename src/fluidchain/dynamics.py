@@ -62,19 +62,21 @@ class DiscreteFunctionals(NamedTuple):
     h_n: float
 
 
-def gaps_from_interior(length, x):
+def gaps_from_interior(length, x, full=None):
     """Cell widths x_{i-1} - x_i for i = 1..n from interior positions,
-    walls at ``length`` and 0 included.
+    walls at ``length`` and 0 included, written into ``full`` (n+1
+    entries, walls preset; a new array by default).
 
     The one definition of the ordered domain: raises DomainError unless
     0 < x_{n-1} < ... < x_1 < L, i.e. every width is positive.  The single
     test also rejects non-finite positions, which make the smallest width
     NaN or nonpositive.
     """
-    full = np.empty(x.size + 2)
-    full[0] = length
+    if full is None:
+        full = np.empty(x.size + 2)
+        full[0] = length
+        full[-1] = 0.0
     full[1:-1] = x
-    full[-1] = 0.0
     gaps = full[:-1] - full[1:]
     if not gaps.min() > 0.0:
         raise DomainError(
@@ -96,7 +98,15 @@ def ordered_sum(values):
     return float(total) if values.ndim == 1 else total
 
 
-def rhs_arrays(model, n, x, v):
+def wall_rows(length, n):
+    """Zeroed (2, n+1) rows for the wall-padded positions and velocities of
+    ``rhs_arrays``, the position wall at ``length`` written."""
+    pad = np.zeros((2, n + 1))
+    pad[0, 0] = length
+    return pad
+
+
+def rhs_arrays(model, n, x, v, *, out=None, pad=None):
     """Equations of motion on raw arrays; hot path for the integrator.
 
     The momentum balance v_t = d/dM (mu(rho) v_x - P(rho)) in mass
@@ -106,16 +116,25 @@ def rhs_arrays(model, n, x, v):
     DomainError when the ordering is violated, so integrators can reject
     trial states; a non-finite velocity gives non-finite accelerations,
     which the integrator's error test rejects.
+
+    Returns (dx, dv).  The stage-row form, with the keywords ``out``, a row
+    of 2(n-1) floats, and ``pad``, the ``wall_rows`` of the model, writes dx
+    then dv into ``out`` and the wall-padded x and v into ``pad``,
+    allocates neither, and returns the cell widths it tested.
     """
-    gaps = gaps_from_interior(model.length, x)
-    full_v = np.empty(n + 1)
-    full_v[0] = 0.0
+    if pad is None:
+        pad = wall_rows(model.length, n)
+    gaps = gaps_from_interior(model.length, x, pad[0])
+    full_v = pad[1]
     full_v[1:-1] = v
-    full_v[-1] = 0.0
     dvel = full_v[:-1] - full_v[1:]          # v_{c-1} - v_c per cell
     rho = (model.m / n) / gaps
     stress = model.viscosity(rho) * dvel / gaps - model.pressure(rho)
-    return v.copy(), (n / model.m) * (stress[:-1] - stress[1:])
+    if out is None:
+        return v.copy(), (n / model.m) * (stress[:-1] - stress[1:])
+    out[:n - 1] = v
+    np.multiply(n / model.m, stress[:-1] - stress[1:], out=out[n - 1:])
+    return gaps
 
 
 def chain_functionals(model: FluidModel, gaps, v) -> DiscreteFunctionals:

@@ -7,6 +7,10 @@ strict particle ordering; otherwise the step is rejected and retried smaller.
 Snapshot times are hit exactly by truncating the step, never by interpolation,
 so identical inputs reproduce bit-identical output on one numpy/BLAS build
 and CPU (the stage sums' ``np.dot`` rounds by the BLAS kernel).
+
+Each ``simulate`` call's trials share one workspace, kept on neither module
+nor model: stage rows, stage state, error and scale vectors, and the wall
+rows of ``rhs_arrays``' stage-row form, which writes each stage in place.
 """
 
 import math
@@ -15,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import fields
-from .dynamics import ParticleState, chain_functionals, gaps_from_interior, rhs_arrays
+from .dynamics import ParticleState, chain_functionals, gaps_from_interior, rhs_arrays, wall_rows
 from .errors import DomainError, InitialDataError, StiffnessError
 
 # Dormand-Prince 5(4) tableau as float arrays built once; row 7 is the
@@ -136,40 +140,58 @@ class SnapshotSeries:
         return len(self.times)
 
 
-def _error_ratio(err, y_old, y_new, cfg):
-    scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y_old), np.abs(y_new))
-    return float((np.abs(err) / scale).max())
+class _Workspace:
+    """The buffers of one ``simulate`` call's DP5 trials (see the module
+    docstring), built at the initial state y; row 0 of the stage rows ``k``
+    is always the rhs at the current state (first same as last)."""
+
+    def __init__(self, model, n, y):
+        half = y.size // 2
+        self.k = np.empty((7, y.size))
+        self.stage, self.err, self.scale = np.empty((3, y.size))
+        self.x, self.v = self.stage[:half], self.stage[half:]
+        self.pad = wall_rows(model.length, n)
+        # per stage, made once: its tableau row, the rows it sums, its row
+        self.stages = [(_A[s], self.k[:s], self.k[s]) for s in range(1, 7)]
+        rhs_arrays(model, n, y[:half], y[half:], out=self.k[0], pad=self.pad)
 
 
-def _attempt(model, n, y, dt, cfg, k1):
-    """One embedded-pair trial from y over dt; ``k1`` is the rhs at y.
+def _error_ratio(ws, y, dt, cfg):
+    """max |dt (5th - 4th order)| / (abs_tol + rel_tol max(|y|, |y_new|))
+    over the components, with y_new in the stage state."""
+    err, scale = ws.err, ws.scale
+    np.maximum(np.abs(y, out=scale), np.abs(ws.stage, out=err), out=scale)
+    np.add(cfg.abs_tol, np.multiply(cfg.rel_tol, scale, out=scale), out=scale)
+    np.multiply(dt, np.dot(_ERR, ws.k, out=err), out=err)
+    return float(np.divide(np.abs(err, out=err), scale, out=err).max())
 
-    Returns (accepted, y_new, k_new_first_stage, dt_next_factor, cause),
-    with ``cause`` None for an accepted trial, else why it was rejected:
+
+def _attempt(model, n, y, dt, cfg, ws):
+    """One embedded-pair trial from y over dt in the workspace ``ws``.
+
+    Returns (accepted, y_new, widths, dt_next_factor, cause), with
+    ``cause`` None for an accepted trial, else why it was rejected:
     ``"domain"`` (a DomainError at any stage, the candidate included),
     ``"nonfinite"`` (a non-finite error ratio) or ``"error"`` (a ratio
-    above 1).
+    above 1).  An accepted trial's y_new is ``ws.stage``, its widths those of
+    its last stage, which it moves to row 0 of ``ws.k``.
     """
-    dim = y.size
-    half = dim // 2
-    k = np.empty((7, dim))
-    k[0] = k1
+    yi, x, v, pad = ws.stage, ws.x, ws.v, ws.pad
     try:
-        for stage in range(1, 7):
-            yi = y + dt * np.dot(_A[stage], k[:stage])
-            k[stage, :half], k[stage, half:] = rhs_arrays(model, n, yi[:half], yi[half:])
+        for weights, done, row in ws.stages:
+            np.add(y, np.multiply(dt, np.dot(weights, done, out=yi), out=yi), out=yi)
+            widths = rhs_arrays(model, n, x, v, out=row, pad=pad)
     except DomainError:
         return False, None, None, 0.5, "domain"
-    y_new = yi                      # row 7 of the tableau is the solution
-    err = dt * np.dot(_ERR, k)
-    ratio = _error_ratio(err, y, y_new, cfg)
+    ratio = _error_ratio(ws, y, dt, cfg)      # row 7 of the tableau is the solution
     if not math.isfinite(ratio):
         return False, None, None, 0.5, "nonfinite"
     factor = _GROW_MAX if ratio == 0.0 else min(_GROW_MAX, max(
         _SHRINK_MIN, _SAFETY * ratio ** -0.2))
     if ratio > 1.0:
         return False, None, None, factor, "error"
-    return True, y_new, k[6].copy(), factor, None
+    ws.k[0] = ws.k[6]
+    return True, yi, widths, factor, None
 
 
 def first_step(model, n, x):
@@ -265,7 +287,7 @@ def simulate(model, state0, T, cfg=None) -> SnapshotSeries:
     half = y.size // 2
     t = 0.0
     dt_ctrl = first_step(model, n, state0.x)    # the first snapshot bounds it further
-    k1 = np.concatenate(rhs_arrays(model, n, state0.x, state0.v))
+    ws = _Workspace(model, n, y)
     stats = series.stats
     stats.spacing_min_seen = float(first.spacing_min)
     stats.spacing_max_seen = float(first.spacing_max)
@@ -282,20 +304,19 @@ def simulate(model, state0, T, cfg=None) -> SnapshotSeries:
                     f"step size underflow (dt={dt:.3e} < {dt_floor:.3e}) at "
                     f"t={t:g}; the viscous coupling is too stiff for the "
                     "explicit pair -- reduce n or use an implicit extension")
-            accepted, y_new, k_last, factor, cause = _attempt(model, n, y, dt, cfg, k1)
+            accepted, y_new, widths, factor, cause = _attempt(model, n, y, dt, cfg, ws)
             dt_ctrl = dt * factor
             if not accepted:
-                # y is unchanged, so its first stage k1 stays valid
+                # y is unchanged, so its first stage in row 0 stays valid
                 stats.rejected += 1
                 stats.rejected_by[cause] += 1
                 continue
             stats.accepted += 1
-            y = y_new
-            k1 = k_last          # first stage of the next step (FSAL)
+            y[:] = y_new
             t = target if dt >= target - t else t + dt
-            gaps = n * gaps_from_interior(model.length, y[:half])
-            stats.spacing_min_seen = min(stats.spacing_min_seen, float(gaps.min()))
-            stats.spacing_max_seen = max(stats.spacing_max_seen, float(gaps.max()))
+            # n * min(widths) is min(n * widths): rounding is monotone
+            stats.spacing_min_seen = min(stats.spacing_min_seen, n * float(widths.min()))
+            stats.spacing_max_seen = max(stats.spacing_max_seen, n * float(widths.max()))
         _store(model, ParticleState(n=n, t=t, x=y[:half], v=y[half:]), series)
 
     series.diagnostics = _diagnostic_columns(series)

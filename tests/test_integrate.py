@@ -1,5 +1,6 @@
 import math
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -7,9 +8,9 @@ import pytest
 import fluidchain as fc
 from fluidchain import checks, fields, integrate
 from fluidchain.dynamics import gaps_from_interior, rhs_arrays
-from fluidchain.errors import ModelError, StiffnessError
+from fluidchain.errors import DomainError, ModelError, StiffnessError
 
-from conftest import equilibrium_state, perturbed_initial, snapshot_states
+from conftest import equilibrium_state, perturbed_initial, random_state, snapshot_states
 
 
 def _final_state(sv, rel_tol):
@@ -49,22 +50,27 @@ def test_equilibrium_is_a_fixed_point(sv):
 def test_step_accepts_at_equilibrium(sv):
     state0 = equilibrium_state(sv, 4)
     y = np.concatenate((state0.x, state0.v))
-    k1 = np.concatenate(rhs_arrays(sv, 4, state0.x, state0.v))
-    accepted, y_new, _, factor, cause = integrate._attempt(sv, 4, y, 1e-3,
-                                                           fc.IntegratorConfig(), k1)
+    ws = integrate._Workspace(sv, 4, y)
+    accepted, y_new, widths, factor, cause = integrate._attempt(sv, 4, y, 1e-3,
+                                                                fc.IntegratorConfig(), ws)
     assert accepted and cause is None
     assert np.allclose(y_new[:3], state0.x, atol=1e-10)
     assert factor > 1.0
+    # the widths and row 0 are those at the candidate
+    assert widths.tobytes() == gaps_from_interior(sv.length, y_new[:3]).tobytes()
+    assert ws.k[0].tobytes() == np.concatenate(rhs_arrays(sv, 4, y_new[:3], y_new[3:])).tobytes()
 
 
 def test_step_rejects_ordering_exit(sv):
     # packet racing towards the wall; a large trial step exits the domain
     y = np.array([0.05, -5.0])
-    k1 = np.concatenate(rhs_arrays(sv, 2, y[:1], y[1:]))
-    accepted, y_new, k_new, factor, cause = integrate._attempt(sv, 2, y, 0.05,
-                                                               fc.IntegratorConfig(), k1)
+    ws = integrate._Workspace(sv, 2, y)
+    k1 = ws.k[0].copy()
+    accepted, y_new, widths, factor, cause = integrate._attempt(sv, 2, y, 0.05,
+                                                                fc.IntegratorConfig(), ws)
     assert not accepted
-    assert y_new is None and k_new is None
+    assert y_new is None and widths is None
+    assert ws.k[0].tobytes() == k1.tobytes()     # row 0 is still the rhs at y
     assert factor == 0.5
     assert cause == "domain"
 
@@ -73,8 +79,7 @@ def test_attempt_reports_each_rejection_cause(sv, monkeypatch):
     cfg = fc.IntegratorConfig()
 
     def cause(model, n, y, dt):
-        k1 = np.concatenate(rhs_arrays(model, n, y[:n - 1], y[n - 1:]))
-        return integrate._attempt(model, n, y, dt, cfg, k1)[4]
+        return integrate._attempt(model, n, y, dt, cfg, integrate._Workspace(model, n, y))[4]
 
     # the 2-particle packet racing into the wall leaves the ordered domain
     assert cause(sv, 2, np.array([0.05, -5.0]), 0.05) == "domain"
@@ -86,14 +91,16 @@ def test_attempt_reports_each_rejection_cause(sv, monkeypatch):
     # NaN accelerations at the last stage make the error ratio NaN
     calls = []
 
-    def nan_at_last_stage(model, n, x, v):
+    def nan_at_last_stage(model, n, x, v, **stage_row):
         calls.append(None)
-        dx, dv = rhs_arrays(model, n, x, v)
-        return dx, dv * math.nan if len(calls) == 6 else dv
+        widths = rhs_arrays(model, n, x, v, **stage_row)
+        if len(calls) == 6:
+            stage_row["out"][n - 1:] *= math.nan
+        return widths
 
-    k1 = np.concatenate(rhs_arrays(sv, 8, state.x, state.v))
+    ws = integrate._Workspace(sv, 8, y)
     monkeypatch.setattr(integrate, "rhs_arrays", nan_at_last_stage)
-    out = integrate._attempt(sv, 8, y, 1e-3, cfg, k1)
+    out = integrate._attempt(sv, 8, y, 1e-3, cfg, ws)
     assert len(calls) == 6
     assert out[0] is False and out[3] == 0.5 and out[4] == "nonfinite"
 
@@ -115,10 +122,12 @@ def test_step_rejects_nonfinite_velocity(any_model):
         dx, dv = rhs_arrays(any_model, 4, x, v)
     assert np.isnan(dx[1]) and np.isnan(dv).any()
     y = np.concatenate((x, v))
-    accepted, y_new, k_new, factor, cause = integrate._attempt(
-        any_model, 4, y, 1e-4, fc.IntegratorConfig(), np.concatenate((dx, dv)))
+    ws = integrate._Workspace(any_model, 4, y)
+    assert np.array_equal(ws.k[0], np.concatenate((dx, dv)), equal_nan=True)
+    accepted, y_new, widths, factor, cause = integrate._attempt(
+        any_model, 4, y, 1e-4, fc.IntegratorConfig(), ws)
     assert not accepted
-    assert y_new is None and k_new is None
+    assert y_new is None and widths is None
     assert factor == 0.5
     assert cause == "domain"          # the NaN velocity moves the next stage's positions
 
@@ -307,10 +316,10 @@ def test_every_attempt_starts_from_the_rhs_at_its_state(sv, monkeypatch):
     outcomes = []
     attempt = integrate._attempt
 
-    def checking(model, n, y, dt, cfg, k1):
+    def checking(model, n, y, dt, cfg, ws):
         expect = np.concatenate(rhs_arrays(model, n, y[:n - 1], y[n - 1:]))
-        assert k1.tobytes() == expect.tobytes()
-        out = attempt(model, n, y, dt, cfg, k1)
+        assert ws.k[0].tobytes() == expect.tobytes()
+        out = attempt(model, n, y, dt, cfg, ws)
         outcomes.append(out[0])
         return out
 
@@ -336,3 +345,137 @@ def test_simulate_never_evaluates_the_energy_envelope(monkeypatch, make):
     state0 = fc.build_particles(model, perturbed_initial(model, 0.1), 16)
     series = fc.simulate(model, state0, 0.1, fc.IntegratorConfig(snapshot_dt=0.05))
     assert series.times[-1] == 0.1
+
+
+# -- the allocate-per-stage trial and step loop the workspace replaced -------
+
+def reference_attempt(model, n, y, dt, cfg, k1):
+    """One DP5 trial with fresh arrays for every stage, the error and the
+    scale; ``k1`` is the rhs at y."""
+    half = y.size // 2
+    k = np.empty((7, y.size))
+    k[0] = k1
+    try:
+        for stage in range(1, 7):
+            yi = y + dt * np.dot(integrate._A[stage], k[:stage])
+            k[stage, :half], k[stage, half:] = integrate.rhs_arrays(model, n, yi[:half],
+                                                                    yi[half:])
+    except DomainError:
+        return False, None, None, 0.5, "domain"
+    err = dt * np.dot(integrate._ERR, k)
+    scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(yi))
+    ratio = float((np.abs(err) / scale).max())
+    if not math.isfinite(ratio):
+        return False, None, None, 0.5, "nonfinite"
+    factor = 5.0 if ratio == 0.0 else min(5.0, max(0.2, 0.9 * ratio ** -0.2))
+    if ratio > 1.0:
+        return False, None, None, factor, "error"
+    return True, yi, k[6].copy(), factor, None
+
+
+def reference_run(model, state0, T, cfg):
+    """``simulate``'s step loop over ``reference_attempt``: the snapshot
+    states, the accepted count, the rejections by cause and the spacing
+    extrema, a seventh ``gaps_from_interior`` per accepted step."""
+    n = state0.n
+    y = np.concatenate((state0.x, state0.v))
+    half = y.size // 2
+    t = 0.0
+    dt_ctrl = integrate.first_step(model, n, state0.x)
+    k1 = np.concatenate(integrate.rhs_arrays(model, n, state0.x, state0.v))
+    first = integrate._diagnostics(model, *fields.reconstruct(model, state0))
+    smin, smax = float(first.spacing_min), float(first.spacing_max)
+    accepted, rejected_by = 0, dict.fromkeys(("domain", "nonfinite", "error"), 0)
+    states = [state0]
+    for target in integrate._snapshot_targets(T, cfg.snapshot_dt):
+        while t < target:
+            dt = min(dt_ctrl, target - t)
+            ok, y_new, k_last, factor, cause = reference_attempt(model, n, y, dt, cfg, k1)
+            dt_ctrl = dt * factor
+            if not ok:
+                rejected_by[cause] += 1
+                continue
+            accepted += 1
+            y, k1 = y_new, k_last
+            t = target if dt >= target - t else t + dt
+            gaps = n * gaps_from_interior(model.length, y[:half])
+            smin, smax = min(smin, float(gaps.min())), max(smax, float(gaps.max()))
+        states.append(fc.ParticleState(n=n, t=t, x=y[:half], v=y[half:]))
+    return states, accepted, rejected_by, smin, smax
+
+
+# horizon and tolerance per size: the loose ones reject trials by the error test
+REFERENCE_CASES = {2: (0.3, 1e-3), 8: (0.2, 1e-6), 128: (0.002, 1e-4)}
+
+
+@pytest.mark.parametrize("force_domain", [False, True], ids=["free", "forced_domain"])
+@pytest.mark.parametrize("n", sorted(REFERENCE_CASES))
+def test_simulate_equals_the_allocating_reference_bit_for_bit(any_model, monkeypatch, n,
+                                                              force_domain):
+    T, tol = REFERENCE_CASES[n]
+    cfg = fc.IntegratorConfig(rel_tol=tol, abs_tol=tol * 1e-2, snapshot_dt=T / 4)
+    state0 = fc.build_particles(any_model, perturbed_initial(any_model, 0.3), n)
+    if force_domain:
+        # the 9th rhs call, the second stage of the second trial, leaves the domain
+        calls, rhs = [], integrate.rhs_arrays
+
+        def exit_at_ninth_call(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 9:
+                raise DomainError("forced exit")
+            return rhs(*args, **kwargs)
+
+        monkeypatch.setattr(integrate, "rhs_arrays", exit_at_ninth_call)
+    series = fc.simulate(any_model, state0, T, cfg)
+    if force_domain:
+        calls.clear()
+    states, accepted, rejected_by, smin, smax = reference_run(any_model, state0, T, cfg)
+    stats = series.stats
+    assert series.times == [state.t for state in states]
+    for j, state in enumerate(states):
+        for stored, fresh in zip((series.x, series.rho, series.v),
+                                 fields.reconstruct(any_model, state)):
+            assert stored[j].tobytes() == fresh.tobytes()
+    assert (stats.accepted, stats.rejected_by) == (accepted, rejected_by)
+    assert stats.rejected == sum(rejected_by.values())
+    assert (stats.spacing_min_seen, stats.spacing_max_seen) == (smin, smax)
+    assert stats.rejected_by["domain"] == int(force_domain)
+    if n > 2:
+        assert stats.rejected_by["error"] > 0
+
+
+@pytest.mark.parametrize("n", [2, 8, 128])
+def test_stage_row_form_equals_the_returning_form(any_model, n):
+    rng = np.random.default_rng(n)
+    state = random_state(any_model, n, rng)
+    dx, dv = rhs_arrays(any_model, n, state.x, state.v)
+    row, pad = np.full(2 * (n - 1), np.nan), fc.dynamics.wall_rows(any_model.length, n)
+    widths = rhs_arrays(any_model, n, state.x, state.v, out=row, pad=pad)
+    assert row.tobytes() == np.concatenate((dx, dv)).tobytes()
+    assert widths.tobytes() == gaps_from_interior(any_model.length, state.x).tobytes()
+    assert pad.tolist() == [[any_model.length, *state.x, 0.0], [0.0, *state.v, 0.0]]
+    # an unordered state is refused in either form
+    bad = state.x.copy()
+    bad[0] = 2.0 * any_model.length
+    with pytest.raises(DomainError):
+        rhs_arrays(any_model, n, bad, state.v, out=row, pad=pad)
+
+
+def test_series_is_not_aliased_to_the_workspace(sv, ideal):
+    # each simulate call owns its workspace: runs back to back or at once
+    # in two threads give each run's bytes alone
+    cfg = fc.IntegratorConfig(snapshot_dt=0.01)
+    runs = [(sv, fc.build_particles(sv, perturbed_initial(sv, 0.2), 12)),
+            (ideal, fc.build_particles(ideal, perturbed_initial(ideal, 0.2), 9))]
+
+    def run(args):
+        series = fc.simulate(*args, 0.03, cfg)
+        return [series.x.tobytes(), series.rho.tobytes(), series.v.tobytes(), series.times,
+                series.stats.spacing_min_seen, series.stats.spacing_max_seen]
+
+    alone = [run(args) for args in runs]
+    first = fc.simulate(*runs[0], 0.03, cfg)
+    fc.simulate(*runs[1], 0.03, cfg)
+    assert [first.x.tobytes(), first.rho.tobytes(), first.v.tobytes()] == alone[0][:3]
+    with ThreadPoolExecutor(2) as pool:
+        assert list(pool.map(run, runs)) == alone
