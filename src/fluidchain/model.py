@@ -87,9 +87,11 @@ class FluidModel:
     :meth:`isentropic_gas`, :meth:`ideal_gas_entropy`, :meth:`power_law`,
     :meth:`custom`); the bare ``__init__`` is shared plumbing.  Every
     law maps a float array elementwise (and so a single float too); the
-    construction evaluates each on the probe grid and rejects any that
-    raises there or returns another shape, and requires ``pressure`` to be
-    positive and strictly increasing and ``viscosity`` positive on it.
+    construction first requires the reach m/L * 10^(+-REACH_DECADES) around
+    the reference density m/L to lie in the normal floats, then evaluates
+    each law on the probe grid, rejects any that raises there or returns
+    another shape, and requires ``pressure`` to be positive and strictly
+    increasing and ``viscosity`` positive on it.
     """
 
     def __init__(self, kind, pressure, viscosity, m, length, params=None, closed=None):
@@ -115,6 +117,12 @@ class FluidModel:
     # -- construction -----------------------------------------------------
 
     def _check_laws(self):
+        with np.errstate(over="ignore", under="ignore"):
+            reach = self.rho_star * 10.0 ** np.array([-REACH_DECADES, REACH_DECADES])
+        if not (reach[0] >= np.finfo(float).tiny and reach[1] < math.inf):
+            raise ModelError(
+                f"reference density m/L = {self.rho_star:g} is out of range: the densities "
+                f"m/L * 10^(+-{REACH_DECADES}) its laws are evaluated at leave the normal floats")
         grid = self.probe_grid()
         p = _on_probe_grid(self.pressure, "pressure", grid)
         mu = _on_probe_grid(self.viscosity, "viscosity", grid)

@@ -524,6 +524,9 @@ def _study_config(T=0.1, snapshot_dt=0.05):
                                                  "g": 10 ** 400, "nu": 1.0}),
                  "model.g", id="model_parameter_huge_integer"),
     pytest.param(["check"], dict(MINIMAL, m=-10 ** 400), "m", id="mass_huge_integer"),
+    # a reference density m/L whose probe grid leaves the float range
+    pytest.param(["check"], dict(MINIMAL, m=1e308), "model", id="reference_density_overflow_m"),
+    pytest.param(["check"], dict(MINIMAL, L=1e-300), "model", id="reference_density_overflow_L"),
     pytest.param(["check"], _initial(rho0={"kind": "table", "x": [0, 10 ** 400],
                                            "rho": [1.0, 1.0]}),
                  "initial.rho0.x", id="rho0_table_huge_integer"),

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -348,6 +349,21 @@ def test_rejects_non_increasing_pressure():
             fc.FluidModel.custom(pressure=pressure,
                                  viscosity=lambda r: np.asarray(r, float),
                                  m=1.0, length=1.0)
+
+
+@pytest.mark.parametrize("m, length, rho_star", [(1e308, 1.0, "1e+308"),
+                                                 (1.0, 1e-300, "1e+300"),
+                                                 (1e-300, 1.0, "1e-300")])
+def test_rejects_a_reference_density_whose_reach_leaves_the_floats(m, length, rho_star):
+    # named as the reference density before any law is evaluated; at L = 1e-300
+    # the probe grid still fits (up to 1e306) but the tables' reach does not
+    def unreachable(rho):
+        raise AssertionError("a law was evaluated")
+
+    with pytest.raises(ModelError, match=re.escape(f"reference density m/L = {rho_star} is out")):
+        fc.FluidModel.custom(pressure=unreachable, viscosity=unreachable, m=m, length=length)
+    with pytest.raises(ModelError, match="reference density m/L"):
+        fc.FluidModel.saint_venant(g=9.81, nu=1.0, m=m, length=length)
 
 
 def test_custom_scalar_callables_are_rejected():
