@@ -1,6 +1,10 @@
-"""Microseconds per call of the DP5 hot path: ``dynamics.rhs_arrays`` and
-``integrate._attempt`` at n = 128 on the saint_venant chain of
-``configs/saint_venant_perturbed.json``, from its first trial step;
+"""Microseconds per call of the DP5 hot path: ``dynamics.rhs_arrays`` in
+its returning form and in its stage-row form, and ``integrate._attempt``
+as ``simulate`` calls it, in one workspace built outside the timed call, at
+n = 128 on the saint_venant chain of ``configs/saint_venant_perturbed.json``,
+from its first trial step (each timed trial is accepted and leaves row 0
+of the workspace at the rhs of its candidate, which the next one starts
+from, at the same cost);
 microseconds per snapshot of the diagnostics pass over the stored rows
 (``integrate._diagnostic_columns``), on SNAPSHOTS rows of that state; and
 microseconds per ``fields.sample`` call on the config's uniform grid of
@@ -32,17 +36,20 @@ def main():
     model = cfg.model
     state = build_particles(model, cfg.initial, N)
     y = np.concatenate((state.x, state.v))
-    k1 = np.concatenate(rhs_arrays(model, N, state.x, state.v))
     dt = integrate.first_step(model, N, state.x)
+    ws = integrate._Workspace(model, N, y)
     calls = {
         "rhs_arrays": lambda: rhs_arrays(model, N, state.x, state.v),
-        "_attempt": lambda: integrate._attempt(model, N, y, dt, cfg.integrator, k1),
+        "rhs_arrays_stage_row": lambda: rhs_arrays(model, N, state.x, state.v,
+                                                   out=ws.k[1], pad=ws.pad),
+        "_attempt": lambda: integrate._attempt(model, N, y, dt, cfg.integrator, ws),
     }
     assert calls["_attempt"]()[0], "the timed step must be accepted"
     for name, call in calls.items():
-        number = 2000 if name == "rhs_arrays" else 300
+        number = 300 if name == "_attempt" else 2000
         best = min(timeit.repeat(call, number=number, repeat=REPEAT)) / number
         print(f"{name} n={N}: {best * 1e6:.1f} us per call")
+    assert calls["_attempt"]()[0], "the timed steps must stay accepted"
     series = integrate.SnapshotSeries(model, N, SNAPSHOTS)
     for _ in range(SNAPSHOTS):
         integrate._store(model, state, series)
