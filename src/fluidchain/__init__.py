@@ -14,14 +14,14 @@ from .initial import (AdmissibilityReport, BudgetConstants, InitialData,
                       table_profile)
 from .integrate import (DiagnosticsRecord, IntegratorConfig, SnapshotSeries,
                         simulate)
-from .model import FluidModel, GrowthReport
+from .model import FluidModel
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AdmissibilityError", "AdmissibilityReport", "BudgetConstants",
     "ConfigError", "DiagnosticsRecord", "DiscreteFunctionals", "DomainError",
-    "FluidModel", "FluidchainError", "GrowthReport", "InitialData",
+    "FluidModel", "FluidchainError", "InitialData",
     "InitialDataError", "IntegratorConfig", "ModelError", "ParticleState",
     "QuadratureError", "SnapshotSeries",
     "StiffnessError", "admissibility",

@@ -250,10 +250,8 @@ def admissibility(model: FluidModel, init: InitialData) -> AdmissibilityReport:
     Inadmissibility is a verdict, not an error: the data are admissible when
     ``spacing_bounds`` certifies the band ``[a, b]`` (the budget below both
     limits, the inversion within the tables' reach), and only then are
-    ``a`` and ``b`` attached.  A pressure law that fails the growth
-    condition raises ``ModelError`` before any envelope work.
+    ``a`` and ``b`` attached.
     """
-    model.require_growth()
     consts = budget_constants(model, init)
     limit_high, limit_low = model.energy_envelope_limits()
     lhs = sqrt_budget(consts.e_bar, consts.w_bar)

@@ -274,7 +274,6 @@ def simulate(model, state0, T, cfg=None) -> SnapshotSeries:
     """
     cfg = cfg or IntegratorConfig()
     targets = _snapshot_targets(T, cfg.snapshot_dt)
-    model.require_growth()
     series = SnapshotSeries(model, state0.n, len(targets) + 1)
     _store(model, ParticleState(n=state0.n, t=0.0, x=state0.x, v=state0.v), series)
     with np.errstate(over="ignore"):

@@ -25,7 +25,6 @@ table of its integrand (:func:`_gauss_table`), so those laws must be smooth.
 """
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -67,18 +66,6 @@ GAUSS_RULES = {order: (np.array(nodes), np.array(weights)) for order, nodes, wei
 )}
 
 
-class GrowthReport(NamedTuple):
-    """Numeric verdict on the pressure-integral growth condition.
-
-    ``holds`` requires the cumulative integral of P(s)/s^2 to grow without
-    plateau towards high density and to stay bounded below towards vacuum.
-    """
-
-    holds: bool
-    grows_high: bool
-    bounded_low: bool
-
-
 class FluidModel:
     """Barotropic fluid between walls: pressure/viscosity laws plus the
     functions derived from them.
@@ -91,7 +78,10 @@ class FluidModel:
     the reference density m/L to lie in the normal floats, then evaluates
     each law on the probe grid, rejects any that raises there or returns
     another shape, and requires ``pressure`` to be positive and strictly
-    increasing and ``viscosity`` positive on it.
+    increasing and ``viscosity`` positive on it.  Last it requires the
+    growth condition, which the admissibility analysis and the equations of
+    motion both assume: the spacing potential's decade increments keep
+    growing towards high density and shrink towards vacuum.
     """
 
     def __init__(self, kind, pressure, viscosity, m, length, params=None, closed=None):
@@ -132,6 +122,17 @@ class FluidModel:
             raise ModelError("pressure law must be strictly increasing (P' > 0) on the probe grid")
         if not np.all(np.isfinite(mu)) or np.any(mu <= 0.0):
             raise ModelError("viscosity law must be positive and finite on the probe grid")
+        # the growth condition: int P(t)/t^2 dt from rho* diverges towards
+        # high density and stays bounded towards vacuum
+        values = self.spacing_potential(self.m / grid)
+        grows_high = values[-1] > values[-2] and _keeps_growing(*values[-3:])
+        bounded_low = not _keeps_growing(*-values[2::-1])
+        if not (grows_high and bounded_low):
+            sides = " and ".join(side for side, holds in (("towards high density", grows_high),
+                                                          ("towards vacuum", bounded_low))
+                                 if not holds)
+            raise ModelError(f"pressure law fails the growth condition {sides}: int P(rho)/rho^2 "
+                             "must diverge at high density and stay bounded towards vacuum")
 
     @classmethod
     def saint_venant(cls, g, nu, m, length):
@@ -326,10 +327,8 @@ class FluidModel:
         grid = self.probe_grid()
         values = self.energy_envelope(grid[[-3, -2, -1, 2, 1, 0]]).tolist()
         f_hi, f_lo = values[:3], values[3:]
-        hi_unbounded = (abs(f_hi[2]) > 1.5 * abs(f_hi[1])
-                        or f_hi[2] - f_hi[1] >= 0.9 * (f_hi[1] - f_hi[0]))
-        lo_unbounded = (abs(f_lo[2]) > 1.5 * abs(f_lo[1])
-                        or f_lo[1] - f_lo[2] >= 0.9 * (f_lo[0] - f_lo[1]))
+        hi_unbounded = abs(f_hi[2]) > 1.5 * abs(f_hi[1]) or _keeps_growing(*f_hi)
+        lo_unbounded = abs(f_lo[2]) > 1.5 * abs(f_lo[1]) or _keeps_growing(*(-f for f in f_lo))
         limit_high = math.inf if hi_unbounded else abs(f_hi[2])
         limit_low = math.inf if lo_unbounded else abs(f_lo[2])
         return limit_high, limit_low
@@ -390,36 +389,6 @@ class FluidModel:
                     b, node = mids[node], 2 * node + 1
         return math.exp(0.5 * (a + b))
 
-    # -- growth condition ----------------------------------------------------
-
-    def pressure_growth_report(self):
-        """Probe the cumulative P(s)/s^2 integral for divergence at high
-        density and boundedness towards vacuum.
-
-        Uses decade-increment ratios so that logarithmic divergence towards
-        vacuum is detected; a genuinely log-divergent high side paired with a
-        bounded low side would be conservatively rejected.
-        """
-        grid = self.probe_grid()
-        values = self.spacing_potential(self.m / grid)
-        d_hi, d_hi_prev = values[-1] - values[-2], values[-2] - values[-3]
-        d_lo, d_lo_prev = values[1] - values[0], values[2] - values[1]
-        grows_high = d_hi >= 0.9 * d_hi_prev and d_hi > 0.0
-        bounded_low = d_lo < 0.9 * d_lo_prev
-        return GrowthReport(holds=bool(grows_high and bounded_low),
-                            grows_high=bool(grows_high), bounded_low=bool(bounded_low))
-
-    def require_growth(self):
-        """Raise ``ModelError`` unless the pressure law meets the growth
-        condition, which the admissibility analysis and the equations of
-        motion both assume."""
-        growth = self.pressure_growth_report()
-        if not growth.holds:
-            raise ModelError(
-                "pressure law fails the growth condition "
-                f"(high side diverges: {growth.grows_high}, "
-                f"bounded towards vacuum: {growth.bounded_low})")
-
     def __repr__(self):
         ps = ", ".join(f"{k}={v:g}" for k, v in self.params.items())
         return f"FluidModel({self.kind}, {ps}, m={self.m:g}, L={self.length:g})"
@@ -476,6 +445,14 @@ def _gauss_table(integrand, rho_star):
         return out.reshape(np.shape(rho))
 
     return evaluate
+
+
+def _keeps_growing(inner, middle, outer):
+    """Whether values at three outward decades keep growing: the outer
+    decade's increment is at least 0.9 times the inner one's.  A sequence
+    that converges passes it at a decade ratio below 0.9, a logarithmic
+    divergence does not."""
+    return outer - middle >= 0.9 * (middle - inner)
 
 
 def _monomial(coeff, exponent):

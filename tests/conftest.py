@@ -140,15 +140,12 @@ def reference_envelope_limits(model):
 
 
 def reference_growth_report(model):
-    """``pressure_growth_report`` from one scalar spacing-potential call per
-    probe."""
-    values = np.array([model.spacing_potential(model.m / r) for r in model.probe_grid()])
+    """The growth verdict ``(grows_high, bounded_low)`` of the construction
+    check, from one scalar spacing-potential call per probe."""
+    values = [model.spacing_potential(model.m / float(r)) for r in model.probe_grid()]
     d_hi, d_hi_prev = values[-1] - values[-2], values[-2] - values[-3]
     d_lo, d_lo_prev = values[1] - values[0], values[2] - values[1]
-    grows_high = d_hi >= 0.9 * d_hi_prev and d_hi > 0.0
-    bounded_low = d_lo < 0.9 * d_lo_prev
-    return fc.GrowthReport(holds=bool(grows_high and bounded_low),
-                           grows_high=bool(grows_high), bounded_low=bool(bounded_low))
+    return d_hi >= 0.9 * d_hi_prev and d_hi > 0.0, d_lo < 0.9 * d_lo_prev
 
 
 MODEL_FIXTURES = {"saint_venant": "sv", "isentropic_gas": "isentropic",

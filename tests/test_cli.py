@@ -345,18 +345,22 @@ def _power_law_config(pressure_exponent):
     return payload
 
 
-def test_growth_condition_fails_check_validate_and_converge(tmp_path, capsys):
+def test_growth_condition_fails_every_subcommand(tmp_path, capsys):
     # P nearly constant: its spacing potential stays bounded at high density
+    # and diverges like 1/rho towards vacuum
     path = write_config(tmp_path, _power_law_config(1e-9))
-    for sub in ("check", "validate", "converge"):
+    for sub in ("check", "simulate", "validate", "converge"):
         argv = [sub, "--config", str(path)]
         if sub != "check":
             argv += ["--out", str(tmp_path / sub)]
         assert cli.main(argv) == 1
         [line] = capsys.readouterr().err.splitlines()
         record = json.loads(line)
-        assert record["error"] == "ModelError"
-        assert "growth condition" in record["message"]
+        assert record["error"] == "ConfigError"
+        assert record["field"] == "model"
+        assert record["message"].startswith(
+            "model: pressure law fails the growth condition towards high density and "
+            "towards vacuum:")
 
 
 def test_overflowing_law_prints_only_the_error_record(tmp_path):

@@ -231,7 +231,7 @@ def _outcome(call, *args):
 def _assert_envelope_matches_reference(model):
     limits = model.energy_envelope_limits()
     assert limits == reference_envelope_limits(model)
-    assert model.pressure_growth_report() == reference_growth_report(model)
+    assert reference_growth_report(model) == (True, True)
     for sign, limit in ((1.0, limits[0]), (-1.0, limits[1])):
         limit = 3.0 if math.isinf(limit) else limit
         # 1.5x a finite limit and an infinite target are unreachable: both
@@ -251,15 +251,41 @@ def test_batched_envelope_matches_scalar_reference_on_gauss_tables(callable_mode
         _assert_envelope_matches_reference(model)
 
 
-def test_pressure_growth_report(sv, ideal, isentropic):
-    assert sv.pressure_growth_report().holds
-    assert ideal.pressure_growth_report().holds
-    assert isentropic.pressure_growth_report().holds
-    linear = fc.FluidModel.power_law(1.0, 1.0, 1.0, 1.0, m=1.0, length=1.0)
-    report = linear.pressure_growth_report()
-    assert not report.holds
-    assert report.grows_high          # log divergence at high density
-    assert not report.bounded_low     # log divergence towards vacuum
+def _unchecked(monkeypatch, build):
+    """The model ``build()`` returns with the checks of its laws skipped."""
+    with monkeypatch.context() as patch:
+        patch.setattr(fc.FluidModel, "_check_laws", lambda self: None)
+        return build()
+
+
+# (pressure, failing sides): P = rho grows like log(rho) on both sides, a
+# nearly constant P and a P bounded at high density stop growing there
+GROWTH_LAWS = (
+    pytest.param(lambda r: np.asarray(r, float) ** 1.4, (), id="gamma_1.4"),
+    pytest.param(lambda r: np.asarray(r, float), ("towards vacuum",), id="linear"),
+    pytest.param(lambda r: np.asarray(r, float) ** 1e-9,
+                 ("towards high density", "towards vacuum"), id="nearly_constant"),
+    pytest.param(lambda r: np.asarray(r, float) ** 2 / (1.0 + np.asarray(r, float) ** 2),
+                 ("towards high density",), id="bounded_high"),
+)
+
+
+@pytest.mark.parametrize("pressure, failing", GROWTH_LAWS)
+def test_growth_condition_is_checked_at_construction(monkeypatch, pressure, failing):
+    build = lambda: fc.FluidModel.custom(pressure=pressure, viscosity=lambda r: np.asarray(
+        r, float), m=1.0, length=1.0)
+    grows_high, bounded_low = reference_growth_report(_unchecked(monkeypatch, build))
+    assert failing == tuple(side for side, holds in (("towards high density", grows_high),
+                                                     ("towards vacuum", bounded_low))
+                            if not holds)
+    if not failing:
+        build()
+        return
+    with pytest.raises(ModelError, match="growth condition") as err:
+        build()
+    message = str(err.value)
+    assert message.startswith("pressure law fails the growth condition "
+                              + " and ".join(failing) + ":")
 
 
 def _power_law_preset(gamma, beta, m=1.0, length=1.0):
@@ -267,10 +293,16 @@ def _power_law_preset(gamma, beta, m=1.0, length=1.0):
 
 
 # (gamma, beta[, m, L]): each hits the exact logarithm of one closed form,
-# beta = 0 the viscous potential, beta = 1/2 the viscosity part, gamma = 1
-# the spacing potential, gamma = 2 with beta = -1/2 the energy part; the last
-# has a reference density other than 1
-LOG_BRANCH_LAWS = ((2.0, 0.0), (2.0, 0.5), (1.0, 1.0), (2.0, -0.5), (2.0, 0.5, 1.3, 0.7))
+# beta = 0 the viscous potential, beta = 1/2 the viscosity part, gamma = 2
+# with beta = -1/2 the energy part; the last has a reference density other
+# than 1.  The spacing potential's logarithm, at gamma = 1, is a law that
+# fails the growth condition and cannot be built.
+LOG_BRANCH_LAWS = ((2.0, 0.0), (2.0, 0.5), (2.0, -0.5), (2.0, 0.5, 1.3, 0.7))
+
+
+def test_spacing_potential_logarithm_fails_the_growth_condition():
+    with pytest.raises(ModelError, match="growth condition towards vacuum:"):
+        _power_law_preset(1.0, 1.0)
 
 
 def test_closed_forms_match_quadrature_on_probe_grid(sv, ideal, isentropic, power_law,
@@ -322,14 +354,18 @@ def test_envelope_finite_next_to_reference_density(ideal, power_law):
 
 def test_quadrature_above_tolerance_still_raises():
     # a singular viscosity and a pressure with a kink at rho = 2 fail the
-    # tables' half-panel check instead of giving a wrong envelope
+    # tables' half-panel check instead of giving a wrong envelope; the
+    # kinked pressure already at construction, whose growth probe builds
+    # the spacing potential's table
     rho = lambda r: np.asarray(r, float)
-    for pressure, viscosity in ((lambda r: rho(r) ** 2, lambda r: 1.0 / abs(rho(r) - 1.3)),
-                                (lambda r: rho(r) ** 2 + np.maximum(rho(r) - 2.0, 0.0), rho)):
-        model = fc.FluidModel.custom(pressure=pressure, viscosity=viscosity,
-                                     m=1.0, length=1.0)
-        with pytest.raises(fc.QuadratureError, match="half-panel"):
-            model.energy_envelope(1.5)
+    model = fc.FluidModel.custom(pressure=lambda r: rho(r) ** 2,
+                                 viscosity=lambda r: 1.0 / abs(rho(r) - 1.3),
+                                 m=1.0, length=1.0)
+    with pytest.raises(fc.QuadratureError, match="half-panel"):
+        model.energy_envelope(1.5)
+    with pytest.raises(fc.QuadratureError, match="half-panel"):
+        fc.FluidModel.custom(pressure=lambda r: rho(r) ** 2 + np.maximum(rho(r) - 2.0, 0.0),
+                             viscosity=rho, m=1.0, length=1.0)
 
 
 def test_rejects_nonpositive_density(sv):
