@@ -125,7 +125,7 @@ class FluidModel:
         # the growth condition: int P(t)/t^2 dt from rho* diverges towards
         # high density and stays bounded towards vacuum
         values = self.spacing_potential(self.m / grid)
-        grows_high = values[-1] > values[-2] and _keeps_growing(*values[-3:])
+        grows_high = _keeps_growing(*values[-3:])
         bounded_low = not _keeps_growing(*-values[2::-1])
         if not (grows_high and bounded_low):
             sides = " and ".join(side for side, holds in (("towards high density", grows_high),
@@ -449,10 +449,13 @@ def _gauss_table(integrand, rho_star):
 
 def _keeps_growing(inner, middle, outer):
     """Whether values at three outward decades keep growing: the outer
-    decade's increment is at least 0.9 times the inner one's.  A sequence
-    that converges passes it at a decade ratio below 0.9, a logarithmic
-    divergence does not."""
-    return outer - middle >= 0.9 * (middle - inner)
+    decade's increment is at least 0.9 times the inner one's, and larger
+    than the triple's rounding, 4 ulps of its largest magnitude.  A sequence
+    that converges fails it at a decade ratio below 0.9 or once it has
+    converged to rounding; a logarithmic divergence passes it."""
+    step = outer - middle
+    rounding = 4.0 * math.ulp(max(abs(inner), abs(middle), abs(outer)))
+    return step > rounding and step >= 0.9 * (middle - inner)
 
 
 def _monomial(coeff, exponent):

@@ -131,10 +131,14 @@ def reference_envelope_limits(model):
     grid = model.probe_grid()
     f_hi = [model.energy_envelope(float(grid[i])) for i in (-3, -2, -1)]
     f_lo = [model.energy_envelope(float(grid[i])) for i in (2, 1, 0)]
+    # an increment within 4 ulps of its triple's largest magnitude has converged
+    floor_hi, floor_lo = (4.0 * math.ulp(max(map(abs, f))) for f in (f_hi, f_lo))
     hi_unbounded = (abs(f_hi[2]) > 1.5 * abs(f_hi[1])
-                    or f_hi[2] - f_hi[1] >= 0.9 * (f_hi[1] - f_hi[0]))
+                    or f_hi[2] - f_hi[1] >= 0.9 * (f_hi[1] - f_hi[0])
+                    and f_hi[2] - f_hi[1] > floor_hi)
     lo_unbounded = (abs(f_lo[2]) > 1.5 * abs(f_lo[1])
-                    or f_lo[1] - f_lo[2] >= 0.9 * (f_lo[0] - f_lo[1]))
+                    or f_lo[1] - f_lo[2] >= 0.9 * (f_lo[0] - f_lo[1])
+                    and f_lo[1] - f_lo[2] > floor_lo)
     return (math.inf if hi_unbounded else abs(f_hi[2]),
             math.inf if lo_unbounded else abs(f_lo[2]))
 
@@ -145,7 +149,10 @@ def reference_growth_report(model):
     values = [model.spacing_potential(model.m / float(r)) for r in model.probe_grid()]
     d_hi, d_hi_prev = values[-1] - values[-2], values[-2] - values[-3]
     d_lo, d_lo_prev = values[1] - values[0], values[2] - values[1]
-    return d_hi >= 0.9 * d_hi_prev and d_hi > 0.0, d_lo < 0.9 * d_lo_prev
+    # an increment within 4 ulps of its triple's largest magnitude has converged
+    floor_hi, floor_lo = (4.0 * math.ulp(max(map(abs, f))) for f in (values[-3:], values[:3]))
+    return (d_hi >= 0.9 * d_hi_prev and d_hi > floor_hi,
+            not (d_lo >= 0.9 * d_lo_prev and d_lo > floor_lo))
 
 
 MODEL_FIXTURES = {"saint_venant": "sv", "isentropic_gas": "isentropic",

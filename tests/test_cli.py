@@ -363,6 +363,37 @@ def test_growth_condition_fails_every_subcommand(tmp_path, capsys):
             "towards vacuum:")
 
 
+@pytest.mark.parametrize("model", [
+    pytest.param({"kind": "isentropic_gas", "c": 1.0, "gamma": 7.0}, id="isentropic_gas"),
+    pytest.param({"kind": "custom", "pressure": {"coeff": 1.0, "exponent": 7.0},
+                  "viscosity": {"coeff": 1.0, "exponent": 1.0}}, id="custom"),
+])
+def test_steep_pressure_checks_and_validates(tmp_path, capsys, model):
+    # the Tait exponent 7: the spacing potential converges to rounding
+    # towards vacuum inside the probe grid
+    payload = _simulate_config(T=0.04)
+    payload["model"] = model
+    payload["initial"]["v0"]["amplitude"] = 0.01
+    payload["integrator"]["snapshot_dt"] = 0.02
+    path = write_config(tmp_path, payload)
+    assert cli.main(["check", "--config", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["admissible"] is True
+    assert cli.main(["validate", "--config", str(path), "--out", str(tmp_path / "v")]) == 0
+    text = (tmp_path / "v" / "validate.txt").read_text()
+    assert "discrete decay ok: True" in text
+    assert "spacing containment ok: True" in text
+
+
+def test_check_reports_a_finite_limit_for_a_flat_vacuum_side(tmp_path, capsys):
+    payload = json.loads(json.dumps(MINIMAL))
+    payload["model"] = {"kind": "custom", "pressure": {"coeff": 1.0, "exponent": 2.0},
+                        "viscosity": {"coeff": 1.0, "exponent": 8.0}}
+    assert cli.main(["check", "--config", str(write_config(tmp_path, payload))]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["f_limit_high"] == "infinite"
+    assert report["f_limit_low"] == pytest.approx(1.0 / (8.0 * math.sqrt(2.0)), rel=1e-14)
+
+
 def test_overflowing_law_prints_only_the_error_record(tmp_path):
     done = run_cli("check", "--config", write_config(tmp_path, _power_law_config(80.0)))
     assert done.returncode == 1

@@ -288,6 +288,26 @@ def test_growth_condition_is_checked_at_construction(monkeypatch, pressure, fail
                               + " and ".join(failing) + ":")
 
 
+@pytest.mark.parametrize("gamma", [5.0, 7.0, 10.0, 20.0])
+def test_steep_pressure_laws_meet_the_growth_condition(gamma):
+    # towards vacuum their spacing potentials converge to rounding inside
+    # the probe grid, and a converged increment is no sign of divergence
+    for model in (fc.FluidModel.isentropic_gas(1.0, gamma, m=1.0, length=1.0),
+                  fc.FluidModel.power_law(1.0, gamma, 1.0, 1.0, m=1.3, length=0.7)):
+        assert reference_growth_report(model) == (True, True)
+
+
+def test_envelope_flat_towards_vacuum_has_a_finite_limit():
+    # P = rho^2, mu = rho^8: the envelope is -1/(8 sqrt 2) to rounding from
+    # rho* * 10^-4 on, so its decade increments there are zero
+    model = fc.FluidModel.power_law(1.0, 2.0, 1.0, 8.0, m=1.0, length=1.0)
+    limit_high, limit_low = model.energy_envelope_limits()
+    assert math.isinf(limit_high)
+    assert limit_low == pytest.approx(1.0 / (8.0 * math.sqrt(2.0)), rel=1e-14)
+    assert limit_low == pytest.approx(-model.energy_envelope(1e-12), rel=1e-14)
+    _assert_envelope_matches_reference(model)
+
+
 def _power_law_preset(gamma, beta, m=1.0, length=1.0):
     return fc.FluidModel.power_law(1.5, gamma, 0.5, beta, m=m, length=length)
 
