@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import checks, fields
-from .dynamics import ordered_sum
+from .dynamics import ordered_sum, spacing_bounds
 from .errors import AdmissibilityError, ConfigError, FluidchainError
 from .initial import (admissibility, build_particles, constant_density,
                       make_initial, sine_velocity, table_profile)
@@ -382,10 +382,12 @@ def _prepare_study(cfg, out_dir):
     out = _make_out(out_dir)
     report = admissibility(cfg.model, cfg.initial)
     if not report.admissible:
-        limit = min(report.f_limit_high, report.f_limit_low)
-        why = (f">= envelope limit {limit:g}" if report.lhs >= limit
-               else "is beyond the reach of the envelope tables")
-        raise AdmissibilityError(f"initial data inadmissible: budget {report.lhs:g} {why}")
+        # the report keeps no reason: the one verdict gives its own
+        try:
+            spacing_bounds(cfg.model, report.e_bar, report.w_bar)
+        except AdmissibilityError as exc:
+            raise AdmissibilityError(f"initial data inadmissible: {exc}",
+                                     side=exc.side) from None
     return out, report
 
 

@@ -192,9 +192,21 @@ def test_validate_inadmissible_exits_2(tmp_path, capsys):
     path = write_config(tmp_path, payload)
     assert cli.main(["validate", "--config", str(path),
                      "--out", str(tmp_path / "v")]) == 2
-    message = json.loads(capsys.readouterr().err)["message"]
-    assert message.startswith("initial data inadmissible: budget ")
-    assert " >= envelope limit " in message
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "AdmissibilityError",
+        "message": "initial data inadmissible: budget 37.9224 >= vacuum-side envelope "
+                   "limit 1.02101"}
+
+
+@pytest.mark.parametrize("limits, side", [((math.nan, math.inf), "high-density"),
+                                          ((math.inf, math.nan), "vacuum-side")])
+def test_validate_names_a_nan_limit(tmp_path, capsys, monkeypatch, limits, side):
+    # the refusal is spacing_bounds' own: a NaN limit is named as such
+    monkeypatch.setattr(fc.FluidModel, "energy_envelope_limits", lambda self: limits)
+    path = write_config(tmp_path, _simulate_config())
+    assert cli.main(["validate", "--config", str(path), "--out", str(tmp_path / "v")]) == 2
+    assert json.loads(capsys.readouterr().err)["message"] == (
+        f"initial data inadmissible: budget 0.379224 >= {side} envelope limit nan")
 
 
 def _beyond_reach_config():
@@ -231,8 +243,8 @@ def test_validate_on_a_band_beyond_reach_names_the_reach(tmp_path, capsys):
     assert captured.out == ""
     assert json.loads(captured.err) == {
         "error": "AdmissibilityError",
-        "message": "initial data inadmissible: budget 3.79224 is beyond the reach "
-                   "of the envelope tables"}
+        "message": "initial data inadmissible: energy budget 3.79224 exceeds the "
+                   "envelope's reach towards high density"}
 
 
 def test_converge_with_n_override(tmp_path, capsys):
