@@ -78,10 +78,11 @@ class FluidModel:
     the reference density m/L to lie in the normal floats, then evaluates
     each law on the probe grid, rejects any that raises there or returns
     another shape, and requires ``pressure`` to be positive and strictly
-    increasing and ``viscosity`` positive on it.  Last it requires the
-    growth condition, which the admissibility analysis and the equations of
-    motion both assume: the spacing potential's decade increments keep
-    growing towards high density and shrink towards vacuum.
+    increasing on it and to meet the growth condition, which the
+    admissibility analysis and the equations of motion both assume: the
+    spacing potential's decade increments keep growing towards high density
+    and shrink towards vacuum.  Last it requires ``viscosity`` to be
+    positive on the probe grid.
     """
 
     def __init__(self, kind, pressure, viscosity, m, length, params=None, closed=None):
@@ -115,13 +116,10 @@ class FluidModel:
                 f"m/L * 10^(+-{REACH_DECADES}) its laws are evaluated at leave the normal floats")
         grid = self.probe_grid()
         p = _on_probe_grid(self.pressure, "pressure", grid)
-        mu = _on_probe_grid(self.viscosity, "viscosity", grid)
         if not np.all(np.isfinite(p)) or np.any(p <= 0.0):
             raise ModelError("pressure law must be positive and finite on the probe grid")
         if not np.all(np.diff(p) > 0.0):
             raise ModelError("pressure law must be strictly increasing (P' > 0) on the probe grid")
-        if not np.all(np.isfinite(mu)) or np.any(mu <= 0.0):
-            raise ModelError("viscosity law must be positive and finite on the probe grid")
         # the growth condition: int P(t)/t^2 dt from rho* diverges towards
         # high density and stays bounded towards vacuum
         values = self.spacing_potential(self.m / grid)
@@ -133,6 +131,9 @@ class FluidModel:
                                  if not holds)
             raise ModelError(f"pressure law fails the growth condition {sides}: int P(rho)/rho^2 "
                              "must diverge at high density and stay bounded towards vacuum")
+        mu = _on_probe_grid(self.viscosity, "viscosity", grid)
+        if not np.all(np.isfinite(mu)) or np.any(mu <= 0.0):
+            raise ModelError("viscosity law must be positive and finite on the probe grid")
 
     @classmethod
     def saint_venant(cls, g, nu, m, length):

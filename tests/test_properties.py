@@ -2,6 +2,8 @@
 hand-picked points: exact mass, nonincreasing E_n and W_n, strict ordering,
 spacings inside the admissibility band [a, b], and reproducible runs."""
 
+import math
+
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -59,6 +61,62 @@ def test_structure_holds_for_admissible_draws(sv, isentropic, ideal, ideal_calla
         assert np.array_equal(column, same)
     for name in ("x", "rho", "v"):
         assert np.array_equal(getattr(again, name), getattr(series, name))
+
+
+# the phrase naming each check a construction can refuse drawn parameters
+# by: the reach of m/L, the laws on the probe grid, the growth condition
+# (and the closed spacing potential's overflow) and the presets' exponents
+CONSTRUCTION_CHECKS = ("out of range", "positive and finite", "strictly increasing",
+                       "growth condition", "overflowed", "gamma > 1", "gamma in (1, 2)")
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(kind=st.sampled_from(["power_law", "isentropic_gas", "ideal_gas_entropy",
+                             "saint_venant"]),
+       log_c=st.floats(-6.0, 6.0), log_a=st.floats(-6.0, 6.0), beta=st.floats(-10.0, 20.0),
+       log_m=st.floats(-8.0, 8.0), log_length=st.floats(-8.0, 8.0), data=st.data())
+def test_construction_over_drawn_parameters(kind, log_c, log_a, beta, log_m, log_length,
+                                            data):
+    # (c, gamma, a, beta, m, L) over ranges where about a third of the power
+    # laws overflow or underflow on the probe grid; a preset takes the
+    # parameters of its own laws, saint_venant (g, nu) = (c, a), and the
+    # ideal gas draws gamma from [1, 2], its range and both its ends
+    gamma = data.draw(st.floats(1.0, 2.0) if kind == "ideal_gas_entropy"
+                      else st.floats(0.01, 40.0), label="gamma")
+    c, a, m, length = 10.0 ** log_c, 10.0 ** log_a, 10.0 ** log_m, 10.0 ** log_length
+    build = {
+        "power_law": lambda: fc.FluidModel.power_law(c, gamma, a, beta, m, length),
+        "isentropic_gas": lambda: fc.FluidModel.isentropic_gas(c, gamma, m, length, mu=a),
+        "ideal_gas_entropy": lambda: fc.FluidModel.ideal_gas_entropy(c, gamma, a, m, length),
+        "saint_venant": lambda: fc.FluidModel.saint_venant(c, a, m, length),
+    }[kind]
+    exponent = 2.0 if kind == "saint_venant" else gamma
+    try:
+        model = build()
+    except fc.FluidchainError as err:
+        message = str(err)
+        assert any(check in message for check in CONSTRUCTION_CHECKS), message
+        # the growth test refuses no exponent above 1 - log10(0.9) = 1.0458
+        assert not (exponent >= 1.05 and "growth condition" in message), message
+        assert kind != "power_law" or gamma > 1.0 or "growth condition" in message, message
+        return
+    assert exponent > 1.0
+
+    # a side whose envelope moves by less than 1e-9 relative from the probe
+    # grid's edge to the tables' reach has a finite limit
+    try:
+        with np.errstate(over="ignore"):
+            edge, reach = model.rho_star * 10.0 ** np.array(
+                [[fc.model.PROBE_DECADES, -fc.model.PROBE_DECADES],
+                 [fc.model.REACH_DECADES, -fc.model.REACH_DECADES]])
+            f_edge, f_reach = model.energy_envelope(edge), model.energy_envelope(reach)
+    except fc.QuadratureError:
+        # an envelope table that overflows within the reach
+        return
+    for limit, at_edge, at_reach in zip(model.energy_envelope_limits(), f_edge.tolist(),
+                                        f_reach.tolist()):
+        if abs(at_reach - at_edge) < 1e-9 * abs(at_edge):
+            assert math.isfinite(limit), (limit, at_edge, at_reach)
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)
