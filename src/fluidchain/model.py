@@ -120,8 +120,8 @@ class FluidModel:
             raise ModelError("pressure law must be positive and finite on the probe grid")
         if not np.all(np.diff(p) > 0.0):
             raise ModelError("pressure law must be strictly increasing (P' > 0) on the probe grid")
-        # the growth condition: int P(t)/t^2 dt from rho* diverges towards
-        # high density and stays bounded towards vacuum
+        # the growth condition; towards vacuum the spacing potential falls
+        # outward, so its outward triple there is negated
         values = self.spacing_potential(self.m / grid)
         grows_high = _keeps_growing(*values[-3:])
         bounded_low = not _keeps_growing(*-values[2::-1])
@@ -321,9 +321,9 @@ class FluidModel:
         Returns positive thresholds ``(limit_high, limit_low)`` where
         ``limit_low`` is the magnitude of the vacuum-side limit.  A side is
         reported infinite when the outermost probe exceeds 1.5x the previous
-        decade's value, or when the decade increments stop shrinking (which
-        catches logarithmic divergence, e.g. viscosity growing like
-        sqrt(density)).
+        decade's value, or when the decade increments keep growing by
+        ``_keeps_growing`` (which catches logarithmic divergence, e.g.
+        viscosity growing like sqrt(density)).
         """
         grid = self.probe_grid()
         values = self.energy_envelope(grid[[-3, -2, -1, 2, 1, 0]]).tolist()

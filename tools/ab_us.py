@@ -42,7 +42,10 @@ def load(src, name):
 
 
 def main(argv=None):
-    base_src, change_src = sys.argv[1:] if argv is None else argv
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 2:
+        sys.exit("usage: python3 tools/ab_us.py BASE_SRC CHANGE_SRC")
+    base_src, change_src = args
     base, change = (hot_path_us.call_table(load(src, name)) for src, name in (
         (base_src, "fluidchain_base"), (change_src, "fluidchain_change")))
     for name, (base_call, number, _, _) in base.items():
