@@ -134,11 +134,11 @@ def reference_envelope_limits(model):
     # an increment within 4 ulps of its triple's largest magnitude has converged
     floor_hi, floor_lo = (4.0 * math.ulp(max(map(abs, f))) for f in (f_hi, f_lo))
     hi_unbounded = (abs(f_hi[2]) > 1.5 * abs(f_hi[1])
-                    or f_hi[2] - f_hi[1] >= 0.9 * (f_hi[1] - f_hi[0])
-                    and f_hi[2] - f_hi[1] > floor_hi)
+                    or (f_hi[2] - f_hi[1] >= 0.9 * (f_hi[1] - f_hi[0])
+                        and f_hi[2] - f_hi[1] > floor_hi))
     lo_unbounded = (abs(f_lo[2]) > 1.5 * abs(f_lo[1])
-                    or f_lo[1] - f_lo[2] >= 0.9 * (f_lo[0] - f_lo[1])
-                    and f_lo[1] - f_lo[2] > floor_lo)
+                    or (f_lo[1] - f_lo[2] >= 0.9 * (f_lo[0] - f_lo[1])
+                        and f_lo[1] - f_lo[2] > floor_lo))
     return (math.inf if hi_unbounded else abs(f_hi[2]),
             math.inf if lo_unbounded else abs(f_lo[2]))
 
