@@ -156,8 +156,8 @@ def _parse_model(raw):
 
 def _parse_profile(block, name):
     """Check the profile ``block[name]`` against the keys of its own kind:
-    the keys of a ``table`` are lists of numbers, all others numbers, and a
-    sine's ``mode`` a positive whole number.  Returns the kind."""
+    the keys of a ``table`` are lists of numbers, all others numbers.
+    Returns the kind."""
     path = f"initial.{name}"
     profile = block[name]
     if not isinstance(profile, dict):
@@ -173,9 +173,6 @@ def _parse_profile(block, name):
     for key in (*required, *optional):
         if key in profile:
             check(profile, path, key)
-    mode = profile.get("mode", 1)           # only a sine has one; 1 is its default
-    if not (mode >= 1 and mode == int(mode)):
-        raise ConfigError(_field(path, "mode"), f"must be a positive integer, got {mode!r}")
     return kind
 
 

@@ -179,24 +179,15 @@ def spacing_bounds(model: FluidModel, e_bar, w_bar):
     """Guaranteed scaled-spacing interval [a, b] for trajectories whose
     initial energies stay below (e_bar, w_bar).
 
-    The one admissibility verdict: requires the budget sqrt(w_bar) +
-    sqrt(e_bar) to sit strictly below both envelope limits (a NaN limit
-    fails) and the inversion to stay within the tables' reach; raises
-    AdmissibilityError naming the failing side otherwise.  At zero budget
-    the interval degenerates to [L, L].
+    The one admissibility verdict: the energy envelope must reach the
+    budget sqrt(w_bar) + sqrt(e_bar) on both sides of rho* within the
+    tables' reach; otherwise ``energy_envelope_inverse`` raises
+    AdmissibilityError naming the failing side.  At zero budget the
+    interval degenerates to [L, L].
     """
     if not (e_bar >= 0.0 and w_bar >= 0.0):
         raise AdmissibilityError("energy budgets must be nonnegative")
     budget = sqrt_budget(e_bar, w_bar)
-    limit_high, limit_low = model.energy_envelope_limits()
-    if not budget < limit_high:
-        raise AdmissibilityError(
-            f"budget {budget:g} >= high-density envelope limit {limit_high:g}",
-            side="high")
-    if not budget < limit_low:
-        raise AdmissibilityError(
-            f"budget {budget:g} >= vacuum-side envelope limit {limit_low:g}",
-            side="low")
     rho_hi = model.energy_envelope_inverse(budget)
     rho_lo = model.energy_envelope_inverse(-budget)
     return model.m / rho_hi, model.m / rho_lo

@@ -21,8 +21,8 @@ class DomainError(FluidchainError):
 
 
 class AdmissibilityError(FluidchainError):
-    """Energy budget violates the envelope-limit condition; names the
-    failing side ('high' or 'low')."""
+    """The energy envelope does not reach the energy budget within the
+    tables' reach; names the failing side ('high' or 'low')."""
 
     def __init__(self, message, side=None):
         super().__init__(message)
@@ -37,7 +37,7 @@ class StiffnessError(FluidchainError):
 class InitialDataError(FluidchainError):
     """Initial density/velocity profile violates its constraints; names the
     part at fault when there is one: a profile ('rho0' or 'v0') for its
-    values, or 'rho0.x' / 'v0.x' for its table positions."""
+    values, 'rho0.x' / 'v0.x' for its table positions, or 'v0.mode'."""
 
     def __init__(self, message, part=None):
         super().__init__(message)

@@ -132,7 +132,7 @@ def sine_velocity(model, amplitude, mode=1):
     walls, with the analytic derivative L2 norm."""
     L = model.length
     if not (mode >= 1 and float(mode).is_integer()):     # NaN and inf fail too
-        raise InitialDataError("sine mode must be a positive integer")
+        raise InitialDataError("sine mode must be a positive integer", "v0.mode")
     mode = int(mode)
 
     def v0(x):
@@ -245,12 +245,12 @@ class AdmissibilityReport(NamedTuple):
 
 
 def admissibility(model: FluidModel, init: InitialData) -> AdmissibilityReport:
-    """Compare the initial energy budget against the envelope limits.
+    """Report the initial energy budget, the envelope limits and the verdict.
 
     Inadmissibility is a verdict, not an error: the data are admissible when
-    ``spacing_bounds`` certifies the band ``[a, b]`` (the budget below both
-    limits, the inversion within the tables' reach), and only then are
-    ``a`` and ``b`` attached.
+    ``spacing_bounds`` certifies the band ``[a, b]`` (the envelope reaches
+    the budget on both sides within the tables' reach), and only then are
+    ``a`` and ``b`` attached.  The limits are reported, not compared.
     """
     consts = budget_constants(model, init)
     limit_high, limit_low = model.energy_envelope_limits()

@@ -41,9 +41,7 @@ REACH_DECADES = 12
 # envelope limits, brackets envelope inversions and checks the laws
 PROBE_DECADES = 6
 ENVELOPE_INVERSE_REL_TOL = 1e-10   # relative width of an inversion's last bracket
-# bisection levels an inversion decides per energy_envelope call: the
-# 2^6 - 1 midpoints of the next six levels go in one array
-ENVELOPE_BATCH_LEVELS = 6
+ENVELOPE_POINTS = 63   # densities an inversion reads per energy_envelope call
 
 # Gauss-Legendre rules on [-1, 1] as (nodes, weights) by order: 3 for the
 # weak residuals, 5 for the continuous energies, GAUSS_ORDER for the
@@ -335,59 +333,42 @@ class FluidModel:
         return limit_high, limit_low
 
     def energy_envelope_inverse(self, target):
-        """Invert the energy envelope by bisection in log-density, to a
-        relative density bracket of ``ENVELOPE_INVERSE_REL_TOL``.
+        """Invert the energy envelope in ln(rho), to a relative density
+        bracket of ``ENVELOPE_INVERSE_REL_TOL``.
 
-        The default bracket spans rho* * 10^(+-6) and is widened (up to
-        10^(+-REACH_DECADES)) when the target lies beyond it; an inadmissible
-        target raises ``AdmissibilityError`` naming the failing side, and a
-        NaN target raises ``ModelError``.  The bisection is level-batched:
-        one envelope call on the midpoints of the next
-        ``ENVELOPE_BATCH_LEVELS`` levels decides all of them, and the walk
-        through those midpoints takes the brackets, and so returns the
-        density, of one-midpoint-per-call bisection.
+        The bracket [rho*, rho* * 10^(+-k)] widens decade by decade from
+        k = PROBE_DECADES to REACH_DECADES until the envelope reaches the
+        target; each envelope call then reads ``ENVELOPE_POINTS`` points
+        equally spaced inside it and keeps the cell that straddles the
+        target.  An unreached target or a NaN envelope value raises
+        ``AdmissibilityError`` naming the side; a NaN target ``ModelError``.
         """
         target = float(target)
         if math.isnan(target):
             raise ModelError("energy budget to invert must be a number, got nan")
         if target == 0.0:
             return self.rho_star
-        lo = self.rho_star * 10.0 ** -PROBE_DECADES
-        hi = self.rho_star * 10.0 ** PROBE_DECADES
-        if target > 0.0:
-            while self.energy_envelope(hi) < target:
-                hi *= 10.0
-                if hi > self.rho_star * 10.0 ** REACH_DECADES:
-                    raise AdmissibilityError(
-                        f"energy budget {target:g} exceeds the envelope's reach"
-                        " towards high density", side="high")
-            lo = self.rho_star
+        sign, side, towards = ((1.0, "high", "high density") if target > 0.0
+                               else (-1.0, "low", "vacuum"))
+        for decades in range(PROBE_DECADES, REACH_DECADES + 1):
+            edge = self.rho_star * 10.0 ** (sign * decades)
+            values = self.energy_envelope(edge)
+            if not sign * values < sign * target:    # reached, or NaN
+                break
         else:
-            while self.energy_envelope(lo) > target:
-                lo /= 10.0
-                if lo < self.rho_star * 10.0 ** -REACH_DECADES:
-                    raise AdmissibilityError(
-                        f"energy budget {-target:g} exceeds the envelope's reach"
-                        " towards vacuum", side="low")
-            hi = self.rho_star
-        a, b = math.log(lo), math.log(hi)
-        width = math.log1p(ENVELOPE_INVERSE_REL_TOL)
-        while b - a > width:
-            # the midpoint tree below [a, b] in heap order: node i splits its
-            # bracket at mids[i] into those of nodes 2i+1 (low) and 2i+2 (high)
-            brackets, mids = [(a, b)], []
-            for lo_i, hi_i in brackets:
-                mid = 0.5 * (lo_i + hi_i)
-                mids.append(mid)
-                if len(brackets) < 2 ** ENVELOPE_BATCH_LEVELS - 1:
-                    brackets += [(lo_i, mid), (mid, hi_i)]
-            values = self.energy_envelope(np.array([math.exp(mid) for mid in mids]))
-            node = 0
-            while node < len(mids) and b - a > width:
-                if values[node] < target:
-                    a, node = mids[node], 2 * node + 2
-                else:
-                    b, node = mids[node], 2 * node + 1
+            raise AdmissibilityError(
+                f"energy budget {abs(target):g} exceeds the envelope's reach towards "
+                f"{towards}: its magnitude is {abs(values):g} at density {edge:g}",
+                side=side)
+        a, b = sorted((math.log(self.rho_star), math.log(edge)))
+        while not np.any(np.isnan(values)) and b - a > math.log1p(ENVELOPE_INVERSE_REL_TOL):
+            grid = np.linspace(a, b, ENVELOPE_POINTS + 2)
+            values = self.energy_envelope(np.exp(grid[1:-1]))
+            cell = np.count_nonzero(values < target)
+            a, b = grid[cell], grid[cell + 1]
+        if np.any(np.isnan(values)):
+            raise AdmissibilityError(f"energy budget {abs(target):g} cannot be inverted: "
+                                     f"the envelope towards {towards} is NaN", side=side)
         return math.exp(0.5 * (a + b))
 
     def __repr__(self):
@@ -423,8 +404,10 @@ def _gauss_table(integrand, rho_star):
         inner, outer = side * edges[:-1], side * edges[1:]
         mid = 0.5 * (inner + outer)
         whole = rule(inner, outer)
-        gap = np.abs(whole - (rule(inner, mid) + rule(mid, outer)))
-        # an overflowing panel is not judged here: evaluations past it raise
+        halves = rule(inner, mid) + rule(mid, outer)
+        # a panel overflowing, whole or in halves, is infinite: evaluations past it raise
+        whole[~np.isfinite(halves)] = np.inf
+        gap = np.abs(whole - halves)
         failed = np.isfinite(whole) & ~(gap <= QUAD_REL_TOL * np.abs(whole) + QUAD_ABS_TOL)
         if np.any(failed):
             rho = rho_star * math.exp(inner[np.argmax(failed)])

@@ -93,8 +93,8 @@ def quadrature_reference(model, rho):
 
 def reference_envelope_inverse(model, target):
     """Sequential bisection with one scalar envelope evaluation per level:
-    the reference that the level-batched
-    :meth:`FluidModel.energy_envelope_inverse` must match bit for bit."""
+    the reference that :meth:`FluidModel.energy_envelope_inverse` must match
+    within its bracket, or refuse on the same side."""
     target = float(target)
     if target == 0.0:
         return model.rho_star

@@ -20,7 +20,8 @@ def test_pairs_every_hot_path_call_of_one_tree_with_itself(capsys, monkeypatch):
             del sys.modules[name]
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in lines] == ["rhs_arrays", "rhs_arrays_stage_row",
-                                                   "_attempt", "diagnostics", "sample"]
+                                                   "_attempt", "diagnostics", "sample",
+                                                   "energy_envelope_inverse"]
     for line in lines:
         match = re.fullmatch(r"\S+ n=16: change/base median (\S+), quartiles \[(\S+), (\S+)\], "
                              r"change lower in (\d+) of 2 pairs", line)

@@ -9,9 +9,9 @@ import fluidchain as fc
 
 from conftest import perturbed_initial
 
-# the largest certified amplitude, rounded down (bisection: saint_venant
-# 0.26924 at its vacuum-side limit; isentropic_gas 6.9622, ideal_gas_entropy
-# 233.25 and the power law 2.5761 at the tables' reach)
+# the largest certified amplitude, rounded down (bisection, each at the
+# tables' reach: saint_venant 0.26944, isentropic_gas 6.9622,
+# ideal_gas_entropy 233.25 and the power law 2.5761)
 EDGE = {"sv": 0.269, "isentropic": 6.96, "ideal": 233.0, "power_law": 2.57}
 # horizon per fraction of the edge: at least 100 accepted steps each; the
 # ideal gas at 0.95 runs past its sharpest compression (spacing ~3e-5)

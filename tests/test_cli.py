@@ -194,19 +194,23 @@ def test_validate_inadmissible_exits_2(tmp_path, capsys):
                      "--out", str(tmp_path / "v")]) == 2
     assert json.loads(capsys.readouterr().err) == {
         "error": "AdmissibilityError",
-        "message": "initial data inadmissible: budget 37.9224 >= vacuum-side envelope "
-                   "limit 1.02101"}
+        "message": "initial data inadmissible: energy budget 37.9224 exceeds the "
+                   "envelope's reach towards vacuum: its magnitude is 1.02178 at "
+                   "density 1e-12"}
 
 
-@pytest.mark.parametrize("limits, side", [((math.nan, math.inf), "high-density"),
-                                          ((math.inf, math.nan), "vacuum-side")])
-def test_validate_names_a_nan_limit(tmp_path, capsys, monkeypatch, limits, side):
-    # the refusal is spacing_bounds' own: a NaN limit is named as such
-    monkeypatch.setattr(fc.FluidModel, "energy_envelope_limits", lambda self: limits)
+@pytest.mark.parametrize("side, towards", [pytest.param(1.0, "high density", id="high"),
+                                           pytest.param(-1.0, "vacuum", id="low")])
+def test_validate_names_a_nan_envelope(tmp_path, capsys, monkeypatch, side, towards):
+    # the refusal is the inversion's own: a NaN envelope is named as such
+    envelope = fc.FluidModel.energy_envelope
+    monkeypatch.setattr(fc.FluidModel, "energy_envelope", lambda self, rho: np.where(
+        side * (np.asarray(rho) - self.rho_star) > 0.0, math.nan, envelope(self, rho)) + 0.0)
     path = write_config(tmp_path, _simulate_config())
     assert cli.main(["validate", "--config", str(path), "--out", str(tmp_path / "v")]) == 2
     assert json.loads(capsys.readouterr().err)["message"] == (
-        f"initial data inadmissible: budget 0.379224 >= {side} envelope limit nan")
+        "initial data inadmissible: energy budget 0.379224 cannot be inverted: "
+        f"the envelope towards {towards} is NaN")
 
 
 def _beyond_reach_config():
@@ -244,7 +248,8 @@ def test_validate_on_a_band_beyond_reach_names_the_reach(tmp_path, capsys):
     assert json.loads(captured.err) == {
         "error": "AdmissibilityError",
         "message": "initial data inadmissible: energy budget 3.79224 exceeds the "
-                   "envelope's reach towards high density"}
+                   "envelope's reach towards high density: its magnitude is 2.64023 at "
+                   "density 1e+12"}
 
 
 def test_converge_with_n_override(tmp_path, capsys):

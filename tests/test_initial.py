@@ -147,10 +147,12 @@ def test_admissibility_verdicts(sv, ideal):
     assert hot.a is None and hot.b is None
 
 
-@pytest.mark.parametrize("limits", [(math.nan, math.inf), (math.inf, math.nan)])
-def test_admissibility_refuses_a_nan_limit(monkeypatch, limits):
+@pytest.mark.parametrize("side", [pytest.param(1.0, id="high"), pytest.param(-1.0, id="low")])
+def test_admissibility_refuses_a_nan_envelope(monkeypatch, side):
     model = fc.FluidModel.saint_venant(g=9.81, nu=1.0, m=1.0, length=1.0)
-    monkeypatch.setattr(model, "energy_envelope_limits", lambda: limits)
+    envelope = model.energy_envelope
+    monkeypatch.setattr(model, "energy_envelope", lambda rho: np.where(
+        side * (np.asarray(rho) - model.rho_star) > 0.0, math.nan, envelope(rho)) + 0.0)
     report = fc.admissibility(model, perturbed_initial(model, 0.1))
     assert not report.admissible
     assert report.a is None and report.b is None

@@ -220,12 +220,12 @@ def test_envelope_inverse_rejects_nan_budget(sv):
 
 
 def _outcome(call, *args):
-    """The value of ``call(*args)``, or the type, text and side of the
+    """The value of ``call(*args)``, or the type and side of the
     ``AdmissibilityError`` it raises."""
     try:
         return call(*args)
     except AdmissibilityError as err:
-        return type(err), str(err), err.side
+        return type(err), err.side
 
 
 def _assert_envelope_matches_reference(model):
@@ -234,12 +234,18 @@ def _assert_envelope_matches_reference(model):
     assert reference_growth_report(model) == (True, True)
     for sign, limit in ((1.0, limits[0]), (-1.0, limits[1])):
         limit = 3.0 if math.isinf(limit) else limit
-        # 1.5x a finite limit and an infinite target are unreachable: both
-        # sides must raise the same error
+        # an infinite target is unreachable, and 1.5x a finite limit too:
+        # both searches must refuse it on the same side; a density returned
+        # lies in a bracket of relative width ENVELOPE_INVERSE_REL_TOL
         for target in [sign * f * limit for f in (1e-9, 1e-3, 0.3, 0.9, 0.999, 1.5)] + [
                 sign * math.inf]:
-            assert (_outcome(model.energy_envelope_inverse, target)
-                    == _outcome(reference_envelope_inverse, model, target))
+            ours = _outcome(model.energy_envelope_inverse, target)
+            reference = _outcome(reference_envelope_inverse, model, target)
+            if isinstance(reference, float):
+                assert ours == pytest.approx(reference, abs=0.0,
+                                             rel=fc.model.ENVELOPE_INVERSE_REL_TOL)
+            else:
+                assert ours == reference
 
 
 def test_batched_envelope_matches_scalar_reference(any_model):
@@ -307,6 +313,34 @@ def test_envelope_flat_towards_vacuum_has_a_finite_limit():
     assert limit_low == pytest.approx(1.0 / (8.0 * math.sqrt(2.0)), rel=1e-14)
     assert limit_low == pytest.approx(-model.energy_envelope(1e-12), rel=1e-14)
     _assert_envelope_matches_reference(model)
+
+
+def test_inversion_alone_decides_past_the_limit_estimate(sv):
+    # saint_venant's vacuum-side limit is estimated at rho* * 10^-6 as
+    # 1.021012, but the envelope moves on to 1.021777 at the reach rho* *
+    # 10^-12: a budget between the two is certified
+    assert sv.energy_envelope_limits()[1] == pytest.approx(1.021012, rel=1e-6)
+    a, b = spacing_bounds(sv, 0.0, 1.0215 ** 2)
+    assert a < sv.length < 1e6 < b
+    assert sv.energy_envelope(sv.m / b) == pytest.approx(-1.0215, rel=1e-9)
+    refusal = (r"^energy budget 1\.0218 exceeds the envelope's reach towards vacuum: "
+               r"its magnitude is 1\.02178 at density 1e-12$")
+    with pytest.raises(AdmissibilityError, match=refusal) as err:
+        spacing_bounds(sv, 0.0, 1.0218 ** 2)
+    assert err.value.side == "low"
+
+
+def test_envelope_inversion_refuses_a_nan_envelope(sv, monkeypatch):
+    # a NaN read anywhere in the search refuses the budget: at the bracket's
+    # edge rho* * 10^(+-6), or inside the bracket, away from the root
+    envelope = sv.energy_envelope
+    for lo, hi, target, side in ((1e5, 1e7, 0.5, "high"), (10.0, 1e3, 0.5, "high"),
+                                 (1e-7, 1e-5, -0.5, "low"), (1e-3, 1e-1, -0.5, "low")):
+        monkeypatch.setattr(sv, "energy_envelope", lambda rho, lo=lo, hi=hi: np.where(
+            (lo < np.asarray(rho)) & (np.asarray(rho) < hi), math.nan, envelope(rho)) + 0.0)
+        with pytest.raises(AdmissibilityError, match="is NaN$") as err:
+            sv.energy_envelope_inverse(target)
+        assert err.value.side == side
 
 
 def _power_law_preset(gamma, beta, m=1.0, length=1.0):
@@ -387,6 +421,19 @@ def test_quadrature_above_tolerance_still_raises():
     with pytest.raises(fc.QuadratureError, match="half-panel"):
         fc.FluidModel.custom(pressure=lambda r: rho(r) ** 2 + np.maximum(rho(r) - 2.0, 0.0),
                              viscosity=rho, m=1.0, length=1.0)
+
+
+def test_panel_overflowing_in_halves_is_an_overflow():
+    # a smooth law whose energy-part panel at density 3.5e13 sums to
+    # 4.29e306 while its halves overflow: the table is built, and an
+    # evaluation past that panel raises as an overflow
+    model = fc.FluidModel.power_law(122799.11, 10.2232, 13.3536, 17.8655, m=107103.07,
+                                    length=219.275)
+    limit_high, limit_low = model.energy_envelope_limits()
+    assert math.isinf(limit_high)
+    assert limit_low == pytest.approx(1.7585e45, rel=1e-4)
+    with pytest.raises(fc.QuadratureError, match="overflowed"):
+        model.energy_envelope(1e14)
 
 
 def test_rejects_nonpositive_density(sv):
@@ -500,7 +547,7 @@ def test_envelope_inversions_are_recomputed_in_few_calls(sv, monkeypatch):
     assert spacing_bounds(model, 1e-3, 2e-3) == bounds
     assert len(calls) == first
     # a fresh inversion inside the default bracket: one bracket check, then
-    # one call per ENVELOPE_BATCH_LEVELS levels of the ~37 it bisects
+    # 7 calls, each narrowing the bracket of width ln(10^6) 64-fold
     fresh = (fc.FluidModel.saint_venant(g=9.81, nu=1.0, m=1.0, length=1.0),
              fc.FluidModel.ideal_gas_entropy(c=1.0, gamma=1.4, visc_amp=1.0,
                                              m=1.0, length=1.0))

@@ -70,17 +70,19 @@ CONSTRUCTION_CHECKS = ("out of range", "positive and finite", "strictly increasi
                        "growth condition", "overflowed", "gamma > 1", "gamma in (1, 2)")
 
 
-@settings(derandomize=True, deadline=None, max_examples=200)
-@given(kind=st.sampled_from(["power_law", "isentropic_gas", "ideal_gas_entropy",
-                             "saint_venant"]),
-       log_c=st.floats(-6.0, 6.0), log_a=st.floats(-6.0, 6.0), beta=st.floats(-10.0, 20.0),
-       log_m=st.floats(-8.0, 8.0), log_length=st.floats(-8.0, 8.0), data=st.data())
-def test_construction_over_drawn_parameters(kind, log_c, log_a, beta, log_m, log_length,
-                                            data):
-    # (c, gamma, a, beta, m, L) over ranges where about a third of the power
-    # laws overflow or underflow on the probe grid; a preset takes the
-    # parameters of its own laws, saint_venant (g, nu) = (c, a), and the
-    # ideal gas draws gamma from [1, 2], its range and both its ends
+# (c, gamma, a, beta, m, L) over ranges where about a third of the power
+# laws overflow or underflow on the probe grid; a preset takes the
+# parameters of its own laws, saint_venant (g, nu) = (c, a), and the ideal
+# gas draws gamma from [1, 2], its range and both its ends
+DRAWN_MODELS = given(
+    kind=st.sampled_from(["power_law", "isentropic_gas", "ideal_gas_entropy", "saint_venant"]),
+    log_c=st.floats(-6.0, 6.0), log_a=st.floats(-6.0, 6.0), beta=st.floats(-10.0, 20.0),
+    log_m=st.floats(-8.0, 8.0), log_length=st.floats(-8.0, 8.0), data=st.data())
+
+
+def _drawn_model(kind, log_c, log_a, beta, log_m, log_length, data):
+    """The exponent of the drawn pressure law and a function building the
+    drawn model."""
     gamma = data.draw(st.floats(1.0, 2.0) if kind == "ideal_gas_entropy"
                       else st.floats(0.01, 40.0), label="gamma")
     c, a, m, length = 10.0 ** log_c, 10.0 ** log_a, 10.0 ** log_m, 10.0 ** log_length
@@ -90,7 +92,14 @@ def test_construction_over_drawn_parameters(kind, log_c, log_a, beta, log_m, log
         "ideal_gas_entropy": lambda: fc.FluidModel.ideal_gas_entropy(c, gamma, a, m, length),
         "saint_venant": lambda: fc.FluidModel.saint_venant(c, a, m, length),
     }[kind]
-    exponent = 2.0 if kind == "saint_venant" else gamma
+    return (2.0 if kind == "saint_venant" else gamma), build
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@DRAWN_MODELS
+def test_construction_over_drawn_parameters(kind, log_c, log_a, beta, log_m, log_length,
+                                            data):
+    exponent, build = _drawn_model(kind, log_c, log_a, beta, log_m, log_length, data)
     try:
         model = build()
     except fc.FluidchainError as err:
@@ -98,7 +107,7 @@ def test_construction_over_drawn_parameters(kind, log_c, log_a, beta, log_m, log
         assert any(check in message for check in CONSTRUCTION_CHECKS), message
         # the growth test refuses no exponent above 1 - log10(0.9) = 1.0458
         assert not (exponent >= 1.05 and "growth condition" in message), message
-        assert kind != "power_law" or gamma > 1.0 or "growth condition" in message, message
+        assert kind != "power_law" or exponent > 1.0 or "growth condition" in message, message
         return
     assert exponent > 1.0
 
@@ -117,6 +126,38 @@ def test_construction_over_drawn_parameters(kind, log_c, log_a, beta, log_m, log
                                         f_reach.tolist()):
         if abs(at_reach - at_edge) < 1e-9 * abs(at_edge):
             assert math.isfinite(limit), (limit, at_edge, at_reach)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@DRAWN_MODELS
+def test_certified_bands_bracket_the_budget_over_drawn_models(kind, log_c, log_a, beta, log_m,
+                                                              log_length, data):
+    # budgets from 1e-9 to 10 times the smaller envelope magnitude at the
+    # probe grid's edges, so that some need the bracket widened and some
+    # lie beyond the reach
+    try:
+        model = _drawn_model(kind, log_c, log_a, beta, log_m, log_length, data)[1]()
+        with np.errstate(over="ignore"):
+            edges = model.rho_star * 10.0 ** np.array(
+                [fc.model.PROBE_DECADES, -fc.model.PROBE_DECADES])
+        scale = float(np.min(np.abs(model.energy_envelope(edges))))
+        w_bar = (scale * 10.0 ** data.draw(st.floats(-9.0, 1.0), label="log_fraction")) ** 2
+        budget = math.sqrt(w_bar)
+        a, b = fc.spacing_bounds(model, 0.0, w_bar)
+    except fc.AdmissibilityError as err:
+        # refused: the envelope does not reach the budget at the reach
+        sign = 1.0 if err.side == "high" else -1.0
+        reach = model.rho_star * 10.0 ** (sign * fc.model.REACH_DECADES)
+        assert not sign * model.energy_envelope(reach) >= budget, err
+        return
+    except fc.FluidchainError:
+        # a law refused at construction, or an envelope table that
+        # overflows within the reach
+        return
+    tol = fc.model.ENVELOPE_INVERSE_REL_TOL
+    for width, sign in ((a, 1.0), (b, -1.0)):
+        below, above = model.energy_envelope(model.m / width * np.array([1.0 - tol, 1.0 + tol]))
+        assert below <= sign * budget <= above, (kind, width, budget, below, above)
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)

@@ -8,7 +8,10 @@ from, at the same cost);
 microseconds per snapshot of the diagnostics pass over the stored rows
 (``integrate._diagnostic_columns``), on 2 * fields.BLOCK rows of that state; and
 microseconds per ``fields.sample`` call on the config's uniform grid of
-``grid_size`` (512) points, of which the CSV writer makes two per snapshot.
+``grid_size`` (512) points, of which the CSV writer makes two per snapshot;
+and microseconds per ``FluidModel.energy_envelope_inverse`` call on the
+vacuum side of the config's energy budget, one of the two inversions of
+each admissibility verdict.
 
     PYTHONPATH=src python3 tools/hot_path_us.py
 
@@ -45,6 +48,7 @@ def call_table(fc):
         integrate._store(model, state, series)
     x, _, v = fields.reconstruct(model, state)
     grid = np.linspace(0.0, model.length, cfg.grid_size)
+    budget = fc.admissibility(model, cfg.initial).lhs
     table = {
         "rhs_arrays": (lambda: rhs_arrays(model, N, state.x, state.v), 2000, 1,
                        "us per call"),
@@ -57,6 +61,8 @@ def call_table(fc):
                         "us per snapshot"),
         "sample": (lambda: fields.sample(x, v, grid), 2000, 1,
                    f"us per call on {cfg.grid_size} points"),
+        "energy_envelope_inverse": (lambda: model.energy_envelope_inverse(-budget), 40, 1,
+                                    "us per call"),
     }
     assert table["_attempt"][0]()[0], "the timed step must be accepted"
     return table
