@@ -21,8 +21,9 @@ class DomainError(FluidchainError):
 
 
 class AdmissibilityError(FluidchainError):
-    """The energy envelope does not reach the energy budget within the
-    tables' reach; names the failing side ('high' or 'low')."""
+    """The energy budget is negative, or the energy envelope does not
+    reach it within the tables' reach; names the failing side ('high' or
+    'low') of the latter."""
 
     def __init__(self, message, side=None):
         super().__init__(message)

@@ -6,7 +6,7 @@ from its first trial step (each timed trial is accepted and leaves row 0
 of the workspace at the rhs of its candidate, which the next one starts
 from, at the same cost);
 microseconds per snapshot of the diagnostics pass over the stored rows
-(``integrate._diagnostic_columns``), on 2 * fields.BLOCK rows of that state; and
+(``integrate._diagnostic_columns``), on 2 * fields.BLOCK rows of that state;
 microseconds per ``fields.sample`` call on the config's uniform grid of
 ``grid_size`` (512) points, of which the CSV writer makes two per snapshot;
 and microseconds per ``FluidModel.energy_envelope_inverse`` call on the
