@@ -9,9 +9,15 @@ the same config byte-reproduces its artifacts on one numpy/BLAS build and CPU.
 """
 
 import argparse
+import contextlib
 import json
 import math
+import os
+import shutil
+import signal
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 from typing import NamedTuple
 
@@ -271,6 +277,8 @@ def _check_n_list(n_list, field):
 
 # every finite float in a CSV; infinities are written as "infinite"
 _FLOAT = "%.17g"
+# bytes per read when the forked writer's text is appended to fields.csv
+COPY_BUFFER = 1 << 16
 
 
 def _fmt(value):
@@ -305,37 +313,120 @@ def _write_csv(path, header, rows):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def _write_fields(fh, series, grid, rows, snapshots):
+    """Write the ``fields.csv`` rows of the snapshots in the range
+    ``snapshots``, each field sampled on ``grid`` by ``fields.sample``."""
+    for j in snapshots:
+        x = series.x[j]
+        _write_snapshot(fh, _fmt(series.times[j]), rows, fields.sample(x, series.rho[j], grid),
+                        fields.sample(x, series.v[j], grid))
+
+
+def _child_writer(write, fd):
+    """The body of the forked writer: ``write`` on a text file over ``fd``,
+    then ``os._exit``, which flushes none of the buffers the child shares
+    with its parent (``sys.stdout`` among them) and runs no atexit handler.
+    A failure replaces the text by its reason and exits with status 1."""
+    status = 1
+    try:
+        with open(fd, "w", newline="\n", closefd=False) as fh:
+            write(fh)
+        status = 0
+    except BaseException as exc:  # the process ends here, whatever was raised
+        reason = getattr(exc, "strerror", None) or f"{type(exc).__name__}: {exc}"
+        os.ftruncate(fd, 0)
+        os.pwrite(fd, reason.encode(errors="replace"), 0)
+    finally:
+        os._exit(status)
+
+
+@contextlib.contextmanager
+def _forked_writer(write):
+    """Run ``write(fh)`` on a text file while the with block runs, in a
+    forked child process that writes into an anonymous temporary file opened
+    before the fork.  The block gets ``append(target)``, which waits for the
+    child and appends its text to the open text file ``target``; a failed
+    child raises an OSError with its reason, on ``target``.  The child is
+    reaped on every path, and killed first if the block fails before
+    ``append`` reaped it.  Where ``os`` has no ``fork``, ``append`` is
+    ``write`` itself, run in this process."""
+    if not hasattr(os, "fork"):
+        yield write
+        return
+    with tempfile.TemporaryFile() as tail:
+        with warnings.catch_warnings():
+            # From Python 3.12 on, fork warns in a process with threads, and
+            # numpy's BLAS pool starts some.  The child is safe all the same:
+            # it calls no BLAS routine, takes no lock another thread may
+            # hold, and ends in os._exit.
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            _child_writer(write, tail.fileno())
+        code = None
+
+        def append(target):
+            nonlocal code
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            tail.seek(0)
+            if code:
+                reason = tail.read().decode() if code == 1 else f"exit status {code}"
+                raise OSError(None, f"writer process failed: {reason}", target.name)
+            target.flush()
+            shutil.copyfileobj(tail, target.buffer, COPY_BUFFER)
+
+        try:
+            yield append
+        finally:
+            if code is None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
 def _write_simulation_artifacts(model, series, out_dir, grid_size):
+    """Write ``particles.csv``, ``fields.csv`` and ``diagnostics.csv``.  A
+    forked writer formats the second half of the snapshots' ``fields.csv``
+    rows meanwhile, which this process then appends (``_forked_writer``)."""
     out = Path(out_dir)
     # one uniform grid of grid_size points, the same for every snapshot
     grid = np.linspace(0.0, model.length, grid_size)
     particle_rows = [f",{i},{_FLOAT},{_FLOAT},{_FLOAT}\n"
                      for i in range(series.n + 1)]
     field_rows = [f",{_fmt(x)},{_FLOAT},{_FLOAT}\n" for x in grid.tolist()]
-    with (open(out / "particles.csv", "w", newline="\n") as particles,
+    half = len(series) // 2
+    with (_forked_writer(lambda fh: _write_fields(fh, series, grid, field_rows,
+                                                  range(half, len(series)))) as append,
+          open(out / "particles.csv", "w", newline="\n") as particles,
           open(out / "fields.csv", "w", newline="\n") as sampled):
         particles.write("t,i,x_i,v_i,rho_i\n")
-        sampled.write("t,x,rho,v\n")
         for t, x, rho, v in zip(series.times, series.x, series.rho, series.v):
-            t_text = _fmt(t)
             # the nodes reversed: i = 0 is the ghost end, x = L
-            _write_snapshot(particles, t_text, particle_rows, x[::-1], v[::-1], rho[::-1])
-            _write_snapshot(sampled, t_text, field_rows, fields.sample(x, rho, grid),
-                            fields.sample(x, v, grid))
-    _write_csv(out / "diagnostics.csv",
-               ("t", "E_n", "W_n", "Z_n", "H_n", "mass", "min_spacing", "max_spacing"),
-               zip(series.times, *(column.tolist() for column in series.diagnostics)))
+            _write_snapshot(particles, _fmt(t), particle_rows, x[::-1], v[::-1], rho[::-1])
+        sampled.write("t,x,rho,v\n")
+        _write_fields(sampled, series, grid, field_rows, range(half))
+        _write_csv(out / "diagnostics.csv",
+                   ("t", "E_n", "W_n", "Z_n", "H_n", "mass", "min_spacing", "max_spacing"),
+                   zip(series.times, *(column.tolist() for column in series.diagnostics)))
+        append(sampled)
+
+
+@contextlib.contextmanager
+def _writing(out):
+    """Report an OSError raised in the block, which creates or writes
+    under the output directory ``out``, as a ConfigError on --out."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError("--out", f"cannot write {str(exc.filename or out)!r}: "
+                          f"{exc.strerror or exc}") from None
 
 
 def _make_out(out_dir):
     """Create the output directory before any work; a path that cannot be
     one (an existing file, a path under a file) is a ConfigError on --out."""
     out = Path(out_dir)
-    try:
+    with _writing(out):
         out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError("--out", f"cannot create directory {str(out)!r}: "
-                          f"{exc.strerror or exc}") from None
     return out
 
 
@@ -354,7 +445,8 @@ def _cmd_simulate(cfg, out_dir):
     out = _make_out(out_dir)
     state0 = build_particles(cfg.model, cfg.initial, cfg.n)
     series = simulate(cfg.model, state0, cfg.horizon, cfg.integrator)
-    _write_simulation_artifacts(cfg.model, series, out, cfg.grid_size)
+    with _writing(out):
+        _write_simulation_artifacts(cfg.model, series, out, cfg.grid_size)
     for warning in series.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     print(f"simulate: wrote {len(series)} snapshots to {out_dir} "
@@ -388,6 +480,14 @@ def _prepare_study(cfg, out_dir):
     return out, report
 
 
+def _write_study(out, csv_name, rows, text_name, lines):
+    """Write a study's CSV of (n, metric, value, error_estimate) rows and
+    its text report under ``out``."""
+    with _writing(out):
+        _write_csv(out / csv_name, ("n", "metric", "value", "error_estimate"), rows)
+        (out / text_name).write_text("\n".join(lines) + "\n")
+
+
 def _cmd_converge(cfg, out_dir, n_override):
     n_list = n_override or cfg.n_list
     if not n_list:
@@ -408,8 +508,6 @@ def _cmd_converge(cfg, out_dir, n_override):
     orders = checks.observed_orders(rows)
     long_rows += [(n, f"order_{metric}", value, None)
                   for n, by_metric in orders for metric, value in by_metric.items()]
-    _write_csv(out / "convergence.csv", ("n", "metric", "value", "error_estimate"),
-               long_rows)
     lines = ["refinement study",
              "mass_err is the trapezoid error of the rebuilt density, not a conservation error",
              ""]
@@ -427,7 +525,7 @@ def _cmd_converge(cfg, out_dir, n_override):
     for n, by_metric in orders:
         lines.append(f"observed order n={n} to {2 * n}: " + ", ".join(
             f"{ORDER_LABELS[metric]}={value:.3f}" for metric, value in by_metric.items()))
-    (out / "convergence.txt").write_text("\n".join(lines) + "\n")
+    _write_study(out, "convergence.csv", long_rows, "convergence.txt", lines)
     print("\n".join(lines))
     return 0
 
@@ -449,8 +547,6 @@ def _cmd_validate(cfg, out_dir):
             for r in reports]
     rows.append((cfg.n, "w_avg_max", decay.w_avg_max, None))
     rows.append((cfg.n, "envelope_excess", envelope.max_envelope_excess, None))
-    _write_csv(out / "residuals.csv", ("n", "metric", "value", "error_estimate"), rows)
-
     lines = [f"validation at n={cfg.n}, T={cfg.horizon:g}", ""]
     for r in reports:
         flag = " (inconclusive)" if r.inconclusive else ""
@@ -465,7 +561,7 @@ def _cmd_validate(cfg, out_dir):
                  f"(seen [{envelope.spacing_min_seen:.6f}, "
                  f"{envelope.spacing_max_seen:.6f}] within "
                  f"[{envelope.a:.6f}, {envelope.b:.6f}])")
-    (out / "validate.txt").write_text("\n".join(lines) + "\n")
+    _write_study(out, "residuals.csv", rows, "validate.txt", lines)
     print("\n".join(lines))
     return 0
 

@@ -21,7 +21,7 @@ def test_pairs_every_hot_path_call_of_one_tree_with_itself(capsys, monkeypatch):
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in lines] == ["rhs_arrays", "rhs_arrays_stage_row",
                                                    "_attempt", "diagnostics", "sample",
-                                                   "energy_envelope_inverse"]
+                                                   "energy_envelope_inverse", "write_artifacts"]
     for line in lines:
         match = re.fullmatch(r"\S+ n=16: change/base median (\S+), quartiles \[(\S+), (\S+)\], "
                              r"change lower in (\d+) of 2 pairs", line)

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -680,6 +681,28 @@ def test_unusable_out_exits_1_before_any_work(tmp_path, capsys, monkeypatch, sub
     record = json.loads(line)
     assert (record["error"], record["field"]) == ("ConfigError", "--out")
     assert blocker.read_text() == ""
+
+
+@pytest.mark.parametrize("sub, taken", [("simulate", "particles.csv"),
+                                        ("simulate", "fields.csv"),
+                                        ("validate", "residuals.csv"),
+                                        ("validate", "validate.txt"),
+                                        ("converge", "convergence.csv")])
+def test_failed_write_exits_1_with_one_json_line(tmp_path, capsys, sub, taken):
+    # an artifact's name taken by a directory: the write fails
+    out = tmp_path / "out"
+    (out / taken).mkdir(parents=True)
+    path = write_config(tmp_path, _study_config())
+    assert cli.main([sub, "--config", str(path), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    record = json.loads(line)
+    assert (record["error"], record["field"]) == ("ConfigError", "--out")
+    assert record["message"] == f"--out: cannot write {str(out / taken)!r}: Is a directory"
+    # the forked writer of simulate is reaped too
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_low_viscosity_gas_runs(tmp_path, capsys):

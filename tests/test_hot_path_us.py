@@ -17,9 +17,11 @@ def test_reports_both_hot_path_calls(capsys, monkeypatch):
                                                     ["_attempt", "n=16:"],
                                                     ["diagnostics", "n=16:"],
                                                     ["sample", "n=16:"],
-                                                    ["energy_envelope_inverse", "n=16:"]]
+                                                    ["energy_envelope_inverse", "n=16:"],
+                                                    ["write_artifacts", "n=16:"]]
     assert all(float(line.split()[2]) > 0.0 for line in lines)
     assert all(line.endswith(" us per call") for line in lines[:3])
     assert lines[3].endswith(" us per snapshot")
     assert lines[4].endswith(" us per call on 512 points")
     assert lines[5].endswith(" us per call")
+    assert lines[6].endswith(" us per snapshot")

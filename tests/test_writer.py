@@ -1,8 +1,12 @@
-"""The column-streaming simulation writer produces the bytes of the row
-writer it replaced."""
+"""The column-streaming simulation writer, with its forked second writer,
+produces the bytes of the row writer it replaced."""
 
 import copy
+import errno
+import json
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +17,16 @@ import fluidchain as fc
 from fluidchain import cli, fields
 
 from conftest import perturbed_initial, snapshot_states
+
+CONFIG = {
+    "model": {"kind": "saint_venant", "g": 9.81, "nu": 1.0},
+    "m": 1.0,
+    "L": 1.0,
+    "initial": {"rho0": {"kind": "constant", "value": 1.0},
+                "v0": {"kind": "sine", "amplitude": 0.1, "mode": 1}},
+    "integrator": {"snapshot_dt": 0.05, "T": 0.1},
+    "n": 8,
+}
 
 SPECIALS = [math.inf, -math.inf, math.nan, -0.0, 5e-324,
             1.7976931348623157e308, 0.1, 1.0 / 3.0, -2.5]
@@ -85,6 +99,63 @@ def resized(x, values, points):
 @pytest.mark.parametrize("grid_size", [2, 37, 512])
 def test_streaming_writer_matches_row_writer(sv, series, tmp_path, grid_size):
     assert_writes_reference(sv, series, tmp_path, grid_size)
+
+
+@pytest.mark.parametrize("fork", [True, False], ids=["forked", "in_process"])
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_split_writer_matches_row_writer(sv, series, tmp_path, monkeypatch, count, fork):
+    # 1 snapshot leaves the first half empty, 3 split unevenly
+    short = copy.copy(series)
+    short.times = series.times[:count]
+    short.x, short.rho, short.v = series.x[:count], series.rho[:count], series.v[:count]
+    short.diagnostics = fc.DiagnosticsRecord(*(c[:count] for c in series.diagnostics))
+    if not fork:
+        monkeypatch.delattr(os, "fork")
+    assert_writes_reference(sv, short, tmp_path, 37)
+    assert sorted(os.listdir(tmp_path)) == ["diagnostics.csv", "fields.csv", "particles.csv"]
+
+
+def simulate_argv(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(CONFIG))
+    return ["simulate", "--config", str(path), "--out", str(tmp_path / "out")]
+
+
+def test_failed_second_writer_is_one_out_error(tmp_path, capsys, monkeypatch):
+    parent, sample = os.getpid(), fields.sample
+
+    def full_disk_in_second_writer(x, values, points):
+        # only the forked writer, which writes the second half, samples
+        # in another process
+        if os.getpid() != parent:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return sample(x, values, points)
+
+    monkeypatch.setattr(fields, "sample", full_disk_in_second_writer)
+    assert cli.main(simulate_argv(tmp_path)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    record = json.loads(line)
+    assert (record["error"], record["field"]) == ("ConfigError", "--out")
+    fields_csv = str(tmp_path / "out" / "fields.csv")
+    assert record["message"] == (f"--out: cannot write {fields_csv!r}: writer process failed: "
+                                 f"{os.strerror(errno.ENOSPC)}")
+    assert sorted(os.listdir(tmp_path / "out")) == ["diagnostics.csv", "fields.csv",
+                                                    "particles.csv"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_text_printed_before_simulate_is_written_once(tmp_path, monkeypatch):
+    with open(tmp_path / "stdout.txt", "w") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        print("printed before simulate")
+        assert cli.main(simulate_argv(tmp_path)) == 0
+    lines = (tmp_path / "stdout.txt").read_text().splitlines()
+    assert lines[0] == "printed before simulate"
+    assert lines[1].startswith("simulate: wrote 3 snapshots")
+    assert len(lines) == 2
 
 
 def test_streaming_writer_matches_row_writer_on_special_values(sv, series, tmp_path,

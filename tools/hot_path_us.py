@@ -9,9 +9,12 @@ microseconds per snapshot of the diagnostics pass over the stored rows
 (``integrate._diagnostic_columns``), on 2 * fields.BLOCK rows of that state;
 microseconds per ``fields.sample`` call on the config's uniform grid of
 ``grid_size`` (512) points, of which the CSV writer makes two per snapshot;
-and microseconds per ``FluidModel.energy_envelope_inverse`` call on the
+microseconds per ``FluidModel.energy_envelope_inverse`` call on the
 vacuum side of the config's energy budget, one of the two inversions of
-each admissibility verdict.
+each admissibility verdict; and microseconds per snapshot of the CSV
+writer (``cli._write_simulation_artifacts``, with its forked second
+writer) on those 2 * fields.BLOCK rows and that grid, into a temporary
+directory.
 
     PYTHONPATH=src python3 tools/hot_path_us.py
 
@@ -21,6 +24,7 @@ the one list of these calls; ``tools/ab_us.py`` times it on two trees.
 """
 
 import importlib
+import tempfile
 import timeit
 from pathlib import Path
 
@@ -31,9 +35,10 @@ N = 128
 REPEAT = 7
 
 
-def call_table(fc):
+def call_table(fc, out):
     """The timed calls on the fluidchain package ``fc``, set up outside
-    them, by name: (call, calls per timing round, units per call, unit)."""
+    them, by name: (call, calls per timing round, units per call, unit).
+    The CSV writer writes into the directory ``out``."""
     cli = importlib.import_module(fc.__name__ + ".cli")
     integrate, fields, rhs_arrays = fc.integrate, fc.fields, fc.dynamics.rhs_arrays
     cfg = cli.parse_config(CONFIG)
@@ -46,6 +51,7 @@ def call_table(fc):
     series = integrate.SnapshotSeries(model, N, snapshots)
     for _ in range(snapshots):
         integrate._store(model, state, series)
+    series.diagnostics = integrate._diagnostic_columns(series)
     x, _, v = fields.reconstruct(model, state)
     grid = np.linspace(0.0, model.length, cfg.grid_size)
     budget = fc.admissibility(model, cfg.initial).lhs
@@ -63,6 +69,9 @@ def call_table(fc):
                    f"us per call on {cfg.grid_size} points"),
         "energy_envelope_inverse": (lambda: model.energy_envelope_inverse(-budget), 40, 1,
                                     "us per call"),
+        "write_artifacts": (lambda: cli._write_simulation_artifacts(model, series, out,
+                                                                    cfg.grid_size),
+                            2, snapshots, "us per snapshot"),
     }
     assert table["_attempt"][0]()[0], "the timed step must be accepted"
     return table
@@ -71,10 +80,11 @@ def call_table(fc):
 def main():
     import fluidchain
 
-    table = call_table(fluidchain)
-    for name, (call, number, units, unit) in table.items():
-        best = min(timeit.repeat(call, number=number, repeat=REPEAT)) / number
-        print(f"{name} n={N}: {best / units * 1e6:.1f} {unit}")
+    with tempfile.TemporaryDirectory() as out:
+        table = call_table(fluidchain, out)
+        for name, (call, number, units, unit) in table.items():
+            best = min(timeit.repeat(call, number=number, repeat=REPEAT)) / number
+            print(f"{name} n={N}: {best / units * 1e6:.1f} {unit}")
     assert table["_attempt"][0]()[0], "the timed steps must stay accepted"
 
 
