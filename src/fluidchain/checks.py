@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import fields
-from .dynamics import ordered_sum, spacing_bounds, sqrt_budget
+from .dynamics import spacing_bounds, sqrt_budget
 from .errors import FluidchainError
 from .initial import build_particles
 from .integrate import (IntegratorConfig, _snapshot_targets, decay_slack,
@@ -103,7 +103,7 @@ def _simpson(ts, gs):
     if n_int == 1:
         return 0.5 * h * (gs[0] + gs[1])
     stop = n_int if n_int % 2 == 0 else n_int - 3
-    total = ordered_sum((h / 3.0) * (gs[0:stop:2] + 4.0 * gs[1:stop:2] + gs[2:stop + 1:2]))
+    total = np.sum((h / 3.0) * (gs[0:stop:2] + 4.0 * gs[1:stop:2] + gs[2:stop + 1:2]))
     if stop != n_int:
         j = n_int - 3
         total += (3.0 * h / 8.0) * (gs[j] + 3.0 * gs[j + 1] + 3.0 * gs[j + 2] + gs[j + 3])
@@ -117,21 +117,20 @@ def _weak_residual(series, tf, kind, initial, integrand):
     space integrals of ``integrand(x, v, rho, vel, phi_t, phi_x)``, evaluated
     on the cells of up to ``fields.BLOCK`` snapshots at a time (``x`` and ``v``
     their node positions and velocities).  Space integrals are 3-point Gauss
-    per reconstruction cell (``fields.gauss_cells``), summed ghost-end
-    first."""
+    per reconstruction cell (``fields.gauss_cells``)."""
     if tf.kind != kind:
         raise ValueError(f"expected a {kind}-kind test function, got {tf.kind}")
     horizon = series.times[-1]
     x, rho_nodes, v = series.x, series.rho, series.v
     pts, wts, _, _ = fields.gauss_cells(x[0], rho_nodes[0], v[0], 3)
-    term0 = ordered_sum(np.sum(initial(pts, tf.shape(pts)) * wts, axis=1)[::-1])
+    term0 = np.sum(np.sum(initial(pts, tf.shape(pts)) * wts, axis=1))
     times = np.asarray(series.times)[:, None, None]
     g = np.empty(len(series))
     for j in fields.row_blocks(len(series)):
         pts, wts, rho, vel = fields.gauss_cells(x[j], rho_nodes[j], v[j], 3)
         phi_t, phi_x = tf.derivatives(times[j], horizon, pts)
         values = integrand(x[j], v[j], rho, vel, phi_t, phi_x)
-        g[j] = ordered_sum(np.sum(values * wts, axis=2)[:, ::-1])
+        g[j] = np.sum(np.sum(values * wts, axis=2), axis=1)
 
     value = term0 + _simpson(series.times, g)
     n_int = len(series.times) - 1

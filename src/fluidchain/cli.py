@@ -24,10 +24,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import checks, fields
-from .dynamics import ordered_sum, spacing_bounds
+from .dynamics import spacing_bounds
 from .errors import AdmissibilityError, ConfigError, FluidchainError
-from .initial import (admissibility, build_particles, constant_density,
-                      make_initial, sine_velocity, table_profile)
+from .initial import (admissibility, budget_constants, build_particles,
+                      constant_density, make_initial, sine_velocity, table_profile)
 from .integrate import IntegratorConfig, simulate
 from .model import FluidModel
 
@@ -202,8 +202,8 @@ def _parse_initial(model, raw):
             v0 = table_profile(v_block["x"], v_block["v"], model.length, "v0")
             # the exact slope norm of the interpolant, sqrt(sum(dv**2 / dx))
             with np.errstate(over="ignore"):     # an overflow is rejected as infinite
-                deriv_l2 = math.sqrt(ordered_sum(np.diff(v_block["v"]) ** 2
-                                                 / np.diff(v_block["x"])))
+                deriv_l2 = math.sqrt(np.sum(np.diff(v_block["v"]) ** 2
+                                            / np.diff(v_block["x"])))
         return make_initial(model, nodes, v0, deriv_l2)
     except FluidchainError as exc:
         part = getattr(exc, "part", None)
@@ -463,21 +463,18 @@ def _cmd_check(cfg):
 def _prepare_study(cfg, out_dir):
     """What validate and converge need before simulating: equally spaced
     snapshots (for the residuals' Simpson rule), the output directory and
-    admissible initial data.  Returns the directory and the admissibility
-    report."""
+    admissible initial data, decided by the one ``spacing_bounds`` verdict.
+    Returns the directory and the budget constants."""
     if not checks.uniform_cadence(cfg.horizon, cfg.integrator.snapshot_dt):
         raise ConfigError("integrator.T", f"T={cfg.horizon:g} is not a multiple of "
                           f"snapshot_dt={cfg.integrator.snapshot_dt:g}")
     out = _make_out(out_dir)
-    report = admissibility(cfg.model, cfg.initial)
-    if not report.admissible:
-        # the report keeps no reason: the one verdict gives its own
-        try:
-            spacing_bounds(cfg.model, report.e_bar, report.w_bar)
-        except AdmissibilityError as exc:
-            raise AdmissibilityError(f"initial data inadmissible: {exc}",
-                                     side=exc.side) from None
-    return out, report
+    consts = budget_constants(cfg.model, cfg.initial)
+    try:
+        spacing_bounds(cfg.model, consts.e_bar, consts.w_bar)
+    except AdmissibilityError as exc:
+        raise AdmissibilityError(f"initial data inadmissible: {exc}", side=exc.side) from None
+    return out, consts
 
 
 def _write_study(out, csv_name, rows, text_name, lines):
@@ -533,8 +530,8 @@ def _cmd_converge(cfg, out_dir, n_override):
 def _cmd_validate(cfg, out_dir):
     if cfg.n is None:
         raise ConfigError("n", "validate requires a particle count")
-    out, report = _prepare_study(cfg, out_dir)
-    w_bar = report.w_bar
+    out, consts = _prepare_study(cfg, out_dir)
+    w_bar = consts.w_bar
     model, init = cfg.model, cfg.initial
     state0 = build_particles(model, init, cfg.n)
     series = simulate(model, state0, cfg.horizon, cfg.integrator)
@@ -610,6 +607,11 @@ def main(argv=None):
         return 2
     except FluidchainError as exc:
         _error_record(exc)
+        return 1
+    except MemoryError as exc:
+        # an allocation beyond the available memory; numpy raises a private
+        # subclass, named here as the builtin
+        _error_record(MemoryError(str(exc)))
         return 1
 
 

@@ -85,19 +85,6 @@ def gaps_from_interior(length, x, full=None):
     return gaps
 
 
-def ordered_sum(values):
-    """Left-to-right sum over the last axis, bit-identical to a
-    ``total += value`` loop from 0.0 (``np.add.accumulate`` adds in order,
-    unlike the pairwise ``np.sum``); 0.0 for an empty axis.  A float for 1-D
-    input, an array over the leading axes otherwise."""
-    values = np.asarray(values, dtype=float)
-    if values.shape[-1] == 0:
-        total = np.zeros(values.shape[:-1])
-    else:
-        total = 0.0 + np.add.accumulate(values, axis=-1)[..., -1]
-    return float(total) if values.ndim == 1 else total
-
-
 def wall_rows(length, n):
     """Zeroed (2, n+1) rows for the wall-padded positions and velocities of
     ``rhs_arrays``, the position wall at ``length`` written."""
@@ -140,10 +127,7 @@ def rhs_arrays(model, n, x, v, *, out=None, pad=None):
 def chain_functionals(model: FluidModel, gaps, v) -> DiscreteFunctionals:
     """Discrete functionals of chains with cell widths ``gaps`` of shape
     (..., n), ghost end first, and interior velocities ``v`` of shape
-    (..., n-1), each an array over the leading axes (a float for one chain).
-
-    Sums run left to right in the cell index so reruns are bit-identical.
-    """
+    (..., n-1), each an array over the leading axes (a float for one chain)."""
     n = gaps.shape[-1]
     m = model.m
     s = n * gaps
@@ -152,14 +136,14 @@ def chain_functionals(model: FluidModel, gaps, v) -> DiscreteFunctionals:
 
     dvel = np.diff(v, prepend=0.0, append=0.0)     # v_c - v_{c-1}, walls at rest
 
-    pot_sum = ordered_sum(pot)
-    e_n = (m / (2.0 * n)) * ordered_sum(v * v) + (m / n) * pot_sum
+    pot_sum = np.sum(pot, axis=-1)
+    e_n = (m / (2.0 * n)) * np.sum(v * v, axis=-1) + (m / n) * pot_sum
 
     # transformed velocities v_i - n*K(s_i) + n*K(s_{i+1}), interior only
     v_tr = v - n * damp[..., :-1] + n * damp[..., 1:]
-    w_n = (m / (2.0 * n)) * ordered_sum(v_tr * v_tr) + (m / n) * pot_sum
+    w_n = (m / (2.0 * n)) * np.sum(v_tr * v_tr, axis=-1) + (m / n) * pot_sum
 
-    z_n = 0.5 * ordered_sum(dvel * dvel / gaps)
+    z_n = 0.5 * np.sum(dvel * dvel / gaps, axis=-1)
     h_n = np.max(n * np.abs(damp[..., :-1] - damp[..., 1:]), axis=-1)
     return DiscreteFunctionals(e_n=e_n, w_n=w_n, z_n=z_n, h_n=h_n)
 

@@ -9,7 +9,7 @@ derivative take the exact piecewise-constant cell slope.
 
 import numpy as np
 
-from .dynamics import ParticleState, gaps_from_interior, ordered_sum
+from .dynamics import ParticleState, gaps_from_interior
 from .model import GAUSS_RULES, FluidModel
 
 
@@ -37,11 +37,10 @@ def reconstruct(model: FluidModel, state: ParticleState):
 
 def total_mass(x, rho):
     """Exact integral of the piecewise-linear density with ascending nodes
-    ``x`` and ``rho`` of shape (..., n+1): trapezoid per cell, summed
-    ghost-end first for run-to-run determinism.  A float for one field, an
-    array over the leading axes otherwise."""
-    return ordered_sum(((x[..., 1:] - x[..., :-1]) * 0.5
-                        * (rho[..., :-1] + rho[..., 1:]))[..., ::-1])
+    ``x`` and ``rho`` of shape (..., n+1): trapezoid per cell.  A float for
+    one field, an array over the leading axes otherwise."""
+    return np.sum((x[..., 1:] - x[..., :-1]) * 0.5 * (rho[..., :-1] + rho[..., 1:]),
+                  axis=-1)
 
 
 # rows per block of the passes over stacked snapshot rows (diagnostics,
@@ -89,8 +88,7 @@ def energies(model, x, rho, v):
     shifted = vel + mu * slope[..., None] / rho_pts ** 2
 
     def energy(u):
-        cells = np.sum((0.5 * rho_pts * u ** 2 + q) * wts, axis=-1)
-        total = ordered_sum(cells[..., ::-1])    # ghost-end first, as in total_mass
+        total = np.sum(np.sum((0.5 * rho_pts * u ** 2 + q) * wts, axis=-1), axis=-1)
         return np.where(total < 0.0, 0.0, total)     # max(total, 0.0), NaN kept
 
     return energy(vel), energy(shifted)

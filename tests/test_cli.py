@@ -638,6 +638,60 @@ def test_validate_computes_the_budget_once(tmp_path, capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_studies_decide_admissibility_once(tmp_path, capsys, monkeypatch):
+    calls = {"spacing_bounds": 0, "energy_envelope_limits": 0}
+
+    def counting(name, f):
+        def counted(*args):
+            calls[name] += 1
+            return f(*args)
+        return counted
+
+    spacing_bounds = counting("spacing_bounds", cli.spacing_bounds)
+    monkeypatch.setattr(cli, "spacing_bounds", spacing_bounds)
+    monkeypatch.setattr(initial_module, "spacing_bounds", spacing_bounds)
+    monkeypatch.setattr(fc.FluidModel, "energy_envelope_limits", counting(
+        "energy_envelope_limits", fc.FluidModel.energy_envelope_limits))
+    payload = _study_config()
+    payload["initial"]["v0"]["amplitude"] = 10.0
+    path = write_config(tmp_path, payload)
+    for sub in ("validate", "converge"):
+        assert cli.main([sub, "--config", str(path), "--out", str(tmp_path / sub)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "AdmissibilityError",
+            "message": "initial data inadmissible: energy budget 37.9224 exceeds the "
+                       "envelope's reach towards vacuum: its magnitude is 1.02178 at "
+                       "density 1e-12"}
+        assert calls == {"spacing_bounds": 1, "energy_envelope_limits": 0}, sub
+        calls.update(spacing_bounds=0)
+
+
+class _ArrayMemoryError(MemoryError):
+    """Stands in for numpy's private subclass of MemoryError."""
+
+
+@pytest.mark.parametrize("sub", ["simulate", "validate", "converge"])
+def test_an_allocation_beyond_memory_exits_1_with_one_json_line(tmp_path, capsys,
+                                                                monkeypatch, sub):
+    # the snapshot store of a schema-valid run too large for the host (n=1e5
+    # and 1e6 snapshots ask for 2.18 TiB), without asking the host for it
+    message = ("Unable to allocate 2.18 TiB for an array with shape "
+               "(3, 1000001, 100001) and data type float64")
+
+    def allocation(self, model, n, count):
+        raise _ArrayMemoryError(message)
+
+    monkeypatch.setattr(integrate_module.SnapshotSeries, "__init__", allocation)
+    path = write_config(tmp_path, _study_config())
+    assert cli.main([sub, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert json.loads(line) == {"error": "MemoryError", "message": message}
+
+
 def test_simulate_prints_negative_functional_warnings(tmp_path, capsys, monkeypatch):
     columns = integrate_module._diagnostic_columns
 
@@ -671,6 +725,7 @@ def test_unusable_out_exits_1_before_any_work(tmp_path, capsys, monkeypatch, sub
         raise AssertionError("work started before --out was checked")
 
     monkeypatch.setattr(cli, "admissibility", no_work)
+    monkeypatch.setattr(cli, "budget_constants", no_work)
     monkeypatch.setattr(cli, "build_particles", no_work)
     blocker = tmp_path / "file"
     blocker.write_text("")

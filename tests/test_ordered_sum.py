@@ -1,59 +1,27 @@
-"""The array sums equal the left-to-right loops they replaced, bit for bit."""
+"""The array sums equal the per-cell loops they replaced, bit for bit.
+
+Each loop reference builds its per-cell terms one cell at a time and adds
+them with one ``np.sum`` per state or snapshot, the sum the package uses;
+so the vectorised terms equal the per-cell ones, and the stacked passes
+over blocks of snapshots equal one pass per snapshot, exactly.  The sums
+themselves are pairwise, within a few ulps times log2 n of exact.
+"""
 
 import math
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import fluidchain as fc
 from fluidchain import checks, fields
-from fluidchain.dynamics import gaps_from_interior, ordered_sum, spacing_bounds, sqrt_budget
+from fluidchain.dynamics import gaps_from_interior, spacing_bounds, sqrt_budget
 
 from conftest import perturbed_initial, random_state
 
 
-def loop_sum(values):
-    total = 0.0
-    for value in values:
-        total += value
-    return total
-
-
 def bits(value):
     return struct.pack("<d", value)
-
-
-magnitudes = st.builds(lambda mag, negative: -mag if negative else mag,
-                       st.floats(min_value=1e-12, max_value=1e12), st.booleans())
-entries = st.one_of(magnitudes, st.sampled_from([0.0, -0.0]))
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(entries, min_size=0, max_size=600))
-def test_ordered_sum_is_the_loop(values):
-    assert bits(ordered_sum(np.array(values, dtype=float))) == bits(loop_sum(values))
-
-
-def test_ordered_sum_edge_cases():
-    assert bits(ordered_sum([])) == bits(0.0)
-    assert bits(ordered_sum([-0.0, -0.0])) == bits(loop_sum([-0.0, -0.0])) == bits(0.0)
-    # in order, 1e16 absorbs each 1.0; the reordering np.sum gives 8.0
-    values = [1e16] + [1.0] * 8 + [-1e16]
-    assert ordered_sum(values) == loop_sum(values) == 0.0
-
-
-def test_ordered_sum_over_the_last_axis():
-    rng = np.random.default_rng(0)
-    values = rng.standard_normal((4, 3, 50)) * 10.0 ** rng.integers(-8, 9, (4, 3, 50))
-    values[0, 0] = -0.0
-    totals = ordered_sum(values)
-    assert totals.shape == (4, 3)
-    assert all(bits(totals[i, j]) == bits(loop_sum(values[i, j]))
-               for i in range(4) for j in range(3))
-    assert np.array_equal(ordered_sum(np.empty((2, 0))), np.zeros(2))
 
 
 # -- loop references: the per-cell loops the array code replaced ---------------
@@ -65,17 +33,11 @@ def loop_functionals(model, state):
     damp = np.asarray(model.damping_potential(n * gaps), dtype=float)
     full_v = np.concatenate(([0.0], state.v, [0.0]))
     dvel = full_v[:-1] - full_v[1:]
-    pot_sum = loop_sum(pot)
-    kin_sum = 0.0
-    for value in state.v:
-        kin_sum += value * value
+    pot_sum = np.sum(pot)
+    kin_sum = np.sum([value * value for value in state.v])
     v_tr = state.v - n * damp[:-1] + n * damp[1:]
-    w_sum = 0.0
-    for value in v_tr:
-        w_sum += value * value
-    z_sum = 0.0
-    for i in range(n):
-        z_sum += dvel[i] * dvel[i] / gaps[i]
+    w_sum = np.sum([value * value for value in v_tr])
+    z_sum = np.sum([dvel[i] * dvel[i] / gaps[i] for i in range(n)])
     h_n = 0.0
     for i in range(n - 1):
         jump = n * abs(damp[i] - damp[i + 1])
@@ -86,12 +48,8 @@ def loop_functionals(model, state):
 
 
 def loop_total_mass(x, rho):
-    edges, rho_nodes = x[::-1], rho[::-1]
-    widths = edges[:-1] - edges[1:]
-    total = 0.0
-    for i in range(widths.size):
-        total += widths[i] * 0.5 * (rho_nodes[i] + rho_nodes[i + 1])
-    return total
+    return np.sum([(x[i + 1] - x[i]) * 0.5 * (rho[i] + rho[i + 1])
+                   for i in range(x.size - 1)])
 
 
 def loop_cells(nodes, order):
@@ -125,7 +83,7 @@ def loop_energy(model, nodes, transformed):
         vel = vel + np.asarray(model.viscosity(rho)) * slope[:, None] / rho ** 2
     q = np.asarray(model.compression_energy(rho))
     cells = np.sum((0.5 * rho * vel ** 2 + q) * wts, axis=1)
-    return max(loop_sum(cells[::-1]), 0.0)
+    return max(np.sum(cells), 0.0)
 
 
 @pytest.mark.parametrize("n", [2, 3, 17])
@@ -142,14 +100,44 @@ def test_array_sums_match_loop_references(any_model, n):
         assert bits(w) == bits(loop_energy(any_model, nodes, True))
 
 
+def within_log_n_ulps(value, groups):
+    """Whether ``value``, a sum over ``groups`` of (coefficient, terms), is
+    within 4 (log2 n + 1) ulps of the same sum with exact (``math.fsum``)
+    term sums, relative to the magnitude of the terms."""
+    n = max(len(terms) for _, terms in groups)
+    exact = sum(c * math.fsum(terms) for c, terms in groups)
+    scale = sum(abs(c) * math.fsum(np.abs(terms)) for c, terms in groups)
+    return abs(value - exact) <= 4.0 * (math.log2(n) + 1.0) * np.finfo(float).eps * scale
+
+
+@pytest.mark.parametrize("n", [2, 17, 129, 1000])
+def test_sums_are_within_log_n_ulps_of_fsum(any_model, n):
+    rng = np.random.default_rng(n)
+    m = any_model.m
+    for _ in range(3):
+        state = random_state(any_model, n, rng, v_scale=0.3)
+        gaps = gaps_from_interior(any_model.length, state.x)
+        pot = np.asarray(any_model.spacing_potential(n * gaps), dtype=float)
+        damp = np.asarray(any_model.damping_potential(n * gaps), dtype=float)
+        v_tr = state.v - n * damp[:-1] + n * damp[1:]
+        dvel = np.diff(state.v, prepend=0.0, append=0.0)
+        f = fc.functionals(any_model, state)
+        assert within_log_n_ulps(f.e_n, [(m / (2.0 * n), state.v ** 2), (m / n, pot)])
+        assert within_log_n_ulps(f.w_n, [(m / (2.0 * n), v_tr ** 2), (m / n, pot)])
+        assert within_log_n_ulps(f.z_n, [(0.5, dvel ** 2 / gaps)])
+        x, rho, _ = fc.reconstruct(any_model, state)
+        cells = (x[1:] - x[:-1]) * 0.5 * (rho[:-1] + rho[1:])
+        assert within_log_n_ulps(fc.total_mass(x, rho), [(1.0, cells)])
+
+
 def loop_residual(model, series, init, tf):
     """(value, quad_error) of one test function from the per-snapshot loop
     the stacked residual evaluation replaced: each snapshot's cells sampled
-    on their own and summed ghost-end first."""
+    and summed on their own."""
     horizon = series.times[-1]
 
     def space_integral(values, wts):
-        return loop_sum(np.sum(values * wts, axis=1)[::-1])
+        return np.sum(np.sum(values * wts, axis=1))
 
     pts0, wts0, _, _ = loop_cells(row(series, 0), 3)
     initial = tf.shape(pts0) * init.rho0(pts0)
