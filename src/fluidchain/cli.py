@@ -277,8 +277,9 @@ def _check_n_list(n_list, field):
 
 # every finite float in a CSV; infinities are written as "infinite"
 _FLOAT = "%.17g"
-# bytes per read when the forked writer's text is appended to fields.csv
-COPY_BUFFER = 1 << 16
+# the fields.csv values (rho and v at each grid point of each snapshot) from
+# which simulate forks a second writer; below, the fork costs more than it saves
+FORK_VALUES = 1 << 14
 
 
 def _fmt(value):
@@ -341,26 +342,29 @@ def _child_writer(write, fd):
 
 
 @contextlib.contextmanager
-def _forked_writer(write):
+def _forked_writer(write, fork):
     """Run ``write(fh)`` on a text file while the with block runs, in a
     forked child process that writes into an anonymous temporary file opened
     before the fork.  The block gets ``append(target)``, which waits for the
     child and appends its text to the open text file ``target``; a failed
     child raises an OSError with its reason, on ``target``.  The child is
     reaped on every path, and killed first if the block fails before
-    ``append`` reaped it.  Where ``os`` has no ``fork``, ``append`` is
-    ``write`` itself, run in this process."""
-    if not hasattr(os, "fork"):
-        yield write
-        return
-    with tempfile.TemporaryFile() as tail:
-        with warnings.catch_warnings():
-            # From Python 3.12 on, fork warns in a process with threads, and
-            # numpy's BLAS pool starts some.  The child is safe all the same:
-            # it calls no BLAS routine, takes no lock another thread may
-            # hold, and ends in os._exit.
-            warnings.simplefilter("ignore", DeprecationWarning)
-            pid = os.fork()
+    ``append`` reaped it.  Where ``fork`` is false, ``os`` has no ``fork`` or
+    it raises an OSError, ``append`` is ``write`` itself, run in this process."""
+    with contextlib.ExitStack() as stack:
+        pid = None
+        if fork and hasattr(os, "fork"):
+            tail = stack.enter_context(tempfile.TemporaryFile())
+            with contextlib.suppress(OSError), warnings.catch_warnings():
+                # From Python 3.12 on, fork warns in a process with threads, and numpy's
+                # BLAS pool starts some.  The child is safe all the same: it calls no BLAS
+                # routine, takes no lock another thread may hold, and ends in os._exit.  A
+                # fork that fails (EAGAIN at the process limit, ENOMEM) leaves pid None.
+                warnings.simplefilter("ignore", DeprecationWarning)
+                pid = os.fork()
+        if pid is None:
+            yield write
+            return
         if pid == 0:
             _child_writer(write, tail.fileno())
         code = None
@@ -373,7 +377,7 @@ def _forked_writer(write):
                 reason = tail.read().decode() if code == 1 else f"exit status {code}"
                 raise OSError(None, f"writer process failed: {reason}", target.name)
             target.flush()
-            shutil.copyfileobj(tail, target.buffer, COPY_BUFFER)
+            shutil.copyfileobj(tail, target.buffer)
 
         try:
             yield append
@@ -384,9 +388,9 @@ def _forked_writer(write):
 
 
 def _write_simulation_artifacts(model, series, out_dir, grid_size):
-    """Write ``particles.csv``, ``fields.csv`` and ``diagnostics.csv``.  A
-    forked writer formats the second half of the snapshots' ``fields.csv``
-    rows meanwhile, which this process then appends (``_forked_writer``)."""
+    """Write ``particles.csv``, ``fields.csv`` and ``diagnostics.csv``.  From
+    ``FORK_VALUES`` values in ``fields.csv`` on, a forked writer formats its
+    second half meanwhile, which this process then appends (``_forked_writer``)."""
     out = Path(out_dir)
     # one uniform grid of grid_size points, the same for every snapshot
     grid = np.linspace(0.0, model.length, grid_size)
@@ -394,8 +398,9 @@ def _write_simulation_artifacts(model, series, out_dir, grid_size):
                      for i in range(series.n + 1)]
     field_rows = [f",{_fmt(x)},{_FLOAT},{_FLOAT}\n" for x in grid.tolist()]
     half = len(series) // 2
+    fork = 2 * len(series) * grid_size >= FORK_VALUES
     with (_forked_writer(lambda fh: _write_fields(fh, series, grid, field_rows,
-                                                  range(half, len(series)))) as append,
+                                                  range(half, len(series))), fork) as append,
           open(out / "particles.csv", "w", newline="\n") as particles,
           open(out / "fields.csv", "w", newline="\n") as sampled):
         particles.write("t,i,x_i,v_i,rho_i\n")

@@ -743,8 +743,10 @@ def test_unusable_out_exits_1_before_any_work(tmp_path, capsys, monkeypatch, sub
                                         ("validate", "residuals.csv"),
                                         ("validate", "validate.txt"),
                                         ("converge", "convergence.csv")])
-def test_failed_write_exits_1_with_one_json_line(tmp_path, capsys, sub, taken):
-    # an artifact's name taken by a directory: the write fails
+def test_failed_write_exits_1_with_one_json_line(tmp_path, capsys, monkeypatch, sub, taken):
+    # an artifact's name taken by a directory: the write fails, with
+    # simulate's second writer forked at every size
+    monkeypatch.setattr(cli, "FORK_VALUES", 0)
     out = tmp_path / "out"
     (out / taken).mkdir(parents=True)
     path = write_config(tmp_path, _study_config())

@@ -1,4 +1,5 @@
-"""The column-streaming simulation writer, with its forked second writer,
+"""The column-streaming simulation writer, with its forked second writer
+from ``cli.FORK_VALUES`` fields.csv values on and in one process below,
 produces the bytes of the row writer it replaced."""
 
 import copy
@@ -7,6 +8,7 @@ import json
 import math
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +29,8 @@ CONFIG = {
     "integrator": {"snapshot_dt": 0.05, "T": 0.1},
     "n": 8,
 }
+
+SHIPPED = Path(__file__).resolve().parents[1] / "configs" / "saint_venant_perturbed.json"
 
 SPECIALS = [math.inf, -math.inf, math.nan, -0.0, 5e-324,
             1.7976931348623157e308, 0.1, 1.0 / 3.0, -2.5]
@@ -101,18 +105,66 @@ def test_streaming_writer_matches_row_writer(sv, series, tmp_path, grid_size):
     assert_writes_reference(sv, series, tmp_path, grid_size)
 
 
-@pytest.mark.parametrize("fork", [True, False], ids=["forked", "in_process"])
-@pytest.mark.parametrize("count", [1, 2, 3])
-def test_split_writer_matches_row_writer(sv, series, tmp_path, monkeypatch, count, fork):
-    # 1 snapshot leaves the first half empty, 3 split unevenly
+def shortened(series, count):
+    """The first ``count`` snapshots of ``series``."""
     short = copy.copy(series)
     short.times = series.times[:count]
     short.x, short.rho, short.v = series.x[:count], series.rho[:count], series.v[:count]
     short.diagnostics = fc.DiagnosticsRecord(*(c[:count] for c in series.diagnostics))
-    if not fork:
-        monkeypatch.delattr(os, "fork")
-    assert_writes_reference(sv, short, tmp_path, 37)
+    return short
+
+
+def patched_fork(monkeypatch, error=None):
+    """Patch ``os.fork`` to record the pid of each caller, then raise
+    ``error`` or, without one, fork."""
+    calls, fork = [], os.fork
+
+    def patched():
+        calls.append(os.getpid())
+        if error is not None:
+            raise error
+        return fork()
+
+    monkeypatch.setattr(os, "fork", patched)
+    return calls
+
+
+def smallest_forking_grid(count):
+    """The fewest grid points at which ``count`` snapshots fork a writer."""
+    return math.ceil(cli.FORK_VALUES / (2 * count))
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+@pytest.mark.parametrize("below", [False, True], ids=["at_the_bound", "below_it"])
+def test_size_picks_the_writer_path(sv, series, tmp_path, monkeypatch, count, below):
+    # 1 snapshot leaves the first half empty, 3 split unevenly
+    grid_size = smallest_forking_grid(count) - below
+    assert (2 * count * grid_size >= cli.FORK_VALUES) != below
+    refusal = AssertionError("forked below FORK_VALUES") if below else None
+    calls = patched_fork(monkeypatch, refusal)
+    assert_writes_reference(sv, shortened(series, count), tmp_path, grid_size)
+    assert calls == ([] if below else [os.getpid()])
     assert sorted(os.listdir(tmp_path)) == ["diagnostics.csv", "fields.csv", "particles.csv"]
+
+
+@pytest.mark.parametrize("path", ["forked", "failed_fork", "in_process"])
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_split_writer_matches_row_writer(sv, series, tmp_path, monkeypatch, count, path):
+    # FORK_VALUES at 0 forks every write; a failed fork, and in_process (a
+    # platform without fork), write the second half in this process
+    monkeypatch.setattr(cli, "FORK_VALUES", 0)
+    calls = []
+    if path == "forked":
+        calls = patched_fork(monkeypatch)
+    elif path == "failed_fork":
+        calls = patched_fork(monkeypatch, BlockingIOError(errno.EAGAIN, "fork refused"))
+    else:
+        monkeypatch.delattr(os, "fork")
+    assert_writes_reference(sv, shortened(series, count), tmp_path, 37)
+    assert calls == ([] if path == "in_process" else [os.getpid()])
+    assert sorted(os.listdir(tmp_path)) == ["diagnostics.csv", "fields.csv", "particles.csv"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def simulate_argv(tmp_path):
@@ -121,7 +173,45 @@ def simulate_argv(tmp_path):
     return ["simulate", "--config", str(path), "--out", str(tmp_path / "out")]
 
 
+def simulated(path):
+    """The series ``simulate`` makes from the config file at ``path``."""
+    cfg = cli.parse_config(path)
+    return fc.simulate(cfg.model, fc.build_particles(cfg.model, cfg.initial, cfg.n),
+                       cfg.horizon, cfg.integrator)
+
+
+@pytest.mark.parametrize("error", [errno.EAGAIN, errno.ENOMEM], ids=["EAGAIN", "ENOMEM"])
+def test_failed_fork_writes_in_process(tmp_path, capsys, monkeypatch, error):
+    # a fork refused at the process limit or for memory, after the
+    # simulation succeeded: the run still writes every byte, in one process
+    monkeypatch.setattr(cli, "FORK_VALUES", 0, raising=False)
+    calls = patched_fork(monkeypatch, OSError(error, os.strerror(error)))
+    argv = simulate_argv(tmp_path)
+    assert cli.main(argv) == 0
+    assert calls == [os.getpid()]
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.startswith("simulate: wrote 3 snapshots")
+    out = tmp_path / "out"
+    assert sorted(os.listdir(out)) == ["diagnostics.csv", "fields.csv", "particles.csv"]
+    for name, text in reference_artifacts(simulated(argv[2]), 512).items():
+        assert (out / name).read_bytes() == text.encode(), name
+
+
+def test_shipped_saint_venant_config_forks_once(tmp_path, capsys, monkeypatch):
+    # 101 snapshots on 512 points: the shipped config that CI runs on every
+    # Python it tests takes the forked path
+    calls = patched_fork(monkeypatch)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(SHIPPED), "--out", str(out)]) == 0
+    assert calls == [os.getpid()]
+    assert capsys.readouterr().out.startswith("simulate: wrote 101 snapshots")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_failed_second_writer_is_one_out_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "FORK_VALUES", 0)
     parent, sample = os.getpid(), fields.sample
 
     def full_disk_in_second_writer(x, values, points):
@@ -148,6 +238,8 @@ def test_failed_second_writer_is_one_out_error(tmp_path, capsys, monkeypatch):
 
 
 def test_text_printed_before_simulate_is_written_once(tmp_path, monkeypatch):
+    # forked, the child must not flush the buffer it shares with this process
+    monkeypatch.setattr(cli, "FORK_VALUES", 0)
     with open(tmp_path / "stdout.txt", "w") as stdout:
         monkeypatch.setattr(sys, "stdout", stdout)
         print("printed before simulate")

@@ -12,9 +12,10 @@ microseconds per ``fields.sample`` call on the config's uniform grid of
 microseconds per ``FluidModel.energy_envelope_inverse`` call on the
 vacuum side of the config's energy budget, one of the two inversions of
 each admissibility verdict; and microseconds per snapshot of the CSV
-writer (``cli._write_simulation_artifacts``, with its forked second
-writer) on those 2 * fields.BLOCK rows and that grid, into a temporary
-directory.
+writer (``cli._write_simulation_artifacts``) on those 2 * fields.BLOCK rows
+and that grid, into a temporary directory.  Those are 64 snapshots of 512
+points, 65,536 ``fields.csv`` values, at least ``cli.FORK_VALUES``: the
+line times the forked second writer.
 
     PYTHONPATH=src python3 tools/hot_path_us.py
 
