@@ -62,38 +62,40 @@ class DiscreteFunctionals(NamedTuple):
     h_n: float
 
 
-def gaps_from_interior(length, x, full=None):
+def gaps_from_interior(length, x):
     """Cell widths x_{i-1} - x_i for i = 1..n from interior positions,
-    walls at ``length`` and 0 included, written into ``full`` (n+1
-    entries, walls preset; a new array by default).
+    walls at ``length`` and 0 included.
 
     The one definition of the ordered domain: raises DomainError unless
     0 < x_{n-1} < ... < x_1 < L, i.e. every width is positive.  The single
     test also rejects non-finite positions, which make the smallest width
     NaN or nonpositive.
     """
-    if full is None:
-        full = np.empty(x.size + 2)
-        full[0] = length
-        full[-1] = 0.0
-    full[1:-1] = x
-    gaps = full[:-1] - full[1:]
-    if not gaps.min() > 0.0:
+    full = np.concatenate(((length,), x, (0.0,)))
+    return _ordered(full[:-1] - full[1:])
+
+
+def _ordered(gaps):
+    """``gaps``, after the ordering test of ``gaps_from_interior``."""
+    smallest = np.minimum.reduce(gaps)
+    if not smallest > 0.0:
         raise DomainError(
             "state violates the strict ordering 0 < x_{n-1} < ... < x_1 < L "
-            f"(min gap {gaps.min():.3e})")
+            f"(min gap {smallest:.3e})")
     return gaps
 
 
-def wall_rows(length, n):
-    """Zeroed (2, n+1) rows for the wall-padded positions and velocities of
-    ``rhs_arrays``, the position wall at ``length`` written."""
-    pad = np.zeros((2, n + 1))
-    pad[0, 0] = length
-    return pad
+def stage_work(stage, n):
+    """The views and buffers of ``rhs_arrays``' stage-row form on the
+    wall-padded ``stage`` of 2(n+1) floats, made once for that stage: its
+    neighbour pairs, its velocities, the cell differences (widths, a 0 - 0
+    between the halves, velocity jumps), densities and stresses."""
+    jumps, rho, stress = np.empty(2 * n + 1), np.empty(n), np.empty(n)
+    return (stage[:-1], stage[1:], stage[n + 2:-1], jumps, jumps[:n], jumps[n + 1:],
+            rho, stress, stress[:-1], stress[1:])
 
 
-def rhs_arrays(model, n, x, v, *, out=None, pad=None):
+def rhs_arrays(model, n, x, v, *, out=None, work=None):
     """Equations of motion on raw arrays; hot path for the integrator.
 
     The momentum balance v_t = d/dM (mu(rho) v_x - P(rho)) in mass
@@ -104,24 +106,28 @@ def rhs_arrays(model, n, x, v, *, out=None, pad=None):
     trial states; a non-finite velocity gives non-finite accelerations,
     which the integrator's error test rejects.
 
-    Returns (dx, dv).  The stage-row form, with the keywords ``out``, a row
-    of 2(n-1) floats, and ``pad``, the ``wall_rows`` of the model, writes dx
-    then dv into ``out`` and the wall-padded x and v into ``pad``,
-    allocates neither, and returns the cell widths it tested.
+    Returns (dx, dv).  The stage-row form, with the keywords ``out``, the
+    pair of arrays it writes dx and dv into (say, the interior entries of a
+    wall-padded row), and ``work``, the ``stage_work`` of ``x``, reads
+    ``x`` as a wall-padded stage ``[L, x, 0 | 0, v, 0]`` (``v`` is not
+    read), allocates no array of its own and returns the cell widths it
+    tested, a view of ``work``.
     """
-    if pad is None:
-        pad = wall_rows(model.length, n)
-    gaps = gaps_from_interior(model.length, x, pad[0])
-    full_v = pad[1]
-    full_v[1:-1] = v
-    dvel = full_v[:-1] - full_v[1:]          # v_{c-1} - v_c per cell
-    rho = (model.m / n) / gaps
-    stress = model.viscosity(rho) * dvel / gaps - model.pressure(rho)
-    if out is None:
-        return v.copy(), (n / model.m) * (stress[:-1] - stress[1:])
-    out[:n - 1] = v
-    np.multiply(n / model.m, stress[:-1] - stress[1:], out=out[n - 1:])
-    return gaps
+    returning = out is None
+    if returning:
+        x = np.concatenate(((model.length,), x, (0.0, 0.0), v, (0.0,)))
+        out, work = (np.empty(n - 1), np.empty(n - 1)), stage_work(x, n)
+    lower, upper, vel, jumps, gaps, dvel, rho, stress, sigma, sigma_next = work
+    np.subtract(lower, upper, out=jumps)
+    _ordered(gaps)
+    np.divide(model.m / n, gaps, out=rho)
+    np.multiply(model.viscosity(rho), dvel, out=stress)
+    np.divide(stress, gaps, out=stress)
+    np.subtract(stress, model.pressure(rho), out=stress)
+    dx, dv = out
+    np.copyto(dx, vel)
+    np.multiply(n / model.m, np.subtract(sigma, sigma_next, out=dv), out=dv)
+    return out if returning else gaps
 
 
 def chain_functionals(model: FluidModel, gaps, v) -> DiscreteFunctionals:

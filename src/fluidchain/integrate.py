@@ -9,8 +9,10 @@ so identical inputs reproduce bit-identical output on one numpy/BLAS build
 and CPU (the stage sums' ``np.dot`` rounds by the BLAS kernel).
 
 Each ``simulate`` call's trials share one workspace, kept on neither module
-nor model: stage rows, stage state, error and scale vectors, and the wall
-rows of ``rhs_arrays``' stage-row form, which writes each stage in place.
+nor model: the wall-padded state and stage rows, one matrix, so that each
+stage state is one ``np.dot`` over them, the stage state, the error and
+scale vectors and the buffers of ``rhs_arrays``' stage-row form, which
+writes each stage's row in place.
 """
 
 import math
@@ -19,23 +21,22 @@ from typing import NamedTuple
 import numpy as np
 
 from . import fields
-from .dynamics import ParticleState, chain_functionals, gaps_from_interior, rhs_arrays, wall_rows
+from .dynamics import (ParticleState, chain_functionals, gaps_from_interior, rhs_arrays,
+                       stage_work)
 from .errors import DomainError, InitialDataError, StiffnessError
 
-# Dormand-Prince 5(4) tableau as float arrays built once; row 7 is the
-# 5th-order solution weights.
-_A = tuple(np.array(row, dtype=float) for row in (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+# Dormand-Prince 5(4) tableau, the weights of k_1..k_7 per row: the stages
+# 2-7, the last of which is the 5th-order solution, then the 5th-order
+# minus embedded 4th-order weights of the error estimate.
+_TABLEAU = np.array((
+    (1 / 5, 0, 0, 0, 0, 0, 0),
+    (3 / 40, 9 / 40, 0, 0, 0, 0, 0),
+    (44 / 45, -56 / 15, 32 / 9, 0, 0, 0, 0),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0, 0, 0),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0, 0),
+    (35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0),
+    (71 / 57600, 0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40),
 ))
-# 5th-order minus embedded 4th-order weights, applied to k_1..k_7.
-_ERR = np.array((71 / 57600, 0.0, -71 / 16695, 71 / 1920,
-                 -17253 / 339200, 22 / 525, -1 / 40))
 
 _SAFETY = 0.9
 _SHRINK_MIN = 0.2
@@ -142,56 +143,68 @@ class SnapshotSeries:
 
 class _Workspace:
     """The buffers of one ``simulate`` call's DP5 trials (see the module
-    docstring), built at the initial state y; row 0 of the stage rows ``k``
-    is always the rhs at the current state (first same as last)."""
+    docstring), built at the interior state y = (x, v).  ``K``, shape
+    (8, 2(n+1)), holds the wall-padded state ``[L, x, 0 | 0, v, 0]`` in
+    row 0 and k_1..k_7 as ``[0, dx, 0 | 0, dv, 0]`` in rows 1-7, whose wall
+    entries are never written; row 1 is always the rhs at row 0 (first same
+    as last)."""
 
     def __init__(self, model, n, y):
         half = y.size // 2
-        self.k = np.empty((7, y.size))
-        self.stage, self.err, self.scale = np.empty((3, y.size))
-        self.x, self.v = self.stage[:half], self.stage[half:]
-        self.pad = wall_rows(model.length, n)
-        # per stage, made once: its tableau row, the rows it sums, its row
-        self.stages = [(_A[s], self.k[:s], self.k[s]) for s in range(1, 7)]
-        rhs_arrays(model, n, y[:half], y[half:], out=self.k[0], pad=self.pad)
+        self.K = np.zeros((8, 2 * n + 2))
+        self.K[0, 0] = model.length
+        self.K[0, 1:n], self.K[0, n + 2:-1] = y[:half], y[half:]
+        self.stage, self.err, self.scale = np.empty((3, 2 * n + 2))
+        self.work = stage_work(self.stage, n)
+        # per trial, dt times the tableau, after a 1 for row 0 of K
+        self.coef = np.ones((7, 8))
+        self.scaled, self.err_coef, self.derivs = self.coef[:, 1:], self.coef[6, 1:], self.K[1:]
+        # the interior of each stage row, which rhs_arrays writes
+        rows = [(row[1:n], row[n + 2:-1]) for row in self.derivs]
+        # per stage, made once: its coefficients, the rows they sum, its row
+        self.stages = [(self.coef[s, :s + 2], self.K[:s + 2], rows[s + 1]) for s in range(6)]
+        rhs_arrays(model, n, self.K[0], None, out=rows[0], work=stage_work(self.K[0], n))
 
 
-def _error_ratio(ws, y, dt, cfg):
+def _error_ratio(ws, y, cfg):
     """max |dt (5th - 4th order)| / (abs_tol + rel_tol max(|y|, |y_new|))
     over the components, with y_new in the stage state."""
     err, scale = ws.err, ws.scale
     np.maximum(np.abs(y, out=scale), np.abs(ws.stage, out=err), out=scale)
     np.add(cfg.abs_tol, np.multiply(cfg.rel_tol, scale, out=scale), out=scale)
-    np.multiply(dt, np.dot(_ERR, ws.k, out=err), out=err)
-    return float(np.divide(np.abs(err, out=err), scale, out=err).max())
+    np.dot(ws.err_coef, ws.derivs, out=err)
+    return float(np.maximum.reduce(np.divide(np.abs(err, out=err), scale, out=err)))
 
 
 def _attempt(model, n, y, dt, cfg, ws):
-    """One embedded-pair trial from y over dt in the workspace ``ws``.
+    """One embedded-pair trial over dt from the padded state y, row 0 of
+    ``ws.K``, in the workspace ``ws``.
 
     Returns (accepted, y_new, widths, dt_next_factor, cause), with
     ``cause`` None for an accepted trial, else why it was rejected:
     ``"domain"`` (a DomainError at any stage, the candidate included),
     ``"nonfinite"`` (a non-finite error ratio) or ``"error"`` (a ratio
     above 1).  An accepted trial's y_new is ``ws.stage``, its widths those of
-    its last stage, which it moves to row 0 of ``ws.k``.
+    its last stage, whose row it moves to row 1 of ``ws.K``; both are
+    workspace buffers, valid until the next trial.
     """
-    yi, x, v, pad = ws.stage, ws.x, ws.v, ws.pad
+    stage, work = ws.stage, ws.work
+    np.multiply(dt, _TABLEAU, out=ws.scaled)
     try:
-        for weights, done, row in ws.stages:
-            np.add(y, np.multiply(dt, np.dot(weights, done, out=yi), out=yi), out=yi)
-            widths = rhs_arrays(model, n, x, v, out=row, pad=pad)
+        for coef, rows, row in ws.stages:
+            widths = rhs_arrays(model, n, np.dot(coef, rows, out=stage), None,
+                                out=row, work=work)
     except DomainError:
         return False, None, None, 0.5, "domain"
-    ratio = _error_ratio(ws, y, dt, cfg)      # row 7 of the tableau is the solution
+    ratio = _error_ratio(ws, y, cfg)      # the last stage is the solution
     if not math.isfinite(ratio):
         return False, None, None, 0.5, "nonfinite"
     factor = _GROW_MAX if ratio == 0.0 else min(_GROW_MAX, max(
         _SHRINK_MIN, _SAFETY * ratio ** -0.2))
     if ratio > 1.0:
         return False, None, None, factor, "error"
-    ws.k[0] = ws.k[6]
-    return True, yi, widths, factor, None
+    ws.K[1] = ws.K[7]
+    return True, stage, widths, factor, None
 
 
 def first_step(model, n, x):
@@ -282,11 +295,10 @@ def simulate(model, state0, T, cfg=None) -> SnapshotSeries:
         raise InitialDataError("initial energy does not fit in a float")
 
     n = state0.n
-    y = np.concatenate((state0.x, state0.v))
-    half = y.size // 2
     t = 0.0
     dt_ctrl = first_step(model, n, state0.x)    # the first snapshot bounds it further
-    ws = _Workspace(model, n, y)
+    ws = _Workspace(model, n, np.concatenate((state0.x, state0.v)))
+    y = ws.K[0]
     stats = series.stats
     stats.spacing_min_seen = float(first.spacing_min)
     stats.spacing_max_seen = float(first.spacing_max)
@@ -302,11 +314,11 @@ def simulate(model, state0, T, cfg=None) -> SnapshotSeries:
                 raise StiffnessError(
                     f"step size underflow (dt={dt:.3e} < {dt_floor:.3e}) at "
                     f"t={t:g}; the viscous coupling is too stiff for the "
-                    "explicit pair -- reduce n or use an implicit extension")
+                    "explicit pair -- reduce n")
             accepted, y_new, widths, factor, cause = _attempt(model, n, y, dt, cfg, ws)
             dt_ctrl = dt * factor
             if not accepted:
-                # y is unchanged, so its first stage in row 0 stays valid
+                # y is unchanged, so its first stage in row 1 stays valid
                 stats.rejected += 1
                 stats.rejected_by[cause] += 1
                 continue
@@ -314,9 +326,9 @@ def simulate(model, state0, T, cfg=None) -> SnapshotSeries:
             y[:] = y_new
             t = target if dt >= target - t else t + dt
             # n * min(widths) is min(n * widths): rounding is monotone
-            stats.spacing_min_seen = min(stats.spacing_min_seen, n * float(widths.min()))
-            stats.spacing_max_seen = max(stats.spacing_max_seen, n * float(widths.max()))
-        _store(model, ParticleState(n=n, t=t, x=y[:half], v=y[half:]), series)
+            stats.spacing_min_seen = min(stats.spacing_min_seen, n * float(np.minimum.reduce(widths)))
+            stats.spacing_max_seen = max(stats.spacing_max_seen, n * float(np.maximum.reduce(widths)))
+        _store(model, ParticleState(n=n, t=t, x=y[1:n], v=y[n + 2:-1]), series)
 
     series.diagnostics = _diagnostic_columns(series)
     for name in ("e_n", "w_n"):

@@ -13,6 +13,18 @@ from fluidchain.errors import DomainError, ModelError, StiffnessError
 from conftest import equilibrium_state, perturbed_initial, random_state, snapshot_states
 
 
+def padded(model, x, v):
+    """The wall-padded row [L, x, 0 | 0, v, 0] of the workspace's state."""
+    return np.concatenate(((model.length,), x, (0.0, 0.0), v, (0.0,)))
+
+
+def padded_rhs(model, n, x, v):
+    """The rhs at (x, v) as the workspace's stage row [0, dx, 0 | 0, dv, 0],
+    through the integrator's binding, which a test may patch."""
+    dx, dv = integrate.rhs_arrays(model, n, x, v)
+    return np.concatenate(((0.0,), dx, (0.0, 0.0), dv, (0.0,)))
+
+
 def _final_state(sv, rel_tol):
     state0 = fc.ParticleState(n=2, t=0.0, x=np.array([0.4]), v=np.array([0.0]))
     cfg = fc.IntegratorConfig(rel_tol=rel_tol, abs_tol=rel_tol * 1e-2, snapshot_dt=0.1)
@@ -51,26 +63,27 @@ def test_step_accepts_at_equilibrium(sv):
     state0 = equilibrium_state(sv, 4)
     y = np.concatenate((state0.x, state0.v))
     ws = integrate._Workspace(sv, 4, y)
-    accepted, y_new, widths, factor, cause = integrate._attempt(sv, 4, y, 1e-3,
+    assert ws.K[0].tobytes() == padded(sv, state0.x, state0.v).tobytes()
+    accepted, y_new, widths, factor, cause = integrate._attempt(sv, 4, ws.K[0], 1e-3,
                                                                 fc.IntegratorConfig(), ws)
     assert accepted and cause is None
-    assert np.allclose(y_new[:3], state0.x, atol=1e-10)
+    assert np.allclose(y_new[1:4], state0.x, atol=1e-10)
     assert factor > 1.0
-    # the widths and row 0 are those at the candidate
-    assert widths.tobytes() == gaps_from_interior(sv.length, y_new[:3]).tobytes()
-    assert ws.k[0].tobytes() == np.concatenate(rhs_arrays(sv, 4, y_new[:3], y_new[3:])).tobytes()
+    # the widths and row 1 are those at the candidate
+    assert widths.tobytes() == gaps_from_interior(sv.length, y_new[1:4]).tobytes()
+    assert ws.K[1].tobytes() == padded_rhs(sv, 4, y_new[1:4], y_new[6:9]).tobytes()
 
 
 def test_step_rejects_ordering_exit(sv):
     # packet racing towards the wall; a large trial step exits the domain
     y = np.array([0.05, -5.0])
     ws = integrate._Workspace(sv, 2, y)
-    k1 = ws.k[0].copy()
-    accepted, y_new, widths, factor, cause = integrate._attempt(sv, 2, y, 0.05,
+    k1 = ws.K[1].copy()
+    accepted, y_new, widths, factor, cause = integrate._attempt(sv, 2, ws.K[0], 0.05,
                                                                 fc.IntegratorConfig(), ws)
     assert not accepted
     assert y_new is None and widths is None
-    assert ws.k[0].tobytes() == k1.tobytes()     # row 0 is still the rhs at y
+    assert ws.K[1].tobytes() == k1.tobytes()     # row 1 is still the rhs at y
     assert factor == 0.5
     assert cause == "domain"
 
@@ -79,7 +92,8 @@ def test_attempt_reports_each_rejection_cause(sv, monkeypatch):
     cfg = fc.IntegratorConfig()
 
     def cause(model, n, y, dt):
-        return integrate._attempt(model, n, y, dt, cfg, integrate._Workspace(model, n, y))[4]
+        ws = integrate._Workspace(model, n, y)
+        return integrate._attempt(model, n, ws.K[0], dt, cfg, ws)[4]
 
     # the 2-particle packet racing into the wall leaves the ordered domain
     assert cause(sv, 2, np.array([0.05, -5.0]), 0.05) == "domain"
@@ -95,12 +109,12 @@ def test_attempt_reports_each_rejection_cause(sv, monkeypatch):
         calls.append(None)
         widths = rhs_arrays(model, n, x, v, **stage_row)
         if len(calls) == 6:
-            stage_row["out"][n - 1:] *= math.nan
+            stage_row["out"][1][:] *= math.nan
         return widths
 
     ws = integrate._Workspace(sv, 8, y)
     monkeypatch.setattr(integrate, "rhs_arrays", nan_at_last_stage)
-    out = integrate._attempt(sv, 8, y, 1e-3, cfg, ws)
+    out = integrate._attempt(sv, 8, ws.K[0], 1e-3, cfg, ws)
     assert len(calls) == 6
     assert out[0] is False and out[3] == 0.5 and out[4] == "nonfinite"
 
@@ -123,9 +137,10 @@ def test_step_rejects_nonfinite_velocity(any_model):
     assert np.isnan(dx[1]) and np.isnan(dv).any()
     y = np.concatenate((x, v))
     ws = integrate._Workspace(any_model, 4, y)
-    assert np.array_equal(ws.k[0], np.concatenate((dx, dv)), equal_nan=True)
+    assert np.array_equal(ws.K[1], np.concatenate(((0.0,), dx, (0.0, 0.0), dv, (0.0,))),
+                          equal_nan=True)
     accepted, y_new, widths, factor, cause = integrate._attempt(
-        any_model, 4, y, 1e-4, fc.IntegratorConfig(), ws)
+        any_model, 4, ws.K[0], 1e-4, fc.IntegratorConfig(), ws)
     assert not accepted
     assert y_new is None and widths is None
     assert factor == 0.5
@@ -228,7 +243,10 @@ def test_dt_underflow_reports_stiffness(sv, monkeypatch):
     state0 = equilibrium_state(sv, 4)
     with pytest.raises(StiffnessError) as err:
         fc.simulate(sv, state0, 1.0, fc.IntegratorConfig())
-    assert "stiff" in str(err.value)
+    # the message names only a remedy that exists: there is no implicit stepper
+    assert str(err.value).endswith(
+        "the viscous coupling is too stiff for the explicit pair -- reduce n")
+    assert "implicit" not in str(err.value)
 
 
 def test_small_amplitude_decay_matches_linearised_rate(sv):
@@ -317,8 +335,8 @@ def test_every_attempt_starts_from_the_rhs_at_its_state(sv, monkeypatch):
     attempt = integrate._attempt
 
     def checking(model, n, y, dt, cfg, ws):
-        expect = np.concatenate(rhs_arrays(model, n, y[:n - 1], y[n - 1:]))
-        assert ws.k[0].tobytes() == expect.tobytes()
+        assert np.shares_memory(y, ws.K[0])
+        assert ws.K[1].tobytes() == padded_rhs(model, n, y[1:n], y[n + 2:-1]).tobytes()
         out = attempt(model, n, y, dt, cfg, ws)
         outcomes.append(out[0])
         return out
@@ -351,18 +369,19 @@ def test_simulate_never_evaluates_the_energy_envelope(monkeypatch, make):
 
 def reference_attempt(model, n, y, dt, cfg, k1):
     """One DP5 trial with fresh arrays for every stage, the error and the
-    scale; ``k1`` is the rhs at y."""
-    half = y.size // 2
-    k = np.empty((7, y.size))
-    k[0] = k1
+    scale, on the workspace's wall-padded rows: ``y`` is the padded state,
+    ``k1`` the padded rhs at y, and each stage state sums y with weight 1
+    and the stage rows with dt times the tableau."""
+    k = np.zeros((8, y.size))
+    k[0], k[1] = y, k1
     try:
-        for stage in range(1, 7):
-            yi = y + dt * np.dot(integrate._A[stage], k[:stage])
-            k[stage, :half], k[stage, half:] = integrate.rhs_arrays(model, n, yi[:half],
-                                                                    yi[half:])
+        for s in range(6):
+            weights = np.concatenate(((1.0,), dt * integrate._TABLEAU[s, :s + 1]))
+            yi = np.dot(weights, k[:s + 2])
+            k[s + 2] = padded_rhs(model, n, yi[1:n], yi[n + 2:-1])
     except DomainError:
         return False, None, None, 0.5, "domain"
-    err = dt * np.dot(integrate._ERR, k)
+    err = np.dot(dt * integrate._TABLEAU[6], k[1:])
     scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(yi))
     ratio = float((np.abs(err) / scale).max())
     if not math.isfinite(ratio):
@@ -370,7 +389,7 @@ def reference_attempt(model, n, y, dt, cfg, k1):
     factor = 5.0 if ratio == 0.0 else min(5.0, max(0.2, 0.9 * ratio ** -0.2))
     if ratio > 1.0:
         return False, None, None, factor, "error"
-    return True, yi, k[6].copy(), factor, None
+    return True, yi, k[7].copy(), factor, None
 
 
 def reference_run(model, state0, T, cfg):
@@ -378,11 +397,10 @@ def reference_run(model, state0, T, cfg):
     states, the accepted count, the rejections by cause and the spacing
     extrema, a seventh ``gaps_from_interior`` per accepted step."""
     n = state0.n
-    y = np.concatenate((state0.x, state0.v))
-    half = y.size // 2
+    y = padded(model, state0.x, state0.v)
     t = 0.0
     dt_ctrl = integrate.first_step(model, n, state0.x)
-    k1 = np.concatenate(integrate.rhs_arrays(model, n, state0.x, state0.v))
+    k1 = padded_rhs(model, n, state0.x, state0.v)
     first = integrate._diagnostics(model, *fields.reconstruct(model, state0))
     smin, smax = float(first.spacing_min), float(first.spacing_max)
     accepted, rejected_by = 0, dict.fromkeys(("domain", "nonfinite", "error"), 0)
@@ -398,9 +416,9 @@ def reference_run(model, state0, T, cfg):
             accepted += 1
             y, k1 = y_new, k_last
             t = target if dt >= target - t else t + dt
-            gaps = n * gaps_from_interior(model.length, y[:half])
+            gaps = n * gaps_from_interior(model.length, y[1:n])
             smin, smax = min(smin, float(gaps.min())), max(smax, float(gaps.max()))
-        states.append(fc.ParticleState(n=n, t=t, x=y[:half], v=y[half:]))
+        states.append(fc.ParticleState(n=n, t=t, x=y[1:n], v=y[n + 2:-1]))
     return states, accepted, rejected_by, smin, smax
 
 
@@ -449,16 +467,52 @@ def test_stage_row_form_equals_the_returning_form(any_model, n):
     rng = np.random.default_rng(n)
     state = random_state(any_model, n, rng)
     dx, dv = rhs_arrays(any_model, n, state.x, state.v)
-    row, pad = np.full(2 * (n - 1), np.nan), fc.dynamics.wall_rows(any_model.length, n)
-    widths = rhs_arrays(any_model, n, state.x, state.v, out=row, pad=pad)
-    assert row.tobytes() == np.concatenate((dx, dv)).tobytes()
+    stage, row = padded(any_model, state.x, state.v), np.full(2 * n + 2, np.nan)
+    out, work = (row[1:n], row[n + 2:-1]), fc.dynamics.stage_work(stage, n)
+    widths = rhs_arrays(any_model, n, stage, None, out=out, work=work)
+    assert row[1:n].tobytes() == dx.tobytes() and row[n + 2:-1].tobytes() == dv.tobytes()
+    assert np.isnan(row[[0, n, n + 1, -1]]).all()      # the wall entries are not written
     assert widths.tobytes() == gaps_from_interior(any_model.length, state.x).tobytes()
-    assert pad.tolist() == [[any_model.length, *state.x, 0.0], [0.0, *state.v, 0.0]]
+    assert stage.tobytes() == padded(any_model, state.x, state.v).tobytes()
     # an unordered state is refused in either form
-    bad = state.x.copy()
-    bad[0] = 2.0 * any_model.length
+    stage[1] = 2.0 * any_model.length
     with pytest.raises(DomainError):
-        rhs_arrays(any_model, n, bad, state.v, out=row, pad=pad)
+        rhs_arrays(any_model, n, stage, None, out=out, work=work)
+
+
+def test_wall_entries_stay_exact_through_every_rejection(sv, monkeypatch):
+    # the stage sums carry the walls along: a stage's walls are L * 1 plus
+    # the zero walls of the stage rows, whatever the trial's outcome
+    def assert_walls(ws):
+        walls = [0, n, n + 1, -1]
+        assert ws.K[0, walls].tolist() == ws.stage[walls].tolist() == [sv.length, 0.0, 0.0, 0.0]
+        assert (ws.K[1:, walls] == 0.0).all()
+
+    n, cfg = 8, fc.IntegratorConfig()
+    state = fc.build_particles(sv, perturbed_initial(sv, 0.1), n)
+    ws = integrate._Workspace(sv, n, np.concatenate((state.x, state.v)))
+    causes = [integrate._attempt(sv, n, ws.K[0], dt, cfg, ws)[4] for dt in (1e-2, 10.0)]
+    assert causes == ["error", "domain"]
+    assert_walls(ws)
+    calls = []
+
+    def nan_at_last_stage(model, n, x, v, **stage_row):
+        calls.append(None)
+        widths = rhs_arrays(model, n, x, v, **stage_row)
+        if len(calls) == 6:
+            stage_row["out"][1][:] *= math.nan
+        return widths
+
+    with monkeypatch.context() as patch:
+        patch.setattr(integrate, "rhs_arrays", nan_at_last_stage)
+        assert integrate._attempt(sv, n, ws.K[0], 1e-3, cfg, ws)[4] == "nonfinite"
+    assert_walls(ws)
+    # an accepted trial after them starts from the rhs at y and keeps the walls
+    ws.K[1] = padded_rhs(sv, n, state.x, state.v)
+    accepted, y_new = integrate._attempt(sv, n, ws.K[0], 1e-3, cfg, ws)[:2]
+    assert accepted
+    ws.K[0] = y_new
+    assert_walls(ws)
 
 
 def test_series_is_not_aliased_to_the_workspace(sv, ideal):

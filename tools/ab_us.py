@@ -6,7 +6,10 @@ alternately.
 
 BASE_SRC and CHANGE_SRC are the ``src`` directories of two checkouts; each
 ``fluidchain`` package is loaded under a name of its own, so both run in
-this process on the same state and at the same host speed.  A pair splits
+this process on the same state and at the same host speed.  Each tree's
+calls come from ``hot_path_us.call_table`` on that tree, which builds the
+stage-row and trial calls from the tree's own DP5 workspace, so both sides
+time their own layout of the same step.  A pair splits
 the calls of one ``hot_path_us`` timing round into SLICES slices (one
 slice per call if the round has fewer calls) and times each slice on both
 trees in turn, the tree that goes first alternating from slice to slice; a
