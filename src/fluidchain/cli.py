@@ -502,10 +502,8 @@ def _cmd_converge(cfg, out_dir, n_override):
         if row.error is not None:
             long_rows.append((row.n, "error", math.nan, None))
             continue
-        for metric in ("mass_error", "residual_max", "self_dist_rho",
-                       "self_dist_v", "self_dist_v_late", "holder_rho", "holder_v"):
-            value = getattr(row, metric)
-            if value is not None:
+        for metric, value in row._asdict().items():
+            if metric not in ("n", "error") and value is not None:
                 long_rows.append((row.n, metric, value, None))
     orders = checks.observed_orders(rows)
     long_rows += [(n, f"order_{metric}", value, None)

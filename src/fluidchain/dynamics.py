@@ -86,16 +86,16 @@ def _ordered(gaps):
 
 
 def stage_work(stage, n):
-    """The views and buffers of ``rhs_arrays``' stage-row form on the
-    wall-padded ``stage`` of 2(n+1) floats, made once for that stage: its
-    neighbour pairs, its velocities, the cell differences (widths, a 0 - 0
-    between the halves, velocity jumps), densities and stresses."""
+    """The views and buffers of ``rhs_arrays`` on the wall-padded ``stage``
+    of 2(n+1) floats, made once for that stage: its neighbour pairs, its
+    velocities, the cell differences (widths, a 0 - 0 between the halves,
+    velocity jumps), densities and stresses."""
     jumps, rho, stress = np.empty(2 * n + 1), np.empty(n), np.empty(n)
     return (stage[:-1], stage[1:], stage[n + 2:-1], jumps, jumps[:n], jumps[n + 1:],
             rho, stress, stress[:-1], stress[1:])
 
 
-def rhs_arrays(model, n, x, v, *, out=None, work=None):
+def rhs_arrays(model, n, out, work):
     """Equations of motion on raw arrays; hot path for the integrator.
 
     The momentum balance v_t = d/dM (mu(rho) v_x - P(rho)) in mass
@@ -106,17 +106,12 @@ def rhs_arrays(model, n, x, v, *, out=None, work=None):
     trial states; a non-finite velocity gives non-finite accelerations,
     which the integrator's error test rejects.
 
-    Returns (dx, dv).  The stage-row form, with the keywords ``out``, the
-    pair of arrays it writes dx and dv into (say, the interior entries of a
-    wall-padded row), and ``work``, the ``stage_work`` of ``x``, reads
-    ``x`` as a wall-padded stage ``[L, x, 0 | 0, v, 0]`` (``v`` is not
-    read), allocates no array of its own and returns the cell widths it
-    tested, a view of ``work``.
+    Reads the wall-padded stage ``[L, x, 0 | 0, v, 0]`` that ``work =
+    stage_work(stage, n)`` was made on, writes dx and dv into the pair of
+    arrays ``out`` (say, the interior entries of a wall-padded row),
+    allocates no array of its own and returns the cell widths it tested, a
+    view of ``work``.
     """
-    returning = out is None
-    if returning:
-        x = np.concatenate(((model.length,), x, (0.0, 0.0), v, (0.0,)))
-        out, work = (np.empty(n - 1), np.empty(n - 1)), stage_work(x, n)
     lower, upper, vel, jumps, gaps, dvel, rho, stress, sigma, sigma_next = work
     np.subtract(lower, upper, out=jumps)
     _ordered(gaps)
@@ -127,7 +122,7 @@ def rhs_arrays(model, n, x, v, *, out=None, work=None):
     dx, dv = out
     np.copyto(dx, vel)
     np.multiply(n / model.m, np.subtract(sigma, sigma_next, out=dv), out=dv)
-    return out if returning else gaps
+    return gaps
 
 
 def chain_functionals(model: FluidModel, gaps, v) -> DiscreteFunctionals:

@@ -10,9 +10,9 @@ and CPU (the stage sums' ``np.dot`` rounds by the BLAS kernel).
 
 Each ``simulate`` call's trials share one workspace, kept on neither module
 nor model: the wall-padded state and stage rows, one matrix, so that each
-stage state is one ``np.dot`` over them, the stage state, the error and
-scale vectors and the buffers of ``rhs_arrays``' stage-row form, which
-writes each stage's row in place.
+stage state is one ``np.dot`` over them into the padded stage, the error
+and scale vectors and the ``stage_work`` of that stage, through which
+``rhs_arrays`` reads the stage and writes each stage's row in place.
 """
 
 import math
@@ -61,13 +61,14 @@ class IntegratorConfig(_IntegratorFields):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        # written as not (x > 0) so that NaN fails every test
-        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
-            raise ValueError("tolerances must be positive")
+        # written as not (0 < x < inf) so that NaN fails every test
+        if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
+            raise ValueError("tolerances must be positive and finite")
         if not 0.0 < self.snapshot_dt < math.inf:
             raise ValueError("snapshot_dt must be positive and finite")
-        if not self.max_steps >= 1:
-            raise ValueError("max_steps must be at least 1")
+        steps = self.max_steps
+        if isinstance(steps, bool) or not isinstance(steps, int) or steps < 1:
+            raise ValueError("max_steps must be an integer of at least 1")
         return self
 
     # _replace builds through _make, which would skip the checks
@@ -147,7 +148,9 @@ class _Workspace:
     (8, 2(n+1)), holds the wall-padded state ``[L, x, 0 | 0, v, 0]`` in
     row 0 and k_1..k_7 as ``[0, dx, 0 | 0, dv, 0]`` in rows 1-7, whose wall
     entries are never written; row 1 is always the rhs at row 0 (first same
-    as last)."""
+    as last).  Each stage state is summed into the padded ``stage``, and
+    ``rhs_arrays`` reads it through ``work``, its ``stage_work``, and writes
+    the interior of the stage's row of ``K``."""
 
     def __init__(self, model, n, y):
         half = y.size // 2
@@ -163,7 +166,7 @@ class _Workspace:
         rows = [(row[1:n], row[n + 2:-1]) for row in self.derivs]
         # per stage, made once: its coefficients, the rows they sum, its row
         self.stages = [(self.coef[s, :s + 2], self.K[:s + 2], rows[s + 1]) for s in range(6)]
-        rhs_arrays(model, n, self.K[0], None, out=rows[0], work=stage_work(self.K[0], n))
+        rhs_arrays(model, n, rows[0], stage_work(self.K[0], n))
 
 
 def _error_ratio(ws, y, cfg):
@@ -192,8 +195,8 @@ def _attempt(model, n, y, dt, cfg, ws):
     np.multiply(dt, _TABLEAU, out=ws.scaled)
     try:
         for coef, rows, row in ws.stages:
-            widths = rhs_arrays(model, n, np.dot(coef, rows, out=stage), None,
-                                out=row, work=work)
+            np.dot(coef, rows, out=stage)
+            widths = rhs_arrays(model, n, row, work)
     except DomainError:
         return False, None, None, 0.5, "domain"
     ratio = _error_ratio(ws, y, cfg)      # the last stage is the solution

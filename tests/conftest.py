@@ -217,6 +217,19 @@ def snapshot_states(series):
             for j, t in enumerate(series.times)]
 
 
+def padded(model, x, v):
+    """The wall-padded stage [L, x, 0 | 0, v, 0] of the interior state (x, v)."""
+    return np.concatenate(((model.length,), x, (0.0, 0.0), v, (0.0,)))
+
+
+def rhs(model, n, x, v, rhs_arrays=fc.dynamics.rhs_arrays):
+    """(dx, dv) of ``rhs_arrays`` at the interior state (x, v): the state
+    padded with its walls, its ``stage_work`` and two fresh out arrays."""
+    out = (np.empty(n - 1), np.empty(n - 1))
+    rhs_arrays(model, n, out, fc.dynamics.stage_work(padded(model, x, v), n))
+    return out
+
+
 def random_state(model, n, rng, v_scale=1.0):
     """A valid interior state with spacings in [0.5, 1.5]/n after rescale."""
     gaps = rng.uniform(0.5, 1.5, n)

@@ -17,10 +17,10 @@ import pytest
 
 import fluidchain as fc
 from fluidchain import checks, fields
-from fluidchain.dynamics import gaps_from_interior, rhs_arrays
+from fluidchain.dynamics import gaps_from_interior
 
 from conftest import (equilibrium_initial, multiharmonic_initial,
-                      perturbed_initial, quadrature_reference, random_state,
+                      perturbed_initial, quadrature_reference, random_state, rhs,
                       snapshot_states)
 
 RATE_T = 0.25
@@ -91,7 +91,7 @@ def test_criterion_02_discrete_energy_decay(sv, perturbed_runs):
     for _ in range(100):
         state = random_state(sv, n, rng)
         x, v = state.x, state.v
-        dx, dv = rhs_arrays(sv, n, x, v)
+        dx, dv = rhs(sv, n, x, v)
 
         def e_of(xx, vv):
             return fc.functionals(sv, fc.ParticleState(n=n, t=0.0, x=xx, v=vv)).e_n

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 import fluidchain as fc
-from fluidchain.dynamics import rhs_arrays
 from fluidchain.errors import AdmissibilityError, DomainError
 
-from conftest import equilibrium_state, random_state
+from conftest import equilibrium_state, random_state, rhs
 
 
 def test_state_validation():
@@ -34,27 +33,27 @@ def test_state_is_immutable_and_replace_keeps_the_checks():
 
 def test_rhs_zero_at_equilibrium(sv):
     state = equilibrium_state(sv, 4)
-    dx, dv = rhs_arrays(sv, state.n, state.x, state.v)
+    dx, dv = rhs(sv, state.n, state.x, state.v)
     assert np.all(dx == 0.0)
     assert np.all(dv == 0.0)
 
 
 def test_rhs_two_packet_pressure_imbalance(sv):
-    dx, dv = rhs_arrays(sv, 2, np.array([0.4]), np.array([0.0]))
+    dx, dv = rhs(sv, 2, np.array([0.4]), np.array([0.0]))
     # 2*(Phi'(1.2) - Phi'(0.8)) = g*(1/0.64 - 1/1.44)
     assert dv[0] == pytest.approx(9.81 * (1 / 0.64 - 1 / 1.44), rel=1e-14)
     assert dv[0] == pytest.approx(8.515625)
 
 
 def test_rhs_two_packet_pure_damping(sv):
-    dx, dv = rhs_arrays(sv, 2, np.array([0.5]), np.array([1.0]))
+    dx, dv = rhs(sv, 2, np.array([0.5]), np.array([1.0]))
     assert dv[0] == pytest.approx(-8.0, rel=1e-14)
     assert dx[0] == 1.0
 
 
 def test_rhs_rejects_disordered_state(sv):
     with pytest.raises(DomainError):
-        rhs_arrays(sv, 3, np.array([0.2, 0.6]), np.zeros(2))
+        rhs(sv, 3, np.array([0.2, 0.6]), np.zeros(2))
 
 
 def _cell_terms(model, n, x, v):
@@ -76,7 +75,7 @@ def test_rhs_kernel_matches_checked_public_laws(any_model):
     m = any_model.m
     for n in (2, 7, 32):
         state = random_state(any_model, n, rng)
-        dx, dv = rhs_arrays(any_model, n, state.x, state.v)
+        dx, dv = rhs(any_model, n, state.x, state.v)
         gaps, dvel, p, mu = _cell_terms(any_model, n, state.x, state.v)
         stress = mu * dvel / gaps - p
         assert np.array_equal(dv, (n / m) * (stress[:-1] - stress[1:]))
@@ -97,7 +96,7 @@ def test_rhs_semi_discrete_energy_balance(any_model, n):
     rng = np.random.default_rng(20 + n)
     for _ in range(10):
         state = random_state(any_model, n, rng)
-        dv = rhs_arrays(any_model, n, state.x, state.v)[1]
+        dv = rhs(any_model, n, state.x, state.v)[1]
         gaps, dvel, p, mu = _cell_terms(any_model, n, state.x, state.v)
         rate = (any_model.m / n) * np.sum(state.v * dv) - np.sum(p * dvel)
         dissipation = np.sum(mu * dvel ** 2 / gaps)
@@ -118,7 +117,7 @@ def test_rhs_semi_discrete_transformed_energy_balance(any_model, n):
     m = any_model.m
     for _ in range(10):
         state = random_state(any_model, n, rng)
-        dv = rhs_arrays(any_model, n, state.x, state.v)[1]
+        dv = rhs(any_model, n, state.x, state.v)[1]
         gaps, dvel, p, _ = _cell_terms(any_model, n, state.x, state.v)
         s, ds = n * gaps, n * dvel
         damp, gain = any_model.damping_potential(s), any_model.damping_gain(s)
@@ -133,8 +132,8 @@ def test_rhs_semi_discrete_transformed_energy_balance(any_model, n):
 
 def test_rhs_rejects_every_domain_exit(any_model):
     # every consumer of a state rejects each way out of the ordered domain:
-    # rhs_arrays on raw arrays, the others on a ParticleState (whose own
-    # construction rejects the non-finite positions)
+    # rhs_arrays on the padded raw arrays, the others on a ParticleState
+    # (whose own construction rejects the non-finite positions)
     L = any_model.length
     x = L * np.array([0.75, 0.5, 0.25])
     v = np.array([0.1, -0.2, 0.3])
@@ -153,11 +152,11 @@ def test_rhs_rejects_every_domain_exit(any_model):
     for bad in bad_positions:
         bad = L * np.array(bad)
         with pytest.raises(DomainError):
-            rhs_arrays(any_model, 4, bad, v)
+            rhs(any_model, 4, bad, v)
         for consume in consumers:
             with pytest.raises(DomainError):
                 consume(any_model, fc.ParticleState(n=4, t=0.0, x=bad, v=v))
-    rhs_arrays(any_model, 4, x, v)
+    rhs(any_model, 4, x, v)
     for consume in consumers:
         consume(any_model, fc.ParticleState(n=4, t=0.0, x=x, v=v))
 
@@ -199,7 +198,7 @@ def test_energy_derivative_identity(sv):
     for _ in range(20):
         state = random_state(sv, n, rng)
         x, v = state.x, state.v
-        dx, dv = rhs_arrays(sv, n, x, v)
+        dx, dv = rhs(sv, n, x, v)
 
         def e_of(xx, vv):
             return fc.functionals(sv, fc.ParticleState(n=n, t=0.0, x=xx, v=vv)).e_n

@@ -10,18 +10,14 @@ from fluidchain import checks, fields, integrate
 from fluidchain.dynamics import gaps_from_interior, rhs_arrays
 from fluidchain.errors import DomainError, ModelError, StiffnessError
 
-from conftest import equilibrium_state, perturbed_initial, random_state, snapshot_states
-
-
-def padded(model, x, v):
-    """The wall-padded row [L, x, 0 | 0, v, 0] of the workspace's state."""
-    return np.concatenate(((model.length,), x, (0.0, 0.0), v, (0.0,)))
+from conftest import (equilibrium_state, padded, perturbed_initial, random_state, rhs,
+                      snapshot_states)
 
 
 def padded_rhs(model, n, x, v):
     """The rhs at (x, v) as the workspace's stage row [0, dx, 0 | 0, dv, 0],
     through the integrator's binding, which a test may patch."""
-    dx, dv = integrate.rhs_arrays(model, n, x, v)
+    dx, dv = rhs(model, n, x, v, integrate.rhs_arrays)
     return np.concatenate(((0.0,), dx, (0.0, 0.0), dv, (0.0,)))
 
 
@@ -42,6 +38,8 @@ def test_config_validation():
 @pytest.mark.parametrize("field, value", [
     ("rel_tol", math.nan), ("abs_tol", math.nan), ("snapshot_dt", math.nan),
     ("max_steps", math.nan), ("snapshot_dt", math.inf),
+    ("rel_tol", math.inf), ("abs_tol", math.inf), ("max_steps", 2.5), ("max_steps", True),
+    ("max_steps", 0),
 ])
 def test_config_rejects_nan_and_infinite(field, value):
     with pytest.raises(ValueError):
@@ -105,11 +103,11 @@ def test_attempt_reports_each_rejection_cause(sv, monkeypatch):
     # NaN accelerations at the last stage make the error ratio NaN
     calls = []
 
-    def nan_at_last_stage(model, n, x, v, **stage_row):
+    def nan_at_last_stage(model, n, out, work):
         calls.append(None)
-        widths = rhs_arrays(model, n, x, v, **stage_row)
+        widths = rhs_arrays(model, n, out, work)
         if len(calls) == 6:
-            stage_row["out"][1][:] *= math.nan
+            out[1][:] *= math.nan
         return widths
 
     ws = integrate._Workspace(sv, 8, y)
@@ -126,6 +124,23 @@ def test_rejections_by_cause_sum_to_rejected(sv):
     assert sum(stats.rejected_by.values()) == stats.rejected > 0
 
 
+def test_simulate_calls_rhs_once_to_start_and_six_times_per_trial(any_model, monkeypatch):
+    # the count the benchmark's tracer reads as rhs calls per step: one at
+    # the initial state, then one per stage of every trial, accepted or
+    # rejected, as long as no stage leaves the domain
+    calls = []
+
+    def counting(model, n, out, work):
+        calls.append(None)
+        return rhs_arrays(model, n, out, work)
+
+    monkeypatch.setattr(integrate, "rhs_arrays", counting)
+    state0 = fc.build_particles(any_model, perturbed_initial(any_model, 0.1), 16)
+    stats = fc.simulate(any_model, state0, 0.05, fc.IntegratorConfig(snapshot_dt=0.05)).stats
+    assert stats.rejected_by["domain"] == 0 and stats.rejected > 0
+    assert len(calls) == 1 + 6 * (stats.accepted + stats.rejected)
+
+
 def test_step_rejects_nonfinite_velocity(any_model):
     # rhs_arrays tests no velocity: a NaN one gives NaN accelerations, with
     # no warning, and the trial that carries it is rejected
@@ -133,7 +148,7 @@ def test_step_rejects_nonfinite_velocity(any_model):
     v = np.array([0.1, np.nan, 0.3])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        dx, dv = rhs_arrays(any_model, 4, x, v)
+        dx, dv = rhs(any_model, 4, x, v)
     assert np.isnan(dx[1]) and np.isnan(dv).any()
     y = np.concatenate((x, v))
     ws = integrate._Workspace(any_model, 4, y)
@@ -435,13 +450,13 @@ def test_simulate_equals_the_allocating_reference_bit_for_bit(any_model, monkeyp
     state0 = fc.build_particles(any_model, perturbed_initial(any_model, 0.3), n)
     if force_domain:
         # the 9th rhs call, the second stage of the second trial, leaves the domain
-        calls, rhs = [], integrate.rhs_arrays
+        calls = []
 
-        def exit_at_ninth_call(*args, **kwargs):
+        def exit_at_ninth_call(model, n, out, work):
             calls.append(None)
             if len(calls) == 9:
                 raise DomainError("forced exit")
-            return rhs(*args, **kwargs)
+            return rhs_arrays(model, n, out, work)
 
         monkeypatch.setattr(integrate, "rhs_arrays", exit_at_ninth_call)
     series = fc.simulate(any_model, state0, T, cfg)
@@ -464,20 +479,25 @@ def test_simulate_equals_the_allocating_reference_bit_for_bit(any_model, monkeyp
 
 @pytest.mark.parametrize("n", [2, 8, 128])
 def test_stage_row_form_equals_the_returning_form(any_model, n):
+    # written into the interior of a padded stage row, as the workspace
+    # calls it, the rhs has the bits that conftest's rhs returns in fresh
+    # arrays; it leaves the row's walls and the stage alone and returns the
+    # widths it tested
     rng = np.random.default_rng(n)
     state = random_state(any_model, n, rng)
-    dx, dv = rhs_arrays(any_model, n, state.x, state.v)
+    dx, dv = rhs(any_model, n, state.x, state.v)
     stage, row = padded(any_model, state.x, state.v), np.full(2 * n + 2, np.nan)
     out, work = (row[1:n], row[n + 2:-1]), fc.dynamics.stage_work(stage, n)
-    widths = rhs_arrays(any_model, n, stage, None, out=out, work=work)
-    assert row[1:n].tobytes() == dx.tobytes() and row[n + 2:-1].tobytes() == dv.tobytes()
+    widths = rhs_arrays(any_model, n, out, work)
+    assert row[1:n].tobytes() == dx.tobytes() == state.v.tobytes()
+    assert row[n + 2:-1].tobytes() == dv.tobytes()
     assert np.isnan(row[[0, n, n + 1, -1]]).all()      # the wall entries are not written
     assert widths.tobytes() == gaps_from_interior(any_model.length, state.x).tobytes()
     assert stage.tobytes() == padded(any_model, state.x, state.v).tobytes()
-    # an unordered state is refused in either form
+    # an unordered stage is refused
     stage[1] = 2.0 * any_model.length
     with pytest.raises(DomainError):
-        rhs_arrays(any_model, n, stage, None, out=out, work=work)
+        rhs_arrays(any_model, n, out, work)
 
 
 def test_wall_entries_stay_exact_through_every_rejection(sv, monkeypatch):
@@ -496,11 +516,11 @@ def test_wall_entries_stay_exact_through_every_rejection(sv, monkeypatch):
     assert_walls(ws)
     calls = []
 
-    def nan_at_last_stage(model, n, x, v, **stage_row):
+    def nan_at_last_stage(model, n, out, work):
         calls.append(None)
-        widths = rhs_arrays(model, n, x, v, **stage_row)
+        widths = rhs_arrays(model, n, out, work)
         if len(calls) == 6:
-            stage_row["out"][1][:] *= math.nan
+            out[1][:] *= math.nan
         return widths
 
     with monkeypatch.context() as patch:

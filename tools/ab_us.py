@@ -8,8 +8,11 @@ BASE_SRC and CHANGE_SRC are the ``src`` directories of two checkouts; each
 ``fluidchain`` package is loaded under a name of its own, so both run in
 this process on the same state and at the same host speed.  Each tree's
 calls come from ``hot_path_us.call_table`` on that tree, which builds the
-stage-row and trial calls from the tree's own DP5 workspace, so both sides
-time their own layout of the same step.  A pair splits
+rhs and trial calls from the tree's own DP5 workspace, against this tree's
+API.  Each call runs once on each tree before it is timed; a call that
+raises on either tree, as one written against an API the other tree does
+not have, prints ``<name> n=N: not comparable (<tree>: <error>)`` and the
+next call follows.  A pair splits
 the calls of one ``hot_path_us`` timing round into SLICES slices (one
 slice per call if the round has fewer calls) and times each slice on both
 trees in turn, the tree that goes first alternating from slice to slice; a
@@ -46,6 +49,17 @@ def load(src, name):
     return module
 
 
+def first_error(base_call, change_call):
+    """``"<tree>: <error>"`` for the first of the two calls that raises,
+    run once each, else None."""
+    for tree, call in (("base", base_call), ("change", change_call)):
+        try:
+            call()
+        except Exception as exc:
+            return f"{tree}: {type(exc).__name__}: {exc}"
+    return None
+
+
 def main(argv=None):
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 2:
@@ -56,6 +70,10 @@ def main(argv=None):
             (base_src, "fluidchain_base"), (change_src, "fluidchain_change")))
         for name, (base_call, number, _, _) in base.items():
             change_call = change[name][0]
+            error = first_error(base_call, change_call)
+            if error:
+                print(f"{name} n={hot_path_us.N}: not comparable ({error})")
+                continue
             slices = min(SLICES, number)
             calls = number // slices
             ratios = []

@@ -1,13 +1,10 @@
-"""Microseconds per call of the DP5 hot path: ``dynamics.rhs_arrays`` in
-its returning form and in its stage-row form, and ``integrate._attempt``
-as ``simulate`` calls it, in one workspace built outside the timed call, at
-n = 128 on the saint_venant chain of ``configs/saint_venant_perturbed.json``,
-from its first trial step (each timed trial is accepted and leaves the
-workspace's first stage at the rhs of its candidate, which the next one
-starts from, at the same cost); both calls are built from the workspace of
-the tree given, the padded stage matrix ``K`` or the earlier unpadded
-stage rows with their wall rows, so that ``tools/ab_us.py`` can time a
-change of that layout against its parent;
+"""Microseconds per call of the DP5 hot path: ``dynamics.rhs_arrays`` on
+the padded stage of the DP5 workspace, a trial's accepted candidate, and
+``integrate._attempt`` as ``simulate`` calls it, in one workspace built
+outside the timed call, at n = 128 on the saint_venant chain of
+``configs/saint_venant_perturbed.json``, from its first trial step (each
+timed trial is accepted and leaves the workspace's first stage at the rhs
+of its candidate, which the next one starts from, at the same cost);
 microseconds per snapshot of the diagnostics pass over the stored rows
 (``integrate._diagnostic_columns``), on 2 * fields.BLOCK rows of that state;
 microseconds per ``fields.sample`` call on the config's uniform grid of
@@ -51,19 +48,10 @@ def call_table(fc, out):
     y = np.concatenate((state.x, state.v))
     dt = integrate.first_step(model, N, state.x)
     ws = integrate._Workspace(model, N, y)
-    if hasattr(ws, "K"):
-        # one padded stage matrix: the trial starts from its row 0, and the
-        # stage-row form reads the padded stage, here that state, and writes
-        # a padded row
-        y = ws.K[0]
-        ws.stage[:] = y
-
-        def stage_row():
-            return rhs_arrays(model, N, ws.stage, None, out=ws.stages[0][2], work=ws.work)
-    else:
-        # the earlier workspace: unpadded stage rows and separate wall rows
-        def stage_row():
-            return rhs_arrays(model, N, state.x, state.v, out=ws.k[1], pad=ws.pad)
+    # the trial starts from row 0 of the padded stage matrix; rhs_arrays
+    # reads the workspace's padded stage, which each trial leaves at its
+    # candidate, and writes the padded row of the second stage
+    y = ws.K[0]
     snapshots = 2 * fields.BLOCK
     series = integrate.SnapshotSeries(model, N, snapshots)
     for _ in range(snapshots):
@@ -73,9 +61,8 @@ def call_table(fc, out):
     grid = np.linspace(0.0, model.length, cfg.grid_size)
     budget = fc.admissibility(model, cfg.initial).lhs
     table = {
-        "rhs_arrays": (lambda: rhs_arrays(model, N, state.x, state.v), 2000, 1,
+        "rhs_arrays": (lambda: rhs_arrays(model, N, ws.stages[0][2], ws.work), 2000, 1,
                        "us per call"),
-        "rhs_arrays_stage_row": (stage_row, 2000, 1, "us per call"),
         "_attempt": (lambda: integrate._attempt(model, N, y, dt, cfg.integrator, ws),
                      300, 1, "us per call"),
         "diagnostics": (lambda: integrate._diagnostic_columns(series), 20, snapshots,
