@@ -298,18 +298,17 @@ class ConvergenceRow(NamedTuple):
     error: str | None = None
 
 
-# the metrics of a refinement row whose observed order is reported
-ORDER_METRICS = ("mass_error", "residual_max", "self_dist_rho", "self_dist_v",
-                 "self_dist_v_late")
+# the metrics of a refinement row whose observed order is reported, in
+# order, each with its convergence.txt label
+ORDER_METRICS = {"mass_error": "mass_err", "residual_max": "max_residual",
+                 "self_dist_rho": "|rho_2n-rho_n|", "self_dist_v": "|v_2n-v_n|",
+                 "self_dist_v_late": "|v_2n-v_n| over t>0"}
 
 
 def _sampled_series(series, grid):
-    rho = np.empty((len(series), grid.size))
-    vel = np.empty((len(series), grid.size))
-    for j, x in enumerate(series.x):
-        rho[j] = fields.sample(x, series.rho[j], grid)
-        vel[j] = fields.sample(x, series.v[j], grid)
-    return rho, vel
+    """The density and the velocity of every snapshot of ``series`` on ``grid``."""
+    return [np.array([fields.sample(x, row, grid) for x, row in zip(series.x, rows)])
+            for rows in (series.rho, series.v)]
 
 
 def _holder_rate(samples, times, grid, exponent):

@@ -28,7 +28,7 @@ from .dynamics import spacing_bounds
 from .errors import AdmissibilityError, ConfigError, FluidchainError
 from .initial import (admissibility, budget_constants, build_particles,
                       constant_density, make_initial, sine_velocity, table_profile)
-from .integrate import IntegratorConfig, simulate
+from .integrate import MAX_SNAPSHOTS, IntegratorConfig, simulate
 from .model import FluidModel
 
 # kind -> (required keys, optional keys) of the model block, besides "kind";
@@ -49,11 +49,7 @@ PROFILE_KEYS = {
 # the key holding a profile's values, named when those values are at fault
 VALUES_KEY = {("rho0", "constant"): "rho0.value", ("rho0", "table"): "rho0.rho",
               ("v0", "sine"): "v0.amplitude", ("v0", "table"): "v0.v"}
-# the convergence.txt label of each metric of checks.ORDER_METRICS
-ORDER_LABELS = {"mass_error": "mass_err", "residual_max": "max_residual",
-                "self_dist_rho": "|rho_2n-rho_n|", "self_dist_v": "|v_2n-v_n|",
-                "self_dist_v_late": "|v_2n-v_n| over t>0"}
-# largest particle count, grid size and snapshot count a config may ask for
+# largest particle count and grid size a config may ask for
 MAX_COUNT = 10 ** 6
 
 
@@ -228,8 +224,8 @@ def _parse_integrator(raw):
                             positive=True))
     horizon = _number(block, "integrator", "T", default=1.0, positive=True)
     # a ratio in float, so that a subnormal snapshot_dt (ratio inf) fails too
-    if not horizon / cfg.snapshot_dt <= MAX_COUNT:
-        raise ConfigError("integrator.snapshot_dt", f"gives more than {MAX_COUNT} snapshots "
+    if not horizon / cfg.snapshot_dt <= MAX_SNAPSHOTS:
+        raise ConfigError("integrator.snapshot_dt", f"gives more than {MAX_SNAPSHOTS} snapshots "
                           f"over T={horizon:g}, got {cfg.snapshot_dt!r}")
     return cfg, horizon
 
@@ -511,20 +507,18 @@ def _cmd_converge(cfg, out_dir, n_override):
     lines = ["refinement study",
              "mass_err is the trapezoid error of the rebuilt density, not a conservation error",
              ""]
+    labels = checks.ORDER_METRICS
     for row in rows:
-        if row.error is not None:
-            lines.append(f"n={row.n}: FAILED ({row.error})")
-        else:
-            dist = ("" if row.self_dist_rho is None else
-                    f", |rho_2n-rho_n|={row.self_dist_rho:.6e}, "
-                    f"|v_2n-v_n|={row.self_dist_v:.6e}")
-            lines.append(f"n={row.n}: mass_err={row.mass_error:.6e}, "
-                         f"max_residual={row.residual_max:.6e}{dist}")
-    lines += [f"n={row.n}: |v_2n-v_n| over t>0={row.self_dist_v_late:.6e}"
+        # every metric but the late velocity distance, which has lines of its own
+        values = [f"{label}={getattr(row, metric):.6e}" for metric, label in labels.items()
+                  if metric != "self_dist_v_late" and getattr(row, metric) is not None]
+        lines.append(f"n={row.n}: " + (", ".join(values) if row.error is None
+                                       else f"FAILED ({row.error})"))
+    lines += [f"n={row.n}: {labels['self_dist_v_late']}={row.self_dist_v_late:.6e}"
               for row in rows if row.self_dist_v_late is not None]
     for n, by_metric in orders:
         lines.append(f"observed order n={n} to {2 * n}: " + ", ".join(
-            f"{ORDER_LABELS[metric]}={value:.3f}" for metric, value in by_metric.items()))
+            f"{labels[metric]}={value:.3f}" for metric, value in by_metric.items()))
     _write_study(out, "convergence.csv", long_rows, "convergence.txt", lines)
     print("\n".join(lines))
     return 0

@@ -27,12 +27,21 @@ def sample(x, values, points):
 
 def reconstruct(model: FluidModel, state: ParticleState):
     """The piecewise-linear fields of a state as their n+1 nodes ``(x, rho,
-    v)`` in ascending position order: ``x`` from 0 to L, ``rho`` with the
-    ghost cell's density repeated at L, ``v`` zero at both ends.
-    DomainError unless the state is ordered."""
-    rho = (model.m / (state.n * gaps_from_interior(model.length, state.x)))[::-1]
-    return (np.concatenate(([0.0], state.x[::-1], [model.length])),
-            np.concatenate((rho, rho[-1:])), np.concatenate(([0.0], state.v[::-1], [0.0])))
+    v)`` in ascending position order: ``x`` from 0 to L, ``rho`` the
+    ``density`` of ``x``, ``v`` zero at both ends.  DomainError unless the
+    state is ordered."""
+    gaps_from_interior(model.length, state.x)       # the ordering test
+    x = np.concatenate(([0.0], state.x[::-1], [model.length]))
+    return x, density(model, x), np.concatenate(([0.0], state.v[::-1], [0.0]))
+
+
+def density(model, x):
+    """The density nodes at ascending nodes ``x`` of shape (..., n+1): each
+    cell's m/(n * width) at its lower node, the ghost cell's repeated at L;
+    the widths are those of ``gaps_from_interior``, reversed, to the bit."""
+    widths = np.diff(x)
+    rho = model.m / (widths.shape[-1] * widths)
+    return np.concatenate((rho, rho[..., -1:]), axis=-1)
 
 
 def total_mass(x, rho):

@@ -21,8 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import fields
-from .dynamics import (ParticleState, chain_functionals, gaps_from_interior, rhs_arrays,
-                       stage_work)
+from .dynamics import chain_functionals, gaps_from_interior, rhs_arrays, stage_work
 from .errors import DomainError, InitialDataError, StiffnessError
 
 # Dormand-Prince 5(4) tableau, the weights of k_1..k_7 per row: the stages
@@ -44,6 +43,8 @@ _GROW_MAX = 5.0
 # E_n and W_n are nonnegative; a value in [-_NEGATIVE_SLACK, 0) is rounding
 # and recorded as 0.0, anything lower is kept and reported
 _NEGATIVE_SLACK = 1e-14
+# largest T / snapshot_dt: a longer series is refused before it is built
+MAX_SNAPSHOTS = 10 ** 6
 
 
 class _IntegratorFields(NamedTuple):
@@ -220,13 +221,14 @@ def first_step(model, n, x):
 def _snapshot_targets(T, snapshot_dt):
     if not 0.0 < T < math.inf:
         raise ValueError("horizon T must be positive and finite")
-    count = int(math.floor(T / snapshot_dt + 1e-9))
+    ratio = T / snapshot_dt
+    if not ratio <= MAX_SNAPSHOTS:      # an inf or NaN ratio fails too
+        raise ValueError(f"T / snapshot_dt must be at most {MAX_SNAPSHOTS}, got {ratio!r}")
+    count = int(math.floor(ratio + 1e-9))
     targets = [k * snapshot_dt for k in range(1, count + 1)]
-    if not targets or targets[-1] < T - 1e-12 * max(T, 1.0):
-        targets.append(T)
-    else:
-        targets[-1] = T
-    return targets
+    if targets and targets[-1] >= T - 1e-12 * max(T, 1.0):
+        targets.pop()       # within rounding of T: T itself ends the list
+    return [*targets, T]
 
 
 def decay_slack(initial):
@@ -240,14 +242,6 @@ def decay_violations(times, values, slack):
     by more than ``slack`` over the previous snapshot."""
     return [(times[j], values[j] - values[j - 1])
             for j in range(1, len(values)) if values[j] > values[j - 1] + slack]
-
-
-def _store(model, state, series):
-    """Append the snapshot of ``state`` to ``series``: its time and its
-    rebuilt nodes as the next row."""
-    j = len(series)
-    series.x[j], series.rho[j], series.v[j] = fields.reconstruct(model, state)
-    series.times.append(state.t)
 
 
 def _diagnostics(model, x, rho, v):
@@ -278,26 +272,26 @@ def _diagnostic_columns(series):
 def simulate(model, state0, T, cfg=None) -> SnapshotSeries:
     """Integrate a chain to time T, emitting snapshots every snapshot_dt.
 
-    Each snapshot is stored as its rebuilt node rows; after the last step
-    one pass over the rows fills ``series.diagnostics`` with the columns of
-    the discrete functionals, the reconstructed mass and the spacing extrema
-    (``checks.decay_report`` adds the continuous energies), and the decay
-    and negative-value monitors of E_n and W_n are collected as warnings on
-    the series.  Before the first step, the first snapshot raises
-    DomainError unless ``state0`` is ordered, and InitialDataError when its
-    E_n, W_n or Z_n does not fit in a float; a ``T`` that is not positive
-    and finite is a ValueError.
+    Each snapshot's node rows of x and v are copied from the accepted state,
+    which its last trial tested; after the last step the density rows
+    (``fields.density``), then ``series.diagnostics``, the columns of the
+    discrete functionals, the reconstructed mass and the spacing extrema
+    (``checks.decay_report`` adds the continuous energies), are filled in
+    blocks of rows, and the decay and negative-value monitors of E_n and W_n
+    become warnings on the series.  Before the first step, DomainError
+    unless ``state0`` is ordered (``fields.reconstruct``); InitialDataError
+    when its E_n, W_n or Z_n does not fit in a float; ValueError for a ``T``
+    not positive and finite or ``T / snapshot_dt`` above ``MAX_SNAPSHOTS``.
     """
     cfg = cfg or IntegratorConfig()
     targets = _snapshot_targets(T, cfg.snapshot_dt)
-    series = SnapshotSeries(model, state0.n, len(targets) + 1)
-    _store(model, ParticleState(n=state0.n, t=0.0, x=state0.x, v=state0.v), series)
+    n = state0.n
+    series = SnapshotSeries(model, n, len(targets) + 1)
     with np.errstate(over="ignore"):
-        first = _diagnostics(model, series.x[0], series.rho[0], series.v[0])
+        first = _diagnostics(model, *fields.reconstruct(model, state0))
     if not np.isfinite((first.e_n, first.w_n, first.z_n)).all():
         raise InitialDataError("initial energy does not fit in a float")
 
-    n = state0.n
     t = 0.0
     dt_ctrl = first_step(model, n, state0.x)    # the first snapshot bounds it further
     ws = _Workspace(model, n, np.concatenate((state0.x, state0.v)))
@@ -307,7 +301,7 @@ def simulate(model, state0, T, cfg=None) -> SnapshotSeries:
     stats.spacing_max_seen = float(first.spacing_max)
     dt_floor = 1e-14 * T
 
-    for target in targets:
+    for j, target in enumerate((0.0, *targets)):
         while t < target:
             if stats.accepted + stats.rejected >= cfg.max_steps:
                 raise StiffnessError(
@@ -331,8 +325,11 @@ def simulate(model, state0, T, cfg=None) -> SnapshotSeries:
             # n * min(widths) is min(n * widths): rounding is monotone
             stats.spacing_min_seen = min(stats.spacing_min_seen, n * float(np.minimum.reduce(widths)))
             stats.spacing_max_seen = max(stats.spacing_max_seen, n * float(np.maximum.reduce(widths)))
-        _store(model, ParticleState(n=n, t=t, x=y[1:n], v=y[n + 2:-1]), series)
+        series.x[j], series.v[j] = y[n::-1], y[:n:-1]     # y is [L, x, 0 | 0, v, 0]
+        series.times.append(t)
 
+    for rows in fields.row_blocks(len(series)):
+        series.rho[rows] = fields.density(model, series.x[rows])
     series.diagnostics = _diagnostic_columns(series)
     for name in ("e_n", "w_n"):
         values = getattr(series.diagnostics, name).tolist()

@@ -36,9 +36,9 @@ def assert_timed(line):
 def test_pairs_every_hot_path_call_of_one_tree_with_itself(ab_us, capsys):
     ab_us.main([str(ROOT / "src")] * 2)
     lines = capsys.readouterr().out.splitlines()
-    assert [line.split()[0] for line in lines] == ["rhs_arrays", "_attempt", "diagnostics",
-                                                   "sample", "energy_envelope_inverse",
-                                                   "write_artifacts"]
+    assert [line.split()[0] for line in lines] == ["rhs_arrays", "_attempt", "simulate",
+                                                   "diagnostics", "sample",
+                                                   "energy_envelope_inverse", "write_artifacts"]
     for line in lines:
         assert_timed(line)
 

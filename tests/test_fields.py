@@ -3,6 +3,7 @@ import pytest
 
 import fluidchain as fc
 from fluidchain import fields
+from fluidchain.dynamics import gaps_from_interior
 
 from conftest import equilibrium_state, multiharmonic_initial, random_state
 
@@ -56,6 +57,27 @@ def test_total_mass_of_stacked_rows_is_each_rows_own(sv):
     rows = [fc.reconstruct(sv, random_state(sv, 9, rng)) for _ in range(5)]
     x, rho = np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
     assert fc.total_mass(x, rho).tolist() == [fc.total_mass(*r[:2]) for r in rows]
+
+
+def test_density_of_stacked_rows_blocks_and_one_row_is_reconstructs(any_model):
+    # each row's density, whether of every row at once, of row_blocks
+    # slices or of the row alone, is bit for bit reconstruct's rho and
+    # m / (n * width) of the state's gaps, reversed, the ghost cell's at L
+    rng = np.random.default_rng(3)
+    count = fields.BLOCK + 3
+    states = [random_state(any_model, 9, rng) for _ in range(count)]
+    nodes = [fc.reconstruct(any_model, state) for state in states]
+    x = np.array([node[0] for node in nodes])
+    rho = np.array([node[1] for node in nodes])
+    cells = [(any_model.m / (9 * gaps_from_interior(any_model.length, state.x)))[::-1]
+             for state in states]
+    by_formula = np.array([np.append(cell, cell[-1]) for cell in cells])
+    assert rho.tobytes() == by_formula.tobytes()
+    blocks = [fields.density(any_model, x[rows]) for rows in fields.row_blocks(count)]
+    assert len(blocks) == 2
+    for density in (fields.density(any_model, x), np.concatenate(blocks),
+                    np.array([fields.density(any_model, row) for row in x])):
+        assert density.tobytes() == rho.tobytes()
 
 
 def test_velocity_bounded_by_node_values(sv):

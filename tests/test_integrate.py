@@ -207,10 +207,12 @@ def test_diagnostic_columns_are_each_snapshots_own(any_model):
         return 0.0 if -1e-14 <= value < 0.0 else value
 
     init = perturbed_initial(any_model, 0.1)
+    # the last snapshot interval is a truncated half
     series = fc.simulate(any_model, fc.build_particles(any_model, init, 7),
-                         0.002 * (fields.BLOCK + 3), fc.IntegratorConfig(snapshot_dt=0.002))
+                         0.002 * (fields.BLOCK + 3.5), fc.IntegratorConfig(snapshot_dt=0.002))
     diag = series.diagnostics
     assert len(series) > fields.BLOCK
+    assert series.times[-1] - series.times[-2] < 0.0012
     assert all(column.shape == (len(series),) for column in diag)
     for j, state in enumerate(snapshot_states(series)):
         f = fc.functionals(any_model, state)
@@ -243,6 +245,42 @@ def test_horizon_must_be_positive_and_finite(sv, T):
         fc.simulate(sv, equilibrium_state(sv, 4), T, cfg)
     with pytest.raises(ValueError, match="horizon"):
         checks.convergence_study(sv, perturbed_initial(sv), [4, 8], T, cfg)
+
+
+@pytest.mark.parametrize("snapshot_dt", [5e-324, (1.0 - 1e-9) / integrate.MAX_SNAPSHOTS],
+                         ids=["ratio_infinite", "just_above_bound"])
+def test_snapshot_count_is_refused_above_the_bound(sv, snapshot_dt):
+    # refused before a target list or a row is built
+    cfg = fc.IntegratorConfig(snapshot_dt=snapshot_dt)
+    assert not 1.0 / snapshot_dt <= integrate.MAX_SNAPSHOTS
+    with pytest.raises(ValueError, match="snapshot_dt"):
+        fc.simulate(sv, equilibrium_state(sv, 4), 1.0, cfg)
+    with pytest.raises(ValueError, match="snapshot_dt"):
+        checks.uniform_cadence(1.0, snapshot_dt)
+    with pytest.raises(ValueError, match="snapshot_dt"):
+        checks.convergence_study(sv, perturbed_initial(sv), [4, 8], 1.0, cfg)
+
+
+def test_snapshot_count_at_the_bound_is_kept(monkeypatch):
+    monkeypatch.setattr(integrate, "MAX_SNAPSHOTS", 10)
+    assert len(integrate._snapshot_targets(1.0, 0.1)) == 10
+    with pytest.raises(ValueError, match="at most 10"):
+        integrate._snapshot_targets(1.0, 0.0999)
+
+
+def test_simulate_rebuilds_only_the_initial_state(sv, monkeypatch):
+    # every other snapshot's rows come from the accepted padded state
+    calls, reconstruct = [], fields.reconstruct
+
+    def counted(model, state):
+        calls.append(state)
+        return reconstruct(model, state)
+
+    monkeypatch.setattr(fields, "reconstruct", counted)
+    state0 = fc.build_particles(sv, perturbed_initial(sv, 0.1), 8)
+    series = fc.simulate(sv, state0, 0.1, fc.IntegratorConfig(snapshot_dt=0.02))
+    assert len(series) == 6
+    assert len(calls) == 1 and calls[0] is state0
 
 
 def test_max_steps_guard(sv):

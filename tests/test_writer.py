@@ -86,12 +86,24 @@ def assert_writes_reference(model, series, tmp_path, grid_size):
         assert (tmp_path / name).read_bytes() == text.encode(), name
 
 
-def test_stored_fields_are_the_reconstruction(sv, series):
-    assert series.x.shape == series.rho.shape == series.v.shape == (len(series), series.n + 1)
-    for j, state in enumerate(snapshot_states(series)):
-        for row, fresh in zip((series.x, series.rho, series.v), fc.reconstruct(sv, state),
-                              strict=True):
-            assert np.array_equal(row[j], fresh)
+@pytest.fixture(scope="module")
+def rough_series(sv):
+    """A run with trials rejected by the error test and a last snapshot
+    interval truncated to half the cadence."""
+    state0 = fc.build_particles(sv, perturbed_initial(sv, 0.3), 8)
+    return fc.simulate(sv, state0, 0.2, fc.IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8,
+                                                            snapshot_dt=0.08))
+
+
+def test_stored_fields_are_the_reconstruction(sv, series, rough_series):
+    assert rough_series.stats.rejected_by["error"] > 0
+    assert rough_series.times[-1] - rough_series.times[-2] < 0.6 * 0.08
+    for run in (series, rough_series):
+        assert run.x.shape == run.rho.shape == run.v.shape == (len(run), run.n + 1)
+        for j, state in enumerate(snapshot_states(run)):
+            for row, fresh in zip((run.x, run.rho, run.v), fc.reconstruct(sv, state),
+                                  strict=True):
+                assert row[j].tobytes() == fresh.tobytes()
 
 
 def resized(x, values, points):

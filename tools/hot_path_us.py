@@ -5,6 +5,9 @@ outside the timed call, at n = 128 on the saint_venant chain of
 ``configs/saint_venant_perturbed.json``, from its first trial step (each
 timed trial is accepted and leaves the workspace's first stage at the rhs
 of its candidate, which the next one starts from, at the same cost);
+microseconds per snapshot of ``integrate.simulate`` from that state over
+``SIMULATE_SNAPSHOTS`` (64) snapshot intervals of one first trial step
+each, so that each snapshot is one accepted step and its record;
 microseconds per snapshot of the diagnostics pass over the stored rows
 (``integrate._diagnostic_columns``), on 2 * fields.BLOCK rows of that state;
 microseconds per ``fields.sample`` call on the config's uniform grid of
@@ -34,6 +37,7 @@ import numpy as np
 CONFIG = Path(__file__).resolve().parents[1] / "configs" / "saint_venant_perturbed.json"
 N = 128
 REPEAT = 7
+SIMULATE_SNAPSHOTS = 64
 
 
 def call_table(fc, out):
@@ -52,12 +56,13 @@ def call_table(fc, out):
     # reads the workspace's padded stage, which each trial leaves at its
     # candidate, and writes the padded row of the second stage
     y = ws.K[0]
+    one_step = cfg.integrator._replace(snapshot_dt=dt)
     snapshots = 2 * fields.BLOCK
     series = integrate.SnapshotSeries(model, N, snapshots)
-    for _ in range(snapshots):
-        integrate._store(model, state, series)
+    x, rho, v = fields.reconstruct(model, state)
+    series.x[:], series.rho[:], series.v[:] = x, rho, v
+    series.times[:] = [state.t] * snapshots
     series.diagnostics = integrate._diagnostic_columns(series)
-    x, _, v = fields.reconstruct(model, state)
     grid = np.linspace(0.0, model.length, cfg.grid_size)
     budget = fc.admissibility(model, cfg.initial).lhs
     table = {
@@ -65,6 +70,8 @@ def call_table(fc, out):
                        "us per call"),
         "_attempt": (lambda: integrate._attempt(model, N, y, dt, cfg.integrator, ws),
                      300, 1, "us per call"),
+        "simulate": (lambda: integrate.simulate(model, state, SIMULATE_SNAPSHOTS * dt, one_step),
+                     5, SIMULATE_SNAPSHOTS, "us per snapshot"),
         "diagnostics": (lambda: integrate._diagnostic_columns(series), 20, snapshots,
                         "us per snapshot"),
         "sample": (lambda: fields.sample(x, v, grid), 2000, 1,
@@ -76,6 +83,9 @@ def call_table(fc, out):
                             2, snapshots, "us per snapshot"),
     }
     assert table["_attempt"][0]()[0], "the timed step must be accepted"
+    stats = table["simulate"][0]().stats
+    assert (stats.accepted, stats.rejected) == (SIMULATE_SNAPSHOTS, 0), \
+        "each timed snapshot must be one accepted step"
     return table
 
 
